@@ -7,8 +7,8 @@ writes a trace CSV; runs are aggregated onto common time bins
 (last-observation-carried-forward) into mean/std curves per algorithm.
 
 The resolved configuration is echoed to the output directory; re-running
-from that file reproduces the experiment (byte-identical trace CSVs in
-serial mode with the deterministic sweep clock).
+from that file reproduces the experiment (byte-identical trace CSVs with the
+deterministic sweep clock, whether the runs are serial or threaded).
 """
 
 from __future__ import annotations
@@ -221,6 +221,10 @@ class ExperimentSummary:
     initial_errors: dict[str, list[float]]
     final_errors: dict[str, list[float]]
     failures: list[RunFailure]
+    # Sweeps over all of an algorithm's completed runs, and how many of them
+    # were short (some block step reached the radius).
+    short_sweeps: dict[str, int]
+    total_sweeps: dict[str, int]
 
     def report(self) -> str:
         lines = []
@@ -233,7 +237,8 @@ class ExperimentSummary:
             lines.append(
                 f"{label}: mean initial error {mean_init:.6g}, "
                 f"mean final error {mean_final:.6g} (ratio {ratio:.3g}, "
-                f"{len(final)} runs)"
+                f"{len(final)} runs, {self.short_sweeps[label]} of "
+                f"{self.total_sweeps[label]} sweeps short)"
             )
         dr_labels = [l for l in self.final_errors if l.startswith("als_dr")]
         if dr_labels and "als" in self.final_errors and self.final_errors["als"]:
@@ -243,9 +248,14 @@ class ExperimentSummary:
                     continue
                 dr_final = float(np.mean(self.final_errors[label]))
                 verdict = "below" if dr_final < als_final else "not below"
+                unbound = (
+                    "; radius never bound: same path as plain als"
+                    if self.short_sweeps[label] == 0
+                    else ""
+                )
                 lines.append(
                     f"comparison: {label} mean final error {dr_final:.6g} is "
-                    f"{verdict} plain als ({als_final:.6g})"
+                    f"{verdict} plain als ({als_final:.6g}){unbound}"
                 )
         for f in self.failures:
             lines.append(f"FAILED {f.algorithm} run {f.run_index}: {f.message}")
@@ -476,6 +486,8 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     initial_errors: dict[str, list[float]] = {a.label: [] for a in cfg.algos}
     final_errors: dict[str, list[float]] = {a.label: [] for a in cfg.algos}
     traces_by_algo: dict[str, list[list[TraceRecord]]] = {a.label: [] for a in cfg.algos}
+    short_sweeps: dict[str, int] = {a.label: 0 for a in cfg.algos}
+    total_sweeps: dict[str, int] = {a.label: 0 for a in cfg.algos}
     for algo in cfg.algos:
         for k in range(1, cfg.runs + 1):
             trace = results.get((algo.label, k))
@@ -484,6 +496,8 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
             traces_by_algo[algo.label].append(trace)
             initial_errors[algo.label].append(math.sqrt(max(trace[0].objective, 0.0)))
             final_errors[algo.label].append(math.sqrt(max(trace[-1].objective, 0.0)))
+            short_sweeps[algo.label] += sum(r.point_class == "short" for r in trace[1:])
+            total_sweeps[algo.label] += len(trace) - 1
 
     curve = None
     aggregate_path = None
@@ -508,4 +522,6 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
         initial_errors=initial_errors,
         final_errors=final_errors,
         failures=failures,
+        short_sweeps=short_sweeps,
+        total_sweeps=total_sweeps,
     )

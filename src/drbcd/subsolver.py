@@ -251,7 +251,9 @@ def solve_block_qp(
     Stops when the fixed-point residual ``||U - P(U - grad/L)||_F`` drops
     below ``tol * (1 + ||U||_F)`` or after ``max_iters`` steps, reporting the
     achieved residual. The result never has a larger objective than ``start``
-    (the previous block value), which keeps every outer sweep monotone.
+    (the previous block value), which keeps every outer sweep monotone: when
+    the last iterate is worse, the start is returned with ``converged=False``
+    and the start's own fixed-point residual.
 
     With ``debug=True`` the inner objective is asserted non-increasing at
     every step.
@@ -299,8 +301,11 @@ def solve_block_qp(
     if not np.isfinite(u).all():
         raise FloatingPointError(f"non-finite iterate at inner iteration {iterations}")
 
-    # Descent contract: never return a point worse than the start.
+    # Descent contract: never return a point worse than the start. A run
+    # that had to fall back did not converge, and its residual is the
+    # start's, so it describes the point returned.
     if q.objective(u) > q.objective(u0):
         u = u0.copy()
-        residual = 0.0
+        residual = float(np.linalg.norm(u0 - _project(u0 - step * q.gradient(u0))))
+        converged = False
     return BlockSolveResult(u, residual, iterations, converged)

@@ -3,8 +3,14 @@
 Tensors and matrices are plain ``numpy.ndarray`` values in double precision,
 stored row-major (C order). Mode-``k`` unfolding follows the convention where
 the column index runs over the remaining modes with the *lowest*-numbered mode
-varying fastest; ``fold`` is its exact inverse and the Khatri-Rao chain used by
-:func:`mttkrp` is ordered to match.
+varying fastest; ``fold`` is its exact inverse.
+
+:func:`mttkrp` never unfolds: it works on the native layout, where for a
+C-contiguous tensor ``x.reshape(-1, d_last)`` is a free view. The last mode's
+MTTKRP is one GEMM on that view's transpose. Every earlier mode's MTTKRP
+contracts the small partial product ``X.reshape(-1, d_last) @ U_last``
+against the remaining factors, so one pass over the tensor serves all of the
+modes before the last (a two-level dimension tree).
 
 All functions are pure and safe to call concurrently.
 """
@@ -98,10 +104,55 @@ def khatri_rao(a, b) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
 
 
-def _khatri_rao_chain(mats) -> np.ndarray:
-    # Chain ordered so the factor for the lowest mode varies fastest,
-    # matching the unfold column convention.
-    return reduce(khatri_rao, reversed(list(mats)))
+def _khatri_rao_native(mats) -> np.ndarray:
+    # Chain ordered so the factor for the highest mode varies fastest,
+    # matching the row-major index of the modes it spans.
+    return reduce(khatri_rao, mats)
+
+
+def _last_mode_partial(x, u_last) -> np.ndarray:
+    """Contract the last mode of ``x`` with ``u_last`` (d_last x r).
+
+    Returns ``P`` of shape ``x.shape[:-1] + (r,)`` with
+    ``P[i_1, ..., i_{m-1}, j] = sum_t X[i_1, ..., i_{m-1}, t] U_last[t, j]``,
+    computed as one GEMM on the native layout.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    u_last = np.asarray(u_last, dtype=np.float64)
+    p = x.reshape(-1, x.shape[-1]) @ u_last
+    return p.reshape(x.shape[:-1] + (u_last.shape[1],))
+
+
+def _mttkrp_from_partial(partial, factors, mode: int) -> np.ndarray:
+    """MTTKRP along ``mode`` (any mode but the last) from ``P``.
+
+    ``partial`` is :func:`_last_mode_partial` of the tensor; ``factors`` lists
+    the leading factors, one per axis of ``partial`` but its last, and the
+    entry at position ``mode`` is ignored. The axes after ``mode`` are
+    contracted first, then the axes before it.
+    """
+    dims = partial.shape[:-1]
+    rank = partial.shape[-1]
+    left, right = prod(dims[:mode]), prod(dims[mode + 1 :])
+    t = np.asarray(partial, dtype=np.float64).reshape(left, dims[mode], right, rank)
+    if mode + 1 < len(dims):
+        t = (t * _khatri_rao_native(factors[mode + 1 :])).sum(axis=2)
+    else:
+        t = t[:, :, 0, :]
+    if mode > 0:
+        return (t * _khatri_rao_native(factors[:mode])[:, None, :]).sum(axis=0)
+    return t[0]
+
+
+def _last_mode_mttkrp(x, factors) -> np.ndarray:
+    """MTTKRP along the last mode of ``x``; ``factors`` lists the other modes'.
+
+    One GEMM of ``x.reshape(-1, d_last).T`` with the Khatri-Rao product of
+    the leading factors, whose row index has the last of them varying
+    fastest, as the native layout does.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return x.reshape(-1, x.shape[-1]).T @ _khatri_rao_native(factors)
 
 
 def mttkrp(x, factors, mode: int) -> np.ndarray:
@@ -109,19 +160,22 @@ def mttkrp(x, factors, mode: int) -> np.ndarray:
 
     ``factors`` lists one matrix per mode of ``x``; the entry at position
     ``mode`` is ignored. Returns ``unfold(x, mode) @ K`` where ``K`` is the
-    Khatri-Rao chain of the other factors in the unfold-compatible order.
+    Khatri-Rao chain of the other factors in the unfold-compatible order,
+    computed on the native layout without unfolding.
     """
     x = np.asarray(x, dtype=np.float64)
     if len(factors) != x.ndim:
         raise ValueError(f"expected {x.ndim} factors, got {len(factors)}")
     if not 0 <= mode < x.ndim:
         raise ValueError(f"mode {mode} out of range for a {x.ndim}-mode tensor")
-    others = []
+    if x.ndim < 2:
+        raise ValueError("mttkrp needs at least two modes")
+    factors = list(factors)
     rank = None
     for j, f in enumerate(factors):
         if j == mode:
             continue
-        f = np.asarray(f, dtype=np.float64)
+        factors[j] = f = np.asarray(f, dtype=np.float64)
         if f.ndim != 2 or f.shape[0] != x.shape[j]:
             raise ValueError(
                 f"factor {j} has shape {f.shape}, expected ({x.shape[j]}, r)"
@@ -130,10 +184,9 @@ def mttkrp(x, factors, mode: int) -> np.ndarray:
             rank = f.shape[1]
         elif f.shape[1] != rank:
             raise ValueError("factors must share a common column count")
-        others.append(f)
-    if not others:
-        raise ValueError("mttkrp needs at least two modes")
-    return unfold(x, mode) @ _khatri_rao_chain(others)
+    if mode == x.ndim - 1:
+        return _last_mode_mttkrp(x, factors[:-1])
+    return _mttkrp_from_partial(_last_mode_partial(x, factors[-1]), factors[:-1], mode)
 
 
 def cp_reconstruct(factors, code) -> np.ndarray:
@@ -159,8 +212,8 @@ def cp_reconstruct(factors, code) -> np.ndarray:
             f"code has {code.shape[0]} rows, expected rank {rank}"
         )
     shape = tuple(f.shape[0] for f in factors) + (code.shape[1],)
-    chain = _khatri_rao_chain(factors[1:] + [code.T])
-    return fold(factors[0] @ chain.T, 0, shape)
+    chain = _khatri_rao_native(factors[1:] + [code.T])
+    return (factors[0] @ chain.T).reshape(shape)
 
 
 def write_ntf1(path, x) -> None:

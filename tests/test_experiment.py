@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -251,6 +252,46 @@ def test_run_experiment_deterministic_bytes(tmp_path):
     for key in s1.trace_paths:
         assert s1.trace_paths[key].read_bytes() == s2.trace_paths[key].read_bytes()
     assert s1.aggregate_path.read_bytes() == s2.aggregate_path.read_bytes()
+
+
+def test_threaded_run_matches_serial_bytes(tmp_path, monkeypatch):
+    # The pool threads share one problem and its per-thread memo; more
+    # workers than cores and a short switch interval interleave them often.
+    algos = [AlgorithmSpec("als_dr", 0.5, 1.0), AlgorithmSpec("als"), AlgorithmSpec("mu")]
+    kwargs = dict(shape=(8, 9, 10), algos=algos, runs=3, max_sweeps=15)
+    serial = run_experiment(desk_config(tmp_path, out=str(tmp_path / "s"), **kwargs))
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_experiment(
+            desk_config(tmp_path, out=str(tmp_path / "t"), serial=False, **kwargs)
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert not serial.failures and not threaded.failures
+    assert sorted(threaded.trace_paths) == sorted(serial.trace_paths)
+    for key, path in serial.trace_paths.items():
+        assert threaded.trace_paths[key].read_bytes() == path.read_bytes(), key
+
+
+@pytest.mark.parametrize("c_prime, binds", [(1e5, False), (1.0, True)])
+def test_report_counts_short_sweeps(tmp_path, c_prime, binds):
+    cfg = desk_config(
+        tmp_path,
+        shape=(5, 6, 4),
+        algos=[AlgorithmSpec("als_dr", 0.5, c_prime), AlgorithmSpec("als")],
+        max_sweeps=10,
+    )
+    summary = run_experiment(cfg)
+    assert summary.total_sweeps == {"als_dr-0.5": 20, "als": 20}
+    assert summary.short_sweeps["als"] == 0
+    assert (summary.short_sweeps["als_dr-0.5"] > 0) == binds
+    report = summary.report()
+    short = summary.short_sweeps["als_dr-0.5"]
+    assert f"{short} of 20 sweeps short" in report
+    comparison = next(l for l in report.splitlines() if l.startswith("comparison:"))
+    assert ("radius never bound: same path as plain als" in comparison) != binds
 
 
 def test_run_experiment_reaches_optimum_on_noiseless_data(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drbcd.datagen import SynthSpec, synthetic_lowrank
-from drbcd.driver import SolverConfig, run, verify_trace
+from drbcd.driver import SolverConfig, run, stationarity_measure, verify_trace
 from drbcd.factorization import (
     FactorModel,
     NtfProblem,
@@ -152,6 +152,86 @@ def test_block_subproblem_index_error():
     problem = NtfProblem(np.ones((2, 3)), rank=1)
     with pytest.raises(ValueError, match="index"):
         problem.block_subproblem([np.ones((2, 1)), np.ones((3, 1))], 2)
+
+
+# ---------------------------------------------------------------------------
+# per-thread memo of the MTTKRP terms
+
+
+def memo_case(shape, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.random(shape)
+    rank = 3
+    blocks = [rng.random((d, rank)) for d in shape]
+    others = [rng.random((d, rank)) for d in shape]
+    return data, rank, blocks, others
+
+
+def evaluations(problem, blocks):
+    subs = [problem.block_subproblem(blocks, i) for i in range(len(blocks))]
+    return (
+        [(s.gram, s.linear) for s in subs],
+        problem.full_gradient(blocks),
+        stationarity_measure(problem, blocks),
+    )
+
+
+def assert_same_bits(a, b):
+    (subs_a, grads_a, stat_a), (subs_b, grads_b, stat_b) = a, b
+    for (gram_a, lin_a), (gram_b, lin_b) in zip(subs_a, subs_b):
+        assert gram_a.tobytes() == gram_b.tobytes()
+        assert lin_a.tobytes() == lin_b.tobytes()
+    for ga, gb in zip(grads_a, grads_b):
+        assert ga.tobytes() == gb.tobytes()
+    assert stat_a == stat_b
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 4, 2, 5), (6, 7)])
+def test_memo_hit_and_miss_give_same_bits(shape):
+    data, rank, blocks, others = memo_case(shape, seed=21)
+    fresh = evaluations(NtfProblem(data, rank), blocks)
+    warmed = NtfProblem(data, rank)
+    # Warm every memo entry with other blocks, including mixes that share
+    # the last block (a partial-contraction hit with a different contraction).
+    evaluations(warmed, others)
+    for i in range(len(blocks)):
+        mixed = list(others)
+        mixed[i] = blocks[i]
+        mixed[-1] = blocks[-1]
+        evaluations(warmed, mixed)
+    assert_same_bits(evaluations(warmed, blocks), fresh)
+    # And again, now that every term is a hit.
+    assert_same_bits(evaluations(warmed, blocks), fresh)
+
+
+def test_memo_sees_in_place_block_writes():
+    data, rank, blocks, _ = memo_case((4, 5, 6), seed=22)
+    problem = NtfProblem(data, rank)
+    for j in range(len(blocks)):
+        evaluations(problem, blocks)
+        blocks[j][1, 2] += 0.5
+        assert_same_bits(evaluations(problem, blocks), evaluations(NtfProblem(data, rank), blocks))
+
+
+def test_memoized_terms_are_read_only():
+    data, rank, blocks, _ = memo_case((4, 5, 6), seed=23)
+    problem = NtfProblem(data, rank)
+    for i in range(len(blocks)):
+        linear = problem.block_subproblem(blocks, i).linear
+        assert not linear.flags.writeable
+        with pytest.raises(ValueError):
+            linear[0, 0] = 1.0
+
+
+def test_problem_keeps_its_own_copy_of_the_data():
+    data, rank, blocks, _ = memo_case((4, 5, 6), seed=24)
+    problem = NtfProblem(data, rank)
+    before = problem.objective(blocks)
+    linear_before = problem.block_subproblem(blocks, 0).linear.copy()
+    data += 1.0
+    assert problem.objective(blocks) == before
+    assert_array_equal(problem.block_subproblem(blocks, 0).linear, linear_before)
+    assert not problem.data.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,42 @@ def test_solver_rejects_infeasible_start():
 def test_feasible_set_requires_center_in_box():
     with pytest.raises(ValueError, match="center"):
         BoxBallFeasibleSet(lower=0.0, upper=1.0, center=np.array([[2.0]]), radius=0.5)
+
+
+def test_solver_fallback_to_start_is_reported(monkeypatch):
+    # A step far above 1/L makes the iterates bounce between the box faces,
+    # ending worse than the start: the start comes back, reported as not
+    # converged and with the start's own fixed-point residual.
+    import drbcd.subsolver as subsolver
+
+    monkeypatch.setattr(subsolver, "lipschitz_estimate", lambda q: 1e-6)
+    b = np.full((1, 2), 5.0)
+    q = QuadraticBlockSubproblem(gram=np.eye(2), linear=b, constant=float(np.sum(b**2)))
+    start = b + 0.01
+    fs = BoxBallFeasibleSet(lower=0.0, upper=10.0, center=start, radius=math.inf)
+    res = solve_block_qp(q, fs, start=start, max_iters=5)
+    assert np.array_equal(res.point, start)
+    assert not res.converged
+    # The huge step from the start lands below the box, which clamps it to 0.
+    assert res.residual == pytest.approx(5.01 * math.sqrt(2.0))
+
+
+def test_solver_fallback_after_convergence_is_not_converged():
+    # The inner loop converges, but the objective rates its point above the
+    # start (as rounding can near a tie): the fallback must not read as
+    # converged, and its residual is the start's, far from the tolerance.
+    class PrefersStart(QuadraticBlockSubproblem):
+        def objective(self, u):
+            return super().objective(u) + (0.0 if np.array_equal(u, start) else 1.0)
+
+    b = np.array([[0.4, 0.5]])
+    start = np.array([[0.3, 0.6]])
+    q = PrefersStart(gram=np.eye(2), linear=b, constant=float(np.sum(b**2)))
+    fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=start, radius=1.0)
+    res = solve_block_qp(q, fs, start=start)
+    assert np.array_equal(res.point, start)
+    assert not res.converged
+    step = start - q.gradient(start) / lipschitz_estimate(q)
+    expected = np.linalg.norm(start - project_box_ball(step, fs).point)
+    assert res.residual == pytest.approx(expected)
+    assert res.residual > 1e-3
