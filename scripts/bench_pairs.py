@@ -18,7 +18,11 @@ For every end-to-end metric the summary gives each side's median and
 quartiles and the number of pairs the change won, ties counting for neither
 side. A claimed metric is met when the change wins at least nine tenths of
 the pairs and the medians differ by more than the parent's interquartile
-range.
+range. Every metric also gets a no-regression verdict against its
+``bound``, a fraction of the parent's median: "worse" when the change's
+median is worse than the parent's by more than the bound; else "unresolved"
+when the parent's interquartile range is wider than the bound, unless every
+change run beats every parent run; else "no regression".
 """
 
 from __future__ import annotations
@@ -54,6 +58,18 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def regression_verdict(parent: list[float], change: list[float], higher: bool, bound: float) -> str:
+    before, after = quartiles(parent), quartiles(change)
+    allowed = bound * abs(before["median"])
+    loss = before["median"] - after["median"] if higher else after["median"] - before["median"]
+    if loss > allowed:
+        return "worse"
+    all_better = min(change) > max(parent) if higher else max(change) < min(parent)
+    if before["q3"] - before["q1"] > allowed and not all_better:
+        return "unresolved"
+    return "no regression"
+
+
 def summarize(pairs: list[dict], spec: dict, claim: str | None) -> dict:
     summary = {}
     for m in spec["end_to_end"]:
@@ -71,6 +87,7 @@ def summarize(pairs: list[dict], spec: dict, claim: str | None) -> dict:
             "change_wins": wins,
             "change_losses": losses,
             "median_ratio": after["median"] / before["median"] if before["median"] else None,
+            "verdict": regression_verdict(parent, change, higher, m["bound"]),
         }
         if name == claim:
             gap = abs(after["median"] - before["median"])
@@ -125,7 +142,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for name, entry in record["summary"].items():
         print(f"{name:20s} parent {entry['parent']['median']:.6g}  change {entry['change']['median']:.6g}  "
-              f"wins {entry['change_wins']}/{len(pairs)}" + (f"  claim met: {entry['claim_met']}" if "claim_met" in entry else ""))
+              f"wins {entry['change_wins']}/{len(pairs)}  {entry['verdict']}" + (f"  claim met: {entry['claim_met']}" if "claim_met" in entry else ""))
     return 0
 
 

@@ -25,7 +25,6 @@ from .factorization import (
     FactorModel,
     NtfProblem,
     init_factors,
-    make_block_problem,
     mu_sweep,
     run_mu,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "init_factors",
     "khatri_rao",
     "lipschitz_estimate",
-    "make_block_problem",
     "mttkrp",
     "mu_sweep",
     "project_ball",

@@ -1,7 +1,8 @@
 """Command-line benchmark harness.
 
-Flags mirror the flat config-file keys one to one (``--max-sweeps`` is
-``max-sweeps = ...`` in a file); flags override file values and the merged
+Every flag is a flat config-file key (``--max-sweeps`` is ``max-sweeps =
+...`` in a file); both come from the one option table
+:data:`drbcd.experiment.OPTIONS`. Flags override file values and the merged
 result is echoed to the output directory as ``config.txt``, from which the
 experiment can be reproduced. ``--paper-scale`` switches the defaults to the
 full-size comparison (shape 100x200x300, rank 5, 10 runs, all four
@@ -12,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .experiment import (
     DEFAULT_SURROGATE_SHAPE,
+    OPTIONS,
     PAPER_SCALE_PRESET,
     AlgorithmSpec,
     ExperimentConfig,
@@ -24,47 +27,7 @@ from .experiment import (
 
 __all__ = ["build_parser", "parse_config", "main"]
 
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"invalid boolean for {key}: {raw!r}")
-
-
-def _parse_shape(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
-# key -> (value parser, repeatable)
-KEY_PARSERS = {
-    "data": (str, False),
-    "shape": (_parse_shape, False),
-    "rank": (int, False),
-    "algo": (str, True),
-    "beta": (float, False),
-    "c-prime": (float, False),
-    "runs": (int, False),
-    "seed": (int, False),
-    "max-sweeps": (int, False),
-    "max-seconds": (float, False),
-    "box-bound": (float, False),
-    "out": (str, False),
-    "plot": (None, False),
-    "paper-scale": (None, False),
-    "serial": (None, False),
-    "clock": (str, False),
-    "log-y": (None, False),
-    "noise-level": (float, False),
-    "density": (float, False),
-    "mean-abs": (float, False),
-    "log-offset": (int, False),
-    "init-scale": (float, False),
-    "save-data": (None, False),
-    "bins": (int, False),
-}
+_OPTIONS_BY_KEY = {opt.key: opt for opt in OPTIONS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,44 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    p.add_argument("--data", choices=None, metavar="{synth|surrogate|file:PATH}")
-    p.add_argument("--shape", metavar="d1,d2,...", help="data tensor dimensions")
-    p.add_argument("--rank", type=int, metavar="R", help="factorization rank")
-    p.add_argument(
-        "--algo",
-        action="append",
-        metavar="{als_dr|als_dr-BETA|als|mu}",
-        help="algorithm entry (repeatable)",
-    )
-    p.add_argument("--beta", type=float, help="decay exponent for bare als_dr entries")
-    p.add_argument("--c-prime", type=float, help="search radius constant for als_dr")
-    p.add_argument("--runs", type=int, metavar="K", help="runs per algorithm")
-    p.add_argument("--seed", type=int, metavar="S", help="base seed (run k uses S + k)")
-    p.add_argument("--max-sweeps", type=int, metavar="N")
-    p.add_argument("--max-seconds", type=float, metavar="T")
-    p.add_argument("--box-bound", type=float, metavar="M", help="factor entry upper bound")
-    p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--plot", action="store_const", const=True, help="emit convergence.svg")
-    p.add_argument(
-        "--paper-scale",
-        action="store_const",
-        const=True,
-        help="full-size comparison defaults (100x200x300, rank 5, 10 runs)",
-    )
-    p.add_argument("--serial", action="store_const", const=True, help="run cells sequentially")
-    p.add_argument(
-        "--clock",
-        choices=("wall", "sweep"),
-        help="trace timestamps: wall time or deterministic sweep index",
-    )
-    p.add_argument("--log-y", action="store_const", const=True, help="log-scale error axis")
-    p.add_argument("--noise-level", type=float, help="synthetic data noise level")
-    p.add_argument("--density", type=float, help="surrogate nonzero probability")
-    p.add_argument("--mean-abs", type=float, help="surrogate target mean absolute entry")
-    p.add_argument("--log-offset", type=int, help="offset inside the schedule log divisor")
-    p.add_argument("--init-scale", type=float, help="uniform init upper bound")
-    p.add_argument("--save-data", action="store_const", const=True, help="write data.ntf1")
-    p.add_argument("--bins", type=int, help="aggregation time bins")
+    for opt in OPTIONS:
+        if opt.switch:
+            p.add_argument(f"--{opt.key}", action="store_const", const=True, help=opt.help)
+        elif opt.key == "algo":
+            p.add_argument("--algo", action="append", help=opt.help)
+        else:
+            p.add_argument(f"--{opt.key}", type=opt.parse, help=opt.help)
     return p
 
 
@@ -128,45 +60,17 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KEY_PARSERS:
+        if key not in _OPTIONS_BY_KEY:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        parser_fn, repeatable = KEY_PARSERS[key]
-        parsed = _parse_bool(key, value) if parser_fn is None else parser_fn(value)
-        if repeatable:
+        try:
+            parsed = _OPTIONS_BY_KEY[key].parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
+        if key == "algo":
             values.setdefault(key, []).append(parsed)
         else:
             values[key] = parsed
     return values
-
-
-def _flag_values(args: argparse.Namespace) -> dict:
-    mapping = {
-        "data": args.data,
-        "shape": _parse_shape(args.shape) if args.shape else None,
-        "rank": args.rank,
-        "algo": args.algo,
-        "beta": args.beta,
-        "c-prime": args.c_prime,
-        "runs": args.runs,
-        "seed": args.seed,
-        "max-sweeps": args.max_sweeps,
-        "max-seconds": args.max_seconds,
-        "box-bound": args.box_bound,
-        "out": args.out,
-        "plot": args.plot,
-        "paper-scale": args.paper_scale,
-        "serial": args.serial,
-        "clock": args.clock,
-        "log-y": args.log_y,
-        "noise-level": args.noise_level,
-        "density": args.density,
-        "mean-abs": args.mean_abs,
-        "log-offset": args.log_offset,
-        "init-scale": args.init_scale,
-        "save-data": args.save_data,
-        "bins": args.bins,
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
 
 
 def parse_config(argv=None) -> tuple[ExperimentConfig, list[str]]:
@@ -185,7 +89,11 @@ def parse_config(argv=None) -> tuple[ExperimentConfig, list[str]]:
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
-    flag_values = _flag_values(args)
+    flag_values = {
+        opt.key: getattr(args, opt.attr)
+        for opt in OPTIONS
+        if getattr(args, opt.attr) is not None
+    }
     notes = []
     for key in sorted(set(file_values) & set(flag_values)):
         if file_values[key] != flag_values[key]:
@@ -195,65 +103,26 @@ def parse_config(argv=None) -> tuple[ExperimentConfig, list[str]]:
             )
 
     merged: dict = {}
-    paper_scale = bool(
-        flag_values.get("paper-scale", file_values.get("paper-scale", False))
-    )
-    if paper_scale:
-        merged.update(
-            {
-                "shape": PAPER_SCALE_PRESET["shape"],
-                "rank": PAPER_SCALE_PRESET["rank"],
-                "runs": PAPER_SCALE_PRESET["runs"],
-                "algo": list(PAPER_SCALE_PRESET["algo"]),
-            }
-        )
+    if flag_values.get("paper-scale", file_values.get("paper-scale", False)):
+        merged.update(PAPER_SCALE_PRESET)
     merged.update(file_values)
     merged.update(flag_values)
-    merged["paper-scale"] = paper_scale
 
     if "rank" not in merged:
         parser.error("missing required value for rank (use --rank or a config file)")
     if "shape" not in merged and merged.get("data") == "surrogate":
         merged["shape"] = DEFAULT_SURROGATE_SHAPE
 
-    beta = merged.get("beta", 0.5)
-    c_prime = merged.get("c-prime", 1e5)
-    algos = None
-    if "algo" in merged:
-        try:
-            algos = [AlgorithmSpec.parse(tok, beta, c_prime) for tok in merged["algo"]]
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    kwargs = dict(rank=merged["rank"])
-    for key, field_name in [
-        ("data", "data"),
-        ("shape", "shape"),
-        ("runs", "runs"),
-        ("seed", "seed"),
-        ("max-sweeps", "max_sweeps"),
-        ("max-seconds", "max_seconds"),
-        ("box-bound", "box_bound"),
-        ("out", "out"),
-        ("plot", "plot"),
-        ("paper-scale", "paper_scale"),
-        ("serial", "serial"),
-        ("clock", "clock"),
-        ("log-y", "log_y"),
-        ("noise-level", "noise_level"),
-        ("density", "density"),
-        ("mean-abs", "mean_abs"),
-        ("log-offset", "log_offset"),
-        ("init-scale", "init_scale"),
-        ("save-data", "save_data"),
-        ("bins", "bins"),
-    ]:
-        if key in merged:
-            kwargs[field_name] = merged[key]
-    if algos is not None:
-        kwargs["algos"] = algos
-
+    kwargs = {
+        f.name: merged[key]
+        for f in fields(ExperimentConfig)
+        if (key := f.name.replace("_", "-")) in merged
+    }
     try:
+        if "algo" in merged:
+            beta = merged.get("beta", 0.5)
+            c_prime = merged.get("c-prime", 1e5)
+            kwargs["algos"] = [AlgorithmSpec.parse(tok, beta, c_prime) for tok in merged["algo"]]
         cfg = ExperimentConfig(**kwargs)
     except ValueError as exc:
         parser.error(str(exc))

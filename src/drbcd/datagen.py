@@ -68,14 +68,11 @@ def synthetic_lowrank(spec: SynthSpec) -> tuple[np.ndarray, FactorModel]:
     """
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     factors = [rng.random((d, spec.rank)) for d in spec.dims]
-    model = FactorModel(
-        factors=factors, code=np.ones((spec.rank, 1)), mode="cp_absorbed"
-    )
-    x = cp_reconstruct(factors, model.code)[..., 0]
+    x = cp_reconstruct(factors, np.ones((spec.rank, 1)))[..., 0]
     if spec.noise_level > 0.0:
         sigma = spec.noise_level * frobenius_norm(x) / np.sqrt(x.size)
         x = np.maximum(x + sigma * rng.standard_normal(x.shape), 0.0)
-    return np.ascontiguousarray(x), model
+    return np.ascontiguousarray(x), FactorModel(factors=factors)
 
 
 def sparse_surrogate(spec: SynthSpec) -> np.ndarray:

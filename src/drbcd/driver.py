@@ -87,8 +87,7 @@ class SolverConfig:
 
     ``clock='wall'`` stamps records with accumulated wall time;
     ``clock='sweep'`` stamps the sweep index instead, making whole traces
-    reproducible byte for byte. ``seed`` is carried for provenance only (the
-    sweep loop itself is deterministic).
+    reproducible byte for byte. The sweep loop itself is deterministic.
     """
 
     schedule: RadiusSchedule = field(default_factory=RadiusSchedule)
@@ -97,12 +96,8 @@ class SolverConfig:
     stationarity_stop: float | None = None
     qp_tol: float = 1e-8
     qp_max_iters: int = 500
-    dykstra_tol: float = 1e-10
-    dykstra_max_cycles: int = 200
-    record_trace: bool = True
     compute_stationarity: bool = True
     clock: str = "wall"
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_sweeps < 1:
@@ -165,13 +160,7 @@ def bcd_dr_sweep(
         )
         try:
             result = solve_block_qp(
-                sub,
-                feasible,
-                start=current[i],
-                tol=cfg.qp_tol,
-                max_iters=cfg.qp_max_iters,
-                dykstra_tol=cfg.dykstra_tol,
-                dykstra_max_cycles=cfg.dykstra_max_cycles,
+                sub, feasible, start=current[i], tol=cfg.qp_tol, max_iters=cfg.qp_max_iters
             )
         except (ValueError, FloatingPointError) as exc:
             raise type(exc)(f"block {i} at sweep {n}: {exc}") from exc
@@ -206,6 +195,25 @@ def run(
     initial point and config; with ``clock='sweep'`` the trace is exactly
     reproducible.
     """
+    return _sweep_loop(
+        problem, blocks0, cfg, lambda blocks, n: bcd_dr_sweep(problem, blocks, n, cfg)
+    )
+
+
+def _sweep_loop(
+    problem: BlockProblem,
+    blocks0: Sequence[np.ndarray],
+    cfg: SolverConfig,
+    sweep: Callable[[list[np.ndarray], int], tuple[list[np.ndarray], TraceRecord]],
+) -> tuple[list[np.ndarray], list[TraceRecord]]:
+    """The loop behind :func:`run` and the multiplicative-update baseline.
+
+    Checks the initial point against the boxes, clips it, and records it as
+    ``n = 0``. Then ``sweep(blocks, n)`` does sweep ``n >= 1`` and returns
+    the new point and a record whose squared steps cover that sweep only;
+    the loop accumulates them, stamps the clock, and stops at the sweep,
+    time, or stationarity budget.
+    """
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks0]
     if len(blocks) != problem.num_blocks:
         raise ValueError(
@@ -217,7 +225,6 @@ def run(
             raise ValueError(f"initial block {i} violates its feasible box")
         blocks[i] = np.clip(b, lower, upper)
 
-    trace: list[TraceRecord] = []
     start_time = time.perf_counter()
     f0 = problem.objective(blocks)
     if not math.isfinite(f0):
@@ -225,23 +232,22 @@ def run(
     stat0 = (
         stationarity_measure(problem, blocks) if cfg.compute_stationarity else math.nan
     )
-    if cfg.record_trace:
-        trace.append(
-            TraceRecord(
-                n=0,
-                objective=f0,
-                block_step_norms=tuple(0.0 for _ in blocks),
-                radius=math.inf,
-                stationarity=stat0,
-                point_class="long",
-                elapsed_seconds=0.0,
-                cumulative_sq_steps=0.0,
-            )
+    trace = [
+        TraceRecord(
+            n=0,
+            objective=f0,
+            block_step_norms=tuple(0.0 for _ in blocks),
+            radius=math.inf,
+            stationarity=stat0,
+            point_class="long",
+            elapsed_seconds=0.0,
+            cumulative_sq_steps=0.0,
         )
+    ]
 
     cum_sq = 0.0
     for n in range(1, cfg.max_sweeps + 1):
-        blocks, record = bcd_dr_sweep(problem, blocks, n, cfg)
+        blocks, record = sweep(blocks, n)
         if not math.isfinite(record.objective):
             raise FloatingPointError(
                 f"objective became {record.objective} at sweep {n}"
@@ -253,8 +259,7 @@ def run(
         record = replace(
             record, elapsed_seconds=elapsed, cumulative_sq_steps=cum_sq
         )
-        if cfg.record_trace:
-            trace.append(record)
+        trace.append(record)
         if (
             cfg.stationarity_stop is not None
             and cfg.compute_stationarity

@@ -19,7 +19,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .tensors import read_ntf1, write_ntf1
 __all__ = [
     "AlgorithmSpec",
     "ExperimentConfig",
+    "Option",
+    "OPTIONS",
     "AggregateCurve",
     "ExperimentSummary",
     "RunFailure",
@@ -76,6 +78,8 @@ class AlgorithmSpec:
         if self.name == "als_dr":
             if self.beta is None or self.c_prime is None:
                 raise ValueError("als_dr requires beta and c_prime")
+        elif self.beta is not None or self.c_prime is not None:
+            raise ValueError(f"{self.name} takes no beta or c_prime")
 
     @property
     def label(self) -> str:
@@ -116,7 +120,6 @@ class ExperimentConfig:
     box_bound: float | None = None
     out: str = "experiment_out"
     plot: bool = False
-    paper_scale: bool = False
     serial: bool = False
     clock: str = "wall"
     log_y: bool = False
@@ -136,12 +139,33 @@ class ExperimentConfig:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
         if not self.algos:
             raise ValueError("at least one algorithm is required")
+        labels = [a.label for a in self.algos]
+        repeated = sorted({l for l in labels if labels.count(l) > 1})
+        if repeated:
+            # Each label names its trace files, so a repeat would overwrite.
+            raise ValueError(f"duplicate algorithm labels: {', '.join(repeated)}")
+        if len({a.c_prime for a in self.algos if a.name == "als_dr"}) > 1:
+            # config.txt holds one c-prime for every als_dr entry.
+            raise ValueError("every als_dr entry must use the same c_prime")
         if not (
             self.data in ("synth", "surrogate") or self.data.startswith("file:")
         ):
             raise ValueError(
                 f"data must be 'synth', 'surrogate', or 'file:PATH', got {self.data!r}"
             )
+        for key, text in (("data", self.data), ("out", self.out)):
+            # config.txt is ASCII, one value a line, '#' starts a comment, and
+            # values are read back stripped.
+            if (
+                not text.isascii()
+                or "#" in text
+                or text != text.strip()
+                or len(text.splitlines()) > 1
+            ):
+                raise ValueError(
+                    f"{key} {text!r} cannot be written to config.txt: it must be "
+                    "ASCII, on one line, without '#' or surrounding spaces"
+                )
         if self.clock not in ("wall", "sweep"):
             raise ValueError(f"clock must be 'wall' or 'sweep', got {self.clock!r}")
         if self.bins < 1:
@@ -151,34 +175,93 @@ class ExperimentConfig:
         """Flat key = value lines; parseable back into an identical config."""
         lines = ["# resolved experiment configuration"]
         lines += [f"# {note}" for note in notes]
-        lines.append(f"data = {self.data}")
-        lines.append("shape = " + ",".join(str(d) for d in self.shape))
-        lines.append(f"rank = {self.rank}")
-        for a in self.algos:
-            lines.append(f"algo = {a.label}")
-        for a in self.algos:
-            if a.name == "als_dr":
-                lines.append(f"c-prime = {_fmt(a.c_prime)}")
-                break
-        lines.append(f"runs = {self.runs}")
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"max-sweeps = {self.max_sweeps}")
-        lines.append(f"max-seconds = {_fmt(self.max_seconds)}")
-        if self.box_bound is not None:
-            lines.append(f"box-bound = {_fmt(self.box_bound)}")
-        lines.append(f"out = {self.out}")
-        lines.append(f"plot = {'true' if self.plot else 'false'}")
-        lines.append(f"serial = {'true' if self.serial else 'false'}")
-        lines.append(f"clock = {self.clock}")
-        lines.append(f"log-y = {'true' if self.log_y else 'false'}")
-        lines.append(f"noise-level = {_fmt(self.noise_level)}")
-        lines.append(f"density = {_fmt(self.density)}")
-        lines.append(f"mean-abs = {_fmt(self.mean_abs)}")
-        lines.append(f"log-offset = {self.log_offset}")
-        lines.append(f"init-scale = {_fmt(self.init_scale)}")
-        lines.append(f"save-data = {'true' if self.save_data else 'false'}")
-        lines.append(f"bins = {self.bins}")
+        for opt in OPTIONS:
+            if opt.key == "algo":
+                lines += [
+                    f"algo = als_dr-{_fmt(a.beta)}" if a.name == "als_dr" else f"algo = {a.name}"
+                    for a in self.algos
+                ]
+            elif opt.key == "c-prime":
+                # At most one value: every als_dr entry shares it.
+                c_primes = {a.c_prime for a in self.algos if a.name == "als_dr"}
+                lines += [f"c-prime = {_fmt(c)}" for c in c_primes]
+            elif getattr(self, opt.attr, None) is not None:
+                value = getattr(self, opt.attr)
+                lines.append(f"{opt.key} = {_FORMATS.get(opt.parse, str)(value)}")
         return lines
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"invalid boolean {raw!r}")
+
+
+def _parse_shape(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+# How config.txt writes a value, by the parser that reads it back (else str).
+_FORMATS: dict[Callable, Callable] = {
+    float: _fmt,
+    _parse_bool: lambda v: "true" if v else "false",
+    _parse_shape: lambda v: ",".join(str(d) for d in v),
+}
+
+
+@dataclass(frozen=True)
+class Option:
+    """One CLI flag and config-file key: ``--max-sweeps N`` is ``max-sweeps = N``.
+
+    ``parse`` reads a value from text; a switch's flag takes no value. A
+    key names the :class:`ExperimentConfig` field with its dashes as
+    underscores; ``algo``, ``beta`` and ``c-prime`` build the ``algos``
+    field together, and ``paper-scale`` selects a preset.
+    """
+
+    key: str
+    parse: Callable[[str], object]
+    help: str
+
+    @property
+    def attr(self) -> str:
+        return self.key.replace("-", "_")
+
+    @property
+    def switch(self) -> bool:
+        return self.parse is _parse_bool
+
+
+# In config.txt order; ``algo`` is the one key that repeats.
+OPTIONS = (
+    Option("data", str, "synth, surrogate or file:PATH (an NTF1 tensor)"),
+    Option("shape", _parse_shape, "data tensor dimensions d1,d2,..."),
+    Option("rank", int, "factorization rank"),
+    Option("algo", str, "algorithm entry: als_dr, als_dr-BETA, als or mu (repeatable)"),
+    Option("beta", float, "decay exponent for bare als_dr entries"),
+    Option("c-prime", float, "search radius constant for als_dr"),
+    Option("runs", int, "runs per algorithm"),
+    Option("seed", int, "base seed (run k uses seed + k)"),
+    Option("max-sweeps", int, "sweep budget per run"),
+    Option("max-seconds", float, "time budget per run, in seconds"),
+    Option("box-bound", float, "factor entry upper bound"),
+    Option("out", str, "output directory"),
+    Option("plot", _parse_bool, "emit convergence.svg"),
+    Option("paper-scale", _parse_bool, "full-size comparison defaults (100x200x300, rank 5, 10 runs)"),
+    Option("serial", _parse_bool, "run cells sequentially"),
+    Option("clock", str, "trace timestamps: wall (wall time) or sweep (deterministic sweep index)"),
+    Option("log-y", _parse_bool, "log-scale error axis"),
+    Option("noise-level", float, "synthetic data noise level"),
+    Option("density", float, "surrogate nonzero probability"),
+    Option("mean-abs", float, "surrogate target mean absolute entry"),
+    Option("log-offset", int, "offset inside the schedule log divisor"),
+    Option("init-scale", float, "uniform init upper bound"),
+    Option("save-data", _parse_bool, "write data.ntf1"),
+    Option("bins", int, "aggregation time bins"),
+)
 
 
 @dataclass(frozen=True)
@@ -281,7 +364,7 @@ def resolve_data(cfg: ExperimentConfig) -> np.ndarray:
     return read_ntf1(cfg.data[len("file:") :])
 
 
-def _solver_config(cfg: ExperimentConfig, algo: AlgorithmSpec, seed: int) -> SolverConfig:
+def _solver_config(cfg: ExperimentConfig, algo: AlgorithmSpec) -> SolverConfig:
     if algo.name == "als_dr":
         schedule = RadiusSchedule(
             kind="power_log",
@@ -296,7 +379,6 @@ def _solver_config(cfg: ExperimentConfig, algo: AlgorithmSpec, seed: int) -> Sol
         max_sweeps=cfg.max_sweeps,
         max_seconds=cfg.max_seconds,
         clock=cfg.clock,
-        seed=seed,
     )
 
 
@@ -311,7 +393,7 @@ def _single_run(
         scale=cfg.init_scale,
         box_bound=problem.box_bound,
     )
-    solver_cfg = _solver_config(cfg, algo, seed)
+    solver_cfg = _solver_config(cfg, algo)
     if algo.name == "mu":
         _, trace = run_mu(problem, model.to_blocks(), solver_cfg)
     else:

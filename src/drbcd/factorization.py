@@ -1,15 +1,13 @@
 """Nonnegative matrix/tensor factorization as a block-descent problem.
 
-The model approximates a nonnegative data tensor by a rank-``r`` sum of
-outer products of per-mode loading matrices, optionally combined with a
-code matrix ``H`` mixing ``T`` observations along a trailing axis:
+The model approximates a nonnegative data tensor by the rank-``r`` CP
+decomposition, a sum of outer products of per-mode loading matrices with
+one block per data mode:
 
-    X[i_1, ..., i_m, t]  ~=  sum_j U1[i_1,j] * ... * Um[i_m,j] * H[j,t]
+    X[i_1, ..., i_m]  ~=  sum_j U1[i_1,j] * ... * Um[i_m,j]
 
-In ``general`` mode the code is one more block (optimized as its transpose,
-which is just the trailing-axis loading matrix); in ``cp_absorbed`` mode the
-single observation's code is absorbed into the loadings and fixed at ones,
-leaving the plain CP decomposition with one block per data mode.
+A code matrix mixing observations along a trailing axis needs no layout of
+its own: its transpose is that axis's loading matrix, one more block.
 
 Every block restriction of the squared reconstruction error is the convex
 quadratic with Gram matrix given by the Hadamard product of the other
@@ -23,13 +21,12 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .driver import SolverConfig, TraceRecord, classify_point, stationarity_measure
+from .driver import SolverConfig, TraceRecord, _sweep_loop, stationarity_measure
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
     _khatri_rao_native,
@@ -42,67 +39,29 @@ from .tensors import (
 __all__ = [
     "FactorModel",
     "NtfProblem",
-    "make_block_problem",
     "init_factors",
     "mu_sweep",
     "run_mu",
 ]
 
-MODES = ("general", "cp_absorbed")
-
-
 @dataclass
 class FactorModel:
-    """Loading matrices plus the code matrix, with the block layout mode.
-
-    ``factors[i]`` has shape ``(d_i, r)``; ``code`` has shape ``(r, T)``. In
-    ``cp_absorbed`` mode ``T = 1`` and the code is fixed at ones and never
-    updated.
-    """
+    """Per-mode loading matrices; ``factors[i]`` has shape ``(d_i, r)``."""
 
     factors: list[np.ndarray]
-    code: np.ndarray
-    mode: str = "cp_absorbed"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown model mode {self.mode!r}; expected one of {MODES}")
         self.factors = [np.asarray(f, dtype=np.float64) for f in self.factors]
-        self.code = np.asarray(self.code, dtype=np.float64)
         if not self.factors:
             raise ValueError("model needs at least one loading matrix")
         r = self.factors[0].shape[1]
         for i, f in enumerate(self.factors):
             if f.ndim != 2 or f.shape[1] != r:
                 raise ValueError(f"loading matrix {i} does not have {r} columns")
-        if self.code.ndim != 2 or self.code.shape[0] != r:
-            raise ValueError(f"code must have {r} rows, got shape {self.code.shape}")
-        if self.mode == "cp_absorbed":
-            if self.code.shape[1] != 1 or not np.all(self.code == 1.0):
-                raise ValueError("cp_absorbed mode requires an all-ones r x 1 code")
-
-    @property
-    def rank(self) -> int:
-        return self.factors[0].shape[1]
 
     def to_blocks(self) -> list[np.ndarray]:
-        """Block list handed to the descent driver (code enters transposed)."""
-        if self.mode == "general":
-            return [f.copy() for f in self.factors] + [self.code.T.copy()]
+        """Block list handed to the descent driver."""
         return [f.copy() for f in self.factors]
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[np.ndarray], mode: str) -> "FactorModel":
-        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-        if mode == "general":
-            return cls(factors=[b.copy() for b in blocks[:-1]], code=blocks[-1].T.copy(), mode=mode)
-        r = blocks[0].shape[1]
-        return cls(factors=[b.copy() for b in blocks], code=np.ones((r, 1)), mode=mode)
-
-    def copy(self) -> "FactorModel":
-        return FactorModel(
-            factors=[f.copy() for f in self.factors], code=self.code.copy(), mode=self.mode
-        )
 
 
 def default_box_bound(data: np.ndarray, num_blocks: int) -> float:
@@ -136,10 +95,7 @@ class _Memo(threading.local):
 class NtfProblem:
     """Least-squares factorization of a nonnegative tensor, one block per mode.
 
-    Conforms to the driver's block-problem protocol. ``mode='general'``
-    expects the trailing data axis to index observations (that axis's block
-    is the transposed code matrix); ``mode='cp_absorbed'`` factorizes the
-    tensor as-is.
+    Conforms to the driver's block-problem protocol.
 
     One problem may be shared by threads. Each thread memoizes the last-mode
     partial contraction and every block's last linear term (see
@@ -151,9 +107,7 @@ class NtfProblem:
     what a hit returns.
     """
 
-    def __init__(self, data, rank: int, box_bound: float | None = None, mode: str = "cp_absorbed"):
-        if mode not in MODES:
-            raise ValueError(f"unknown problem mode {mode!r}; expected one of {MODES}")
+    def __init__(self, data, rank: int, box_bound: float | None = None):
         # A private read-only copy: the memo is keyed by the blocks alone, so
         # the data must never change under it.
         self.data = as_tensor(np.array(data, dtype=np.float64, order="C"), nonneg=True)
@@ -162,8 +116,11 @@ class NtfProblem:
             raise ValueError(f"rank must be positive, got {rank}")
         if self.data.ndim < 2:
             raise ValueError("factorization needs at least two data modes")
+        if 0 in self.data.shape:
+            raise ValueError(
+                f"every data mode needs positive length, got shape {self.data.shape}"
+            )
         self.rank = int(rank)
-        self.mode = mode
         self.box_bound = (
             default_box_bound(self.data, self.data.ndim) if box_bound is None else float(box_bound)
         )
@@ -217,9 +174,6 @@ class NtfProblem:
             flat = residual.ravel()
             total += float(np.dot(flat, flat))
         return total
-
-    def reconstruction_error(self, blocks: Sequence[np.ndarray]) -> float:
-        return math.sqrt(max(self.objective(blocks), 0.0))
 
     def block_subproblem(
         self, blocks: Sequence[np.ndarray], i: int
@@ -281,33 +235,18 @@ class NtfProblem:
             grads.append(2.0 * (blocks[i] @ sub.gram - sub.linear))
         return grads
 
-    def model_objective(self, model: FactorModel) -> float:
-        return self.objective(model.to_blocks())
-
-
-def make_block_problem(
-    data, rank: int, box_bound: float | None = None, mode: str = "cp_absorbed"
-) -> NtfProblem:
-    """Wrap a data tensor as a driver-ready factorization problem."""
-    return NtfProblem(data, rank, box_bound=box_bound, mode=mode)
-
 
 def init_factors(
     shape: Sequence[int],
     rank: int,
     seed: int,
     scale: float = 1.0,
-    mode: str = "cp_absorbed",
     box_bound: float | None = None,
 ) -> FactorModel:
     """Uniform ``[0, scale]`` initialization from a counter-based generator.
 
-    Deterministic per seed (Philox, so identical across platforms). In
-    ``general`` mode the last entry of ``shape`` is the observation count and
-    the code matrix is initialized like the factors.
+    Deterministic per seed (Philox, so identical across platforms).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown model mode {mode!r}; expected one of {MODES}")
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     if box_bound is not None and scale > box_bound:
@@ -316,13 +255,7 @@ def init_factors(
     if any(d < 1 for d in shape):
         raise ValueError(f"dimensions must be positive, got {shape}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    factor_dims = shape if mode == "cp_absorbed" else shape[:-1]
-    factors = [scale * rng.random((d, rank)) for d in factor_dims]
-    if mode == "general":
-        code = scale * rng.random((rank, shape[-1]))
-    else:
-        code = np.ones((rank, 1))
-    return FactorModel(factors=factors, code=code, mode=mode)
+    return FactorModel(factors=[scale * rng.random((d, rank)) for d in shape])
 
 
 def mu_sweep(
@@ -351,49 +284,21 @@ def run_mu(
     cfg: SolverConfig,
     eps: float = 1e-12,
 ) -> tuple[list[np.ndarray], list[TraceRecord]]:
-    """Multiplicative-update baseline with the same trace schema as the driver.
+    """Multiplicative-update baseline through the block-descent runner's loop.
 
-    The radius column is ``inf`` (the baseline has no step restriction) and
-    the budget/stop handling mirrors the block-descent runner.
+    Same start checks, trace schema, budgets and stops as
+    :func:`drbcd.driver.run`; the radius column is ``inf`` (the baseline has
+    no step restriction), so every point is long. ``cfg.schedule`` is unused.
     """
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks0]
-    trace: list[TraceRecord] = []
-    start_time = time.perf_counter()
-    f0 = problem.objective(blocks)
-    stat0 = (
-        stationarity_measure(problem, blocks) if cfg.compute_stationarity else math.nan
-    )
-    if cfg.record_trace:
-        trace.append(
-            TraceRecord(
-                n=0,
-                objective=f0,
-                block_step_norms=tuple(0.0 for _ in blocks),
-                radius=math.inf,
-                stationarity=stat0,
-                point_class="long",
-                elapsed_seconds=0.0,
-                cumulative_sq_steps=0.0,
-            )
-        )
-    cum_sq = 0.0
-    for n in range(1, cfg.max_sweeps + 1):
-        new_blocks = mu_sweep(problem, blocks, eps=eps)
-        steps = tuple(
-            float(np.linalg.norm(nb - b)) for nb, b in zip(new_blocks, blocks)
-        )
-        blocks = new_blocks
-        objective = problem.objective(blocks)
-        if not math.isfinite(objective):
-            raise FloatingPointError(f"objective became {objective} at sweep {n}")
-        cum_sq += float(sum(s * s for s in steps))
+
+    def sweep(blocks: list[np.ndarray], n: int) -> tuple[list[np.ndarray], TraceRecord]:
+        current = mu_sweep(problem, blocks, eps=eps)
+        steps = tuple(float(np.linalg.norm(c - b)) for c, b in zip(current, blocks))
+        objective = problem.objective(current)
         stat = (
-            stationarity_measure(problem, blocks)
+            stationarity_measure(problem, current)
             if cfg.compute_stationarity
             else math.nan
-        )
-        elapsed = (
-            float(n) if cfg.clock == "sweep" else time.perf_counter() - start_time
         )
         record = TraceRecord(
             n=n,
@@ -401,18 +306,10 @@ def run_mu(
             block_step_norms=steps,
             radius=math.inf,
             stationarity=stat,
-            point_class=classify_point(steps, math.inf),
-            elapsed_seconds=elapsed,
-            cumulative_sq_steps=cum_sq,
+            point_class="long",
+            elapsed_seconds=0.0,
+            cumulative_sq_steps=float(sum(s * s for s in steps)),
         )
-        if cfg.record_trace:
-            trace.append(record)
-        if (
-            cfg.stationarity_stop is not None
-            and cfg.compute_stationarity
-            and stat <= cfg.stationarity_stop
-        ):
-            break
-        if elapsed >= cfg.max_seconds:
-            break
-    return blocks, trace
+        return current, record
+
+    return _sweep_loop(problem, blocks0, cfg, sweep)

@@ -266,11 +266,10 @@ def test_criterion_06_subsolver_oracle_equivalence():
 def test_criterion_07_gradient_correctness():
     rng = np.random.default_rng(707)
     worst = -math.inf
-    for k in range(10):
+    for _ in range(10):
         dims = tuple(int(rng.integers(3, 6)) for _ in range(3))
         rank = int(rng.integers(1, 4))
-        mode = "general" if k % 3 == 0 else "cp_absorbed"
-        problem = NtfProblem(rng.random(dims), rank, mode=mode)
+        problem = NtfProblem(rng.random(dims), rank)
         blocks = [rng.random((d, rank)) for d in dims]
         grads = problem.full_gradient(blocks)
         for i in range(3):

@@ -18,7 +18,7 @@ def test_lowrank_noiseless_ground_truth_is_global_optimum():
     spec = SynthSpec(dims=(8, 7, 6), rank=3, seed=1)
     x, model = synthetic_lowrank(spec)
     problem = NtfProblem(x, rank=3)
-    assert problem.model_objective(model) <= 1e-20
+    assert problem.objective(model.to_blocks()) <= 1e-20
 
 
 def test_lowrank_deterministic_per_seed():

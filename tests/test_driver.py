@@ -14,6 +14,7 @@ from drbcd.driver import (
     stationarity_measure,
     verify_trace,
 )
+from drbcd.factorization import run_mu
 from drbcd.schedule import RadiusSchedule
 
 from _toys import BilinearScalar, LinearOnBox, SeparableQuadratic
@@ -186,12 +187,29 @@ def test_run_stationarity_stop():
     _, trace = run(problem, scalar_blocks(0.0, 0.0), cfg)
     assert trace[-1].stationarity <= 1e-8
     assert trace[-1].n < 50
+    # Multiplicative updates keep zeros at zero, so they start inside.
+    _, trace = run_mu(problem, scalar_blocks(0.5, 0.5), cfg)
+    assert trace[-1].stationarity <= 1e-8
+    assert all(r.stationarity > 1e-8 for r in trace[:-1])
+    assert trace[-1].n < 50
+
+
+@pytest.mark.parametrize("runner", [run, run_mu])
+def test_run_stops_at_max_seconds(runner):
+    # The sweep clock stamps sweep n at n seconds, so the stop is exact.
+    problem = SeparableQuadratic(targets=[1.0, 2.0])
+    cfg = make_cfg(max_sweeps=10, max_seconds=3.0, clock="sweep")
+    _, trace = runner(problem, scalar_blocks(0.5, 0.5), cfg)
+    assert [r.n for r in trace] == [0, 1, 2, 3]
+    assert [r.elapsed_seconds for r in trace] == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_run_rejects_infeasible_start():
     problem = SeparableQuadratic(targets=[1.0], box=(0.0, 1.0))
     with pytest.raises(ValueError, match="feasible"):
         run(problem, scalar_blocks(5.0), make_cfg())
+    with pytest.raises(ValueError, match="feasible"):
+        run_mu(problem, scalar_blocks(-0.5), make_cfg())
 
 
 def test_run_long_points_match_unconstrained_sweep():

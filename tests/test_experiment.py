@@ -1,8 +1,12 @@
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import drbcd.experiment as experiment
@@ -12,6 +16,7 @@ from drbcd.experiment import (
     AGGREGATE_HEADER,
     TRACE_HEADER,
     AlgorithmSpec,
+    OPTIONS,
     ExperimentConfig,
     aggregate_runs,
     run_experiment,
@@ -103,11 +108,92 @@ def test_read_config_file_round_trip(tmp_path):
     assert values["algo"] == ["als_dr-0.5", "als_dr-1", "als", "mu"]
 
 
+@st.composite
+def config_fields(draw):
+    """Every ExperimentConfig field, drawn over its whole type; NaN is left
+    out because it never equals itself."""
+    floats = st.floats(allow_nan=False)
+    # Mostly printable ASCII, with the characters config.txt cannot hold.
+    text = st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("#\n\t\u00e9"))
+    c_prime = draw(floats)
+    algo = st.one_of(
+        st.builds(AlgorithmSpec, st.just("als_dr"), floats, st.just(c_prime)),
+        st.sampled_from([AlgorithmSpec("als"), AlgorithmSpec("mu")]),
+    )
+    return dict(
+        rank=draw(st.integers(min_value=1)),
+        data=draw(st.sampled_from(["synth", "surrogate"]) | text.map("file:".__add__)),
+        shape=draw(st.lists(st.integers(), max_size=4).map(tuple)),
+        algos=draw(st.lists(algo, min_size=1, max_size=4, unique_by=lambda a: a.label)),
+        runs=draw(st.integers(min_value=1)),
+        seed=draw(st.integers()),
+        max_sweeps=draw(st.integers()),
+        max_seconds=draw(floats),
+        box_bound=draw(st.none() | floats),
+        out=draw(text),
+        plot=draw(st.booleans()),
+        serial=draw(st.booleans()),
+        clock=draw(st.sampled_from(["wall", "sweep"])),
+        log_y=draw(st.booleans()),
+        noise_level=draw(floats),
+        density=draw(floats),
+        mean_abs=draw(floats),
+        log_offset=draw(st.integers()),
+        init_scale=draw(floats),
+        save_data=draw(st.booleans()),
+        bins=draw(st.integers(min_value=1)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fields=config_fields())
+def test_config_txt_parses_back_to_an_equal_config(fields):
+    # Each table key but algo, beta, c-prime (together: algos) and
+    # paper-scale (a preset) is a field; every field is drawn.
+    keys = {opt.attr for opt in OPTIONS} - {"algo", "beta", "c_prime", "paper_scale"}
+    assert set(fields) == keys | {"algos"}
+    try:
+        cfg = ExperimentConfig(**fields)
+    except ValueError:
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.txt"
+        # Written as run_experiment writes it.
+        path.write_text("\n".join(cfg.provenance_lines()) + "\n", encoding="ascii")
+        back, notes = parse_config(["--config", str(path)])
+    assert back == cfg
+    assert notes == []
+
+
+def test_config_rejects_what_config_txt_cannot_hold(capsys):
+    with pytest.raises(ValueError, match="duplicate algorithm labels: als_dr-0.5"):
+        ExperimentConfig(rank=2, algos=[AlgorithmSpec("als_dr", 0.5, 1.0)] * 2)
+    # Distinct betas, one label: their trace files would collide.
+    with pytest.raises(ValueError, match="duplicate"):
+        ExperimentConfig(
+            rank=2,
+            algos=[AlgorithmSpec("als_dr", 0.1234567, 1.0), AlgorithmSpec("als_dr", 0.1234568, 1.0)],
+        )
+    with pytest.raises(ValueError, match="c_prime"):
+        ExperimentConfig(
+            rank=2,
+            algos=[AlgorithmSpec("als_dr", 0.5, 1.0), AlgorithmSpec("als_dr", 1.0, 100.0)],
+        )
+    for out in ("a#b", "a\nb", " a", "caf\u00e9"):
+        with pytest.raises(ValueError, match="config.txt"):
+            ExperimentConfig(rank=2, out=out)
+    with pytest.raises(SystemExit):
+        parse_config(["--rank", "2", "--algo", "als_dr-0.5", "--algo", "als_dr-0.5", "--runs", "2"])
+    assert "duplicate algorithm labels" in capsys.readouterr().err
+
+
 def test_algorithm_spec_validation():
     with pytest.raises(ValueError, match="unknown algorithm"):
         AlgorithmSpec("sgd")
     with pytest.raises(ValueError, match="beta"):
         AlgorithmSpec("als_dr")
+    with pytest.raises(ValueError, match="no beta"):
+        AlgorithmSpec("mu", beta=0.5)
     assert AlgorithmSpec("mu").label == "mu"
 
 

@@ -6,21 +6,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from drbcd.datagen import SynthSpec, synthetic_lowrank
 from drbcd.driver import SolverConfig, run, stationarity_measure, verify_trace
-from drbcd.factorization import (
-    FactorModel,
-    NtfProblem,
-    init_factors,
-    make_block_problem,
-    mu_sweep,
-    run_mu,
-)
+from drbcd.factorization import FactorModel, NtfProblem, init_factors, mu_sweep, run_mu
 from drbcd.schedule import RadiusSchedule
 from drbcd.tensors import cp_reconstruct
 
 
-def random_problem(rng, dims, rank, mode="cp_absorbed", box_bound=None):
+def random_problem(rng, dims, rank, box_bound=None):
     data = rng.random(dims)
-    problem = NtfProblem(data, rank, box_bound=box_bound, mode=mode)
+    problem = NtfProblem(data, rank, box_bound=box_bound)
     blocks = [rng.random((d, rank)) for d in data.shape]
     return problem, blocks
 
@@ -31,33 +24,13 @@ def random_problem(rng, dims, rank, mode="cp_absorbed", box_bound=None):
 
 def test_model_block_round_trip_cp_absorbed():
     rng = np.random.default_rng(0)
-    model = FactorModel(
-        factors=[rng.random((4, 2)), rng.random((3, 2))],
-        code=np.ones((2, 1)),
-        mode="cp_absorbed",
-    )
-    back = FactorModel.from_blocks(model.to_blocks(), "cp_absorbed")
+    model = FactorModel(factors=[rng.random((4, 2)), rng.random((3, 2))])
+    blocks = model.to_blocks()
+    back = FactorModel(factors=blocks)
     for a, b in zip(model.factors, back.factors):
         assert_array_equal(a, b)
-    assert_array_equal(back.code, np.ones((2, 1)))
-
-
-def test_model_block_round_trip_general():
-    rng = np.random.default_rng(1)
-    model = FactorModel(
-        factors=[rng.random((4, 2)), rng.random((3, 2))],
-        code=rng.random((2, 5)),
-        mode="general",
-    )
-    blocks = model.to_blocks()
-    assert blocks[-1].shape == (5, 2)
-    back = FactorModel.from_blocks(blocks, "general")
-    assert_array_equal(back.code, model.code)
-
-
-def test_model_cp_absorbed_requires_ones_code():
-    with pytest.raises(ValueError, match="ones"):
-        FactorModel(factors=[np.ones((2, 2))], code=np.full((2, 1), 2.0))
+    blocks[0][0, 0] = -1.0  # the blocks are copies
+    assert model.factors[0][0, 0] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +41,7 @@ def test_objective_zero_at_exact_factorization():
     spec = SynthSpec(dims=(6, 5, 4), rank=2, seed=3)
     data, model = synthetic_lowrank(spec)
     problem = NtfProblem(data, rank=2)
-    assert problem.model_objective(model) <= 1e-20
+    assert problem.objective(model.to_blocks()) <= 1e-20
 
 
 def test_objective_of_zero_model_is_data_norm():
@@ -90,19 +63,25 @@ def test_objective_matches_direct_reconstruction():
 def test_objective_general_mode_matches_code_mixing():
     rng = np.random.default_rng(6)
     data = rng.random((3, 4, 5))  # trailing axis = observations
-    problem = NtfProblem(data, rank=2, mode="general")
+    problem = NtfProblem(data, rank=2)
     factors = [rng.random((3, 2)), rng.random((4, 2))]
     code = rng.random((2, 5))
-    model = FactorModel(factors=factors, code=code, mode="general")
     recon = cp_reconstruct(factors, code)
     direct = float(np.sum((data - recon) ** 2))
-    assert_allclose(problem.model_objective(model), direct, rtol=1e-12)
+    # The code enters as one more block: the trailing axis's loadings.
+    assert_allclose(problem.objective(factors + [code.T]), direct, rtol=1e-12)
 
 
 def test_objective_shape_mismatch_error():
     problem = NtfProblem(np.ones((2, 3)), rank=2)
     with pytest.raises(ValueError):
         problem.objective([np.ones((2, 2)), np.ones((4, 2))])
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0), (2, 3, 0)])
+def test_problem_rejects_zero_length_mode(shape):
+    with pytest.raises(ValueError, match="positive length"):
+        NtfProblem(np.zeros(shape), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +93,7 @@ def test_block_subproblem_nmf_normal_equations():
     # block's sub-problem has gram H H^T and linear term X H^T.
     rng = np.random.default_rng(7)
     x = rng.random((6, 9))
-    problem = NtfProblem(x, rank=3, mode="general")
+    problem = NtfProblem(x, rank=3)
     w = rng.random((6, 3))
     h = rng.random((3, 9))
     sub = problem.block_subproblem([w, h.T], 0)
@@ -348,12 +327,6 @@ def test_init_factors_deterministic_and_in_range():
     )
 
 
-def test_init_factors_general_mode_shapes():
-    model = init_factors((4, 5, 7), rank=2, seed=0, mode="general")
-    assert [f.shape for f in model.factors] == [(4, 2), (5, 2)]
-    assert model.code.shape == (2, 7)
-
-
 def test_init_factors_scale_above_box_rejected():
     with pytest.raises(ValueError, match="box"):
         init_factors((3, 3), rank=1, seed=0, scale=2.0, box_bound=1.0)
@@ -365,7 +338,7 @@ def test_init_factors_scale_above_box_rejected():
 
 def test_als_dr_trace_passes_all_invariant_checks():
     data, _ = synthetic_lowrank(SynthSpec(dims=(6, 7, 5), rank=2, seed=16))
-    problem = make_block_problem(data, rank=2)
+    problem = NtfProblem(data, rank=2)
     model = init_factors(data.shape, rank=2, seed=1)
     cfg = SolverConfig(
         schedule=RadiusSchedule(kind="power_log", beta=0.5, c_prime=1.0),
@@ -378,7 +351,7 @@ def test_als_dr_trace_passes_all_invariant_checks():
 
 def test_plain_als_is_always_long():
     data, _ = synthetic_lowrank(SynthSpec(dims=(6, 5, 4), rank=2, seed=17))
-    problem = make_block_problem(data, rank=2)
+    problem = NtfProblem(data, rank=2)
     model = init_factors(data.shape, rank=2, seed=2)
     cfg = SolverConfig(schedule=RadiusSchedule(kind="infinite"), max_sweeps=10)
     _, trace = run(problem, model.to_blocks(), cfg)
