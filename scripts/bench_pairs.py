@@ -23,6 +23,11 @@ range. Every metric also gets a no-regression verdict against its
 median is worse than the parent's by more than the bound; else "unresolved"
 when the parent's interquartile range is wider than the bound, unless every
 change run beats every parent run; else "no regression".
+
+A ``--claim`` must name an end-to-end metric of ``BENCHMARK.json``. The
+exit status is 1 when the claim is not met or any of the ten pairs'
+verdicts reads "worse" (the held-out pair, summarized on its own, does not
+count), else 0.
 """
 
 from __future__ import annotations
@@ -112,6 +117,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"--claim {args.claim!r} is not an end-to-end metric; expected one of {', '.join(metrics)}")
     seconds = spec["run_seconds"]
     seeds = [args.seed + k for k in range(PAIRS)]
     if args.held_out is not None:
@@ -143,6 +151,11 @@ def main(argv=None) -> int:
     for name, entry in record["summary"].items():
         print(f"{name:20s} parent {entry['parent']['median']:.6g}  change {entry['change']['median']:.6g}  "
               f"wins {entry['change_wins']}/{len(pairs)}  {entry['verdict']}" + (f"  claim met: {entry['claim_met']}" if "claim_met" in entry else ""))
+    failed = [name for name, entry in record["summary"].items()
+              if entry["verdict"] == "worse" or entry.get("claim_met") is False]
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,6 +17,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from .experiment import (
+    DEFAULT_ALGOS,
+    DEFAULT_BETA,
+    DEFAULT_C_PRIME,
     DEFAULT_SURROGATE_SHAPE,
     OPTIONS,
     PAPER_SCALE_PRESET,
@@ -119,10 +122,21 @@ def parse_config(argv=None) -> tuple[ExperimentConfig, list[str]]:
         if (key := f.name.replace("_", "-")) in merged
     }
     try:
-        if "algo" in merged:
-            beta = merged.get("beta", 0.5)
-            c_prime = merged.get("c-prime", 1e5)
-            kwargs["algos"] = [AlgorithmSpec.parse(tok, beta, c_prime) for tok in merged["algo"]]
+        tokens = [tok.strip() for tok in merged.get("algo", DEFAULT_ALGOS)]
+        beta = merged.get("beta", DEFAULT_BETA)
+        c_prime = merged.get("c-prime", DEFAULT_C_PRIME)
+        kwargs["algos"] = [AlgorithmSpec.parse(tok, beta, c_prime) for tok in tokens]
+        # A value that no entry uses would be dropped without a word.
+        if "beta" in merged and "als_dr" not in tokens:
+            raise ValueError(
+                "beta applies only to bare als_dr entries and none is given "
+                f"(algorithms: {', '.join(tokens)}); pin it inline as als_dr-BETA"
+            )
+        if "c-prime" in merged and not any(a.name == "als_dr" for a in kwargs["algos"]):
+            raise ValueError(
+                "c-prime applies only to als_dr entries and none is given "
+                f"(algorithms: {', '.join(tokens)})"
+            )
         cfg = ExperimentConfig(**kwargs)
     except ValueError as exc:
         parser.error(str(exc))

@@ -48,11 +48,17 @@ AGGREGATE_HEADER = "elapsed_s,algorithm,mean_error,std_error,n_runs"
 
 ALGORITHM_NAMES = ("als_dr", "als", "mu")
 
+# The algorithm entries of a config that names none, as ``--algo`` tokens;
+# a bare ``als_dr`` entry takes the default beta.
+DEFAULT_ALGOS = ("als_dr-0.5", "als_dr-1", "als", "mu")
+DEFAULT_BETA = 0.5
+DEFAULT_C_PRIME = 1e5
+
 PAPER_SCALE_PRESET = {
     "shape": (100, 200, 300),
     "rank": 5,
     "runs": 10,
-    "algo": ["als_dr-0.5", "als_dr-1", "als", "mu"],
+    "algo": list(DEFAULT_ALGOS),
 }
 
 DEFAULT_SURROGATE_SHAPE = (90, 500, 100)
@@ -107,10 +113,7 @@ class ExperimentConfig:
     shape: tuple[int, ...] = (20, 25, 30)
     algos: list[AlgorithmSpec] = field(
         default_factory=lambda: [
-            AlgorithmSpec("als_dr", 0.5, 1e5),
-            AlgorithmSpec("als_dr", 1.0, 1e5),
-            AlgorithmSpec("als"),
-            AlgorithmSpec("mu"),
+            AlgorithmSpec.parse(token, DEFAULT_BETA, DEFAULT_C_PRIME) for token in DEFAULT_ALGOS
         ]
     )
     runs: int = 5
@@ -241,8 +244,8 @@ OPTIONS = (
     Option("shape", _parse_shape, "data tensor dimensions d1,d2,..."),
     Option("rank", int, "factorization rank"),
     Option("algo", str, "algorithm entry: als_dr, als_dr-BETA, als or mu (repeatable)"),
-    Option("beta", float, "decay exponent for bare als_dr entries"),
-    Option("c-prime", float, "search radius constant for als_dr"),
+    Option("beta", float, "decay exponent for bare als_dr entries (an error when there are none)"),
+    Option("c-prime", float, "search radius constant for every als_dr entry, the default ones too"),
     Option("runs", int, "runs per algorithm"),
     Option("seed", int, "base seed (run k uses seed + k)"),
     Option("max-sweeps", int, "sweep budget per run"),

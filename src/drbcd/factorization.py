@@ -33,6 +33,7 @@ from .tensors import (
     _last_mode_mttkrp,
     _last_mode_partial,
     _mttkrp_from_partial,
+    _row_slabs,
     as_tensor,
 )
 
@@ -70,18 +71,15 @@ def default_box_bound(data: np.ndarray, num_blocks: int) -> float:
     return 10.0 * max(1.0, top) ** (1.0 / (num_blocks + 1))
 
 
-# The objective forms its residual over mode-0 slabs of about this many
-# bytes, in one buffer per thread, so it never makes a tensor-sized temporary.
-OBJECTIVE_SLAB_BYTES = 4 << 20
-
-
 class _Memo(threading.local):
     """One thread's memo of the MTTKRP work on one problem.
 
     ``partial`` is the last-mode partial contraction, keyed by the bytes of
     the last block it was computed from; ``linear[i]`` is block ``i``'s
     linear term, keyed by the bytes of every other block. ``slab`` is the
-    objective's residual buffer.
+    objective's residual buffer, one row block of the data's native view
+    ``X.reshape(-1, d_last)`` (see :data:`drbcd.tensors.SLAB_BYTES`), so the
+    objective never makes a tensor-sized temporary.
     """
 
     def __init__(self, num_blocks: int):
@@ -104,7 +102,8 @@ class NtfProblem:
     measure computed, so a sweep and its stationarity measure pass over the
     tensor about twice for their MTTKRPs instead of six times. A result is
     the same, bit for bit, on a hit and on a miss: a miss computes exactly
-    what a hit returns.
+    what a hit returns. The objective is a third pass, over cache-sized row
+    slabs of the data's native view ``X.reshape(-1, d_last)``.
     """
 
     def __init__(self, data, rank: int, box_bound: float | None = None):
@@ -153,24 +152,29 @@ class NtfProblem:
     def objective(self, blocks: Sequence[np.ndarray]) -> float:
         """Squared Frobenius reconstruction error.
 
-        The residual is formed explicitly, slab by slab. The expansion
-        ``||X||^2 - 2<U, B> + <U^T U, G>`` would be cheaper but cancels to
-        about ``eps ||X||^2`` near a good fit, which is as large as the
-        slack the descent checks allow.
+        The residual is formed explicitly over row slabs of the data's
+        native view ``Xr = X.reshape(-1, d_last)``: slab ``[s:e]`` is
+        ``Xr[s:e] - K[s:e] @ U_last.T``, with ``K`` the Khatri-Rao product of
+        the leading blocks, formed in one per-thread buffer of about
+        :data:`drbcd.tensors.SLAB_BYTES` and summed with ``dot``. The
+        expansion ``||X||^2 - 2<U, B> + <U^T U, G>`` would be cheaper but
+        cancels to about ``eps ||X||^2`` near a good fit, which is as large
+        as the slack the descent checks allow.
         """
         blocks = self._check_blocks(blocks)
-        x = self.data.reshape(self.data.shape[0], -1)
-        recon_t = _khatri_rao_native(blocks[1:]).T
+        xr = self.data.reshape(-1, self.data.shape[-1])
+        kr = _khatri_rao_native(blocks[:-1])
+        last_t = blocks[-1].T
+        slabs = _row_slabs(xr.shape[0], xr[0].nbytes)
         memo = self._memo
-        if memo.slab is None:
-            rows = min(x.shape[0], max(1, OBJECTIVE_SLAB_BYTES // x[0].nbytes))
-            memo.slab = np.empty((rows, x.shape[1]))
+        rows = slabs[0][1]  # the first slab is a longest one
+        if memo.slab is None or memo.slab.shape[0] < rows:
+            memo.slab = np.empty((rows, xr.shape[1]))
         total = 0.0
-        for start in range(0, x.shape[0], memo.slab.shape[0]):
-            stop = min(start + memo.slab.shape[0], x.shape[0])
+        for start, stop in slabs:
             residual = memo.slab[: stop - start]
-            np.matmul(blocks[0][start:stop], recon_t, out=residual)
-            np.subtract(x[start:stop], residual, out=residual)
+            np.matmul(kr[start:stop], last_t, out=residual)
+            np.subtract(xr[start:stop], residual, out=residual)
             flat = residual.ravel()
             total += float(np.dot(flat, flat))
         return total

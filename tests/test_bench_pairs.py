@@ -1,0 +1,62 @@
+"""``scripts/bench_pairs.py``: claim validation and exit status, with the
+benchmark runs replaced by fixed results."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_runs(module, monkeypatch, change_rate):
+    """Every run reports 1.0 for each end-to-end metric, except the change's
+    ``sweeps_per_s``, which reads ``change_rate`` less a little per seed."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_side(tree, workload, seed, seconds):
+        values = dict.fromkeys(names, 1.0)
+        if tree == ROOT:
+            values["sweeps_per_s"] = change_rate - 1e-3 * (seed % 7)
+        return {"metrics": {n: {"value": v} for n, v in values.items()}, "provenance": {}}
+
+    monkeypatch.setattr(module, "run_side", run_side)
+
+
+def argv(tmp_path, *extra):
+    return ["--parent", str(tmp_path), "--change", str(ROOT), "--workload", "paper_fit",
+            "--out", str(tmp_path / "BENCH.json"), *extra]
+
+
+def test_rejects_a_claim_that_is_not_an_end_to_end_metric(bench_pairs, monkeypatch, tmp_path):
+    fake_runs(bench_pairs, monkeypatch, 2.0)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv(tmp_path, "--claim", "sweep_per_s"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+@pytest.mark.parametrize(
+    "change_rate, claim, code",
+    [
+        (2.0, "sweeps_per_s", 0),  # claim met, nothing worse
+        (2.0, None, 0),
+        (1.0, "sweeps_per_s", 1),  # claim not met
+        (0.5, None, 1),  # sweeps_per_s reads worse
+    ],
+)
+def test_exit_status(bench_pairs, monkeypatch, tmp_path, change_rate, claim, code):
+    fake_runs(bench_pairs, monkeypatch, change_rate)
+    extra = ("--claim", claim) if claim else ()
+    assert bench_pairs.main(argv(tmp_path, *extra)) == code
+    summary = json.loads((tmp_path / "BENCH.json").read_text())["summary"]
+    assert ("claim_met" in summary["sweeps_per_s"]) == (claim is not None)

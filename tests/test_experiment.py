@@ -95,6 +95,54 @@ def test_parse_config_inline_beta_tokens():
     assert all(a.c_prime == 100 for a in cfg.algos)
 
 
+def test_parse_config_c_prime_reaches_default_entries(tmp_path, capsys):
+    out = tmp_path / "exp"
+    argv = [
+        "--data", "surrogate", "--c-prime", "3", "--rank", "5", "--runs", "2",
+        "--max-sweeps", "10", "--clock", "sweep", "--out", str(out),
+    ]
+    cfg, _ = parse_config(argv)
+    assert [a.label for a in cfg.algos] == ["als_dr-0.5", "als_dr-1", "als", "mu"]
+    assert {a.c_prime for a in cfg.algos if a.name == "als_dr"} == {3.0}
+    assert main(argv) == 0
+    assert "c-prime = 3" in (out / "config.txt").read_text().splitlines()
+    report = capsys.readouterr().out
+    for label in ("als_dr-0.5", "als_dr-1"):
+        line = next(l for l in report.splitlines() if l.startswith(f"{label}:"))
+        short = int(line.split(" of 20 sweeps short")[0].rsplit(", ", 1)[1])
+        assert short > 0, line
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["--beta", "0.7"], "", "beta"),
+        (["--algo", "als_dr-0.5", "--beta", "0.7"], "", "beta"),
+        (["--paper-scale", "--beta", "0.7"], "", "beta"),
+        (["--algo", "als", "--algo", "mu", "--c-prime", "3"], "", "c-prime"),
+        ([], "beta = 0.7\n", "beta"),
+        ([], "algo = als_dr-1\nbeta = 0.7\n", "beta"),
+        ([], "algo = mu\nc-prime = 3\n", "c-prime"),
+    ],
+)
+def test_parse_config_rejects_unused_beta_and_c_prime(tmp_path, capsys, argv, config, key):
+    if config:
+        path = tmp_path / "exp.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--rank", "2", *argv])
+    assert exc.value.code == 2
+    assert f"{key} applies only to" in capsys.readouterr().err
+
+
+def test_parse_config_bare_als_dr_takes_beta_from_file(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("algo = als_dr\nalgo = als_dr-1\nbeta = 0.7\nc-prime = 2\n")
+    cfg, _ = parse_config(["--rank", "2", "--config", str(path)])
+    assert [(a.beta, a.c_prime) for a in cfg.algos] == [(0.7, 2.0), (1.0, 2.0)]
+
+
 def test_read_config_file_round_trip(tmp_path):
     cfg = ExperimentConfig(rank=2, shape=(4, 5, 6), runs=2, clock="sweep", serial=True)
     text = "\n".join(cfg.provenance_lines()) + "\n"

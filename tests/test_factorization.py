@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from drbcd import tensors
 from drbcd.datagen import SynthSpec, synthetic_lowrank
 from drbcd.driver import SolverConfig, run, stationarity_measure, verify_trace
 from drbcd.factorization import FactorModel, NtfProblem, init_factors, mu_sweep, run_mu
@@ -70,6 +73,43 @@ def test_objective_general_mode_matches_code_mixing():
     direct = float(np.sum((data - recon) ** 2))
     # The code enters as one more block: the trailing axis's loadings.
     assert_allclose(problem.objective(factors + [code.T]), direct, rtol=1e-12)
+
+
+def dense_objective(data, blocks):
+    recon = cp_reconstruct(blocks, np.ones((blocks[0].shape[1], 1)))[..., 0]
+    return float(np.sum((data - recon) ** 2))
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (7, 5, 6), (3, 5, 7, 4)])
+@pytest.mark.parametrize("rows_per_slab", [2, 0.5, None])
+def test_objective_over_row_slabs_matches_dense(monkeypatch, shape, rows_per_slab):
+    # Two rows of X.reshape(-1, d_last) a slab (a ragged last slab, since
+    # the row counts are odd), rows larger than a slab, and the default.
+    if rows_per_slab is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", int(rows_per_slab * shape[-1] * 8))
+    rng = np.random.default_rng(7)
+    problem, blocks = random_problem(rng, shape, 3)
+    dense = dense_objective(problem.data, blocks)
+    assert_allclose(problem.objective(blocks), dense, rtol=1e-12)
+    # The thread's residual buffer grows when the slabs do.
+    monkeypatch.undo()
+    assert_allclose(problem.objective(blocks), dense, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    rank=st.integers(1, 4),
+    slab_bytes=st.integers(1, 2048),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_over_row_slabs_matches_dense_property(shape, rank, slab_bytes, seed):
+    rng = np.random.default_rng(seed)
+    problem, blocks = random_problem(rng, shape, rank)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensors, "SLAB_BYTES", slab_bytes)
+        got = problem.objective(blocks)
+    assert_allclose(got, dense_objective(problem.data, blocks), rtol=1e-12)
 
 
 def test_objective_shape_mismatch_error():

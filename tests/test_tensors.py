@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from drbcd import tensors
 from drbcd.tensors import (
+    _last_mode_mttkrp,
+    _last_mode_partial,
+    _row_slabs,
     as_tensor,
     cp_reconstruct,
     fold,
@@ -207,16 +213,21 @@ def test_mttkrp_matches_oracle():
         )
 
 
+def unfold_chain_reference(x, factors, mode):
+    """``unfold(x, mode)`` times the Khatri-Rao chain of the other factors."""
+    others = [factors[j] for j in range(x.ndim) if j != mode]
+    chain = others[-1]
+    for f in reversed(others[:-1]):
+        chain = khatri_rao(chain, f)
+    return unfold(x, mode) @ chain
+
+
 def test_mttkrp_equals_unfold_times_chain():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((2, 3, 4, 2))
     factors = [rng.standard_normal((d, 3)) for d in x.shape]
     for mode in range(4):
-        others = [factors[j] for j in range(4) if j != mode]
-        chain = others[-1]
-        for f in reversed(others[:-1]):
-            chain = khatri_rao(chain, f)
-        expected = unfold(x, mode) @ chain
+        expected = unfold_chain_reference(x, factors, mode)
         got = mttkrp(x, factors, mode)
         assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
@@ -227,6 +238,72 @@ def test_mttkrp_dimension_mismatch():
         mttkrp(x, [np.zeros((2, 2)), np.zeros((4, 2))], 0)
     with pytest.raises(ValueError):
         mttkrp(x, [np.zeros((2, 2))], 0)
+
+
+# ---------------------------------------------------------------------------
+# row slabs of the native view X.reshape(-1, d_last)
+
+
+def test_row_slabs_cover_every_row_once():
+    assert _row_slabs(0, 48) == []
+    for rows, row_bytes, slab in [(35, 48, 192), (7, 48, 48), (5, 48, 1), (3, 48, 1 << 20)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensors, "SLAB_BYTES", slab)
+            slabs = _row_slabs(rows, row_bytes)
+        step = max(1, slab // row_bytes)
+        assert [start for start, _ in slabs] == list(range(0, rows, step))
+        assert slabs[-1][1] == rows
+        assert all(0 < stop - start <= step for start, stop in slabs)
+
+
+def slab_cases(x):
+    """Slab sizes that give many slabs with a ragged last one, rows larger
+    than a slab, and the default."""
+    rows, row_bytes = x.size // x.shape[-1], x.shape[-1] * 8
+    step = next(k for k in range(2, rows + 2) if rows % k)
+    assert rows > step  # several slabs, the last one shorter
+    return {"ragged": step * row_bytes, "row_exceeds_slab": row_bytes // 2, "default": tensors.SLAB_BYTES}
+
+
+def check_last_mode_kernels(x, factors):
+    m = x.ndim
+    p = _last_mode_partial(x, factors[-1])
+    assert p.shape == x.shape[:-1] + (factors[-1].shape[1],)
+    assert_allclose(unfold(p, m - 1), factors[-1].T @ unfold(x, m - 1), rtol=1e-12, atol=1e-12)
+    expected_last = unfold_chain_reference(x, factors, m - 1)
+    got_last = _last_mode_mttkrp(x, factors[:-1])
+    assert got_last.flags.c_contiguous
+    assert_allclose(got_last, expected_last, rtol=1e-12, atol=1e-12)
+    for mode in range(m):
+        assert_allclose(
+            mttkrp(x, factors, mode), unfold_chain_reference(x, factors, mode), rtol=1e-12, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (7, 5, 6), (3, 4, 7, 5)])
+@pytest.mark.parametrize("case", ["ragged", "row_exceeds_slab", "default"])
+def test_slabbed_kernels_match_unfold_reference(monkeypatch, shape, case):
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(shape)
+    factors = [rng.standard_normal((d, 3)) for d in shape]
+    monkeypatch.setattr(tensors, "SLAB_BYTES", slab_cases(x)[case])
+    check_last_mode_kernels(x, factors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    rank=st.integers(1, 4),
+    slab_bytes=st.integers(1, 2048),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slabbed_kernels_match_unfold_reference_property(shape, rank, slab_bytes, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    factors = [rng.standard_normal((d, rank)) for d in shape]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensors, "SLAB_BYTES", slab_bytes)
+        check_last_mode_kernels(x, factors)
 
 
 # ---------------------------------------------------------------------------
