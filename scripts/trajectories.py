@@ -1,0 +1,129 @@
+"""Trajectories of two source trees, run on fixed cases and compared.
+
+Both sides are plain source trees, for example made with::
+
+    mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+
+Then, from the repository root::
+
+    python3 scripts/trajectories.py --parent /tmp/parent --change .
+
+Each tree runs the same cases in a subprocess of its own, importing
+``drbcd`` from its own ``src``, with OpenBLAS on one thread and the
+deterministic ``clock="sweep"``:
+
+- ``paper``: 100x200x300 rank-5 synthetic tensors, 2 seeds x 30 sweeps,
+  ``c' = 1e5``, ``beta = 1`` (the radius never binds);
+- ``surrogate``: 90x500x100 rank-5 sparse surrogates (density 0.01, mean
+  absolute entry 0.00067), 2 seeds x 25 sweeps, ``c' = 3``, ``beta = 0.5``
+  (the radius binds on every sweep);
+- ``desk``: 20x25x30 rank-3 synthetic tensors, 3 seeds x 200 sweeps,
+  ``c' = 1e5``, ``beta = 0.5``;
+- ``mu``: 10 multiplicative-update sweeps from the start of each case above.
+
+For every run it prints the sweeps each side did, the largest relative
+deviation of the objective and of the stationarity measure over the sweeps,
+whether the two traces are bit-identical, and whether the long/short point
+classes match.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# Run inside each tree; prints {run name: [[objective, stationarity, class], ...]}.
+WORKER = r"""
+import json, sys
+sys.path.insert(0, "src")
+from drbcd import datagen, driver, factorization, schedule
+
+CASES = (
+    ("paper", "synth", (100, 200, 300), 5, 1.0, 1e5, 30, (1, 2)),
+    ("surrogate", "surrogate", (90, 500, 100), 5, 0.5, 3.0, 25, (1, 2)),
+    ("desk", "synth", (20, 25, 30), 3, 0.5, 1e5, 200, (1, 2, 3)),
+)
+MU_SWEEPS = 10
+
+def records(trace):
+    return [[r.objective, r.stationarity, r.point_class] for r in trace]
+
+out = {}
+for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
+    for seed in seeds:
+        if data == "synth":
+            x = datagen.synthetic_lowrank(datagen.SynthSpec(dims=dims, rank=rank, seed=seed))[0]
+        else:
+            x = datagen.sparse_surrogate(datagen.SynthSpec(
+                dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067))
+        problem = factorization.NtfProblem(x, rank)
+        init = factorization.init_factors(dims, rank, seed=seed, box_bound=problem.box_bound).to_blocks()
+        cfg = driver.SolverConfig(
+            schedule=schedule.RadiusSchedule(kind="power_log", beta=beta, c_prime=c_prime),
+            max_sweeps=sweeps, clock="sweep",
+        )
+        out[f"{name} seed {seed}"] = records(driver.run(problem, init, cfg)[1])
+        mu_cfg = driver.SolverConfig(
+            schedule=schedule.RadiusSchedule(kind="infinite"), max_sweeps=MU_SWEEPS, clock="sweep"
+        )
+        out[f"mu on {name} seed {seed}"] = records(factorization.run_mu(problem, init, mu_cfg)[1])
+        del x, problem
+print(json.dumps(out))
+"""
+
+
+def run_tree(tree: Path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER], cwd=tree, env=env, capture_output=True, text=True, check=False
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"trajectory run failed in {tree}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def relative_deviation(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(parent: list, change: list) -> dict:
+    """One run's change trace against its parent trace.
+
+    Records are ``[objective, stationarity, point_class]``; deviations are
+    taken over the sweeps both traces have.
+    """
+    pairs = list(zip(parent, change))
+    return {
+        "sweeps": (len(parent) - 1, len(change) - 1),
+        "objective": max((relative_deviation(p[0], c[0]) for p, c in pairs), default=0.0),
+        "stationarity": max((relative_deviation(p[1], c[1]) for p, c in pairs), default=0.0),
+        "identical": parent == change,
+        "classes_match": [p[2] for p in parent] == [c[2] for c in change],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    parent = run_tree(args.parent.resolve())
+    change = run_tree(args.change.resolve())
+    print(f"{'run':24s} {'sweeps':>8s} {'objective':>10s} {'stationarity':>12s}  bit-identical  classes match")
+    for name in parent:
+        c = compare(parent[name], change[name])
+        sweeps = "{}/{}".format(*c["sweeps"])
+        print(f"{name:24s} {sweeps:>8s} {c['objective']:10.2e} {c['stationarity']:12.2e}  "
+              f"{'yes' if c['identical'] else 'no':13s}  {'yes' if c['classes_match'] else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

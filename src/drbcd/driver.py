@@ -79,6 +79,9 @@ class TraceRecord:
     point_class: str
     elapsed_seconds: float
     cumulative_sq_steps: float
+    # Block solves of this sweep that stopped without converging (at the
+    # iteration cap, or falling back to the start). Not written to trace CSVs.
+    unconverged_solves: int = 0
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,7 @@ def bcd_dr_sweep(
     radius = cfg.schedule.radius(n)
     current = [np.asarray(b, dtype=np.float64) for b in blocks]
     step_norms = []
+    unconverged = 0
     for i in range(problem.num_blocks):
         sub = problem.block_subproblem(current, i)
         lower, upper = problem.block_feasible_box(i)
@@ -165,6 +169,7 @@ def bcd_dr_sweep(
         except (ValueError, FloatingPointError) as exc:
             raise type(exc)(f"block {i} at sweep {n}: {exc}") from exc
         step_norms.append(float(np.linalg.norm(result.point - current[i])))
+        unconverged += not result.converged
         current[i] = result.point
     objective = problem.objective(current)
     stat = (
@@ -179,6 +184,7 @@ def bcd_dr_sweep(
         point_class=classify_point(step_norms, radius),
         elapsed_seconds=time.perf_counter() - t0,
         cumulative_sq_steps=float(sum(s * s for s in step_norms)),
+        unconverged_solves=unconverged,
     )
     return current, record
 

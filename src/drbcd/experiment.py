@@ -311,6 +311,10 @@ class ExperimentSummary:
     # were short (some block step reached the radius).
     short_sweeps: dict[str, int]
     total_sweeps: dict[str, int]
+    # Block QP solves over all of an algorithm's completed runs (none for
+    # MU), and how many of them stopped without converging.
+    block_solves: dict[str, int]
+    unconverged_solves: dict[str, int]
 
     def report(self) -> str:
         lines = []
@@ -320,11 +324,17 @@ class ExperimentSummary:
             mean_init = float(np.mean(init)) if init else math.nan
             mean_final = float(np.mean(final)) if final else math.nan
             ratio = mean_final / mean_init if mean_init else math.nan
+            solves = (
+                f", {self.unconverged_solves[label]} of {self.block_solves[label]} "
+                "block solves unconverged"
+                if self.block_solves[label]
+                else ""
+            )
             lines.append(
                 f"{label}: mean initial error {mean_init:.6g}, "
                 f"mean final error {mean_final:.6g} (ratio {ratio:.3g}, "
                 f"{len(final)} runs, {self.short_sweeps[label]} of "
-                f"{self.total_sweeps[label]} sweeps short)"
+                f"{self.total_sweeps[label]} sweeps short{solves})"
             )
         dr_labels = [l for l in self.final_errors if l.startswith("als_dr")]
         if dr_labels and "als" in self.final_errors and self.final_errors["als"]:
@@ -573,6 +583,8 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     traces_by_algo: dict[str, list[list[TraceRecord]]] = {a.label: [] for a in cfg.algos}
     short_sweeps: dict[str, int] = {a.label: 0 for a in cfg.algos}
     total_sweeps: dict[str, int] = {a.label: 0 for a in cfg.algos}
+    block_solves: dict[str, int] = {a.label: 0 for a in cfg.algos}
+    unconverged_solves: dict[str, int] = {a.label: 0 for a in cfg.algos}
     for algo in cfg.algos:
         for k in range(1, cfg.runs + 1):
             trace = results.get((algo.label, k))
@@ -583,6 +595,9 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
             final_errors[algo.label].append(math.sqrt(max(trace[-1].objective, 0.0)))
             short_sweeps[algo.label] += sum(r.point_class == "short" for r in trace[1:])
             total_sweeps[algo.label] += len(trace) - 1
+            if algo.name != "mu":
+                block_solves[algo.label] += (len(trace) - 1) * len(trace[0].block_step_norms)
+                unconverged_solves[algo.label] += sum(r.unconverged_solves for r in trace)
 
     curve = None
     aggregate_path = None
@@ -609,4 +624,6 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
         failures=failures,
         short_sweeps=short_sweeps,
         total_sweeps=total_sweeps,
+        block_solves=block_solves,
+        unconverged_solves=unconverged_solves,
     )

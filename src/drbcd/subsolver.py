@@ -6,9 +6,10 @@ Each block step of the radius-restricted descent minimizes
 
 over ``{lower <= U <= upper} ∩ {||U - center||_F <= radius}``. The solver is
 projected gradient with a ``1/L`` step, where ``L`` estimates the gradient's
-Lipschitz constant ``2 lambda_max(G)``; the projection onto the intersection
-uses Dykstra's alternating scheme with exact fast paths when only one
-constraint is active.
+Lipschitz constant ``2 lambda_max(G)``. Each step projects exactly onto the
+intersection: a clamp or a radial shrink when one constraint alone decides
+it, else the clamped ray from the center that meets the sphere, found in at
+most one closed-form re-solve per entry.
 
 The returned block never has a larger sub-problem objective than the starting
 point, which is what the outer sweep's monotone-descent guarantee rests on.
@@ -16,6 +17,7 @@ point, which is what the outer sweep's monotone-descent guarantee rests on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -156,22 +158,21 @@ def project_ball(p, center, radius: float) -> np.ndarray:
     return center + (radius / dist) * diff
 
 
-def project_box_ball(
-    p,
-    feasible: BoxBallFeasibleSet,
-    tol: float = 1e-10,
-    max_cycles: int = 200,
-) -> ProjectionResult:
-    """Euclidean projection of ``p`` onto box ∩ ball.
+def project_box_ball(p, feasible: BoxBallFeasibleSet) -> ProjectionResult:
+    """Exact Euclidean projection of ``p`` onto box ∩ ball.
 
-    When one constraint alone resolves the projection the answer is exact in
-    a single pass; otherwise Dykstra's alternating projections run until the
-    box and ball iterates agree within ``tol``. The returned point is always
-    feasible: the final ball projection of a box point stays inside the box
-    because the ball center does.
+    When one constraint alone resolves the projection the answer takes one
+    pass. Otherwise the projection is ``x(t) = clip(c + t (p - c))`` at the
+    ``t`` in (0, 1) where ``||x(t) - c|| = r``: entry ``i`` sits on the box
+    face that ``p_i - c_i`` points at once ``t |p_i - c_i|`` reaches that
+    face's distance from ``c_i``. From the ball projection's ``t`` (a lower
+    bound), ``t`` is re-solved with the saturated entries held at their faces
+    until the saturated set stops growing; ``t`` rises to the root and the
+    set only grows, so there is at most one re-solve per entry. ``cycles``
+    counts the re-solves and ``converged`` is always true. The point
+    returned lies in the box exactly; a last ball projection absorbs the
+    rounding of ``t``.
     """
-    if max_cycles < 1:
-        raise ValueError("max_cycles must be at least 1")
     p = np.asarray(p, dtype=np.float64)
     lo, hi, c, r = feasible.lower, feasible.upper, feasible.center, feasible.radius
 
@@ -182,23 +183,45 @@ def project_box_ball(
     if float(balled.min(initial=lo)) >= lo and float(balled.max(initial=hi)) <= hi:
         return ProjectionResult(balled, True, 0)
 
-    x = p.copy()
-    u = np.zeros_like(p)
-    v = np.zeros_like(p)
-    converged = False
-    cycles = 0
-    for cycles in range(1, max_cycles + 1):
-        t = np.clip(x + u, lo, hi)
-        u = x + u - t
-        x = project_ball(t + v, c, r)
-        v = t + v - x
-        if float(np.linalg.norm(t - x)) <= tol:
-            converged = True
+    d = p - c
+    step = np.abs(d)
+    # Distance from the center to the face each entry moves towards.
+    gap = np.where(d > 0.0, hi - c, c - lo)
+    t = r / float(np.linalg.norm(d))
+    saturated = t * step >= gap
+    count = cycles = 0
+    while (grown := int(np.count_nonzero(saturated))) > count:
+        count = grown
+        free = np.where(saturated, 0.0, step)
+        held = np.where(saturated, gap, 0.0)
+        free_sq = float(np.vdot(free, free))
+        if free_sq == 0.0:
+            # Every moving entry is on its face: only rounding gets here, as
+            # the boxed point lies outside the ball. The ball projection
+            # below takes the boxed point onto the sphere.
             break
-    # t is in the box; pulling it onto the ball keeps it in the box since the
-    # segment from the (box-feasible) center is box-feasible.
-    z = project_ball(t, c, r)
-    return ProjectionResult(z, converged, cycles)
+        t = math.sqrt(max(r * r - float(np.vdot(held, held)), 0.0) / free_sq)
+        cycles += 1
+        # Cumulative, so the set only grows even if rounding nudges t down.
+        saturated |= t * step >= gap
+    z = project_ball(np.clip(c + t * d, lo, hi), c, r)
+    # Shrinking towards the in-box center keeps z in the box up to one
+    # rounding of each entry; the clip removes that and only moves z closer
+    # to the center.
+    return ProjectionResult(np.clip(z, lo, hi, out=z), True, cycles)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_start(r: int) -> np.ndarray:
+    """The normalized start vector of the power iteration for rank ``r``.
+
+    Built once per rank and shared by every caller, so it is read-only.
+    """
+    rng = np.random.Generator(np.random.Philox(key=_POWER_SEED))
+    v = rng.standard_normal(r)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def lipschitz_estimate(
@@ -215,9 +238,7 @@ def lipschitz_estimate(
     scale = float(np.max(np.abs(g), initial=0.0))
     if scale == 0.0:
         return 1e-12
-    rng = np.random.Generator(np.random.Philox(key=_POWER_SEED))
-    v = rng.standard_normal(r)
-    v /= np.linalg.norm(v)
+    v = _power_start(r)
     lam = 0.0
     for _ in range(max_iters):
         w = g @ v
@@ -242,13 +263,12 @@ def solve_block_qp(
     start: np.ndarray,
     tol: float = 1e-8,
     max_iters: int = 500,
-    dykstra_tol: float = 1e-10,
-    dykstra_max_cycles: int = 200,
     debug: bool = False,
 ) -> BlockSolveResult:
     """Projected-gradient minimization of ``q`` over box ∩ ball.
 
-    Stops when the fixed-point residual ``||U - P(U - grad/L)||_F`` drops
+    Every step projects with :func:`project_box_ball`, which is exact. Stops
+    when the fixed-point residual ``||U - P(U - grad/L)||_F`` drops
     below ``tol * (1 + ||U||_F)`` or after ``max_iters`` steps, reporting the
     achieved residual. The result never has a larger objective than ``start``
     (the previous block value), which keeps every outer sweep monotone: when
@@ -272,7 +292,7 @@ def solve_block_qp(
     def _project(y: np.ndarray) -> np.ndarray:
         if math.isinf(feasible.radius):
             return np.clip(y, feasible.lower, feasible.upper)
-        return project_box_ball(y, feasible, dykstra_tol, dykstra_max_cycles).point
+        return project_box_ball(y, feasible).point
 
     # Keep the start exactly feasible (contains() allows a whisper of slack).
     u0 = _project(start)

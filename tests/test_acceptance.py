@@ -250,7 +250,7 @@ def test_criterion_06_subsolver_oracle_equivalence():
             radius=0.2 + 0.5 * float(rng.random()),
         )
         p = rng.standard_normal(shape) * 1.5
-        z = project_box_ball(p, fs, tol=1e-12).point
+        z = project_box_ball(p, fs).point
         z_star = kkt_projection_oracle(p, fs)
         worst_proj = max(worst_proj, float(np.linalg.norm(z - z_star)))
     ok_proj = worst_proj <= 1e-4

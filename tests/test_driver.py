@@ -63,6 +63,30 @@ def test_sweep_leaves_minimizer_fixed():
     assert record.objective <= 1e-18
 
 
+def test_sweep_counts_unconverged_block_solves(monkeypatch):
+    # One inner step from the origin cannot reach either target, so both
+    # solves of the first sweep stop at the cap.
+    problem = SeparableQuadratic(targets=[1.0, 2.0])
+    cfg = make_cfg(schedule=RadiusSchedule(kind="infinite"), qp_max_iters=1)
+    _, record = bcd_dr_sweep(problem, scalar_blocks(0.0, 0.0), 1, cfg)
+    assert record.unconverged_solves == 2
+
+    import drbcd.driver as driver
+
+    solve = driver.solve_block_qp
+    calls = []
+
+    def second_block_unconverged(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)._replace(converged=len(calls) % 2 == 1)
+
+    monkeypatch.setattr(driver, "solve_block_qp", second_block_unconverged)
+    _, trace = run(problem, scalar_blocks(0.0, 0.0), make_cfg(max_sweeps=3))
+    assert [r.unconverged_solves for r in trace] == [0, 1, 1, 1]
+    _, trace = run_mu(problem, scalar_blocks(0.5, 0.5), make_cfg(max_sweeps=3))
+    assert [r.unconverged_solves for r in trace] == [0, 0, 0, 0]
+
+
 def test_sweep_rejects_bad_index():
     problem = SeparableQuadratic(targets=[1.0])
     with pytest.raises(ValueError):

@@ -428,6 +428,29 @@ def test_report_counts_short_sweeps(tmp_path, c_prime, binds):
     assert ("radius never bound: same path as plain als" in comparison) != binds
 
 
+def test_report_counts_unconverged_block_solves(tmp_path, monkeypatch):
+    # Every second block solve reads unconverged; MU makes no block solves.
+    import drbcd.driver as driver
+
+    solve = driver.solve_block_qp
+    calls = []
+
+    def every_second_unconverged(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)._replace(converged=len(calls) % 2 == 1)
+
+    monkeypatch.setattr(driver, "solve_block_qp", every_second_unconverged)
+    cfg = desk_config(tmp_path, algos=[AlgorithmSpec("als"), AlgorithmSpec("mu")], runs=1, max_sweeps=4)
+    summary = run_experiment(cfg)
+    assert summary.block_solves == {"als": 12, "mu": 0}
+    assert summary.unconverged_solves == {"als": 6, "mu": 0}
+    lines = summary.report().splitlines()
+    assert "6 of 12 block solves unconverged" in next(l for l in lines if l.startswith("als:"))
+    assert "block solves" not in next(l for l in lines if l.startswith("mu:"))
+    header = summary.trace_paths[("als", 1)].read_text().splitlines()[0]
+    assert header == experiment.TRACE_HEADER
+
+
 def test_run_experiment_reaches_optimum_on_noiseless_data(tmp_path):
     cfg = desk_config(
         tmp_path,

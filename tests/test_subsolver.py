@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drbcd.subsolver import (
@@ -88,7 +90,7 @@ def test_project_box_ball_infinite_radius_is_box_projection():
     p = np.array([[2.0, -0.5], [0.3, 0.4]])
     res = project_box_ball(p, fs)
     assert_allclose(res.point, project_box(p, 0.0, 1.0))
-    assert res.converged
+    assert res.converged and res.cycles == 0
 
 
 def test_project_box_ball_exact_for_orthant_ball_at_corner():
@@ -100,7 +102,7 @@ def test_project_box_ball_exact_for_orthant_ball_at_corner():
         radius = 0.5 + rng.random()
         fs = BoxBallFeasibleSet(lower=0.0, upper=5.0, center=np.zeros((1, 3)), radius=radius)
         expected = project_ball(project_box(p, 0.0, 5.0), fs.center, radius)
-        res = project_box_ball(p, fs, tol=1e-12)
+        res = project_box_ball(p, fs)
         assert_allclose(res.point, expected, atol=1e-9)
 
 
@@ -110,12 +112,12 @@ def test_project_box_ball_feasibility_and_idempotence():
         center = rng.random((2, 2))
         fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=center, radius=0.3)
         p = rng.standard_normal((2, 2)) * 2.0
-        res = project_box_ball(p, fs, tol=1e-10)
+        res = project_box_ball(p, fs)
         z = res.point
         assert z.min() >= -1e-12
         assert z.max() <= 1.0 + 1e-12
         assert np.linalg.norm(z - center) <= 0.3 * (1 + 1e-12) + 1e-10
-        res2 = project_box_ball(z, fs, tol=1e-10)
+        res2 = project_box_ball(z, fs)
         assert np.linalg.norm(res2.point - z) <= 2e-9
 
 
@@ -127,18 +129,110 @@ def test_project_box_ball_nonexpansive():
         fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=center, radius=0.4)
         a = rng.standard_normal((1, 3))
         b = rng.standard_normal((1, 3))
-        pa = project_box_ball(a, fs, tol=tol).point
-        pb = project_box_ball(b, fs, tol=tol).point
+        pa = project_box_ball(a, fs).point
+        pb = project_box_ball(b, fs).point
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 2 * tol + 1e-8
 
 
-def test_project_box_ball_reports_nonconvergence():
+def test_project_box_ball_exact_where_alternation_needs_many_cycles():
+    # Alternating box and ball projections approach (1, 0) only in the
+    # limit; the exact projection lands on it.
     fs = BoxBallFeasibleSet(lower=0.0, upper=1e12, center=np.zeros((1, 2)), radius=1.0)
-    res = project_box_ball(np.array([[5.0, -3.0]]), fs, tol=1e-14, max_cycles=1)
-    assert not res.converged
-    # The best iterate is still feasible.
-    assert np.linalg.norm(res.point) <= 1.0 + 1e-12
-    assert res.point.min() >= 0.0
+    res = project_box_ball(np.array([[5.0, -3.0]]), fs)
+    assert res.converged
+    assert np.array_equal(res.point, [[1.0, 0.0]])
+
+
+def bisection_projection(p, fs):
+    """Projection onto box ∩ ball by bisection on the ball multiplier.
+
+    For ``mu >= 0`` the box-constrained minimizer of
+    ``||z - p||^2 + mu ||z - c||^2`` is ``clip((p + mu c) / (1 + mu))``; its
+    distance from ``c`` falls as ``mu`` grows, and the projection is the one
+    at the smallest ``mu`` that brings it inside the ball. The bisection runs
+    until the midpoint rounds to an end of the bracket.
+    """
+    lo, hi, c, r = fs.lower, fs.upper, fs.center, fs.radius
+
+    def z_of(mu):
+        return np.clip((p + mu * c) / (1.0 + mu), lo, hi)
+
+    def outside(mu):
+        return float(np.linalg.norm(z_of(mu) - c)) > r
+
+    if math.isinf(r) or not outside(0.0):
+        return z_of(0.0)
+    mu_lo, mu_hi = 0.0, 1.0
+    while outside(mu_hi):
+        mu_lo, mu_hi = mu_hi, 2.0 * mu_hi
+    while (mid := 0.5 * (mu_lo + mu_hi)) not in (mu_lo, mu_hi):
+        if outside(mid):
+            mu_lo = mid
+        else:
+            mu_hi = mid
+    return z_of(mu_hi)
+
+
+@st.composite
+def box_ball_points(draw):
+    """A point, a box ``[0, upper]``, a center in it and a radius.
+
+    Some center entries sit on a face and some entries of ``p - c`` are 0.
+    """
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    n = shape[0] * shape[1]
+    upper = draw(st.sampled_from([0.3, 1.0, 1e12]))
+    fraction = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    center = np.array(draw(st.lists(fraction, min_size=n, max_size=n))).reshape(shape)
+    center *= min(upper, 1.0)
+    move = st.just(0.0) | st.floats(-3.0, 3.0)
+    p = center + np.array(draw(st.lists(move, min_size=n, max_size=n))).reshape(shape)
+    radius = draw(st.floats(1e-3, 2.0))
+    return p, BoxBallFeasibleSet(lower=0.0, upper=upper, center=center, radius=radius)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=box_ball_points(), other=st.floats(-3.0, 3.0))
+def test_project_box_ball_matches_bisection(case, other):
+    p, fs = case
+    res = project_box_ball(p, fs)
+    z = res.point
+    assert res.converged
+    assert res.cycles <= z.size + 1
+    scale = 1.0 + float(np.abs(p).max())
+    assert np.abs(z - bisection_projection(p, fs)).max() <= 1e-12 * scale
+    assert fs.lower <= z.min() and z.max() <= fs.upper
+    assert np.linalg.norm(z - fs.center) <= fs.radius * (1.0 + 1e-12)
+    assert np.abs(project_box_ball(z, fs).point - z).max() <= 1e-12 * scale
+    q = p + other
+    zq = project_box_ball(q, fs).point
+    assert np.linalg.norm(z - zq) <= np.linalg.norm(p - q) * (1.0 + 1e-12) + 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "p, center, upper, radius, expected",
+    [
+        # Entries with p_i = c_i stay put while the others move.
+        ([[0.5, 3.0, -2.0]], [[0.5, 0.2, 0.3]], 1.0, 0.5, [[0.5, 0.2 + math.sqrt(0.25 - 0.09), 0.0]]),
+        # A center on the lower face, pushed further out: that entry stays.
+        ([[-1.0, 4.0]], [[0.0, 0.0]], 1e12, 2.0, [[0.0, 2.0]]),
+        # The upper face binds, and the other entry takes up the rest.
+        ([[3.0, 1.0]], [[0.8, 0.5]], 1.0, 0.5, [[1.0, 0.5 + math.sqrt(0.25 - 0.04)]]),
+    ],
+)
+def test_project_box_ball_explicit_cases(p, center, upper, radius, expected):
+    fs = BoxBallFeasibleSet(lower=0.0, upper=upper, center=np.array(center), radius=radius)
+    res = project_box_ball(np.array(p), fs)
+    assert res.converged and res.cycles >= 1
+    assert_allclose(res.point, expected, rtol=0.0, atol=1e-15)
+
+
+def test_project_box_ball_ball_projection_inside_box_is_the_answer():
+    fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=np.full((1, 2), 0.5), radius=0.1)
+    p = np.array([[0.9, 0.5]])
+    res = project_box_ball(p, fs)
+    assert res.cycles == 0
+    assert np.array_equal(res.point, project_ball(p, fs.center, fs.radius))
 
 
 # ---------------------------------------------------------------------------

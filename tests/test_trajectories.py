@@ -1,0 +1,47 @@
+"""``scripts/trajectories.py``: the comparison of two traces, on hand-made
+records and without a solver run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def trajectories():
+    spec = importlib.util.spec_from_file_location("trajectories", ROOT / "scripts" / "trajectories.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = [[10.0, 4.0, "long"], [8.0, 2.0, "short"], [7.0, 1.0, "short"]]
+
+
+def test_identical_traces(trajectories):
+    c = trajectories.compare(PARENT, [list(r) for r in PARENT])
+    assert c == {"sweeps": (2, 2), "objective": 0.0, "stationarity": 0.0,
+                 "identical": True, "classes_match": True}
+
+
+def test_deviations_are_relative_to_the_larger_value(trajectories):
+    change = [[10.0, 4.0, "long"], [8.0 * (1 + 1e-9), 2.0, "short"], [7.0, 1.1, "short"]]
+    c = trajectories.compare(PARENT, change)
+    assert c["objective"] == pytest.approx(1e-9 / (1 + 1e-9))
+    assert c["stationarity"] == pytest.approx(0.1 / 1.1)
+    assert not c["identical"] and c["classes_match"]
+
+
+def test_class_and_length_mismatches(trajectories):
+    flipped = [list(r) for r in PARENT]
+    flipped[1][2] = "long"
+    c = trajectories.compare(PARENT, flipped)
+    assert not c["identical"] and not c["classes_match"]
+    assert c["objective"] == 0.0 and c["stationarity"] == 0.0
+
+    shorter = trajectories.compare(PARENT, PARENT[:2])
+    assert shorter["sweeps"] == (2, 1)
+    assert not shorter["identical"] and not shorter["classes_match"]
+    assert shorter["objective"] == 0.0
