@@ -13,7 +13,10 @@ Then, from the repository root::
 Pair ``k`` of ten (``k`` from 0) runs both sides on seed ``--seed + k``,
 untraced, for the ``run_seconds`` that ``BENCHMARK.json`` fixes; the side
 that runs first alternates from pair to pair. Each run's last output line
-(the benchmark's JSON result) and the provenance of its record are kept.
+(the benchmark's JSON result) and the provenance of its record are kept,
+also when some of its solves failed and it exited 1; its ``ok_frac`` then
+reads below 1 and is judged like any other metric. Only a run that prints
+no result stops the session.
 For every end-to-end metric the summary gives each side's median and
 quartiles and the number of pairs the change won, ties counting for neither
 side. A claimed metric is met when the change wins at least nine tenths of
@@ -22,7 +25,9 @@ range. Every metric also gets a no-regression verdict against its
 ``bound``, a fraction of the parent's median: "worse" when the change's
 median is worse than the parent's by more than the bound; else "unresolved"
 when the parent's interquartile range is wider than the bound, unless every
-change run beats every parent run; else "no regression".
+change run beats every parent run; else "no regression". A metric that has
+no value in some run, because every solve of one algorithm failed there,
+reads "unresolved", and a claim on it is not met.
 
 A ``--claim`` must name an end-to-end metric of ``BENCHMARK.json``. The
 exit status is 1 when the claim is not met or any of the ten pairs'
@@ -48,11 +53,18 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=False,
     )
-    if proc.returncode != 0 or not proc.stdout.strip():
-        raise SystemExit(f"bench/run.py failed in {tree} (seed {seed}):\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or "metrics" not in result:
+        raise SystemExit(f"bench/run.py gave no result in {tree} (seed {seed}, exit {proc.returncode}):\n{proc.stderr}")
     record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
     result["provenance"] = record["provenance"]
+    result["exit_status"] = proc.returncode
+    if proc.returncode != 0:
+        result["stderr"] = proc.stderr
     return result
 
 
@@ -81,6 +93,15 @@ def summarize(pairs: list[dict], spec: dict, claim: str | None) -> dict:
         name, higher = m["name"], m["better"] == "higher"
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        missing = {"parent": parent.count(None), "change": change.count(None)}
+        if any(missing.values()):
+            # A run where every solve of one algorithm failed has no value
+            # here; its ok_frac counts the failures.
+            summary[name] = {"better": m["better"], "bound": m["bound"], "missing": missing,
+                             "verdict": "unresolved"}
+            if name == claim:
+                summary[name]["claim_met"] = False
+            continue
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         losses = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
         before, after = quartiles(parent), quartiles(change)
@@ -132,8 +153,9 @@ def main(argv=None) -> int:
             pair[side] = run_side(getattr(args, side).resolve(), args.workload, seed, seconds)
         pairs.append(pair)
         shown = {s: pair[s]["metrics"]["sweeps_per_s"]["value"] for s in ("parent", "change")}
-        print(f"pair {k} seed {seed}: sweeps_per_s parent {shown['parent']:.4g}, "
-              f"change {shown['change']:.4g}", flush=True)
+        shown = {s: "n/a" if v is None else f"{v:.4g}" for s, v in shown.items()}
+        print(f"pair {k} seed {seed}: sweeps_per_s parent {shown['parent']}, "
+              f"change {shown['change']}", flush=True)
     held_out = pairs[PAIRS:]
     pairs = pairs[:PAIRS]
 
@@ -149,8 +171,11 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for name, entry in record["summary"].items():
-        print(f"{name:20s} parent {entry['parent']['median']:.6g}  change {entry['change']['median']:.6g}  "
-              f"wins {entry['change_wins']}/{len(pairs)}  {entry['verdict']}" + (f"  claim met: {entry['claim_met']}" if "claim_met" in entry else ""))
+        compared = (f"parent {entry['parent']['median']:.6g}  change {entry['change']['median']:.6g}  "
+                    f"wins {entry['change_wins']}/{len(pairs)}" if "missing" not in entry
+                    else f"runs without a value: {entry['missing']}")
+        print(f"{name:20s} {compared}  {entry['verdict']}"
+              + (f"  claim met: {entry['claim_met']}" if "claim_met" in entry else ""))
     failed = [name for name, entry in record["summary"].items()
               if entry["verdict"] == "worse" or entry.get("claim_met") is False]
     if failed:

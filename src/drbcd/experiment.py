@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
-from .driver import SolverConfig, TraceRecord, run
+from .driver import SolverConfig, TraceRecord, TraceVerification, run, verify_trace
 from .factorization import NtfProblem, init_factors, run_mu
 from .schedule import RadiusSchedule
 from .tensors import read_ntf1, write_ntf1
@@ -37,6 +37,7 @@ __all__ = [
     "AggregateCurve",
     "ExperimentSummary",
     "RunFailure",
+    "InvariantViolation",
     "run_experiment",
     "aggregate_runs",
     "write_trace_csv",
@@ -297,6 +298,35 @@ class RunFailure:
     message: str
 
 
+@dataclass(frozen=True)
+class InvariantViolation:
+    """A block-descent run whose trace broke one of :func:`verify_trace`'s checks.
+
+    ``sweep`` is where the check's worst excess, ``excess``, occurred.
+    """
+
+    algorithm: str
+    run_index: int
+    check: str
+    sweep: int
+    excess: float
+
+    @classmethod
+    def from_verdict(
+        cls, algorithm: str, run_index: int, verdict: TraceVerification
+    ) -> list["InvariantViolation"]:
+        checks = (
+            ("monotone descent", verdict.monotone_ok, verdict.monotone_sweep, verdict.monotone_worst),
+            ("radius bound", verdict.radius_ok, verdict.radius_sweep, verdict.radius_worst),
+            ("square-sum bound", verdict.square_sum_ok, verdict.square_sum_sweep, verdict.square_sum_worst),
+        )
+        return [
+            cls(algorithm, run_index, check, sweep, excess)
+            for check, ok, sweep, excess in checks
+            if not ok
+        ]
+
+
 @dataclass
 class ExperimentSummary:
     out_dir: Path
@@ -315,6 +345,9 @@ class ExperimentSummary:
     # MU), and how many of them stopped without converging.
     block_solves: dict[str, int]
     unconverged_solves: dict[str, int]
+    # Every broken invariant of the block-descent runs' traces; reported,
+    # not a failure.
+    violations: list[InvariantViolation]
 
     def report(self) -> str:
         lines = []
@@ -353,6 +386,11 @@ class ExperimentSummary:
                     f"comparison: {label} mean final error {dr_final:.6g} is "
                     f"{verdict} plain als ({als_final:.6g}){unbound}"
                 )
+        for v in self.violations:
+            lines.append(
+                f"INVARIANT {v.algorithm} run {v.run_index}: {v.check} broken at "
+                f"sweep {v.sweep} (worst excess {v.excess:.3g})"
+            )
         for f in self.failures:
             lines.append(f"FAILED {f.algorithm} run {f.run_index}: {f.message}")
         return "\n".join(lines)
@@ -529,7 +567,9 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     """Execute every algorithm x run cell, write traces, aggregate, plot.
 
     Solver failures are recorded per run and do not abort the experiment;
-    the CLI maps a nonempty failure list to a nonzero exit status. Runs
+    the CLI maps a nonempty failure list to a nonzero exit status. Every
+    block-descent trace is re-checked with :func:`verify_trace`, and each
+    broken invariant is listed in the report, without failing the run. Runs
     execute in a thread pool unless ``cfg.serial`` is set.
     """
     out_dir = Path(cfg.out)
@@ -585,6 +625,7 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     total_sweeps: dict[str, int] = {a.label: 0 for a in cfg.algos}
     block_solves: dict[str, int] = {a.label: 0 for a in cfg.algos}
     unconverged_solves: dict[str, int] = {a.label: 0 for a in cfg.algos}
+    violations: list[InvariantViolation] = []
     for algo in cfg.algos:
         for k in range(1, cfg.runs + 1):
             trace = results.get((algo.label, k))
@@ -598,6 +639,8 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
             if algo.name != "mu":
                 block_solves[algo.label] += (len(trace) - 1) * len(trace[0].block_step_norms)
                 unconverged_solves[algo.label] += sum(r.unconverged_solves for r in trace)
+                verdict = verify_trace(trace, _solver_config(cfg, algo).schedule)
+                violations += InvariantViolation.from_verdict(algo.label, k, verdict)
 
     curve = None
     aggregate_path = None
@@ -626,4 +669,5 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
         total_sweeps=total_sweeps,
         block_solves=block_solves,
         unconverged_solves=unconverged_solves,
+        violations=violations,
     )

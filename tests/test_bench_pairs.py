@@ -3,6 +3,7 @@ benchmark runs replaced by fixed results."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,48 @@ def test_exit_status(bench_pairs, monkeypatch, tmp_path, change_rate, claim, cod
     assert bench_pairs.main(argv(tmp_path, *extra)) == code
     summary = json.loads((tmp_path / "BENCH.json").read_text())["summary"]
     assert ("claim_met" in summary["sweeps_per_s"]) == (claim is not None)
+
+
+def test_run_side_keeps_a_result_with_failed_solves(bench_pairs, monkeypatch, tmp_path):
+    # bench/run.py exits 1 when a solve fails, after printing its result.
+    result = {"correct": False, "attempted": 4, "failed": 1,
+              "metrics": {"ok_frac": {"value": 0.75, "unit": "frac"}}}
+    (tmp_path / ".bench_out").mkdir()
+    (tmp_path / ".bench_out" / "paper_fit-seed3-trace0.json").write_text(json.dumps({"provenance": {"seed": 3}}))
+
+    def finished(stdout):
+        return lambda args, **kwargs: subprocess.CompletedProcess(args, 1, stdout, "FAILED instance 0 mu: boom\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", finished("# summary\n" + json.dumps(result) + "\n"))
+    side = bench_pairs.run_side(tmp_path, "paper_fit", 3, 45)
+    assert side["metrics"] == result["metrics"]
+    assert side["exit_status"] == 1 and "boom" in side["stderr"]
+    assert side["provenance"] == {"seed": 3}
+
+    for stdout in ("", "Traceback (most recent call last):\n"):
+        monkeypatch.setattr(bench_pairs.subprocess, "run", finished(stdout))
+        with pytest.raises(SystemExit, match="no result"):
+            bench_pairs.run_side(tmp_path, "paper_fit", 3, 45)
+
+
+def test_failed_solves_are_judged_by_ok_frac(bench_pairs, monkeypatch, tmp_path):
+    # Every change run lost a quarter of its solves, and in one pair all of
+    # its BCD-DR solves, so that run has no sweeps_per_s.
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_side(tree, workload, seed, seconds):
+        values = dict.fromkeys(names, 1.0)
+        if tree == ROOT:
+            values["ok_frac"] = 0.75
+            if seed == 105:
+                values["sweeps_per_s"] = None
+        return {"metrics": {n: {"value": v} for n, v in values.items()}, "provenance": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    assert bench_pairs.main(argv(tmp_path, "--seed", "101", "--claim", "sweeps_per_s")) == 1
+    summary = json.loads((tmp_path / "BENCH.json").read_text())["summary"]
+    assert summary["ok_frac"]["verdict"] == "worse"
+    assert summary["sweeps_per_s"]["missing"] == {"parent": 0, "change": 1}
+    assert summary["sweeps_per_s"]["verdict"] == "unresolved"
+    assert summary["sweeps_per_s"]["claim_met"] is False
+    assert summary["mu_sweeps_per_s"]["verdict"] == "no regression"

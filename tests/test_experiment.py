@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 import drbcd.experiment as experiment
 from drbcd.cli import main, parse_config, read_config_file
 from drbcd.driver import TraceRecord
+from drbcd.factorization import NtfProblem
 from drbcd.experiment import (
     AGGREGATE_HEADER,
     TRACE_HEADER,
@@ -107,6 +108,7 @@ def test_parse_config_c_prime_reaches_default_entries(tmp_path, capsys):
     assert main(argv) == 0
     assert "c-prime = 3" in (out / "config.txt").read_text().splitlines()
     report = capsys.readouterr().out
+    assert "INVARIANT" not in report
     for label in ("als_dr-0.5", "als_dr-1"):
         line = next(l for l in report.splitlines() if l.startswith(f"{label}:"))
         short = int(line.split(" of 20 sweeps short")[0].rsplit(", ", 1)[1])
@@ -389,24 +391,29 @@ def test_run_experiment_deterministic_bytes(tmp_path):
 
 
 def test_threaded_run_matches_serial_bytes(tmp_path, monkeypatch):
-    # The pool threads share one problem and its per-thread memo; more
-    # workers than cores and a short switch interval interleave them often.
+    # The pool threads share one problem and its per-thread memo (and, on
+    # the sparse surrogate, its coordinate lists and per-thread scratch);
+    # more workers than cores and a short switch interval interleave them.
     algos = [AlgorithmSpec("als_dr", 0.5, 1.0), AlgorithmSpec("als"), AlgorithmSpec("mu")]
-    kwargs = dict(shape=(8, 9, 10), algos=algos, runs=3, max_sweeps=15)
-    serial = run_experiment(desk_config(tmp_path, out=str(tmp_path / "s"), **kwargs))
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = run_experiment(
-            desk_config(tmp_path, out=str(tmp_path / "t"), serial=False, **kwargs)
-        )
-    finally:
-        sys.setswitchinterval(interval)
-    assert not serial.failures and not threaded.failures
-    assert sorted(threaded.trace_paths) == sorted(serial.trace_paths)
-    for key, path in serial.trace_paths.items():
-        assert threaded.trace_paths[key].read_bytes() == path.read_bytes(), key
+    for data, shape in [("synth", (8, 9, 10)), ("surrogate", (10, 50, 12))]:
+        kwargs = dict(data=data, shape=shape, algos=algos, runs=3, max_sweeps=15)
+        out = tmp_path / data
+        serial = run_experiment(desk_config(tmp_path, out=str(out / "s"), **kwargs))
+        sparse = NtfProblem(experiment.resolve_data(desk_config(tmp_path, **kwargs)), 2)._coo is not None
+        assert sparse == (data == "surrogate")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_experiment(
+                desk_config(tmp_path, out=str(out / "t"), serial=False, **kwargs)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert not serial.failures and not threaded.failures
+        assert sorted(threaded.trace_paths) == sorted(serial.trace_paths)
+        for key, path in serial.trace_paths.items():
+            assert threaded.trace_paths[key].read_bytes() == path.read_bytes(), key
 
 
 @pytest.mark.parametrize("c_prime, binds", [(1e5, False), (1.0, True)])
@@ -449,6 +456,44 @@ def test_report_counts_unconverged_block_solves(tmp_path, monkeypatch):
     assert "block solves" not in next(l for l in lines if l.startswith("mu:"))
     header = summary.trace_paths[("als", 1)].read_text().splitlines()[0]
     assert header == experiment.TRACE_HEADER
+
+
+def test_report_lists_broken_invariants(tmp_path, monkeypatch, capsys):
+    # A wrapped sweep raises the recorded objective at sweep 3 of every
+    # block-descent run; MU runs are not checked. A broken invariant is
+    # reported, not a failure.
+    import dataclasses
+
+    import drbcd.driver as driver
+
+    sweep = driver.bcd_dr_sweep
+
+    def rises_at_sweep_3(problem, blocks, n, cfg):
+        blocks, record = sweep(problem, blocks, n, cfg)
+        if n == 3:
+            record = dataclasses.replace(record, objective=2.0 * record.objective + 1.0)
+        return blocks, record
+
+    argv = ["--shape", "6,7,5", "--rank", "2", "--algo", "als_dr-0.5", "--algo", "als",
+            "--algo", "mu", "--runs", "2", "--max-sweeps", "5", "--serial", "--clock", "sweep"]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    assert "INVARIANT" not in capsys.readouterr().out
+
+    monkeypatch.setattr(driver, "bcd_dr_sweep", rises_at_sweep_3)
+    assert main(argv + ["--out", str(tmp_path / "broken")]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("INVARIANT")]
+    assert [l.split(" (worst excess")[0] for l in lines] == [
+        f"INVARIANT {label} run {k}: monotone descent broken at sweep 3"
+        for label in ("als_dr-0.5", "als")
+        for k in (1, 2)
+    ]
+
+    cfg, _ = parse_config(argv + ["--out", str(tmp_path / "summary")])
+    violations = run_experiment(cfg).violations
+    assert {(v.algorithm, v.check, v.sweep) for v in violations} == {
+        ("als_dr-0.5", "monotone descent", 3), ("als", "monotone descent", 3)
+    }
+    assert all(v.excess > 0.0 for v in violations)
 
 
 def test_run_experiment_reaches_optimum_on_noiseless_data(tmp_path):

@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drbcd import tensors
+from drbcd import factorization, tensors
 from drbcd.datagen import SynthSpec, synthetic_lowrank
 from drbcd.driver import SolverConfig, run, stationarity_measure, verify_trace
 from drbcd.factorization import FactorModel, NtfProblem, init_factors, mu_sweep, run_mu
 from drbcd.schedule import RadiusSchedule
 from drbcd.tensors import cp_reconstruct
+
+
+def sparse_data(rng, shape, nonzeros):
+    """A tensor with exactly ``nonzeros`` nonzero entries, uniform on (0, 1]."""
+    data = np.zeros(shape)
+    data.flat[rng.choice(data.size, nonzeros, replace=False)] = 1.0 - rng.random(nonzeros)
+    return data
 
 
 def random_problem(rng, dims, rank, box_bound=None):
@@ -112,6 +119,22 @@ def test_objective_over_row_slabs_matches_dense_property(shape, rank, slab_bytes
     assert_allclose(got, dense_objective(problem.data, blocks), rtol=1e-12)
 
 
+@pytest.mark.parametrize("nonzeros", [None, 5])
+@pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+                                          (-1.0, "nonnegative")])
+def test_problem_rejects_bad_entries(nonzeros, bad, message):
+    # Dense data, and sparse data whose checks see only its nonzeros.
+    rng = np.random.default_rng(3)
+    shape = (10, 12, 15)
+    data = rng.random(shape) if nonzeros is None else sparse_data(rng, shape, nonzeros)
+    data[4, 5, 6] = bad
+    with pytest.raises(ValueError, match=message):
+        NtfProblem(data, 2)
+    if nonzeros is not None:
+        data[4, 5, 6] = 1.0
+        assert NtfProblem(data, 2)._coo is not None
+
+
 def test_objective_shape_mismatch_error():
     problem = NtfProblem(np.ones((2, 3)), rank=2)
     with pytest.raises(ValueError):
@@ -177,9 +200,19 @@ def test_block_subproblem_index_error():
 # per-thread memo of the MTTKRP terms
 
 
+# "sparse" is a 10x12x15 tensor, 1% nonzero, on the nonzero-only path; the
+# others are dense.
+SPARSE_MEMO_SHAPE = (10, 12, 15)
+
+
 def memo_case(shape, seed):
     rng = np.random.default_rng(seed)
-    data = rng.random(shape)
+    if shape == "sparse":
+        shape = SPARSE_MEMO_SHAPE
+        data = sparse_data(rng, shape, math.prod(shape) // 100)
+        assert NtfProblem(data, 3)._coo is not None
+    else:
+        data = rng.random(shape)
     rank = 3
     blocks = [rng.random((d, rank)) for d in shape]
     others = [rng.random((d, rank)) for d in shape]
@@ -205,7 +238,7 @@ def assert_same_bits(a, b):
     assert stat_a == stat_b
 
 
-@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 4, 2, 5), (6, 7)])
+@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 4, 2, 5), (6, 7), "sparse"])
 def test_memo_hit_and_miss_give_same_bits(shape):
     data, rank, blocks, others = memo_case(shape, seed=21)
     fresh = evaluations(NtfProblem(data, rank), blocks)
@@ -224,33 +257,124 @@ def test_memo_hit_and_miss_give_same_bits(shape):
 
 
 def test_memo_sees_in_place_block_writes():
-    data, rank, blocks, _ = memo_case((4, 5, 6), seed=22)
-    problem = NtfProblem(data, rank)
-    for j in range(len(blocks)):
-        evaluations(problem, blocks)
-        blocks[j][1, 2] += 0.5
-        assert_same_bits(evaluations(problem, blocks), evaluations(NtfProblem(data, rank), blocks))
+    for shape in [(4, 5, 6), "sparse"]:
+        data, rank, blocks, _ = memo_case(shape, seed=22)
+        problem = NtfProblem(data, rank)
+        for j in range(len(blocks)):
+            evaluations(problem, blocks)
+            blocks[j][1, 2] += 0.5
+            assert_same_bits(evaluations(problem, blocks), evaluations(NtfProblem(data, rank), blocks))
 
 
 def test_memoized_terms_are_read_only():
-    data, rank, blocks, _ = memo_case((4, 5, 6), seed=23)
-    problem = NtfProblem(data, rank)
-    for i in range(len(blocks)):
-        linear = problem.block_subproblem(blocks, i).linear
-        assert not linear.flags.writeable
-        with pytest.raises(ValueError):
-            linear[0, 0] = 1.0
+    for shape in [(4, 5, 6), "sparse"]:
+        data, rank, blocks, _ = memo_case(shape, seed=23)
+        problem = NtfProblem(data, rank)
+        for i in range(len(blocks)):
+            linear = problem.block_subproblem(blocks, i).linear
+            assert not linear.flags.writeable
+            with pytest.raises(ValueError):
+                linear[0, 0] = 1.0
 
 
 def test_problem_keeps_its_own_copy_of_the_data():
-    data, rank, blocks, _ = memo_case((4, 5, 6), seed=24)
+    for shape in [(4, 5, 6), "sparse"]:
+        data, rank, blocks, _ = memo_case(shape, seed=24)
+        problem = NtfProblem(data, rank)
+        before = problem.objective(blocks)
+        linear_before = problem.block_subproblem(blocks, 0).linear.copy()
+        data += 1.0
+        assert problem.objective(blocks) == before
+        assert_array_equal(problem.block_subproblem(blocks, 0).linear, linear_before)
+        assert not problem.data.flags.writeable
+        for coords, values in problem._coo or []:
+            assert all(a.dtype == np.intp for a in coords)
+            assert not any(a.flags.writeable for a in (*coords, values))
+
+
+# ---------------------------------------------------------------------------
+# the nonzero-only path for sparse data
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_nonzero_path_is_chosen_below_the_nonzero_share(below):
+    rng = np.random.default_rng(41)
+    shape = (20, 25, 30)
+    threshold = math.ceil(factorization.SPARSE_SHARE * math.prod(shape))
+    data = sparse_data(rng, shape, threshold - 1 if below else threshold)
+    problem = NtfProblem(data, 3)
+    assert (problem._coo is not None) == below
+    assert_array_equal(problem.data, data)
+    for mode, (coords, values) in enumerate(problem._coo or []):
+        assert np.all(np.diff(coords[mode]) >= 0)
+        rebuilt = np.zeros(shape)
+        rebuilt[coords] = values
+        assert_array_equal(rebuilt, data)
+
+
+def both_paths(data, rank):
+    """Problems on the same data: one on the nonzero-only path, one dense."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "SPARSE_SHARE", math.inf)
+        sparse = NtfProblem(data, rank)
+        mp.setattr(factorization, "SPARSE_SHARE", 0.0)
+        dense = NtfProblem(data, rank)
+    assert sparse._coo is not None and dense._coo is None
+    return sparse, dense
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    rank=st.integers(1, 4),
+    nonzeros=st.sampled_from(["none", "one", "few", "half"]),
+    empty_mode=st.integers(0, 3),
+    slab_bytes=st.integers(1, 2048),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nonzero_path_matches_dense_property(shape, rank, nonzeros, empty_mode, slab_bytes, seed):
+    # Small slabs make many chunks of nonzeros, most with a ragged last one.
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    count = {"none": 0, "one": 1, "few": max(1, size // 20), "half": size // 2}[nonzeros]
+    data = sparse_data(rng, shape, count)
+    data[(slice(None),) * (empty_mode % len(shape)) + (0,)] = 0.0  # an empty slice
+    sparse, dense = both_paths(data, rank)
+    blocks = [rng.random((d, rank)) for d in shape]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensors, "SLAB_BYTES", slab_bytes)
+        for i in range(len(shape)):
+            assert_allclose(
+                sparse.block_subproblem(blocks, i).linear,
+                dense.block_subproblem(blocks, i).linear,
+                rtol=1e-12, atol=0.0,
+            )
+        assert sparse._coo_objective(blocks) is not None
+        assert_allclose(sparse.objective(blocks), dense.objective(blocks), rtol=1e-12)
+    assert_allclose(sparse.objective(blocks), dense_objective(data, blocks), rtol=1e-12)
+
+
+def test_objective_at_an_exact_sparse_fit_takes_the_dense_residual():
+    # Factor columns with three nonzero rows each: an exactly rank-2 tensor
+    # with at most 2 * 27 nonzeros of 24,000.
+    rng = np.random.default_rng(43)
+    shape, rank = (20, 30, 40), 2
+    factors = []
+    for d in shape:
+        f = np.zeros((d, rank))
+        for a in range(rank):
+            f[rng.choice(d, 3, replace=False), a] = 0.5 + rng.random(3)
+        factors.append(f)
+    data = cp_reconstruct(factors, np.ones((rank, 1)))[..., 0]
     problem = NtfProblem(data, rank)
-    before = problem.objective(blocks)
-    linear_before = problem.block_subproblem(blocks, 0).linear.copy()
-    data += 1.0
-    assert problem.objective(blocks) == before
-    assert_array_equal(problem.block_subproblem(blocks, 0).linear, linear_before)
-    assert not problem.data.flags.writeable
+    assert problem._coo is not None
+    # The zeros' share cancels to rounding, so the formula is refused.
+    assert problem._coo_objective(factors) is None
+    reference = dense_objective(data, factors)
+    # It would give -7e-15 here; the dense residual gives 7e-31.
+    norm_sq = float(np.sum(data**2))
+    assert 0.0 <= problem.objective(factors) <= 1e-28 * norm_sq
+    assert abs(problem.objective(factors) - reference) <= 1e-28 * norm_sq
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from drbcd import tensors
 from drbcd.tensors import (
+    _coo_by_mode,
+    _coo_mttkrp,
+    _coo_residual,
     _last_mode_mttkrp,
     _last_mode_partial,
     _row_slabs,
@@ -307,6 +310,35 @@ def test_slabbed_kernels_match_unfold_reference_property(shape, rank, slab_bytes
 
 
 # ---------------------------------------------------------------------------
+# nonzero-only kernels on a coordinate list
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (7, 5, 6), (3, 4, 7, 5)])
+@pytest.mark.parametrize("nonzeros_per_chunk", [1, 5, None])
+def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
+    # One nonzero a chunk, ragged chunks of five, and the default chunks.
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+    x[0] = 0.0  # an empty slice
+    rank = 3
+    factors = [rng.standard_normal((d, rank)) for d in shape]
+    nonzero = np.flatnonzero(x)
+    coords, values = np.unravel_index(nonzero, shape), x.ravel()[nonzero]
+    assert values.size % 5
+    if nonzeros_per_chunk is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * rank * nonzeros_per_chunk)
+    scratch = np.empty(2 * rank * values.size)
+    for mode in range(len(shape)):
+        got = _coo_mttkrp(*_coo_by_mode(coords, values, mode), factors, mode, scratch)
+        assert got.flags.c_contiguous
+        assert_allclose(got, mttkrp_oracle(x, factors, mode), rtol=1e-12, atol=1e-12)
+    model = cp_oracle(factors[:-1], factors[-1].T).ravel()[nonzero]
+    residual, at_nonzeros = _coo_residual(coords, values, factors, scratch)
+    assert_allclose(residual, np.sum((values - model) ** 2), rtol=1e-12)
+    assert_allclose(at_nonzeros, np.sum(model**2), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # cp_reconstruct
 
 
@@ -353,6 +385,15 @@ def test_as_tensor_rejects_nan_and_negative():
     with pytest.raises(ValueError, match="nonnegative"):
         as_tensor(np.array([-1.0, 0.0]), nonneg=True)
     assert_array_equal(as_tensor([[1, 2]]), np.array([[1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_as_tensor_rejects_non_finite_entries(bad, nonneg):
+    x = np.ones((3, 4))
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        as_tensor(x, nonneg=nonneg)
 
 
 def test_ntf1_round_trip(tmp_path):
