@@ -1,13 +1,14 @@
 """Generic driver for block coordinate descent with a diminishing radius.
 
-One sweep updates blocks 1..m in order; block ``i`` is replaced by an
-approximate minimizer of its convex quadratic restriction over the block's
-box intersected with a Frobenius ball of radius ``c' * w_n`` around the
-previous block value. The driver records per-sweep diagnostics (objective,
-step norms, radius, a projected-gradient stationarity measure, long/short
-classification, elapsed time) and :func:`verify_trace` re-checks the
-descent, radius-feasibility, and square-summable-step properties on a
-finished trace.
+One sweep updates blocks 1..m in order; block ``i`` is replaced by the
+exact, certified minimizer of its convex quadratic restriction over the
+block's box intersected with a Frobenius ball of radius ``c' * w_n`` around
+the previous block value (see :func:`drbcd.subsolver.solve_block_qp`). The
+driver records per-sweep diagnostics (objective, step norms, radius, a
+projected-gradient stationarity measure, long/short classification, elapsed
+time, and on the last record why the run stopped) and :func:`verify_trace`
+re-checks the descent, radius-feasibility, and square-summable-step
+properties on a finished trace.
 
 A run is strictly sequential; independent runs may execute concurrently.
 """
@@ -79,9 +80,15 @@ class TraceRecord:
     point_class: str
     elapsed_seconds: float
     cumulative_sq_steps: float
-    # Block solves of this sweep that stopped without converging (at the
-    # iteration cap, or falling back to the start). Not written to trace CSVs.
+    # Block solves of this sweep that the exact solve and its certificate
+    # did not settle: pivoting failed, or the projected-gradient loop met
+    # its iteration cap or fell back to the start. Not written to trace CSVs.
     unconverged_solves: int = 0
+    # Why the run stopped, on its last record only: "max_sweeps",
+    # "max_seconds" or "stationarity" (the sweep budget, the time budget, or
+    # the stationarity stop). Empty on every other record. Not written to
+    # trace CSVs.
+    stop_reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,8 @@ def _sweep_loop(
     ``n = 0``. Then ``sweep(blocks, n)`` does sweep ``n >= 1`` and returns
     the new point and a record whose squared steps cover that sweep only;
     the loop accumulates them, stamps the clock, and stops at the sweep,
-    time, or stationarity budget.
+    time, or stationarity budget, which it names in the last record's
+    ``stop_reason``.
     """
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks0]
     if len(blocks) != problem.num_blocks:
@@ -252,6 +260,7 @@ def _sweep_loop(
     ]
 
     cum_sq = 0.0
+    reason = "max_sweeps"
     for n in range(1, cfg.max_sweeps + 1):
         blocks, record = sweep(blocks, n)
         if not math.isfinite(record.objective):
@@ -271,9 +280,12 @@ def _sweep_loop(
             and cfg.compute_stationarity
             and record.stationarity <= cfg.stationarity_stop
         ):
+            reason = "stationarity"
             break
         if elapsed >= cfg.max_seconds:
+            reason = "max_seconds"
             break
+    trace[-1] = replace(trace[-1], stop_reason=reason)
     return blocks, trace
 
 

@@ -345,6 +345,9 @@ class ExperimentSummary:
     # MU), and how many of them stopped without converging.
     block_solves: dict[str, int]
     unconverged_solves: dict[str, int]
+    # Completed runs of each algorithm that its time budget stopped; their
+    # sweep counts depend on the machine's speed.
+    time_stops: dict[str, int]
     # Every broken invariant of the block-descent runs' traces; reported,
     # not a failure.
     violations: list[InvariantViolation]
@@ -367,7 +370,8 @@ class ExperimentSummary:
                 f"{label}: mean initial error {mean_init:.6g}, "
                 f"mean final error {mean_final:.6g} (ratio {ratio:.3g}, "
                 f"{len(final)} runs, {self.short_sweeps[label]} of "
-                f"{self.total_sweeps[label]} sweeps short{solves})"
+                f"{self.total_sweeps[label]} sweeps short{solves}, "
+                f"{self.time_stops[label]} of {len(final)} runs stopped by the time budget)"
             )
         dr_labels = [l for l in self.final_errors if l.startswith("als_dr")]
         if dr_labels and "als" in self.final_errors and self.final_errors["als"]:
@@ -625,6 +629,7 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     total_sweeps: dict[str, int] = {a.label: 0 for a in cfg.algos}
     block_solves: dict[str, int] = {a.label: 0 for a in cfg.algos}
     unconverged_solves: dict[str, int] = {a.label: 0 for a in cfg.algos}
+    time_stops: dict[str, int] = {a.label: 0 for a in cfg.algos}
     violations: list[InvariantViolation] = []
     for algo in cfg.algos:
         for k in range(1, cfg.runs + 1):
@@ -636,6 +641,7 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
             final_errors[algo.label].append(math.sqrt(max(trace[-1].objective, 0.0)))
             short_sweeps[algo.label] += sum(r.point_class == "short" for r in trace[1:])
             total_sweeps[algo.label] += len(trace) - 1
+            time_stops[algo.label] += trace[-1].stop_reason == "max_seconds"
             if algo.name != "mu":
                 block_solves[algo.label] += (len(trace) - 1) * len(trace[0].block_step_norms)
                 unconverged_solves[algo.label] += sum(r.unconverged_solves for r in trace)
@@ -669,5 +675,6 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
         total_sweeps=total_sweeps,
         block_solves=block_solves,
         unconverged_solves=unconverged_solves,
+        time_stops=time_stops,
         violations=violations,
     )

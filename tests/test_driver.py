@@ -64,8 +64,15 @@ def test_sweep_leaves_minimizer_fixed():
 
 
 def test_sweep_counts_unconverged_block_solves(monkeypatch):
-    # One inner step from the origin cannot reach either target, so both
-    # solves of the first sweep stop at the cap.
+    # With the exact solve forced to fail, one inner step from the origin
+    # cannot reach either target, so both solves of the first sweep stop at
+    # the cap.
+    import drbcd.subsolver as subsolver
+
+    def fail(self, warm):
+        raise subsolver._PivotingFailed("forced")
+
+    monkeypatch.setattr(subsolver._ExactBlockSolve, "solve", fail)
     problem = SeparableQuadratic(targets=[1.0, 2.0])
     cfg = make_cfg(schedule=RadiusSchedule(kind="infinite"), qp_max_iters=1)
     _, record = bcd_dr_sweep(problem, scalar_blocks(0.0, 0.0), 1, cfg)
@@ -85,6 +92,23 @@ def test_sweep_counts_unconverged_block_solves(monkeypatch):
     assert [r.unconverged_solves for r in trace] == [0, 1, 1, 1]
     _, trace = run_mu(problem, scalar_blocks(0.5, 0.5), make_cfg(max_sweeps=3))
     assert [r.unconverged_solves for r in trace] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("entry", [run, run_mu])
+@pytest.mark.parametrize(
+    "budget, reason, sweeps",
+    [
+        (dict(max_sweeps=3), "max_sweeps", 3),
+        (dict(max_seconds=2.0), "max_seconds", 2),
+        (dict(stationarity_stop=1e9), "stationarity", 1),
+    ],
+)
+def test_last_record_says_why_the_run_stopped(entry, budget, reason, sweeps):
+    problem = SeparableQuadratic(targets=[1.0, 2.0])
+    _, trace = entry(problem, scalar_blocks(0.5, 0.5), make_cfg(clock="sweep", **budget))
+    assert len(trace) - 1 == sweeps
+    assert trace[-1].stop_reason == reason
+    assert [r.stop_reason for r in trace[:-1]] == [""] * sweeps
 
 
 def test_sweep_rejects_bad_index():

@@ -435,6 +435,22 @@ def test_report_counts_short_sweeps(tmp_path, c_prime, binds):
     assert ("radius never bound: same path as plain als" in comparison) != binds
 
 
+def test_report_counts_runs_stopped_by_the_time_budget(tmp_path):
+    # With the sweep clock, a 3 s budget stops every run at sweep 3, before
+    # the 8-sweep cap.
+    algos = [AlgorithmSpec("als"), AlgorithmSpec("mu")]
+    timed = run_experiment(desk_config(tmp_path / "timed", algos=algos, max_seconds=3.0))
+    assert timed.time_stops == {"als": 2, "mu": 2}
+    assert timed.total_sweeps == {"als": 6, "mu": 6}
+    lines = timed.report().splitlines()
+    for label in ("als", "mu"):
+        line = next(l for l in lines if l.startswith(f"{label}:"))
+        assert "2 of 2 runs stopped by the time budget" in line
+    capped = run_experiment(desk_config(tmp_path / "capped", algos=algos))
+    assert capped.time_stops == {"als": 0, "mu": 0}
+    assert "0 of 2 runs stopped by the time budget" in capped.report()
+
+
 def test_report_counts_unconverged_block_solves(tmp_path, monkeypatch):
     # Every second block solve reads unconverged; MU makes no block solves.
     import drbcd.driver as driver

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -320,15 +321,6 @@ def test_solver_feasible_output_and_descent():
         assert q.objective(res.point) <= q.objective(center) + 1e-12
 
 
-def test_solver_inner_objective_monotone_debug_flag():
-    rng = np.random.default_rng(6)
-    q = random_psd_problem(rng, 2, 3)
-    center = rng.random((2, 3)) * 0.5
-    fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=center, radius=0.3)
-    res = solve_block_qp(q, fs, start=center, debug=True)
-    assert fs.contains(res.point)
-
-
 def test_solver_infinite_radius_reduces_to_box_least_squares():
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -352,12 +344,24 @@ def test_feasible_set_requires_center_in_box():
         BoxBallFeasibleSet(lower=0.0, upper=1.0, center=np.array([[2.0]]), radius=0.5)
 
 
-def test_solver_fallback_to_start_is_reported(monkeypatch):
-    # A step far above 1/L makes the iterates bounce between the box faces,
-    # ending worse than the start: the start comes back, reported as not
-    # converged and with the start's own fixed-point residual.
+def fail_exact_solves(monkeypatch):
+    """Make every exact solve fail as pivoting that meets its round cap does."""
     import drbcd.subsolver as subsolver
 
+    def fail(self, warm):
+        raise subsolver._PivotingFailed("forced")
+
+    monkeypatch.setattr(subsolver._ExactBlockSolve, "solve", fail)
+
+
+def test_solver_fallback_to_start_is_reported(monkeypatch):
+    # With the exact solve failing, a step far above 1/L makes the iterates
+    # bounce between the box faces, ending worse than the start: the start
+    # comes back, reported as not converged and with the start's own
+    # fixed-point residual.
+    import drbcd.subsolver as subsolver
+
+    fail_exact_solves(monkeypatch)
     monkeypatch.setattr(subsolver, "lipschitz_estimate", lambda q: 1e-6)
     b = np.full((1, 2), 5.0)
     q = QuadraticBlockSubproblem(gram=np.eye(2), linear=b, constant=float(np.sum(b**2)))
@@ -389,3 +393,180 @@ def test_solver_fallback_after_convergence_is_not_converged():
     expected = np.linalg.norm(start - project_box_ball(step, fs).point)
     assert res.residual == pytest.approx(expected)
     assert res.residual > 1e-3
+
+
+def test_failed_pivoting_runs_the_loop_from_the_start(monkeypatch):
+    # The loop converges from the start, but the solve still reports that it
+    # did not, so the sweep counts it.
+    rng = np.random.default_rng(8)
+    q = random_psd_problem(rng, 3, 2)
+    center = rng.random((3, 2)) * 0.5
+    fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=center, radius=0.2)
+    exact = solve_block_qp(q, fs, start=center)
+    assert exact.converged and exact.iterations == 1
+
+    fail_exact_solves(monkeypatch)
+    res = solve_block_qp(q, fs, start=center, tol=1e-12, max_iters=5000)
+    assert not res.converged
+    assert 1 < res.iterations < 5000
+    assert res.residual <= 1e-12 * (1.0 + np.linalg.norm(res.point))
+    assert np.abs(res.point - exact.point).max() <= 1e-8
+    assert fs.contains(res.point, tol=0.0)
+
+
+def test_solver_with_a_singular_gram_from_a_zero_column():
+    # A zero column in block 0 zeroes that row and column of block 1's Gram
+    # and that column of its linear term: any value of the column is
+    # optimal, and U(0) is not unique. The solve divides by no zero and is
+    # certified, and it leaves the column where it was.
+    from drbcd.factorization import NtfProblem
+
+    rng = np.random.default_rng(3)
+    problem = NtfProblem(rng.random((4, 5, 6)), 3)
+    blocks = [rng.random((d, 3)) for d in (4, 5, 6)]
+    blocks[0][:, 1] = 0.0
+    q = problem.block_subproblem(blocks, 1)
+    assert np.linalg.matrix_rank(q.gram) == 2 and not q.linear[:, 1].any()
+    for radius in (math.inf, 1e5, 0.1):
+        fs = BoxBallFeasibleSet(0.0, problem.box_bound, center=blocks[1], radius=radius)
+        with np.errstate(divide="raise", invalid="raise"):
+            res = solve_block_qp(q, fs, start=blocks[1])
+        assert fs.contains(res.point, tol=0.0)
+        assert q.objective(res.point) <= q.objective(blocks[1])
+        assert res.converged and res.residual <= 1e-8 * (1.0 + np.linalg.norm(res.point))
+        assert np.abs(res.point[:, 1] - blocks[1][:, 1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "radius, expected",
+    [(math.inf, [[0.5, 1.0], [0.5, 0.0]]), (1.0, [[0.5, 1.0], [0.5, 0.0]])],
+)
+def test_solver_with_a_singular_gram_and_a_linear_term_off_its_range(radius, expected):
+    # q = 2 u_0^2 - 2 u_0 - 2 b u_1 per row: u_1 has no curvature but a
+    # slope, so it runs to the face that the slope points at.
+    q = QuadraticBlockSubproblem(gram=np.diag([2.0, 0.0]), linear=np.array([[1.0, 0.5], [1.0, -0.5]]))
+    center = np.full((2, 2), 0.3)
+    fs = BoxBallFeasibleSet(0.0, 1.0, center=center, radius=radius)
+    with np.errstate(divide="raise", invalid="raise"):
+        res = solve_block_qp(q, fs, start=center)
+    assert res.converged
+    assert_allclose(res.point, expected, rtol=0.0, atol=1e-12)
+
+
+def test_exact_solve_settles_where_rounding_blurs_the_radius():
+    # Entries of 10 against a radius of 1e-5: ||U - C|| carries rounding of
+    # ~1e-10 of the radius, more than the 1e-12 the secular equation is
+    # solved to, so the computed distance and the root never agree and the
+    # multiplier bracket has to close by bisection.
+    gram = np.array([[2.29866618, 4.02078059], [4.02078059, 7.03307626]])
+    linear = np.array([[1.19979268, 2.61516979], [-0.40733137, -5.55171036],
+                       [0.77479571, 0.74021453], [-1.53056045, -2.63502908],
+                       [-3.53580865, 0.56748046]])
+    center = np.array([[0.0, 10.0], [10.0, 0.0], [10.0, 0.0], [0.0, 10.0], [0.0, 10.0]])
+    fs = BoxBallFeasibleSet(0.0, 1e12, center=center, radius=1e-5)
+    res = solve_block_qp(QuadraticBlockSubproblem(gram=gram, linear=linear), fs, start=center)
+    assert res.converged and res.iterations == 1
+    assert np.linalg.norm(res.point - center) <= 1e-5 + 1e-14 * np.linalg.norm(center)
+
+
+# ---------------------------------------------------------------------------
+# The exact solve against an oracle that enumerates every row's faces
+
+
+def box_rows_by_enumeration(h, rhs, lo, hi):
+    """Per row ``i``, the minimizer of ``u^T h u - 2 u^T rhs_i`` over ``[lo, hi]^r``.
+
+    Tries all ``3^r`` lower/free/upper patterns: the free entries solve
+    their block of the normal equations with the others on their faces.
+    Each row keeps the pattern whose point breaks the KKT conditions least
+    (``h`` is positive definite, so exactly one pattern meets them).
+    """
+    r = h.shape[0]
+    faces = np.array(list(itertools.product((-1, 0, 1), repeat=r)))
+    free = faces == 0
+    held = np.where(free, 0.0, np.where(faces < 0, lo, hi))
+    m = np.where(free[:, :, None] & free[:, None, :], h, np.eye(r))
+    b = np.where(free[:, None, :], rhs[None] - (held @ h)[:, None, :], held[:, None, :])
+    u = np.linalg.solve(m[:, None], b[..., None])[..., 0]
+    y = u @ h - rhs
+    scale = np.abs(rhs).max() + np.abs(u).max(axis=(1, 2), keepdims=True) * np.abs(h).max()
+    f = free[:, None, :]
+    violation = np.maximum.reduce([
+        np.where(f, lo - u, -np.inf),
+        np.where(f, u - hi, -np.inf),
+        np.where(faces[:, None, :] < 0, -y / scale, -np.inf),
+        np.where(faces[:, None, :] > 0, y / scale, -np.inf),
+    ]).max(axis=2)
+    pick = np.argmin(violation, axis=0)
+    return u[pick, np.arange(rhs.shape[0])]
+
+
+def enumeration_oracle(q, fs):
+    """Minimizer over box ∩ ball by bisection on the ball multiplier ``mu``.
+
+    At ``mu`` the rows decouple into box QPs with Gram ``G + mu I`` and
+    linear term ``B + mu C``, solved by enumeration; the distance from the
+    center falls as ``mu`` grows. The bisection runs until the midpoint
+    rounds to an end of the bracket, and returns the point inside the ball.
+    """
+    g, b, c, r = q.gram, q.linear, fs.center, fs.radius
+    eye = np.eye(g.shape[0])
+
+    def u_of(mu):
+        return box_rows_by_enumeration(g + mu * eye, b + mu * c, fs.lower, fs.upper)
+
+    def outside(mu):
+        return float(np.linalg.norm(u_of(mu) - c)) > r
+
+    if math.isinf(r) or not outside(0.0):
+        return u_of(0.0)
+    lo, hi = 0.0, 1.0
+    while outside(hi):
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if outside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return u_of(hi)
+
+
+@st.composite
+def block_problems(draw):
+    """A block QP with a Gram of condition number up to 1e6, and its box ∩ ball.
+
+    The linear term is scaled so that the unconstrained minimizer leaves the
+    box at both faces; centers have entries on both faces; the radius is
+    infinite, or from far inside the ball's reach to far outside it.
+    """
+    d, r = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    eigenvalues = np.geomspace(1.0, 10.0 ** -draw(st.floats(0.0, 6.0)), r)
+    gram = (basis * (eigenvalues * 10.0 ** draw(st.floats(-2.0, 2.0)))) @ basis.T
+    linear = rng.standard_normal((d, r)) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    upper = draw(st.sampled_from([0.3, 1.0, 1e12]))
+    center = rng.random((d, r)) * min(upper, 1.0)
+    on_face = rng.random((d, r))
+    center[on_face < draw(st.floats(0.0, 0.5))] = 0.0
+    if upper < 1e12:
+        center[on_face > 1.0 - draw(st.floats(0.0, 0.5))] = upper
+    radius = draw(st.just(math.inf) | st.floats(1e-3, 10.0) | st.floats(1e-3, 1.0))
+    q = QuadraticBlockSubproblem(gram=(gram + gram.T) / 2.0, linear=linear)
+    return q, BoxBallFeasibleSet(lower=0.0, upper=upper, center=center, radius=radius)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=block_problems())
+def test_exact_solve_matches_the_enumeration_oracle(case):
+    q, fs = case
+    res = solve_block_qp(q, fs, start=fs.center)
+    u = res.point
+    assert res.converged
+    assert fs.lower <= u.min() and u.max() <= fs.upper
+    assert np.linalg.norm(u - fs.center) <= fs.radius * (1.0 + 1e-12)
+    oracle = enumeration_oracle(q, fs)
+    f, f_oracle = q.objective(u), q.objective(oracle)
+    # Relative to the size of the terms whose difference the objective is.
+    scale = abs(f_oracle) + float(np.sum((oracle @ q.gram) * oracle))
+    assert abs(f - f_oracle) <= 1e-12 * scale

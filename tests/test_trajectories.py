@@ -23,7 +23,8 @@ PARENT = [[10.0, 4.0, "long"], [8.0, 2.0, "short"], [7.0, 1.0, "short"]]
 def test_identical_traces(trajectories):
     c = trajectories.compare(PARENT, [list(r) for r in PARENT])
     assert c == {"sweeps": (2, 2), "objective": 0.0, "stationarity": 0.0,
-                 "identical": True, "classes_match": True}
+                 "identical": True, "classes_match": True,
+                 "final_objective": (7.0, 7.0), "min_stationarity": (1.0, 1.0)}
 
 
 def test_deviations_are_relative_to_the_larger_value(trajectories):
@@ -45,3 +46,16 @@ def test_class_and_length_mismatches(trajectories):
     assert shorter["sweeps"] == (2, 1)
     assert not shorter["identical"] and not shorter["classes_match"]
     assert shorter["objective"] == 0.0
+
+
+def test_each_side_ends_with_its_own_final_objective_and_lowest_stationarity(trajectories):
+    # The change ends lower, after a stationarity measure that is not
+    # monotone: its running minimum is reached before the last sweep.
+    change = [[10.0, 4.0, "long"], [6.0, 0.5, "short"], [5.0, 0.9, "short"], [4.5, 0.7, "short"]]
+    c = trajectories.compare(PARENT, change)
+    assert c["sweeps"] == (2, 3)
+    assert c["final_objective"] == (7.0, 4.5)
+    assert c["min_stationarity"] == (1.0, 0.5)
+    shorter = trajectories.compare(PARENT, PARENT[:2])
+    assert shorter["final_objective"] == (7.0, 8.0)
+    assert shorter["min_stationarity"] == (1.0, 2.0)
