@@ -82,12 +82,11 @@ class TraceRecord:
     cumulative_sq_steps: float
     # Block solves of this sweep that the exact solve and its certificate
     # did not settle: pivoting failed, or the projected-gradient loop met
-    # its iteration cap or fell back to the start. Not written to trace CSVs.
+    # its iteration cap or fell back to the start.
     unconverged_solves: int = 0
     # Why the run stopped, on its last record only: "max_sweeps",
     # "max_seconds" or "stationarity" (the sweep budget, the time budget, or
-    # the stationarity stop). Empty on every other record. Not written to
-    # trace CSVs.
+    # the stationarity stop). Empty on every other record.
     stop_reason: str = ""
 
 

@@ -44,7 +44,10 @@ __all__ = [
     "write_aggregate_csv",
 ]
 
-TRACE_HEADER = "run,iter,elapsed_s,objective,recon_error,step_norm_total,radius,stationarity,point_class"
+TRACE_HEADER = (
+    "run,iter,elapsed_s,objective,recon_error,step_norm_total,radius,stationarity,point_class,"
+    "unconverged_solves,stop_reason"
+)
 AGGREGATE_HEADER = "elapsed_s,algorithm,mean_error,std_error,n_runs"
 
 ALGORITHM_NAMES = ("als_dr", "als", "mu")
@@ -474,6 +477,8 @@ def write_trace_csv(path, run_index: int, trace: Sequence[TraceRecord]) -> None:
                     _fmt(rec.radius),
                     _fmt(rec.stationarity),
                     rec.point_class,
+                    str(rec.unconverged_solves),
+                    rec.stop_reason,
                 ]
             )
         )

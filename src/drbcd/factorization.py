@@ -29,10 +29,12 @@ import numpy as np
 from .driver import SolverConfig, TraceRecord, _sweep_loop, stationarity_measure
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
-    _coo_by_mode,
+    _coo_matrix,
     _coo_mttkrp,
+    _coo_partial,
     _coo_residual,
     _khatri_rao_native,
+    _khatri_rao_t,
     _last_mode_mttkrp,
     _last_mode_partial,
     _mttkrp_from_partial,
@@ -68,30 +70,34 @@ class FactorModel:
         return [f.copy() for f in self.factors]
 
 
-# ``NtfProblem`` keeps coordinate lists of the data's nonzeros, and passes
+# ``NtfProblem`` keeps a coordinate list of the data's nonzeros, and passes
 # over them alone, when they are fewer than this share of the entries. The
-# objective plus three MTTKRPs, rank 5 on one BLAS thread, took (dense /
-# nonzero-only, ms, fastest of 15 calls) at a nonzero share of 0.5%, 1%, 2%,
-# 3%, 4% and 5%: on 90x500x100 17.0/3.2, 16.5/6.9, 29.8/14.2, 30.0/21.2,
-# 29.6/27.8 and 28.8/35.9; on 100x200x300 18.1/3.3, 18.7/6.0, 26.8/17.6,
-# 26.4/19.4, 24.9/22.9 and 29.1/37.0. The paths cross at 4-5%; at half of
-# that the nonzero path is still about twice as fast.
+# objective plus one MTTKRP per mode from a cleared memo, rank 5 on one BLAS
+# thread, took (dense / nonzero-only, ms, fastest of 15 calls, better of two
+# runs) at a nonzero share of 0.5%, 1%, 2%, 3%, 4%, 5%, 7.5% and 10%: on
+# 90x500x100 13.6/1.9, 16.0/3.6, 14.1/4.2, 14.1/5.5, 13.5/6.6, 13.1/7.8,
+# 13.2/12.1 and 12.9/14.6; on 100x200x300 15.6/2.6, 16.7/4.0, 16.1/5.8,
+# 16.2/8.5, 17.0/10.8, 16.5/12.9, 14.3/18.8 and 13.9/23.8. On 30x30x30x30,
+# whose 27,000 cells outnumber the nonzeros below 3%, at 0.5%, 1%, 2%, 3%
+# and 5%: 4.7/2.6, 4.6/3.0, 4.8/4.8, 4.8/4.1 and 6.0/4.3. (Per-mode lists,
+# with no pass over the cells, took 0.8 and 1.6 ms there at 0.5% and 1%.)
+# The paths cross at 5-10% on the three-mode shapes, but the short
+# four-mode shape ties at 2%, so the share stays there.
 SPARSE_SHARE = 0.02
 
 
-def _coordinate_lists(
-    data: np.ndarray,
-) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]] | None:
-    """The nonzeros of ``data`` as read-only coordinate lists, or ``None``.
+def _nonzero_list(
+    data: np.ndarray, pivot: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The nonzeros of ``data`` as one read-only coordinate list, or ``None``.
 
-    List ``k`` is ``(coords, values)``, with one ``intp`` index array per
-    mode, ordered by ``coords[k]`` (see :func:`drbcd.tensors._coo_by_mode`);
-    list 0 is in the row-major order of the entries. ``None`` means the
-    nonzeros are at least :data:`SPARSE_SHARE` of the entries. A fixed
-    strided sample of about 16k entries is counted first, so that dense
-    data pays no full pass; only data whose sample has fewer than twice
-    that share of nonzeros is searched in full, and then the exact share
-    decides.
+    The list is ``(rows, cols, values)`` of the matricization at ``pivot``,
+    ordered by ``rows`` (see :func:`drbcd.tensors._coo_matrix`). ``None``
+    means the nonzeros are at least :data:`SPARSE_SHARE` of the entries. A
+    fixed strided sample of about 16k entries is counted first, so that
+    dense data pays no full pass; only data whose sample has fewer than
+    twice that share of nonzeros is searched in full, and then the exact
+    share decides.
     """
     flat = data.ravel()
     sample = flat[:: max(1, flat.size >> 14)]
@@ -100,13 +106,10 @@ def _coordinate_lists(
     nonzero = np.flatnonzero(flat != 0.0)
     if nonzero.size >= SPARSE_SHARE * flat.size:
         return None
-    coords = np.unravel_index(nonzero, data.shape)
-    values = flat[nonzero]
-    lists = [(coords, values)] + [_coo_by_mode(coords, values, k) for k in range(1, data.ndim)]
-    for coords, values in lists:
-        for a in (*coords, values):
-            a.flags.writeable = False
-    return lists
+    coo = _coo_matrix(nonzero, flat[nonzero], data.shape, pivot)
+    for a in coo:
+        a.flags.writeable = False
+    return coo
 
 
 def default_box_bound(data: np.ndarray, num_blocks: int) -> float:
@@ -118,14 +121,14 @@ def default_box_bound(data: np.ndarray, num_blocks: int) -> float:
 class _Memo(threading.local):
     """One thread's memo of the MTTKRP work on one problem.
 
-    ``partial`` is the last-mode partial contraction, keyed by the bytes of
-    the last block it was computed from; ``linear[i]`` is block ``i``'s
-    linear term, keyed by the bytes of every other block. ``slab`` is the
-    objective's residual buffer, one row block of the data's native view
-    ``X.reshape(-1, d_last)`` (see :data:`drbcd.tensors.SLAB_BYTES`), so the
-    objective never makes a tensor-sized temporary. ``chunk`` is the
-    scratch of the nonzero-only passes, two ``(r, n)`` products for a chunk
-    of ``n`` nonzeros.
+    ``partial`` is the data contracted with the pivot's block along the
+    pivot (see :class:`NtfProblem`), keyed by the bytes of that block;
+    ``linear[i]`` is block ``i``'s linear term, keyed by the bytes of every
+    other block. ``slab`` is the dense objective's residual buffer, one row
+    block of the data's native view ``X.reshape(-1, d_last)`` (see
+    :data:`drbcd.tensors.SLAB_BYTES`), so the objective never makes a
+    tensor-sized temporary. ``chunk`` is the scratch of the nonzero-only
+    passes, an ``(r, n)`` product for a chunk of ``n`` nonzeros.
     """
 
     def __init__(self, num_blocks: int):
@@ -148,18 +151,29 @@ class NtfProblem:
     measure computed. A result is the same, bit for bit, on a hit and on a
     miss: a miss computes exactly what a hit returns.
 
+    The MTTKRPs follow a two-level dimension tree around one pivot mode.
+    Each thread memoizes the partial ``P``, the data contracted with the
+    pivot's block along the pivot; every other mode's term contracts ``P``
+    with the remaining blocks (see :mod:`drbcd.tensors`), and the pivot's
+    own term is one pass over the data. A sweep and its stationarity
+    measure so pass over the data for their MTTKRPs twice when the pivot
+    is the last mode, and three times otherwise, instead of six times.
+
     Which passes run depends on the data alone. When its nonzeros are fewer
-    than :data:`SPARSE_SHARE` of the entries, the problem keeps read-only
-    coordinate lists of them next to :attr:`data`, one ordered by each
-    mode, and the MTTKRPs and the objective visit the nonzeros alone (the
+    than :data:`SPARSE_SHARE` of the entries, the problem keeps one
+    read-only coordinate list of them next to :attr:`data`, and the
+    MTTKRPs and the objective visit the nonzeros alone (the
     coordinate-format MTTKRP and factored-tensor norm of Bader & Kolda
     2007, "Efficient MATLAB computations with sparse and factored
-    tensors"). Otherwise each thread
-    also memoizes the last-mode partial contraction (see
-    :mod:`drbcd.tensors`), so that a sweep and its stationarity measure
-    pass over the tensor about twice for their MTTKRPs instead of six
-    times, and the objective is a third pass, over cache-sized row slabs of
-    the data's native view ``X.reshape(-1, d_last)``.
+    tensors", on the dimension tree of Kaya & Uçar 2018, "Parallel
+    CANDECOMP/PARAFAC decomposition of sparse tensors using dimension
+    trees"). The list holds the data as a sparse matrix whose rows are the
+    indices of the pivot, the longest mode (the last of equal lengths), and
+    whose columns are the cells of the other modes, ordered by row; ``P``
+    then has one row per cell, never more than on the dense path. Dense
+    data pivots on the last mode, and the objective is a pass over
+    cache-sized row slabs of the data's native view ``X.reshape(-1,
+    d_last)``.
     """
 
     def __init__(self, data, rank: int, box_bound: float | None = None):
@@ -176,10 +190,14 @@ class NtfProblem:
                 f"every data mode needs positive length, got shape {self.data.shape}"
             )
         self.rank = int(rank)
-        self._coo = _coordinate_lists(self.data)
+        # The longest mode (the last of equal lengths) is the sparse pivot:
+        # its partial then has the fewest cells.
+        longest = self.data.ndim - 1 - int(np.argmax(self.data.shape[::-1]))
+        self._coo = _nonzero_list(self.data, longest)
+        self._pivot = self.data.ndim - 1 if self._coo is None else longest
         # Every nonzero entry (NaN and infinities among them): the checks,
         # the maximum and the square sum need no more.
-        entries = self.data.ravel() if self._coo is None else self._coo[0][1]
+        entries = self.data.ravel() if self._coo is None else self._coo[2]
         as_tensor(entries, nonneg=True)
         self.box_bound = (
             default_box_bound(entries, self.data.ndim) if box_bound is None else float(box_bound)
@@ -250,9 +268,11 @@ class NtfProblem:
     def _coo_objective(self, blocks: list[np.ndarray]) -> float | None:
         """The objective from the nonzeros, or ``None`` if rounding forbids it.
 
-        The residual at the nonzeros is explicit. The zeros' share is the
-        model's energy ``||M||^2``, the sum of the Hadamard product of the
-        block Grams, less the model's energy at the nonzeros.
+        The residual at the nonzeros is explicit, from the pivot block's rows
+        and the rows of the other blocks' Khatri-Rao product at the cells.
+        The zeros' share is the model's energy ``||M||^2``, the sum of the
+        Hadamard product of the block Grams, less the model's energy at the
+        nonzeros.
 
         Each Gram entry ``G_k[a, b]`` is a dot product of length ``d_k``, so
         it errs by at most ``d_k u n_k[a] n_k[b]`` to first order, with
@@ -270,7 +290,10 @@ class NtfProblem:
         """
         grams = [b.T @ b for b in blocks]
         energy = float(np.prod(grams, axis=0).sum())
-        residual, at_nonzeros = _coo_residual(*self._coo[0], blocks, self._chunk_scratch())
+        pivot, others = self._split(blocks)
+        residual, at_nonzeros = _coo_residual(
+            *self._coo, pivot, _khatri_rao_t(others), self._chunk_scratch()
+        )
         total = residual + (energy - at_nonzeros)
         scale = float(np.sqrt(np.prod([np.diag(g) for g in grams], axis=0)).sum()) ** 2
         unit_roundoff = np.finfo(np.float64).eps / 2
@@ -280,11 +303,16 @@ class NtfProblem:
     def _chunk_scratch(self) -> np.ndarray:
         """This thread's scratch for the nonzero-only passes, grown as needed."""
         memo = self._memo
-        chunks = _row_slabs(self._coo[0][1].shape[0], 8 * self.rank)
-        size = 2 * self.rank * (chunks[0][1] if chunks else 0)  # the first is a longest
+        chunks = _row_slabs(self._coo[2].shape[0], 8 * self.rank)
+        size = self.rank * (chunks[0][1] if chunks else 0)  # the first is a longest
         if memo.chunk is None or memo.chunk.size < size:
             memo.chunk = np.empty(size)
         return memo.chunk
+
+    def _split(self, blocks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The pivot's block, and the other blocks in mode order."""
+        p = self._pivot
+        return blocks[p], blocks[:p] + blocks[p + 1 :]
 
     def block_subproblem(
         self, blocks: Sequence[np.ndarray], i: int
@@ -307,29 +335,44 @@ class NtfProblem:
         )
 
     def _linear(self, blocks: list[np.ndarray], i: int) -> np.ndarray:
-        """MTTKRP of the data with every block but ``i``; read-only, memoized."""
+        """MTTKRP of the data with every block but ``i``; read-only, memoized.
+
+        A two-level dimension tree: every mode but the pivot contracts the
+        memoized partial of the pivot's block with the other blocks, and the
+        pivot's own term is one pass over the data.
+        """
         memo = self._memo
         key = tuple(b.tobytes() for j, b in enumerate(blocks) if j != i)
         cached_key, linear = memo.linear[i]
         if cached_key == key:
             return linear
-        if self._coo is not None:
-            linear = _coo_mttkrp(*self._coo[i], blocks, i, self._chunk_scratch())
-        elif i == self.num_blocks - 1:
-            linear = _last_mode_mttkrp(self.data, blocks[:-1])
+        pivot, others = self._split(blocks)
+        if i != self._pivot:
+            linear = _mttkrp_from_partial(self._partial(pivot), others, i - (i > self._pivot))
+        elif self._coo is None:
+            linear = _last_mode_mttkrp(self.data, others)
         else:
-            linear = _mttkrp_from_partial(self._partial(blocks[-1]), blocks[:-1], i)
+            kr_t = _khatri_rao_t(others)
+            linear = _coo_mttkrp(*self._coo, kr_t, pivot.shape[0], self._chunk_scratch())
         linear.flags.writeable = False
         memo.linear[i] = (key, linear)
         return linear
 
-    def _partial(self, last: np.ndarray) -> np.ndarray:
-        """Last-mode partial contraction with block ``last``; read-only, memoized."""
+    def _partial(self, pivot: np.ndarray) -> np.ndarray:
+        """The data contracted with the pivot's block along the pivot; read-only, memoized.
+
+        Shaped as the other modes, plus a trailing axis of length ``r``.
+        """
         memo = self._memo
-        key = last.tobytes()
+        key = pivot.tobytes()
         cached_key, partial = memo.partial
         if cached_key != key:
-            partial = _last_mode_partial(self.data, last)
+            if self._coo is None:
+                partial = _last_mode_partial(self.data, pivot)
+            else:
+                shape = self.data.shape[: self._pivot] + self.data.shape[self._pivot + 1 :]
+                cells = _coo_partial(*self._coo, pivot, math.prod(shape))
+                partial = cells.reshape(shape + (self.rank,))
             partial.flags.writeable = False
             memo.partial = (key, partial)
         return partial

@@ -10,11 +10,11 @@ For a ball multiplier ``mu >= 0`` the rows decouple into box QPs with Gram
 once, and Newton steps on the secular equation of the trust-region step
 (Moré & Sorensen 1983) find ``mu``; the two alternate until the faces are
 optimal at a multiplier complementary to the ball. One projected-gradient
-step with a ``1/L`` step, where ``L`` estimates the gradient's Lipschitz
-constant ``2 lambda_max(G)``, then certifies the exact point: its fixed-point
-residual must fall below the tolerance. When pivoting fails, the
-projected-gradient loop runs from the start instead, and the solve reports
-that it did not converge.
+step with a ``1/L`` step, where ``L`` is a hair above the gradient's
+Lipschitz constant ``2 lambda_max(G)`` from one eigenvalue solve, then
+certifies the exact point: its fixed-point residual must fall below the
+tolerance. When pivoting fails, the projected-gradient loop runs from the
+start instead, and the solve reports that it did not converge.
 
 Each step projects exactly onto the intersection: a clamp or a radial shrink
 when one constraint alone decides it, else the clamped ray from the center
@@ -26,7 +26,6 @@ point, which is what the outer sweep's monotone-descent guarantee rests on.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -44,10 +43,6 @@ __all__ = [
     "lipschitz_estimate",
     "solve_block_qp",
 ]
-
-# Deterministic start vector for the power iteration; a fixed pseudo-random
-# direction avoids starts orthogonal to the leading eigenvector.
-_POWER_SEED = 0x5EED
 
 GRAM_SYMMETRY_TOL = 1e-12
 
@@ -220,50 +215,19 @@ def project_box_ball(p, feasible: BoxBallFeasibleSet) -> ProjectionResult:
     return ProjectionResult(np.clip(z, lo, hi, out=z), True, cycles)
 
 
-@functools.lru_cache(maxsize=None)
-def _power_start(r: int) -> np.ndarray:
-    """The normalized start vector of the power iteration for rank ``r``.
+def _lipschitz(gram: np.ndarray) -> float:
+    """A hair above ``2 lambda_max(gram)``, or a small floor for a zero matrix.
 
-    Built once per rank and shared by every caller, so it is read-only.
+    The ``1/L`` step it gives never exceeds the stable step of projected
+    gradient on a quadratic with this Gram.
     """
-    rng = np.random.Generator(np.random.Philox(key=_POWER_SEED))
-    v = rng.standard_normal(r)
-    v /= np.linalg.norm(v)
-    v.flags.writeable = False
-    return v
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    return max(2.0 * top * (1.0 + 1e-6), 1e-12)
 
 
-def lipschitz_estimate(
-    q: QuadraticBlockSubproblem, tol: float = 1e-12, max_iters: int = 500
-) -> float:
-    """Estimate the gradient Lipschitz constant ``2 lambda_max(gram)``.
-
-    Power iteration from a fixed pseudo-random start; returns a hair above
-    twice the converged Rayleigh quotient so the ``1/L`` step never exceeds
-    the true stable step. Falls back to a small floor for a zero matrix.
-    """
-    g = q.gram
-    r = g.shape[0]
-    scale = float(np.max(np.abs(g), initial=0.0))
-    if scale == 0.0:
-        return 1e-12
-    v = _power_start(r)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = g @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            # start happened to be in the null space; perturb deterministically
-            v = v + 1.0 / (1.0 + np.arange(r))
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm
-        lam_new = float(v @ (g @ v))
-        if abs(lam_new - lam) <= tol * (1.0 + abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return max(2.0 * lam * (1.0 + 1e-6), 1e-12)
+def lipschitz_estimate(q: QuadraticBlockSubproblem) -> float:
+    """The gradient Lipschitz constant ``2 lambda_max(gram)`` of ``q``, a hair above."""
+    return _lipschitz(q.gram)
 
 
 # Caps on the exact solve: pivoting rounds in all, past which the solve
@@ -567,8 +531,7 @@ def solve_block_qp(
     if not feasible.contains(start, tol=1e-8 * (1.0 + float(np.abs(start).max(initial=0.0)))):
         raise ValueError("start point is infeasible for the box/ball constraints")
 
-    lip = lipschitz_estimate(q)
-    step = 1.0 / lip
+    step = 1.0 / _lipschitz(q.gram)
 
     def _project(y: np.ndarray) -> np.ndarray:
         if math.isinf(feasible.radius):

@@ -15,13 +15,16 @@ two-level dimension tree). ``P`` is formed over row blocks of ``Xr`` of
 about :data:`SLAB_BYTES` each, written into one preallocated result, so that
 each block stays in cache while it is multiplied.
 
-The private ``_coo_*`` kernels work on a coordinate list of a tensor's
-nonzeros (one index array per mode, plus the values) and never touch its
-zeros: the MTTKRP gathers the other factors' rows at the nonzeros, scales
-their products by the values and sums them into the rows of the result,
-and :func:`_coo_residual` gives the residual and the model's energy at the
-nonzeros. They take the nonzeros in chunks whose products fill about
-:data:`SLAB_BYTES`.
+The private ``_coo_*`` kernels apply the same tree to a coordinate list of
+a tensor's nonzeros and never touch its zeros. The list is the tensor as a
+sparse matrix (see :func:`_coo_matrix`): its rows are the indices of one
+pivot mode, its columns the cells of the other modes, ordered by row.
+:func:`_coo_partial` scatters the partial ``P`` over the cells,
+:func:`_coo_mttkrp` gives the pivot's MTTKRP by gathering rows of the
+other factors' Khatri-Rao product at the cells and summing them over each
+row, and :func:`_coo_residual` gives the residual and the model's energy
+at the nonzeros from the same two gathers. They take the nonzeros in
+chunks whose products fill about :data:`SLAB_BYTES`.
 
 All functions are safe to call concurrently; they write to nothing but
 their results and the scratch buffers the ``_coo_*`` kernels are given.
@@ -135,6 +138,19 @@ def _khatri_rao_native(mats) -> np.ndarray:
     return reduce(khatri_rao, mats)
 
 
+def _khatri_rao_t(mats) -> np.ndarray:
+    """``_khatri_rao_native(mats).T``, C-contiguous and formed in that layout.
+
+    Its inner loops run over the factors' rows rather than over the rank,
+    which makes it several times faster to form than the transpose of the
+    native product, with the same entries bit for bit.
+    """
+    out = np.ascontiguousarray(mats[0].T)
+    for m in mats[1:]:
+        out = (out[:, :, None] * np.ascontiguousarray(m.T)[:, None, :]).reshape(out.shape[0], -1)
+    return out
+
+
 def _row_slabs(rows: int, row_bytes: int) -> list[tuple[int, int]]:
     """``(start, stop)`` ranges covering ``rows`` rows, about :data:`SLAB_BYTES` each.
 
@@ -198,85 +214,107 @@ def _last_mode_mttkrp(x, factors) -> np.ndarray:
     return np.ascontiguousarray((kr_t @ x.reshape(-1, x.shape[-1])).T)
 
 
-def _coo_products(coords, factors_t, skip, start: int, stop: int, scratch) -> np.ndarray:
-    """Row products of the factors at nonzeros ``start:stop``, transposed.
+def _coo_matrix(flat_index, values, shape, pivot: int):
+    """Entries of a tensor as a coordinate list of its matricization at ``pivot``.
 
-    ``coords`` holds one index array per mode of a coordinate list and
-    ``factors_t`` the C-contiguous transpose, ``(r, d_k)``, of every mode's
-    factor; the mode ``skip`` (``None`` for none) is left out. Returns the
-    ``(r, stop - start)`` array whose column ``n`` is the entrywise product
-    of row ``coords[k][start + n]`` of every other factor ``k``, written
-    into the front of ``scratch``, a flat buffer of at least
-    ``2 r (stop - start)`` doubles. Gathering with ``np.take`` along the
-    rows of the transposed factors is 2-3x faster than indexing the
-    factors' rows; ``mode="clip"``, a no-op on indices in range, lets it
-    write straight into the scratch, which the default mode would buffer.
+    ``flat_index`` holds the row-major positions of the entries in a tensor
+    of ``shape`` and ``values`` the entries. The matrix's rows are the
+    indices of mode ``pivot``; its columns are the cells of the other modes,
+    a cell being one combination of their indices, numbered row-major (as
+    the rows of :func:`_khatri_rao_native` of their factors are). Returns
+    ``(rows, cols, values)`` ordered by ``rows``, stably, which is the order
+    :func:`_coo_mttkrp` needs. The rows are sorted as the smallest unsigned
+    type that holds them, for which numpy's stable sort is a radix sort,
+    about 10x faster than on ``intp``.
     """
-    rank, count = factors_t[0].shape[0], stop - start
-    out = scratch[: rank * count].reshape(rank, count)
-    tmp = scratch[rank * count : 2 * rank * count].reshape(rank, count)
-    first = True
-    for k, (idx, f_t) in enumerate(zip(coords, factors_t)):
-        if k == skip:
-            continue
-        np.take(f_t, idx[start:stop], axis=1, out=out if first else tmp, mode="clip")
-        if not first:
-            out *= tmp
-        first = False
-    return out
+    inner = prod(shape[pivot + 1 :])
+    outer, within = np.divmod(flat_index, inner)
+    before, rows = np.divmod(outer, shape[pivot])
+    cols = before * inner + within
+    order = np.argsort(rows.astype(np.min_scalar_type(shape[pivot] - 1)), kind="stable")
+    return rows[order], cols[order], values[order]
 
 
-def _coo_by_mode(coords, values, mode: int):
-    """A coordinate list reordered so that ``coords[mode]`` is sorted, stably.
+def _runs(idx) -> tuple[int, np.ndarray]:
+    """``(first, bounds)`` for a sorted, nonempty index array ``idx``.
 
-    This is the order :func:`_coo_mttkrp` needs for ``mode``. The indices are
-    sorted as the smallest unsigned type that holds them, for which numpy's
-    stable sort is a radix sort, about 10x faster than on ``intp``.
+    Value ``first + k`` fills ``idx[bounds[k]:bounds[k + 1]]``, for every
+    ``k`` from 0 to ``idx[-1] - first``; a binary search per value, not a
+    pass over ``idx``.
     """
-    key = coords[mode]
-    order = np.argsort(key.astype(np.min_scalar_type(int(key.max(initial=0)))), kind="stable")
-    return tuple(c[order] for c in coords), values[order]
+    first = int(idx[0])
+    return first, np.searchsorted(idx, np.arange(first, int(idx[-1]) + 2))
 
 
-def _coo_mttkrp(coords, values, factors, mode: int, scratch) -> np.ndarray:
-    """MTTKRP along ``mode`` of the tensor given by a coordinate list.
+def _rows_at(u_t, idx) -> np.ndarray:
+    """``u_t[:, idx]`` for a sorted ``idx``: each column repeated over its run."""
+    first, bounds = _runs(idx)
+    return np.repeat(u_t[:, first : first + bounds.shape[0] - 1], np.diff(bounds), axis=1)
 
-    ``coords`` and ``values`` list the nonzeros (one index array per mode,
-    then the entries), ordered so that ``coords[mode]`` is sorted (see
-    :func:`_coo_by_mode`); ``factors`` lists one matrix per mode, and the
-    entry at position ``mode`` gives only the result's shape. The nonzeros
-    are taken in chunks whose row products fill about :data:`SLAB_BYTES`
-    (see :func:`_row_slabs` and :func:`_coo_products`); each chunk's
-    products, scaled by the values, are summed over each run of equal
-    ``coords[mode]`` with one ``np.add.reduceat`` and added to those rows
-    of the result. ``scratch`` is a flat buffer of at least ``2 r`` doubles
-    per nonzero of the longest chunk. Returned C-contiguous, ``(d_mode, r)``.
+
+def _coo_partial(rows, cols, values, u, cells: int) -> np.ndarray:
+    """``A.T @ u`` for the matrix ``A`` of a coordinate list, ``(cells, r)``.
+
+    ``rows``, ``cols`` and ``values`` list the nonzeros of ``A`` (see
+    :func:`_coo_matrix`) and ``u`` has one row per row of ``A``. The
+    nonzeros are taken in chunks whose products fill about
+    :data:`SLAB_BYTES` (see :func:`_row_slabs`): each chunk's rows of ``u``
+    (runs of the sorted rows, so a repeat rather than a gather) are scaled
+    by the values and scattered into their columns' rows of the result.
+    Returned C-contiguous.
     """
-    rows, rank = factors[mode].shape
-    factors_t = [np.ascontiguousarray(f.T) for f in factors]
-    out_t = np.zeros((rank, rows))
+    rank = u.shape[1]
+    u_t = np.ascontiguousarray(u.T)
+    out_t = np.zeros((rank, cells))
     for start, stop in _row_slabs(values.shape[0], 8 * rank):
-        prods = _coo_products(coords, factors_t, mode, start, stop, scratch)
+        prods = _rows_at(u_t, rows[start:stop])
         prods *= values[start:stop]
-        idx = coords[mode][start:stop]
-        firsts = np.flatnonzero(np.diff(idx, prepend=-1))
-        # Each row occurs once in idx[firsts], so the indexed add adds every run.
-        out_t[:, idx[firsts]] += np.add.reduceat(prods, firsts, axis=1)
+        for out_row, prod_row in zip(out_t, prods):
+            np.add.at(out_row, cols[start:stop], prod_row)
     return np.ascontiguousarray(out_t.T)
 
 
-def _coo_residual(coords, values, factors, scratch) -> tuple[float, float]:
+def _coo_mttkrp(rows, cols, values, kr_t, num_rows: int, scratch) -> np.ndarray:
+    """``A @ kr_t.T`` for the matrix ``A`` of a coordinate list, ``(num_rows, r)``.
+
+    With ``A`` the matricization of a tensor at its pivot and ``kr_t`` the
+    transposed Khatri-Rao product of the other modes' factors (see
+    :func:`_khatri_rao_t`), this is the pivot's MTTKRP. Over the chunks of
+    :func:`_coo_partial`, the columns of ``kr_t`` at the columns of ``A``
+    are gathered, scaled by the values and summed over each run of equal
+    ``rows`` with one ``np.add.reduceat``. The gather is ``np.take`` with
+    ``mode="clip"``, a no-op on indices in range, which lets it write
+    straight into ``scratch``, a flat buffer of at least ``r`` doubles per
+    nonzero of the longest chunk. Returned C-contiguous.
+    """
+    rank = kr_t.shape[0]
+    out_t = np.zeros((rank, num_rows))
+    for start, stop in _row_slabs(values.shape[0], 8 * rank):
+        prods = scratch[: rank * (stop - start)].reshape(rank, stop - start)
+        np.take(kr_t, cols[start:stop], axis=1, out=prods, mode="clip")
+        prods *= values[start:stop]
+        first, bounds = _runs(rows[start:stop])
+        runs = np.flatnonzero(np.diff(bounds))
+        out_t[:, first + runs] += np.add.reduceat(prods, bounds[runs], axis=1)
+    return np.ascontiguousarray(out_t.T)
+
+
+def _coo_residual(rows, cols, values, u, kr_t, scratch) -> tuple[float, float]:
     """Squared residual and squared model at the nonzeros of a coordinate list.
 
-    With ``m`` the CP model of ``factors`` (one matrix per mode) at each
-    nonzero, returns ``(sum (x - m)^2, sum m^2)`` over the nonzeros ``x``,
-    formed over the chunks of :func:`_coo_mttkrp` in the same ``scratch``.
+    The model is ``u @ kr_t``, whose entry at a nonzero in row ``i`` and
+    column ``c`` is the dot product of ``u[i]`` and ``kr_t[:, c]``. Returns
+    ``(sum (x - m)^2, sum m^2)`` over the nonzeros ``x`` and their model
+    entries ``m``, formed over the chunks of :func:`_coo_partial` from the
+    gather of :func:`_coo_mttkrp`, in the same ``scratch``.
     """
-    rank = factors[0].shape[1]
-    factors_t = [np.ascontiguousarray(f.T) for f in factors]
+    rank = u.shape[1]
+    u_t = np.ascontiguousarray(u.T)
     residual = model = 0.0
     for start, stop in _row_slabs(values.shape[0], 8 * rank):
-        prods = _coo_products(coords, factors_t, None, start, stop, scratch)
+        prods = scratch[: rank * (stop - start)].reshape(rank, stop - start)
+        np.take(kr_t, cols[start:stop], axis=1, out=prods, mode="clip")
+        prods *= _rows_at(u_t, rows[start:stop])
         m = prods.sum(axis=0)
         model += float(np.dot(m, m))
         np.subtract(values[start:stop], m, out=m)

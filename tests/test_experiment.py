@@ -369,13 +369,15 @@ def test_run_experiment_trace_columns_consistent(tmp_path):
     cfg = desk_config(tmp_path)
     summary = run_experiment(cfg)
     rows = summary.trace_paths[("als", 1)].read_text().splitlines()[1:]
-    for row in rows:
+    for k, row in enumerate(rows):
         cells = row.split(",")
-        assert len(cells) == 9
+        assert len(cells) == 11
         assert cells[0] == "1"
         objective, recon = float(cells[3]), float(cells[4])
         assert_allclose(recon, math.sqrt(objective), rtol=1e-15)
         assert cells[8] in ("long", "short")
+        assert cells[9] == "0"
+        assert cells[10] == ("max_sweeps" if k == len(rows) - 1 else "")
     # 17 significant digits survive the round trip.
     assert float(rows[1].split(",")[3]) == float(rows[1].split(",")[3])
 
@@ -392,7 +394,7 @@ def test_run_experiment_deterministic_bytes(tmp_path):
 
 def test_threaded_run_matches_serial_bytes(tmp_path, monkeypatch):
     # The pool threads share one problem and its per-thread memo (and, on
-    # the sparse surrogate, its coordinate lists and per-thread scratch);
+    # the sparse surrogate, its coordinate list and per-thread scratch);
     # more workers than cores and a short switch interval interleave them.
     algos = [AlgorithmSpec("als_dr", 0.5, 1.0), AlgorithmSpec("als"), AlgorithmSpec("mu")]
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
@@ -470,8 +472,10 @@ def test_report_counts_unconverged_block_solves(tmp_path, monkeypatch):
     lines = summary.report().splitlines()
     assert "6 of 12 block solves unconverged" in next(l for l in lines if l.startswith("als:"))
     assert "block solves" not in next(l for l in lines if l.startswith("mu:"))
-    header = summary.trace_paths[("als", 1)].read_text().splitlines()[0]
+    header, *rows = summary.trace_paths[("als", 1)].read_text().splitlines()
     assert header == experiment.TRACE_HEADER
+    # The trace CSV carries the per-sweep counts: 1, 2, 1, 2 after the start.
+    assert [row.split(",")[9] for row in rows] == ["0", "1", "2", "1", "2"]
 
 
 def test_report_lists_broken_invariants(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -200,15 +200,16 @@ def test_block_subproblem_index_error():
 # per-thread memo of the MTTKRP terms
 
 
-# "sparse" is a 10x12x15 tensor, 1% nonzero, on the nonzero-only path; the
-# others are dense.
-SPARSE_MEMO_SHAPE = (10, 12, 15)
+# "sparse" is a 10x12x15 tensor, 1% nonzero, on the nonzero-only path with
+# the last mode as its pivot; "sparse_pivot_middle" is 10x15x12, whose pivot
+# is the middle mode. The others are dense.
+SPARSE_MEMO_SHAPES = {"sparse": (10, 12, 15), "sparse_pivot_middle": (10, 15, 12)}
 
 
 def memo_case(shape, seed):
     rng = np.random.default_rng(seed)
-    if shape == "sparse":
-        shape = SPARSE_MEMO_SHAPE
+    if shape in SPARSE_MEMO_SHAPES:
+        shape = SPARSE_MEMO_SHAPES[shape]
         data = sparse_data(rng, shape, math.prod(shape) // 100)
         assert NtfProblem(data, 3)._coo is not None
     else:
@@ -238,18 +239,21 @@ def assert_same_bits(a, b):
     assert stat_a == stat_b
 
 
-@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 4, 2, 5), (6, 7), "sparse"])
+@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 4, 2, 5), (6, 7), "sparse", "sparse_pivot_middle"])
 def test_memo_hit_and_miss_give_same_bits(shape):
     data, rank, blocks, others = memo_case(shape, seed=21)
     fresh = evaluations(NtfProblem(data, rank), blocks)
     warmed = NtfProblem(data, rank)
+    pivot = warmed._pivot
+    assert pivot == (1 if shape == "sparse_pivot_middle" else len(blocks) - 1)
     # Warm every memo entry with other blocks, including mixes that share
-    # the last block (a partial-contraction hit with a different contraction).
+    # the pivot's block (a partial-contraction hit with a different
+    # contraction).
     evaluations(warmed, others)
     for i in range(len(blocks)):
         mixed = list(others)
         mixed[i] = blocks[i]
-        mixed[-1] = blocks[-1]
+        mixed[pivot] = blocks[pivot]
         evaluations(warmed, mixed)
     assert_same_bits(evaluations(warmed, blocks), fresh)
     # And again, now that every term is a hit.
@@ -287,29 +291,42 @@ def test_problem_keeps_its_own_copy_of_the_data():
         assert problem.objective(blocks) == before
         assert_array_equal(problem.block_subproblem(blocks, 0).linear, linear_before)
         assert not problem.data.flags.writeable
-        for coords, values in problem._coo or []:
-            assert all(a.dtype == np.intp for a in coords)
-            assert not any(a.flags.writeable for a in (*coords, values))
+        if problem._coo is not None:
+            rows, cols, _ = problem._coo
+            assert rows.dtype == cols.dtype == np.intp
+            assert not any(a.flags.writeable for a in problem._coo)
 
 
 # ---------------------------------------------------------------------------
 # the nonzero-only path for sparse data
 
 
+def rebuilt_from_list(problem):
+    """The dense tensor of a problem's list of nonzeros."""
+    rows, cols, values = problem._coo
+    shape, pivot = problem.data.shape, problem._pivot
+    index = np.unravel_index(cols, shape[:pivot] + shape[pivot + 1 :])
+    out = np.zeros(shape)
+    out[index[:pivot] + (rows,) + index[pivot:]] = values
+    return out
+
+
 @pytest.mark.parametrize("below", [True, False])
 def test_nonzero_path_is_chosen_below_the_nonzero_share(below):
+    # The longest mode, the pivot of the nonzero path, is the middle one.
     rng = np.random.default_rng(41)
-    shape = (20, 25, 30)
+    shape = (20, 30, 25)
     threshold = math.ceil(factorization.SPARSE_SHARE * math.prod(shape))
     data = sparse_data(rng, shape, threshold - 1 if below else threshold)
     problem = NtfProblem(data, 3)
     assert (problem._coo is not None) == below
+    assert problem._pivot == (1 if below else 2)
     assert_array_equal(problem.data, data)
-    for mode, (coords, values) in enumerate(problem._coo or []):
-        assert np.all(np.diff(coords[mode]) >= 0)
-        rebuilt = np.zeros(shape)
-        rebuilt[coords] = values
-        assert_array_equal(rebuilt, data)
+    if below:
+        rows, _, values = problem._coo
+        assert not any(a.flags.writeable for a in problem._coo)
+        assert np.all(np.diff(rows) >= 0) and values.size == threshold - 1
+        assert_array_equal(rebuilt_from_list(problem), data)
 
 
 def both_paths(data, rank):
@@ -323,23 +340,37 @@ def both_paths(data, rank):
     return sparse, dense
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    shape=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    shape=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    longest=st.sampled_from(["first", "middle", "last", "tie"]),
     rank=st.integers(1, 4),
     nonzeros=st.sampled_from(["none", "one", "few", "half"]),
     empty_mode=st.integers(0, 3),
     slab_bytes=st.integers(1, 2048),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_nonzero_path_matches_dense_property(shape, rank, nonzeros, empty_mode, slab_bytes, seed):
-    # Small slabs make many chunks of nonzeros, most with a ragged last one.
+@example(shape=[4, 3], longest="first", rank=2, nonzeros="few", empty_mode=1, slab_bytes=2048, seed=1)
+@example(shape=[3, 3], longest="tie", rank=2, nonzeros="half", empty_mode=0, slab_bytes=40, seed=2)
+@example(shape=[2, 3, 4, 2], longest="middle", rank=3, nonzeros="half", empty_mode=2, slab_bytes=100, seed=3)
+def test_nonzero_path_matches_dense_property(shape, longest, rank, nonzeros, empty_mode, slab_bytes, seed):
+    # The longest mode, the pivot of the nonzero path, is placed first, in
+    # the middle or last (in the middle of two modes is last), or ties the
+    # first mode with the middle one, when the later of the two is the
+    # pivot. Small slabs make many chunks of nonzeros, most with a ragged
+    # last one.
+    pivot = {"first": 0, "middle": len(shape) // 2, "last": len(shape) - 1, "tie": len(shape) // 2}[longest]
+    shape[pivot] = max(shape) + 1
+    if longest == "tie":
+        shape[0] = shape[pivot]
+    shape = tuple(shape)
     rng = np.random.default_rng(seed)
     size = math.prod(shape)
     count = {"none": 0, "one": 1, "few": max(1, size // 20), "half": size // 2}[nonzeros]
     data = sparse_data(rng, shape, count)
     data[(slice(None),) * (empty_mode % len(shape)) + (0,)] = 0.0  # an empty slice
     sparse, dense = both_paths(data, rank)
+    assert sparse._pivot == pivot and dense._pivot == len(shape) - 1
     blocks = [rng.random((d, rank)) for d in shape]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensors, "SLAB_BYTES", slab_bytes)

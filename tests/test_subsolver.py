@@ -362,7 +362,7 @@ def test_solver_fallback_to_start_is_reported(monkeypatch):
     import drbcd.subsolver as subsolver
 
     fail_exact_solves(monkeypatch)
-    monkeypatch.setattr(subsolver, "lipschitz_estimate", lambda q: 1e-6)
+    monkeypatch.setattr(subsolver, "_lipschitz", lambda gram: 1e-6)
     b = np.full((1, 2), 5.0)
     q = QuadraticBlockSubproblem(gram=np.eye(2), linear=b, constant=float(np.sum(b**2)))
     start = b + 0.01

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from drbcd import tensors
 from drbcd.tensors import (
-    _coo_by_mode,
+    _coo_matrix,
     _coo_mttkrp,
+    _coo_partial,
     _coo_residual,
     _last_mode_mttkrp,
     _last_mode_partial,
@@ -313,29 +314,50 @@ def test_slabbed_kernels_match_unfold_reference_property(shape, rank, slab_bytes
 # nonzero-only kernels on a coordinate list
 
 
+def coo_tensor(rows, cols, values, shape, pivot):
+    """The dense tensor of a coordinate list of its matricization at ``pivot``."""
+    others = shape[:pivot] + shape[pivot + 1 :]
+    index = np.unravel_index(cols, others)
+    out = np.zeros(shape)
+    out[index[:pivot] + (rows,) + index[pivot:]] = values
+    return out
+
+
 @pytest.mark.parametrize("shape", [(7, 6), (7, 5, 6), (3, 4, 7, 5)])
 @pytest.mark.parametrize("nonzeros_per_chunk", [1, 5, None])
 def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
-    # One nonzero a chunk, ragged chunks of five, and the default chunks.
+    # One nonzero a chunk, ragged chunks of five, and the default chunks;
+    # every mode as the pivot.
     rng = np.random.default_rng(37)
     x = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
     x[0] = 0.0  # an empty slice
     rank = 3
     factors = [rng.standard_normal((d, rank)) for d in shape]
     nonzero = np.flatnonzero(x)
-    coords, values = np.unravel_index(nonzero, shape), x.ravel()[nonzero]
-    assert values.size % 5
+    assert nonzero.size % 5
     if nonzeros_per_chunk is not None:
         monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * rank * nonzeros_per_chunk)
-    scratch = np.empty(2 * rank * values.size)
-    for mode in range(len(shape)):
-        got = _coo_mttkrp(*_coo_by_mode(coords, values, mode), factors, mode, scratch)
+    scratch = np.empty(rank * nonzero.size)
+    for pivot in range(len(shape)):
+        rows, cols, values = _coo_matrix(nonzero, x.ravel()[nonzero], shape, pivot)
+        assert np.all(np.diff(rows) >= 0)
+        assert_array_equal(coo_tensor(rows, cols, values, shape, pivot), x)
+        others = factors[:pivot] + factors[pivot + 1 :]
+        kr_t = tensors._khatri_rao_t(others)
+        assert_array_equal(kr_t, tensors._khatri_rao_native(others).T)
+        got = _coo_mttkrp(rows, cols, values, kr_t, shape[pivot], scratch)
         assert got.flags.c_contiguous
-        assert_allclose(got, mttkrp_oracle(x, factors, mode), rtol=1e-12, atol=1e-12)
-    model = cp_oracle(factors[:-1], factors[-1].T).ravel()[nonzero]
-    residual, at_nonzeros = _coo_residual(coords, values, factors, scratch)
-    assert_allclose(residual, np.sum((values - model) ** 2), rtol=1e-12)
-    assert_allclose(at_nonzeros, np.sum(model**2), rtol=1e-12)
+        assert_allclose(got, mttkrp_oracle(x, factors, pivot), rtol=1e-12, atol=1e-12)
+        # The partial: the tensor contracted with the pivot's factor, over the
+        # other modes' cells in row-major order.
+        partial = _coo_partial(rows, cols, values, factors[pivot], kr_t.shape[1])
+        assert partial.flags.c_contiguous
+        expected = np.tensordot(x, factors[pivot], axes=([pivot], [0])).reshape(-1, rank)
+        assert_allclose(partial, expected, rtol=1e-12, atol=1e-12)
+        model = cp_oracle(factors[:-1], factors[-1].T).ravel()[nonzero]
+        residual, at_nonzeros = _coo_residual(rows, cols, values, factors[pivot], kr_t, scratch)
+        assert_allclose(residual, np.sum((x.ravel()[nonzero] - model) ** 2), rtol=1e-12)
+        assert_allclose(at_nonzeros, np.sum(model**2), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
