@@ -28,7 +28,7 @@ from .factorization import (
     mu_sweep,
     run_mu,
 )
-from .schedule import RadiusSchedule, SummabilityReport, validate_summability
+from .schedule import RadiusSchedule
 from .subsolver import (
     BlockSolveResult,
     BoxBallFeasibleSet,
@@ -63,7 +63,6 @@ __all__ = [
     "QuadraticBlockSubproblem",
     "RadiusSchedule",
     "SolverConfig",
-    "SummabilityReport",
     "SynthSpec",
     "TraceRecord",
     "TraceVerification",
@@ -88,7 +87,6 @@ __all__ = [
     "stationarity_measure",
     "synthetic_lowrank",
     "unfold",
-    "validate_summability",
     "verify_trace",
     "write_ntf1",
     "__version__",

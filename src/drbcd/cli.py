@@ -6,7 +6,10 @@ Every flag is a flat config-file key (``--max-sweeps`` is ``max-sweeps =
 result is echoed to the output directory as ``config.txt``, from which the
 experiment can be reproduced. ``--paper-scale`` switches the defaults to the
 full-size comparison (shape 100x200x300, rank 5, 10 runs, all four
-algorithms); explicit flags still win over the preset.
+algorithms); explicit flags still win over the preset. A setting the
+experiment cannot run with (a beta outside ``(0, 1]``, a rank the data
+cannot have, a missing data file) exits 2 with one ``error:`` line before
+the output directory is created.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .experiment import (
     PAPER_SCALE_PRESET,
     AlgorithmSpec,
     ExperimentConfig,
+    SettingError,
     run_experiment,
 )
 
@@ -145,7 +149,11 @@ def parse_config(argv=None) -> tuple[ExperimentConfig, list[str]]:
 
 def main(argv=None) -> int:
     cfg, notes = parse_config(argv)
-    summary = run_experiment(cfg, notes)
+    try:
+        summary = run_experiment(cfg, notes)
+    except SettingError as exc:
+        print(f"drbcd: error: {exc}", file=sys.stderr)
+        return 2
     print(summary.report())
     print(f"traces: {len(summary.trace_paths)} CSV files in {summary.out_dir}")
     if summary.aggregate_path is not None:

@@ -2,8 +2,11 @@
 
 An experiment fixes one data tensor (synthetic low-rank, sparse surrogate, or
 an NTF1 file), then runs each configured algorithm ``runs`` times from
-uniform random initializations seeded ``base seed + run index``. Each run
-writes a trace CSV; runs are aggregated onto common time bins
+uniform random initializations seeded ``base seed + run index``; run ``k``
+of every algorithm starts from the same point. The data, the problem, each
+algorithm's solver config and the starts are resolved before anything is
+written, so a bad setting fails once, up front. Each run writes a trace
+CSV; runs are aggregated onto common time bins
 (last-observation-carried-forward) into mean/std curves per algorithm.
 
 The resolved configuration is echoed to the output directory; re-running
@@ -36,8 +39,10 @@ __all__ = [
     "OPTIONS",
     "AggregateCurve",
     "ExperimentSummary",
+    "AlgorithmTally",
     "RunFailure",
     "InvariantViolation",
+    "SettingError",
     "run_experiment",
     "aggregate_runs",
     "write_trace_csv",
@@ -331,62 +336,92 @@ class InvariantViolation:
 
 
 @dataclass
+class AlgorithmTally:
+    """One algorithm entry's completed runs, and what they add up to."""
+
+    algo: AlgorithmSpec
+    traces: list[list[TraceRecord]] = field(default_factory=list)
+
+    @property
+    def initial_errors(self) -> list[float]:
+        return [math.sqrt(max(trace[0].objective, 0.0)) for trace in self.traces]
+
+    @property
+    def final_errors(self) -> list[float]:
+        return [math.sqrt(max(trace[-1].objective, 0.0)) for trace in self.traces]
+
+    @property
+    def total_sweeps(self) -> int:
+        return sum(len(trace) - 1 for trace in self.traces)
+
+    @property
+    def short_sweeps(self) -> int:
+        """Sweeps in which some block step reached the radius."""
+        return sum(rec.point_class == "short" for trace in self.traces for rec in trace[1:])
+
+    @property
+    def block_solves(self) -> int:
+        """Block QP solves; MU makes none."""
+        if self.algo.name == "mu":
+            return 0
+        return sum((len(trace) - 1) * len(trace[0].block_step_norms) for trace in self.traces)
+
+    @property
+    def unconverged_solves(self) -> int:
+        return sum(rec.unconverged_solves for trace in self.traces for rec in trace)
+
+    @property
+    def time_stops(self) -> int:
+        """Runs that the time budget stopped; their sweep counts depend on the
+        machine's speed."""
+        return sum(trace[-1].stop_reason == "max_seconds" for trace in self.traces)
+
+
+@dataclass
 class ExperimentSummary:
     out_dir: Path
     trace_paths: dict[tuple[str, int], Path]
     aggregate_path: Path | None
     plot_path: Path | None
     curve: AggregateCurve | None
-    initial_errors: dict[str, list[float]]
-    final_errors: dict[str, list[float]]
+    # One tally per algorithm entry, by label, in config order.
+    tallies: dict[str, AlgorithmTally]
     failures: list[RunFailure]
-    # Sweeps over all of an algorithm's completed runs, and how many of them
-    # were short (some block step reached the radius).
-    short_sweeps: dict[str, int]
-    total_sweeps: dict[str, int]
-    # Block QP solves over all of an algorithm's completed runs (none for
-    # MU), and how many of them stopped without converging.
-    block_solves: dict[str, int]
-    unconverged_solves: dict[str, int]
-    # Completed runs of each algorithm that its time budget stopped; their
-    # sweep counts depend on the machine's speed.
-    time_stops: dict[str, int]
     # Every broken invariant of the block-descent runs' traces; reported,
     # not a failure.
     violations: list[InvariantViolation]
 
     def report(self) -> str:
         lines = []
-        for label in self.final_errors:
-            init = self.initial_errors[label]
-            final = self.final_errors[label]
+        for label, tally in self.tallies.items():
+            init, final = tally.initial_errors, tally.final_errors
             mean_init = float(np.mean(init)) if init else math.nan
             mean_final = float(np.mean(final)) if final else math.nan
             ratio = mean_final / mean_init if mean_init else math.nan
             solves = (
-                f", {self.unconverged_solves[label]} of {self.block_solves[label]} "
+                f", {tally.unconverged_solves} of {tally.block_solves} "
                 "block solves unconverged"
-                if self.block_solves[label]
+                if tally.block_solves
                 else ""
             )
             lines.append(
                 f"{label}: mean initial error {mean_init:.6g}, "
                 f"mean final error {mean_final:.6g} (ratio {ratio:.3g}, "
-                f"{len(final)} runs, {self.short_sweeps[label]} of "
-                f"{self.total_sweeps[label]} sweeps short{solves}, "
-                f"{self.time_stops[label]} of {len(final)} runs stopped by the time budget)"
+                f"{len(final)} runs, {tally.short_sweeps} of "
+                f"{tally.total_sweeps} sweeps short{solves}, "
+                f"{tally.time_stops} of {len(final)} runs stopped by the time budget)"
             )
-        dr_labels = [l for l in self.final_errors if l.startswith("als_dr")]
-        if dr_labels and "als" in self.final_errors and self.final_errors["als"]:
-            als_final = float(np.mean(self.final_errors["als"]))
-            for label in dr_labels:
-                if not self.final_errors[label]:
+        als = self.tallies.get("als")
+        if als is not None and als.traces:
+            als_final = float(np.mean(als.final_errors))
+            for label, tally in self.tallies.items():
+                if tally.algo.name != "als_dr" or not tally.traces:
                     continue
-                dr_final = float(np.mean(self.final_errors[label]))
+                dr_final = float(np.mean(tally.final_errors))
                 verdict = "below" if dr_final < als_final else "not below"
                 unbound = (
                     "; radius never bound: same path as plain als"
-                    if self.short_sweeps[label] == 0
+                    if tally.short_sweeps == 0
                     else ""
                 )
                 lines.append(
@@ -401,6 +436,10 @@ class ExperimentSummary:
         for f in self.failures:
             lines.append(f"FAILED {f.algorithm} run {f.run_index}: {f.message}")
         return "\n".join(lines)
+
+
+class SettingError(ValueError):
+    """A setting the experiment cannot run with, found before anything is written."""
 
 
 def resolve_data(cfg: ExperimentConfig) -> np.ndarray:
@@ -440,23 +479,19 @@ def _solver_config(cfg: ExperimentConfig, algo: AlgorithmSpec) -> SolverConfig:
     )
 
 
-def _single_run(
-    problem: NtfProblem, cfg: ExperimentConfig, algo: AlgorithmSpec, run_index: int
-) -> list[TraceRecord]:
-    seed = cfg.seed + run_index
-    model = init_factors(
+def _start(problem: NtfProblem, cfg: ExperimentConfig, run_index: int) -> list[np.ndarray]:
+    """Run ``run_index``'s start, seeded ``seed + run_index`` whatever the
+    algorithm; read-only, since every algorithm's run shares it."""
+    blocks = init_factors(
         problem.data.shape,
         cfg.rank,
-        seed=seed,
+        seed=cfg.seed + run_index,
         scale=cfg.init_scale,
         box_bound=problem.box_bound,
-    )
-    solver_cfg = _solver_config(cfg, algo)
-    if algo.name == "mu":
-        _, trace = run_mu(problem, model.to_blocks(), solver_cfg)
-    else:
-        _, trace = run(problem, model.to_blocks(), solver_cfg)
-    return trace
+    ).to_blocks()
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def write_trace_csv(path, run_index: int, trace: Sequence[TraceRecord]) -> None:
@@ -575,88 +610,65 @@ def aggregate_runs(
 def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> ExperimentSummary:
     """Execute every algorithm x run cell, write traces, aggregate, plot.
 
-    Solver failures are recorded per run and do not abort the experiment;
-    the CLI maps a nonempty failure list to a nonzero exit status. Every
+    The data, the problem, one solver config per algorithm and one start per
+    run index are resolved first; a setting that fails there raises
+    :class:`SettingError` before ``cfg.out`` is created. Solver failures
+    after that are recorded per run and do not abort the experiment; the
+    CLI maps a nonempty failure list to a nonzero exit status. Every
     block-descent trace is re-checked with :func:`verify_trace`, and each
     broken invariant is listed in the report, without failing the run. Runs
     execute in a thread pool unless ``cfg.serial`` is set.
     """
+    try:
+        problem = NtfProblem(resolve_data(cfg), cfg.rank, box_bound=cfg.box_bound)
+        solvers = {algo.label: _solver_config(cfg, algo) for algo in cfg.algos}
+        starts = {k: _start(problem, cfg, k) for k in range(1, cfg.runs + 1)}
+    except (ValueError, OSError) as exc:
+        raise SettingError(str(exc)) from exc
+
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(
         "\n".join(cfg.provenance_lines(notes)) + "\n", encoding="ascii"
     )
-
-    data = resolve_data(cfg)
     if cfg.save_data:
-        write_ntf1(out_dir / "data.ntf1", data)
-    problem = NtfProblem(data, cfg.rank, box_bound=cfg.box_bound)
+        write_ntf1(out_dir / "data.ntf1", problem.data)
 
-    cells = [(algo, k) for algo in cfg.algos for k in range(1, cfg.runs + 1)]
-    results: dict[tuple[str, int], list[TraceRecord]] = {}
-    failures: list[RunFailure] = []
-
-    def _execute(cell):
+    def attempt(cell):
         algo, k = cell
-        return _single_run(problem, cfg, algo, k)
+        solve = run_mu if algo.name == "mu" else run
+        try:
+            return solve(problem, starts[k], solvers[algo.label])[1], None
+        except Exception as exc:  # recorded, experiment continues
+            return None, exc
 
-    outcomes = []
+    cells = [(algo, k) for algo in cfg.algos for k in starts]
     if cfg.serial:
-        for cell in cells:
-            try:
-                outcomes.append((cell, _execute(cell), None))
-            except Exception as exc:  # recorded, experiment continues
-                outcomes.append((cell, None, exc))
+        outcomes = [attempt(cell) for cell in cells]
     else:
-        workers = min(len(cells), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = [(cell, pool.submit(_execute, cell)) for cell in cells]
-            for cell, future in pending:
-                try:
-                    outcomes.append((cell, future.result(), None))
-                except Exception as exc:
-                    outcomes.append((cell, None, exc))
+        with ThreadPoolExecutor(max_workers=min(len(cells), os.cpu_count() or 1)) as pool:
+            outcomes = list(pool.map(attempt, cells))
 
+    tallies = {algo.label: AlgorithmTally(algo) for algo in cfg.algos}
     trace_paths: dict[tuple[str, int], Path] = {}
-    for (algo, k), trace, err in outcomes:
+    failures: list[RunFailure] = []
+    violations: list[InvariantViolation] = []
+    for (algo, k), (trace, err) in zip(cells, outcomes):
         if err is not None:
             failures.append(RunFailure(algo.label, k, str(err)))
             continue
-        results[(algo.label, k)] = trace
         path = out_dir / f"{algo.label}_run{k}.csv"
         write_trace_csv(path, k, trace)
         trace_paths[(algo.label, k)] = path
-
-    initial_errors: dict[str, list[float]] = {a.label: [] for a in cfg.algos}
-    final_errors: dict[str, list[float]] = {a.label: [] for a in cfg.algos}
-    traces_by_algo: dict[str, list[list[TraceRecord]]] = {a.label: [] for a in cfg.algos}
-    short_sweeps: dict[str, int] = {a.label: 0 for a in cfg.algos}
-    total_sweeps: dict[str, int] = {a.label: 0 for a in cfg.algos}
-    block_solves: dict[str, int] = {a.label: 0 for a in cfg.algos}
-    unconverged_solves: dict[str, int] = {a.label: 0 for a in cfg.algos}
-    time_stops: dict[str, int] = {a.label: 0 for a in cfg.algos}
-    violations: list[InvariantViolation] = []
-    for algo in cfg.algos:
-        for k in range(1, cfg.runs + 1):
-            trace = results.get((algo.label, k))
-            if trace is None:
-                continue
-            traces_by_algo[algo.label].append(trace)
-            initial_errors[algo.label].append(math.sqrt(max(trace[0].objective, 0.0)))
-            final_errors[algo.label].append(math.sqrt(max(trace[-1].objective, 0.0)))
-            short_sweeps[algo.label] += sum(r.point_class == "short" for r in trace[1:])
-            total_sweeps[algo.label] += len(trace) - 1
-            time_stops[algo.label] += trace[-1].stop_reason == "max_seconds"
-            if algo.name != "mu":
-                block_solves[algo.label] += (len(trace) - 1) * len(trace[0].block_step_norms)
-                unconverged_solves[algo.label] += sum(r.unconverged_solves for r in trace)
-                verdict = verify_trace(trace, _solver_config(cfg, algo).schedule)
-                violations += InvariantViolation.from_verdict(algo.label, k, verdict)
+        tallies[algo.label].traces.append(trace)
+        if algo.name != "mu":
+            verdict = verify_trace(trace, solvers[algo.label].schedule)
+            violations += InvariantViolation.from_verdict(algo.label, k, verdict)
 
     curve = None
     aggregate_path = None
     plot_path = None
-    nonempty = {k: v for k, v in traces_by_algo.items() if v}
+    nonempty = {label: t.traces for label, t in tallies.items() if t.traces}
     if nonempty:
         curve = aggregate_runs(nonempty, cfg.bins)
         aggregate_path = out_dir / "aggregate.csv"
@@ -673,13 +685,7 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
         aggregate_path=aggregate_path,
         plot_path=plot_path,
         curve=curve,
-        initial_errors=initial_errors,
-        final_errors=final_errors,
+        tallies=tallies,
         failures=failures,
-        short_sweeps=short_sweeps,
-        total_sweeps=total_sweeps,
-        block_solves=block_solves,
-        unconverged_solves=unconverged_solves,
-        time_stops=time_stops,
         violations=violations,
     )

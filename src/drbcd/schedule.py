@@ -1,10 +1,12 @@
-"""Diminishing-radius weight schedules and their summability diagnostics.
+"""Diminishing-radius weight schedules.
 
 A schedule supplies the per-sweep weight ``w_n`` in ``(0, 1]`` and the block
 search radius ``c' * w_n``. The convergence guarantee of the radius-restricted
-block descent needs the weights to be non-summable but square-summable; the
-``power_log`` family ``n**(-beta) / log(n + log_offset)`` satisfies both for
-``beta`` in ``[0.5, 1]``.
+block descent needs the weights to be non-summable but square-summable. For
+the ``power_log`` family ``n**(-beta) / log(n + log_offset)`` both hold
+exactly when ``beta`` lies in ``[0.5, 1]``: the sum diverges for ``beta <=
+1``, and the squared log divisor keeps the square sum finite down to ``beta
+= 1/2``. ``constant`` and ``infinite`` weights are not square-summable.
 
 ``log_offset`` guards the log divisor, which would vanish at ``n = 1``
 without it. Weights are clamped at 1 so the declared ``(0, 1]`` range holds
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RadiusSchedule", "SummabilityReport", "validate_summability"]
+__all__ = ["RadiusSchedule"]
 
-KINDS = ("power_log", "power", "constant", "infinite")
+KINDS = ("power_log", "constant", "infinite")
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,12 @@ class RadiusSchedule:
 
     kind:
         ``power_log``  w_n = min(1, n**(-beta) / log(n + log_offset))
-        ``power``      w_n = min(1, n**(-beta))
         ``constant``   w_n = constant_value
         ``infinite``   radius(n) = +inf for all n (plain unrestricted descent)
+
+    Only ``power_log`` meets the paper's weight hypotheses (non-summable,
+    square-summable), and it does exactly for ``beta`` in ``[0.5, 1]``;
+    ``constant`` and ``infinite`` are not square-summable.
     """
 
     kind: str = "power_log"
@@ -43,7 +48,7 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind in ("power_log", "power") and not 0.0 < self.beta <= 1.0:
+        if self.kind == "power_log" and not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if self.c_prime <= 0.0:
             raise ValueError(f"c_prime must be positive, got {self.c_prime}")
@@ -63,8 +68,6 @@ class RadiusSchedule:
             w = np.minimum(
                 1.0, arr ** (-self.beta) / np.log(arr + float(self.log_offset))
             )
-        elif self.kind == "power":
-            w = np.minimum(1.0, arr ** (-self.beta))
         elif self.kind == "constant":
             w = np.full(arr.shape, self.constant_value)
         else:  # infinite: weights are a formality, the radius never binds
@@ -73,97 +76,4 @@ class RadiusSchedule:
 
     def radius(self, n):
         """Search radius ``c' * w_n``; ``+inf`` for the infinite kind."""
-        if self.kind == "infinite":
-            if np.isscalar(n):
-                if n < 1:
-                    raise ValueError("sweep index n must be >= 1")
-                return math.inf
-            arr = np.asarray(n)
-            if np.any(arr < 1):
-                raise ValueError("sweep index n must be >= 1")
-            return np.full(arr.shape, np.inf)
-        w = self.weight(n)
-        return self.c_prime * w
-
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    """Numeric evidence and analytic verdicts for the weight hypotheses.
-
-    ``divergence_evidence`` is the partial sum of the weights up to the
-    horizon (compare against a growth target of your choosing);
-    ``square_sum_bound`` is an analytic upper bound on the full sum of squared
-    weights (``inf`` when no finite bound exists); ``partial_square_sum`` is
-    the numeric partial sum of squares at the horizon.
-    """
-
-    divergence_evidence: float
-    square_sum_bound: float
-    partial_square_sum: float
-    non_summable: bool
-    square_summable: bool
-
-    @property
-    def satisfies_hypotheses(self) -> bool:
-        return self.non_summable and self.square_summable
-
-
-def _square_sum_bound(s: RadiusSchedule) -> float:
-    """Upper bound on sum_{n>=1} w_n**2 by integral comparison.
-
-    The clamped weights satisfy ``w_n <= min(1, n**-beta / log(n+off))``, so
-    the tail from n = 2 is below ``integral_1^inf x**(-2 beta) dx`` (dropping
-    the log factor, valid with the clamp) and, keeping the log factor, below
-    ``(1+off) / log(1+off)`` for beta >= 1/2 via ``u = log(x+off)``. The
-    smaller applicable bound is reported, plus the first term.
-    """
-    if s.kind in ("constant", "infinite"):
-        return math.inf
-    beta = s.beta
-    candidates = []
-    if beta > 0.5:
-        candidates.append(1.0 / (2.0 * beta - 1.0))
-    if s.kind == "power_log" and beta >= 0.5:
-        off = float(s.log_offset)
-        candidates.append((1.0 + off) / math.log(1.0 + off))
-    if not candidates:
-        return math.inf
-    return s.weight(1) ** 2 + min(candidates)
-
-
-def validate_summability(s: RadiusSchedule, horizon: int) -> SummabilityReport:
-    """Check the non-summable / square-summable weight hypotheses.
-
-    Computes partial sums up to ``horizon`` and classifies the schedule kind
-    analytically: ``power_log`` needs ``beta >= 1/2`` for square-summability
-    (the squared log divisor rescues the boundary case), plain ``power`` needs
-    a strict ``beta > 1/2``; constant and infinite schedules violate
-    square-summability outright.
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    n = np.arange(1, horizon + 1, dtype=np.float64)
-    w = s.weight(n)
-    partial = float(np.sum(w))
-    partial_sq = float(np.sum(w * w))
-
-    if s.kind == "power_log":
-        non_summable = s.beta <= 1.0
-        square_summable = s.beta >= 0.5
-    elif s.kind == "power":
-        non_summable = s.beta <= 1.0
-        square_summable = s.beta > 0.5
-    elif s.kind == "constant":
-        non_summable = True
-        square_summable = False
-    else:  # infinite
-        non_summable = True
-        square_summable = False
-
-    return SummabilityReport(
-        divergence_evidence=partial,
-        square_sum_bound=_square_sum_bound(s),
-        partial_square_sum=partial_sq,
-        non_summable=non_summable,
-        square_summable=square_summable,
-    )
+        return (math.inf if self.kind == "infinite" else self.c_prime) * self.weight(n)

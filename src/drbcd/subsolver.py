@@ -76,10 +76,6 @@ class QuadraticBlockSubproblem:
         object.__setattr__(self, "gram", (gram + gram.T) / 2.0)
         object.__setattr__(self, "linear", linear)
 
-    @property
-    def rank(self) -> int:
-        return self.gram.shape[0]
-
     def objective(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=np.float64)
         return float(

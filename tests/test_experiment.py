@@ -394,7 +394,8 @@ def test_run_experiment_deterministic_bytes(tmp_path):
 
 def test_threaded_run_matches_serial_bytes(tmp_path, monkeypatch):
     # The pool threads share one problem and its per-thread memo (and, on
-    # the sparse surrogate, its coordinate list and per-thread scratch);
+    # the sparse surrogate, its coordinate list and per-thread scratch) and
+    # each run index's read-only start;
     # more workers than cores and a short switch interval interleave them.
     algos = [AlgorithmSpec("als_dr", 0.5, 1.0), AlgorithmSpec("als"), AlgorithmSpec("mu")]
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
@@ -427,11 +428,12 @@ def test_report_counts_short_sweeps(tmp_path, c_prime, binds):
         max_sweeps=10,
     )
     summary = run_experiment(cfg)
-    assert summary.total_sweeps == {"als_dr-0.5": 20, "als": 20}
-    assert summary.short_sweeps["als"] == 0
-    assert (summary.short_sweeps["als_dr-0.5"] > 0) == binds
+    tallies = summary.tallies
+    assert {label: t.total_sweeps for label, t in tallies.items()} == {"als_dr-0.5": 20, "als": 20}
+    assert tallies["als"].short_sweeps == 0
+    assert (tallies["als_dr-0.5"].short_sweeps > 0) == binds
     report = summary.report()
-    short = summary.short_sweeps["als_dr-0.5"]
+    short = tallies["als_dr-0.5"].short_sweeps
     assert f"{short} of 20 sweeps short" in report
     comparison = next(l for l in report.splitlines() if l.startswith("comparison:"))
     assert ("radius never bound: same path as plain als" in comparison) != binds
@@ -442,14 +444,14 @@ def test_report_counts_runs_stopped_by_the_time_budget(tmp_path):
     # the 8-sweep cap.
     algos = [AlgorithmSpec("als"), AlgorithmSpec("mu")]
     timed = run_experiment(desk_config(tmp_path / "timed", algos=algos, max_seconds=3.0))
-    assert timed.time_stops == {"als": 2, "mu": 2}
-    assert timed.total_sweeps == {"als": 6, "mu": 6}
+    assert {label: t.time_stops for label, t in timed.tallies.items()} == {"als": 2, "mu": 2}
+    assert {label: t.total_sweeps for label, t in timed.tallies.items()} == {"als": 6, "mu": 6}
     lines = timed.report().splitlines()
     for label in ("als", "mu"):
         line = next(l for l in lines if l.startswith(f"{label}:"))
         assert "2 of 2 runs stopped by the time budget" in line
     capped = run_experiment(desk_config(tmp_path / "capped", algos=algos))
-    assert capped.time_stops == {"als": 0, "mu": 0}
+    assert {label: t.time_stops for label, t in capped.tallies.items()} == {"als": 0, "mu": 0}
     assert "0 of 2 runs stopped by the time budget" in capped.report()
 
 
@@ -467,8 +469,9 @@ def test_report_counts_unconverged_block_solves(tmp_path, monkeypatch):
     monkeypatch.setattr(driver, "solve_block_qp", every_second_unconverged)
     cfg = desk_config(tmp_path, algos=[AlgorithmSpec("als"), AlgorithmSpec("mu")], runs=1, max_sweeps=4)
     summary = run_experiment(cfg)
-    assert summary.block_solves == {"als": 12, "mu": 0}
-    assert summary.unconverged_solves == {"als": 6, "mu": 0}
+    tallies = summary.tallies
+    assert {label: t.block_solves for label, t in tallies.items()} == {"als": 12, "mu": 0}
+    assert {label: t.unconverged_solves for label, t in tallies.items()} == {"als": 6, "mu": 0}
     lines = summary.report().splitlines()
     assert "6 of 12 block solves unconverged" in next(l for l in lines if l.startswith("als:"))
     assert "block solves" not in next(l for l in lines if l.startswith("mu:"))
@@ -529,17 +532,17 @@ def test_run_experiment_reaches_optimum_on_noiseless_data(tmp_path):
         float(np.sum(experiment.resolve_data(cfg) ** 2))
     )
     for label in ("als_dr-0.5", "als"):
-        rel = summary.final_errors[label][0] / data_norm
+        rel = summary.tallies[label].final_errors[0] / data_norm
         assert rel <= 1e-2, (label, rel)
 
 
 def test_run_experiment_records_failures(tmp_path, monkeypatch):
     cfg = desk_config(tmp_path)
 
-    def boom(problem, cfg_, algo, run_index):
+    def boom(problem, blocks0, solver_cfg):
         raise FloatingPointError("synthetic failure")
 
-    monkeypatch.setattr(experiment, "_single_run", boom)
+    monkeypatch.setattr(experiment, "run", boom)
     summary = run_experiment(cfg)
     assert len(summary.failures) == cfg.runs
     assert "synthetic failure" in summary.failures[0].message
@@ -558,6 +561,38 @@ def test_cli_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert (out / "mu_run1.csv").exists()
     printed = capsys.readouterr().out
     assert "mu" in printed and "aggregate" in printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--algo", "als_dr-2"],
+        ["--max-sweeps", "0"],
+        ["--max-seconds", "0"],
+        ["--log-offset", "0"],
+        ["--init-scale", "1000"],
+        ["--box-bound", "-1"],
+        ["--rank", "9", "--shape", "4,5,6"],
+        ["--data", "surrogate", "--density", "0"],
+        ["--data", "file:missing.ntf1"],
+    ],
+    ids=["beta", "max_sweeps", "max_seconds", "log_offset", "init_scale", "box_bound",
+         "rank", "density", "file"],
+)
+def test_cli_bad_setting_exits_2_before_writing(tmp_path, monkeypatch, capsys, argv):
+    # Each setting passes parse_config but cannot run: it fails once, before
+    # any run, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "exp"
+    base = ["--rank", "2", "--shape", "5,6,4", "--runs", "2", "--max-sweeps", "3",
+            "--clock", "sweep", "--out", str(out)]
+    parse_config(base + argv)
+    assert main(base + argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("drbcd: error: "), captured.err
+    assert "Traceback" not in captured.err and "FAILED" not in captured.out
+    assert not out.exists()
 
 
 def test_cli_reads_ntf1_file(tmp_path):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from drbcd.schedule import RadiusSchedule, validate_summability
+from drbcd.schedule import RadiusSchedule
+
+# Analytic bounds on the full square sum of the power_log weights with
+# log_offset = 1, whose clamped first weight is 1. For beta = 1 the tail from
+# n = 2 lies below the integral of x**-2 from 1, which is 1; for beta = 1/2,
+# keeping the log factor, below 2 / log 2 (substitute u = log(x + 1)).
+SQUARE_SUM_BOUND = {1.0: 2.0, 0.5: 1.0 + 2.0 / math.log(2.0)}
 
 
 def test_weight_clamped_at_one():
@@ -42,6 +48,12 @@ def test_radius_infinite_sentinel():
     s = RadiusSchedule(kind="infinite")
     assert math.isinf(s.radius(1))
     assert math.isinf(s.radius(12345))
+    radii = s.radius(np.array([1, 7, 12345]))
+    assert radii.shape == (3,) and np.all(np.isposinf(radii))
+    with pytest.raises(ValueError):
+        s.radius(0)
+    with pytest.raises(ValueError):
+        s.radius(np.array([3, 0]))
 
 
 def test_radius_constant_scaling():
@@ -68,51 +80,32 @@ def test_partial_sums_diverge_while_squares_stay_bounded(beta, decade_margin):
     # Divergence evidence: the last decade still contributes a solid margin.
     s = RadiusSchedule(kind="power_log", beta=beta, log_offset=1)
     n_full = 1_000_000
-    full = validate_summability(s, n_full)
-    decade = validate_summability(s, n_full // 10)
-    assert full.divergence_evidence > decade.divergence_evidence + decade_margin
+    w = s.weight(np.arange(1, n_full + 1))
+    full, decade = float(np.sum(w)), float(np.sum(w[: n_full // 10]))
+    assert full > decade + decade_margin
     # Square sums remain below the analytic bound.
-    assert full.partial_square_sum < full.square_sum_bound
-    assert full.non_summable and full.square_summable
-    assert full.satisfies_hypotheses
+    assert float(np.sum(w * w)) < SQUARE_SUM_BOUND[beta]
 
 
 def test_square_sum_bound_beta_one_crude_value():
     # Clamped weights give w_1 = 1 and sum_{n>=2} w_n^2 <= integral of x^-2 = 1.
     s = RadiusSchedule(kind="power_log", beta=1.0, log_offset=1)
-    report = validate_summability(s, 100)
-    assert_allclose(report.square_sum_bound, 2.0, rtol=1e-12)
+    n = np.arange(1, 101)
+    w = s.weight(n)
+    assert w[0] == 1.0
+    assert np.all(w[1:] <= 1.0 / n[1:])
+    assert float(np.sum(w * w)) < SQUARE_SUM_BOUND[1.0]
 
 
 def test_square_sum_partial_increasing_and_bounded_beta_half():
     s = RadiusSchedule(kind="power_log", beta=0.5, log_offset=1)
     previous = 0.0
     for horizon in (10, 1_000, 100_000, 1_000_000):
-        report = validate_summability(s, horizon)
-        assert report.partial_square_sum > previous
-        assert report.partial_square_sum < report.square_sum_bound
-        previous = report.partial_square_sum
-
-
-def test_constant_kind_flagged_not_square_summable():
-    s = RadiusSchedule(kind="constant", constant_value=0.5)
-    report = validate_summability(s, 1000)
-    assert report.non_summable
-    assert not report.square_summable
-    assert not report.satisfies_hypotheses
-    assert math.isinf(report.square_sum_bound)
-
-
-def test_infinite_kind_flagged():
-    report = validate_summability(RadiusSchedule(kind="infinite"), 10)
-    assert not report.satisfies_hypotheses
-
-
-def test_power_kind_classification():
-    ok = validate_summability(RadiusSchedule(kind="power", beta=0.75), 100)
-    assert ok.satisfies_hypotheses
-    borderline = validate_summability(RadiusSchedule(kind="power", beta=0.5), 100)
-    assert not borderline.square_summable
+        w = s.weight(np.arange(1, horizon + 1))
+        partial = float(np.sum(w * w))
+        assert partial > previous
+        assert partial < SQUARE_SUM_BOUND[0.5]
+        previous = partial
 
 
 def test_invalid_parameters_rejected():
@@ -128,8 +121,6 @@ def test_invalid_parameters_rejected():
         RadiusSchedule(log_offset=0)
     with pytest.raises(ValueError):
         RadiusSchedule(kind="constant", constant_value=0.0)
-    with pytest.raises(ValueError):
-        validate_summability(RadiusSchedule(), 1)
 
 
 def test_weight_vectorized_matches_scalar():
