@@ -29,10 +29,9 @@ import numpy as np
 from .driver import SolverConfig, TraceRecord, _sweep_loop, stationarity_measure
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
+    _coo_gather,
     _coo_matrix,
-    _coo_mttkrp,
     _coo_partial,
-    _coo_residual,
     _khatri_rao_native,
     _khatri_rao_t,
     _last_mode_mttkrp,
@@ -72,18 +71,21 @@ class FactorModel:
 
 # ``NtfProblem`` keeps a coordinate list of the data's nonzeros, and passes
 # over them alone, when they are fewer than this share of the entries. The
-# objective plus one MTTKRP per mode from a cleared memo, rank 5 on one BLAS
-# thread, took (dense / nonzero-only, ms, fastest of 15 calls, better of two
-# runs) at a nonzero share of 0.5%, 1%, 2%, 3%, 4%, 5%, 7.5% and 10%: on
-# 90x500x100 13.6/1.9, 16.0/3.6, 14.1/4.2, 14.1/5.5, 13.5/6.6, 13.1/7.8,
-# 13.2/12.1 and 12.9/14.6; on 100x200x300 15.6/2.6, 16.7/4.0, 16.1/5.8,
-# 16.2/8.5, 17.0/10.8, 16.5/12.9, 14.3/18.8 and 13.9/23.8. On 30x30x30x30,
-# whose 27,000 cells outnumber the nonzeros below 3%, at 0.5%, 1%, 2%, 3%
-# and 5%: 4.7/2.6, 4.6/3.0, 4.8/4.8, 4.8/4.1 and 6.0/4.3. (Per-mode lists,
-# with no pass over the cells, took 0.8 and 1.6 ms there at 0.5% and 1%.)
-# The paths cross at 5-10% on the three-mode shapes, but the short
-# four-mode shape ties at 2%, so the share stays there.
-SPARSE_SHARE = 0.02
+# objective plus one MTTKRP per mode from a cleared memo (the objective
+# leaves the partial, or on sparse data the pivot's term, behind for them),
+# rank 5 on one BLAS thread, took (dense / nonzero-only, ms, fastest of 15
+# calls, better of two runs, on a shared 2-core host where the dense times
+# varied by up to 40% from run to run) at a nonzero share of 0.5%, 1%, 2%,
+# 3%, 4%, 5%, 7.5% and 10%: on 90x500x100 17.5/1.4, 15.3/1.8, 13.0/3.3,
+# 13.3/4.6, 15.1/6.1, 15.1/7.4, 16.0/13.1 and 15.2/15.7; on 100x200x300
+# 21.3/2.4, 22.2/4.0, 19.7/5.2, 17.9/7.2, 15.3/10.1, 18.1/14.5, 16.2/16.8
+# and 17.7/21.9. On 30x30x30x30, whose 27,000 cells outnumber the nonzeros
+# below 3%, at 0.5%, 1%, 2%, 3% and 5%: 3.4/1.0, 3.4/1.2, 3.3/1.5, 3.4/1.8
+# and 3.4/2.4. The paths cross between 5% and 10% on all three shapes. The
+# short four-mode shape, which tied at 2% while contracting the partial took
+# broadcast temporaries (4.8/4.8), no longer holds the share down, so it
+# sits at 5%, where the nonzero-only passes took at most 0.8x the dense time.
+SPARSE_SHARE = 0.05
 
 
 def _nonzero_list(
@@ -155,9 +157,11 @@ class NtfProblem:
     Each thread memoizes the partial ``P``, the data contracted with the
     pivot's block along the pivot; every other mode's term contracts ``P``
     with the remaining blocks (see :mod:`drbcd.tensors`), and the pivot's
-    own term is one pass over the data. A sweep and its stationarity
-    measure so pass over the data for their MTTKRPs twice when the pivot
-    is the last mode, and three times otherwise, instead of six times.
+    own term is one pass over the data. The objective's pass leaves behind
+    the term the stationarity measure at the same blocks needs next (see
+    :meth:`objective`). A sweep, its objective and its stationarity measure
+    so pass over dense data twice, and over the nonzeros of sparse data
+    three times, instead of seven times.
 
     Which passes run depends on the data alone. When its nonzeros are fewer
     than :data:`SPARSE_SHARE` of the entries, the problem keeps one
@@ -242,6 +246,13 @@ class NtfProblem:
         On sparse data (see :meth:`_coo_objective`) the residual is formed
         at the nonzeros alone, unless rounding could move the result by more
         than ``1e-12`` of itself.
+
+        The pass leaves behind, in this thread's memo, the MTTKRP term that
+        the stationarity measure at the same blocks needs next and that the
+        pass can form from what it reads anyway: on dense data the partial
+        ``P = Xr @ U_last``, from the same slabs and GEMMs as
+        :func:`drbcd.tensors._last_mode_partial`, and on sparse data the
+        pivot's term. A memo hit skips that work.
         """
         blocks = self._check_blocks(blocks)
         if self._coo is not None:
@@ -250,29 +261,42 @@ class NtfProblem:
                 return total
         xr = self.data.reshape(-1, self.data.shape[-1])
         kr = _khatri_rao_native(blocks[:-1])
-        last_t = blocks[-1].T
+        last = blocks[-1]
         slabs = _row_slabs(xr.shape[0], xr[0].nbytes)
         memo = self._memo
         rows = slabs[0][1]  # the first slab is a longest one
         if memo.slab is None or memo.slab.shape[0] < rows:
             memo.slab = np.empty((rows, xr.shape[1]))
+        # The nonzero path's partial has another layout: a dense pass on
+        # sparse data leaves none behind.
+        key = last.tobytes() if self._coo is None else None
+        partial = None
+        if key is not None and memo.partial[0] != key:
+            partial = np.empty((xr.shape[0], self.rank))
         total = 0.0
         for start, stop in slabs:
             residual = memo.slab[: stop - start]
-            np.matmul(kr[start:stop], last_t, out=residual)
+            np.matmul(kr[start:stop], last.T, out=residual)
             np.subtract(xr[start:stop], residual, out=residual)
             flat = residual.ravel()
             total += float(np.dot(flat, flat))
+            if partial is not None:
+                np.matmul(xr[start:stop], last, out=partial[start:stop])
+        if partial is not None:
+            partial = partial.reshape(self.data.shape[:-1] + (self.rank,))
+            partial.flags.writeable = False
+            memo.partial = (key, partial)
         return total
 
     def _coo_objective(self, blocks: list[np.ndarray]) -> float | None:
         """The objective from the nonzeros, or ``None`` if rounding forbids it.
 
         The residual at the nonzeros is explicit, from the pivot block's rows
-        and the rows of the other blocks' Khatri-Rao product at the cells.
-        The zeros' share is the model's energy ``||M||^2``, the sum of the
-        Hadamard product of the block Grams, less the model's energy at the
-        nonzeros.
+        and the rows of the other blocks' Khatri-Rao product at the cells;
+        the same gather gives the pivot's MTTKRP term, memoized here unless
+        it is a hit (see :meth:`_linear`). The zeros' share is the model's
+        energy ``||M||^2``, the sum of the Hadamard product of the block
+        Grams, less the model's energy at the nonzeros.
 
         Each Gram entry ``G_k[a, b]`` is a dot product of length ``d_k``, so
         it errs by at most ``d_k u n_k[a] n_k[b]`` to first order, with
@@ -291,9 +315,14 @@ class NtfProblem:
         grams = [b.T @ b for b in blocks]
         energy = float(np.prod(grams, axis=0).sum())
         pivot, others = self._split(blocks)
-        residual, at_nonzeros = _coo_residual(
-            *self._coo, pivot, _khatri_rao_t(others), self._chunk_scratch()
+        key = self._linear_key(blocks, self._pivot)
+        hit = self._memo.linear[self._pivot][0] == key
+        linear, residual, at_nonzeros = _coo_gather(
+            *self._coo, _khatri_rao_t(others), self._chunk_scratch(),
+            num_rows=None if hit else pivot.shape[0], u=pivot,
         )
+        if linear is not None:
+            self._remember(self._pivot, key, linear)
         total = residual + (energy - at_nonzeros)
         scale = float(np.sqrt(np.prod([np.diag(g) for g in grams], axis=0)).sum()) ** 2
         unit_roundoff = np.finfo(np.float64).eps / 2
@@ -341,9 +370,8 @@ class NtfProblem:
         memoized partial of the pivot's block with the other blocks, and the
         pivot's own term is one pass over the data.
         """
-        memo = self._memo
-        key = tuple(b.tobytes() for j, b in enumerate(blocks) if j != i)
-        cached_key, linear = memo.linear[i]
+        key = self._linear_key(blocks, i)
+        cached_key, linear = self._memo.linear[i]
         if cached_key == key:
             return linear
         pivot, others = self._split(blocks)
@@ -352,10 +380,20 @@ class NtfProblem:
         elif self._coo is None:
             linear = _last_mode_mttkrp(self.data, others)
         else:
-            kr_t = _khatri_rao_t(others)
-            linear = _coo_mttkrp(*self._coo, kr_t, pivot.shape[0], self._chunk_scratch())
+            linear = _coo_gather(
+                *self._coo, _khatri_rao_t(others), self._chunk_scratch(), num_rows=pivot.shape[0]
+            )[0]
+        return self._remember(i, key, linear)
+
+    @staticmethod
+    def _linear_key(blocks: list[np.ndarray], i: int) -> tuple[bytes, ...]:
+        """The memo key of block ``i``'s linear term: the bytes of every other block."""
+        return tuple(b.tobytes() for j, b in enumerate(blocks) if j != i)
+
+    def _remember(self, i: int, key: tuple[bytes, ...], linear: np.ndarray) -> np.ndarray:
+        """Memoize ``linear`` as block ``i``'s term at ``key``, read-only."""
         linear.flags.writeable = False
-        memo.linear[i] = (key, linear)
+        self._memo.linear[i] = (key, linear)
         return linear
 
     def _partial(self, pivot: np.ndarray) -> np.ndarray:

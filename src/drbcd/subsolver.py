@@ -47,6 +47,16 @@ __all__ = [
 GRAM_SYMMETRY_TOL = 1e-12
 
 
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm of a float64 array, as ``np.linalg.norm`` computes it.
+
+    One ``dot`` of ``x.ravel(order="K")`` and a square root, the same bits
+    without the argument handling, which costs more than the sum on a block.
+    """
+    flat = x.ravel(order="K")
+    return math.sqrt(float(flat.dot(flat)))
+
+
 @dataclass(frozen=True)
 class QuadraticBlockSubproblem:
     """Normal-equation form of one least-squares block step.
@@ -121,7 +131,7 @@ class BoxBallFeasibleSet:
             return False
         if math.isinf(self.radius):
             return True
-        return float(np.linalg.norm(p - self.center)) <= self.radius * (1.0 + 1e-12) + tol
+        return _norm(p - self.center) <= self.radius * (1.0 + 1e-12) + tol
 
 
 class ProjectionResult(NamedTuple):
@@ -152,7 +162,7 @@ def project_ball(p, center, radius: float) -> np.ndarray:
     if math.isinf(radius):
         return p.copy()
     diff = p - center
-    dist = float(np.linalg.norm(diff))
+    dist = _norm(diff)
     if dist <= radius:
         return p.copy()
     return center + (radius / dist) * diff
@@ -177,7 +187,7 @@ def project_box_ball(p, feasible: BoxBallFeasibleSet) -> ProjectionResult:
     lo, hi, c, r = feasible.lower, feasible.upper, feasible.center, feasible.radius
 
     boxed = np.clip(p, lo, hi)
-    if math.isinf(r) or float(np.linalg.norm(boxed - c)) <= r:
+    if math.isinf(r) or _norm(boxed - c) <= r:
         return ProjectionResult(boxed, True, 0)
     balled = project_ball(p, c, r)
     if float(balled.min(initial=lo)) >= lo and float(balled.max(initial=hi)) <= hi:
@@ -187,7 +197,7 @@ def project_box_ball(p, feasible: BoxBallFeasibleSet) -> ProjectionResult:
     step = np.abs(d)
     # Distance from the center to the face each entry moves towards.
     gap = np.where(d > 0.0, hi - c, c - lo)
-    t = r / float(np.linalg.norm(d))
+    t = r / _norm(d)
     saturated = t * step >= gap
     count = cycles = 0
     while (grown := int(np.count_nonzero(saturated))) > count:
@@ -264,6 +274,11 @@ class _ExactBlockSolve:
     ``z = Q^T g``, which does not depend on ``mu``; then
     ``u_F = c_F + Q (z / (lam + mu))``, and ``||U(mu) - C||^2`` is the
     secular function ``phi(mu) = sum_k s_k / (lam_k + mu)^2 + const``.
+    Each row keeps its pattern's eigenpairs next to ``z`` from the moment
+    its faces are fixed, so solving it at another ``mu`` gathers nothing.
+    The test for coefficients along singular directions runs only once a
+    pattern with an eigenvalue at or below the singular threshold has come
+    up in the solve.
 
     Each round takes ``mu`` from the current faces' secular function, solves
     every row at it and exchanges the entries that break the KKT conditions
@@ -291,14 +306,18 @@ class _ExactBlockSolve:
         self.gram_rows = float(np.abs(self.gram).sum(axis=1).max(initial=0.0))
         self.linear_max = float(np.abs(self.linear).max(initial=0.0))
         self.center_max = float(np.abs(self.center).max(initial=0.0))
-        # Eigenpairs of each free pattern met so far, by slot.
+        # Eigenpairs of each free pattern met so far, by slot, and whether
+        # any of them has an eigenvalue at or below the singular test.
         self.slot: dict[int, int] = {}
         self.lam, self.vecs = np.empty((0, r)), np.empty((0, r, r))
+        self.singular_met = False
         # Per row: faces, the row with free entries at the center, the slot
-        # of its pattern, z, and the last point solved.
+        # of its pattern and that pattern's eigenpairs, z, and the last
+        # point solved.
         self.state = np.zeros((d, r), dtype=np.int8)
         self.v, self.z, self.u = np.empty((d, r)), np.empty((d, r)), np.empty((d, r))
         self.slots = np.zeros(d, dtype=np.intp)
+        self.row_lam, self.row_vecs = np.empty((d, r)), np.empty((d, r, r))
 
     def eigen(self, patterns: np.ndarray) -> np.ndarray:
         """Slots in ``self.lam``/``self.vecs`` of the free patterns' eigenpairs.
@@ -314,6 +333,8 @@ class _ExactBlockSolve:
             padded = self.gram * (masks[:, :, None] & masks[:, None, :])
             padded[:, self.diag, self.diag] += np.where(masks, 0.0, self.filler)
             lam, vecs = np.linalg.eigh(padded)
+            # eigh sorts each pattern's eigenvalues in ascending order.
+            self.singular_met |= bool((lam[:, 0] <= self.singular).any())
             self.slot.update(zip(new, range(len(self.slot), len(self.slot) + len(new))))
             self.lam = np.concatenate([self.lam, lam])
             self.vecs = np.concatenate([self.vecs, vecs])
@@ -327,14 +348,17 @@ class _ExactBlockSolve:
         patterns = np.unique(codes)
         slots = self.eigen(patterns)[np.searchsorted(patterns, codes)]
         g = np.where(free, self.linear[rows] - v @ self.gram, 0.0)
-        z = np.matmul(g[:, None, :], self.vecs[slots])[:, 0]
+        lam, vecs = self.lam[slots], self.vecs[slots]
+        z = np.matmul(g[:, None, :], vecs)[:, 0]
         # Along a singular direction of G_FF, a coefficient that is rounding
         # alone is zero: a zero column in another block zeroes that column
         # of G and of B, and every value of it is then optimal, so it stays
         # at the center. A larger one leaves the faces no minimizer at 0.
-        null = self.lam[slots] <= self.singular
-        z[null & (np.abs(z) <= _SIGN_SLACK * np.abs(g).sum(axis=1, keepdims=True))] = 0.0
+        if self.singular_met:
+            null = lam <= self.singular
+            z[null & (np.abs(z) <= _SIGN_SLACK * np.abs(g).sum(axis=1, keepdims=True))] = 0.0
         self.state[rows], self.v[rows], self.slots[rows], self.z[rows] = faces, v, slots, z
+        self.row_lam[rows], self.row_vecs[rows] = lam, vecs
 
     def exchange(self, rows, mu: float, best: np.ndarray) -> np.ndarray:
         """Solve ``rows`` at ``mu`` into ``self.u``, and exchange the faces that break the KKT conditions.
@@ -344,12 +368,13 @@ class _ExactBlockSolve:
         below its lowest yet, ``best``, else only the last one (Kim & Park
         2011's backup rule).
         """
-        slots, z = self.slots[rows], self.z[rows]
-        scale = self.lam[slots] + mu
-        if np.any((scale <= self.singular) & (z != 0.0)):
+        z = self.z[rows]
+        scale = self.row_lam[rows] + mu
+        # mu >= 0, so only a pattern with a singular eigenvalue can fail.
+        if self.singular_met and np.any((scale <= self.singular) & (z != 0.0)):
             raise _PivotingFailed("singular free block")
         coef = np.divide(z, scale, out=np.zeros_like(z), where=z != 0.0)
-        step = np.einsum("dkj,dj->dk", self.vecs[slots], coef)
+        step = np.einsum("dkj,dj->dk", self.row_vecs[rows], coef)
         state, v = self.state[rows], self.v[rows]
         free = state == 0
         u = np.where(free, v + step, v)
@@ -450,7 +475,7 @@ class _ExactBlockSolve:
         # box within ||grad q(C)|| / (2 mu) of C: inside the ball at hi.
         lo, hi = 0.0, 0.0
         if not math.isinf(radius):
-            hi = float(np.linalg.norm(c @ self.gram - self.linear)) / radius
+            hi = _norm(c @ self.gram - self.linear) / radius
             if hi == 0.0:
                 return c.copy()
         # The smallest multiplier tried, while no optimal faces there are
@@ -480,11 +505,11 @@ class _ExactBlockSolve:
             # The faces are optimal at mu: U(mu) is exact.
             unsettled, rows = 0, slice(None)
             best[:] = r + 1
-            dist = float(np.linalg.norm(self.u - c))
+            dist = _norm(self.u - c)
             if mu == zero and (math.isinf(radius) or dist <= radius):
                 return self.u.copy()
             # The distance carries the rounding of U - C as well.
-            rounding = 4.0 * _EPS * (float(np.linalg.norm(self.u)) + float(np.linalg.norm(c)))
+            rounding = 4.0 * _EPS * (_norm(self.u) + _norm(c))
             if abs(dist - radius) <= _RADIUS_TOL * radius + rounding:
                 return self.u.copy()
             if dist > radius:
@@ -548,10 +573,10 @@ def solve_block_qp(
         if not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite gradient at inner iteration {k}")
         u_next = _project(u - step * grad)
-        residual = float(np.linalg.norm(u - u_next))
+        residual = _norm(u - u_next)
         u = u_next
         iterations = k
-        if residual <= tol * (1.0 + float(np.linalg.norm(u))):
+        if residual <= tol * (1.0 + _norm(u)):
             converged = exact
             break
     if not np.isfinite(u).all():
@@ -563,6 +588,6 @@ def solve_block_qp(
     # exact point that ties with an optimal start up to rounding.
     if q.objective(u) > q.objective(u0):
         u = u0.copy()
-        residual = float(np.linalg.norm(u0 - _project(u0 - step * q.gradient(u0))))
-        converged = exact and residual <= tol * (1.0 + float(np.linalg.norm(u0)))
+        residual = _norm(u0 - _project(u0 - step * q.gradient(u0)))
+        converged = exact and residual <= tol * (1.0 + _norm(u0))
     return BlockSolveResult(u, residual, iterations, converged)

@@ -13,18 +13,21 @@ small partial product ``P = Xr @ U_last`` against the remaining factors, so
 one pass over the tensor serves all of the modes before the last (a
 two-level dimension tree). ``P`` is formed over row blocks of ``Xr`` of
 about :data:`SLAB_BYTES` each, written into one preallocated result, so that
-each block stays in cache while it is multiplied.
+each block stays in cache while it is multiplied; a pass that reads the same
+blocks for another purpose (the objective's residual in
+:mod:`drbcd.factorization`) can form ``P`` on the way, with the same bits.
+The contraction of ``P`` takes one batched matrix-vector product per rank
+column (see :func:`_mttkrp_from_partial`).
 
 The private ``_coo_*`` kernels apply the same tree to a coordinate list of
 a tensor's nonzeros and never touch its zeros. The list is the tensor as a
 sparse matrix (see :func:`_coo_matrix`): its rows are the indices of one
 pivot mode, its columns the cells of the other modes, ordered by row.
-:func:`_coo_partial` scatters the partial ``P`` over the cells,
-:func:`_coo_mttkrp` gives the pivot's MTTKRP by gathering rows of the
-other factors' Khatri-Rao product at the cells and summing them over each
-row, and :func:`_coo_residual` gives the residual and the model's energy
-at the nonzeros from the same two gathers. They take the nonzeros in
-chunks whose products fill about :data:`SLAB_BYTES`.
+:func:`_coo_partial` scatters the partial ``P`` over the cells, and
+:func:`_coo_gather` gathers the rows of the other factors' Khatri-Rao
+product at the cells once for two sums: the pivot's MTTKRP, summed over
+each row, and the residual and the model's energy at the nonzeros. They
+take the nonzeros in chunks whose products fill about :data:`SLAB_BYTES`.
 
 All functions are safe to call concurrently; they write to nothing but
 their results and the scratch buffers the ``_coo_*`` kernels are given.
@@ -184,19 +187,31 @@ def _mttkrp_from_partial(partial, factors, mode: int) -> np.ndarray:
     ``partial`` is :func:`_last_mode_partial` of the tensor; ``factors`` lists
     the leading factors, one per axis of ``partial`` but its last, and the
     entry at position ``mode`` is ignored. The axes after ``mode`` are
-    contracted first, then the axes before it.
+    contracted first, then the axes before it, each rank column by one
+    batched matrix-vector product on a rank-major view of ``partial``, with
+    no broadcast temporaries. The views are strided by the rank, so (for a
+    rank above 1 and no mode of length 1) numpy's own ``matmul`` loop runs
+    rather than BLAS, and sums the products in index order, as a sum over
+    the contracted axis does.
     """
     dims = partial.shape[:-1]
     rank = partial.shape[-1]
     left, right = prod(dims[:mode]), prod(dims[mode + 1 :])
     t = np.asarray(partial, dtype=np.float64).reshape(left, dims[mode], right, rank)
     if mode + 1 < len(dims):
-        t = (t * _khatri_rao_native(factors[mode + 1 :])).sum(axis=2)
+        kr = _khatri_rao_native(factors[mode + 1 :])
+        inner = np.empty((left, dims[mode], rank))
+        for j in range(rank):
+            np.matmul(t[..., j], kr[:, j], out=inner[..., j])
     else:
-        t = t[:, :, 0, :]
-    if mode > 0:
-        return (t * _khatri_rao_native(factors[:mode])[:, None, :]).sum(axis=0)
-    return t[0]
+        inner = t[:, :, 0, :]
+    if mode == 0:
+        return inner[0]
+    kr = _khatri_rao_native(factors[:mode])
+    out = np.empty((dims[mode], rank))
+    for j in range(rank):
+        np.matmul(kr[:, j], inner[..., j], out=out[:, j])
+    return out
 
 
 def _last_mode_mttkrp(x, factors) -> np.ndarray:
@@ -223,7 +238,7 @@ def _coo_matrix(flat_index, values, shape, pivot: int):
     a cell being one combination of their indices, numbered row-major (as
     the rows of :func:`_khatri_rao_native` of their factors are). Returns
     ``(rows, cols, values)`` ordered by ``rows``, stably, which is the order
-    :func:`_coo_mttkrp` needs. The rows are sorted as the smallest unsigned
+    :func:`_coo_gather` needs. The rows are sorted as the smallest unsigned
     type that holds them, for which numpy's stable sort is a radix sort,
     about 10x faster than on ``intp``.
     """
@@ -274,52 +289,52 @@ def _coo_partial(rows, cols, values, u, cells: int) -> np.ndarray:
     return np.ascontiguousarray(out_t.T)
 
 
-def _coo_mttkrp(rows, cols, values, kr_t, num_rows: int, scratch) -> np.ndarray:
-    """``A @ kr_t.T`` for the matrix ``A`` of a coordinate list, ``(num_rows, r)``.
+def _coo_gather(
+    rows, cols, values, kr_t, scratch, num_rows: int | None = None, u=None
+) -> tuple[np.ndarray | None, float, float]:
+    """The pivot's MTTKRP and the residual at the nonzeros, from one gather.
 
-    With ``A`` the matricization of a tensor at its pivot and ``kr_t`` the
-    transposed Khatri-Rao product of the other modes' factors (see
-    :func:`_khatri_rao_t`), this is the pivot's MTTKRP. Over the chunks of
-    :func:`_coo_partial`, the columns of ``kr_t`` at the columns of ``A``
-    are gathered, scaled by the values and summed over each run of equal
-    ``rows`` with one ``np.add.reduceat``. The gather is ``np.take`` with
-    ``mode="clip"``, a no-op on indices in range, which lets it write
-    straight into ``scratch``, a flat buffer of at least ``r`` doubles per
-    nonzero of the longest chunk. Returned C-contiguous.
+    ``rows``, ``cols`` and ``values`` list the nonzeros of the matricization
+    ``A`` of a tensor at its pivot (see :func:`_coo_matrix`), and ``kr_t``
+    is the transposed Khatri-Rao product of the other modes' factors (see
+    :func:`_khatri_rao_t`). Over the chunks of :func:`_coo_partial`, the
+    columns of ``kr_t`` at the columns of ``A`` are gathered once, with
+    ``np.take`` and ``mode="clip"`` (a no-op on indices in range), which
+    lets the gather write straight into ``scratch``, a flat buffer of at
+    least ``r`` doubles per nonzero of the longest chunk. The gather serves
+    two sums, each optional:
+
+    - with ``num_rows``, the pivot's MTTKRP ``A @ kr_t.T``, ``(num_rows,
+      r)`` and C-contiguous: the gathered columns scaled by the values and
+      summed over each run of equal ``rows`` with one ``np.add.reduceat``;
+    - with the pivot's factor ``u``, the model ``u @ kr_t`` at the
+      nonzeros, whose entry in row ``i`` and column ``c`` is the dot product
+      of ``u[i]`` and ``kr_t[:, c]``, giving ``sum (x - m)^2`` and ``sum
+      m^2`` over the nonzeros ``x`` and their model entries ``m``.
+
+    Returns ``(mttkrp, residual, model)``, with ``None`` for a MTTKRP not
+    asked for and zeros for sums not asked for.
     """
     rank = kr_t.shape[0]
-    out_t = np.zeros((rank, num_rows))
-    for start, stop in _row_slabs(values.shape[0], 8 * rank):
-        prods = scratch[: rank * (stop - start)].reshape(rank, stop - start)
-        np.take(kr_t, cols[start:stop], axis=1, out=prods, mode="clip")
-        prods *= values[start:stop]
-        first, bounds = _runs(rows[start:stop])
-        runs = np.flatnonzero(np.diff(bounds))
-        out_t[:, first + runs] += np.add.reduceat(prods, bounds[runs], axis=1)
-    return np.ascontiguousarray(out_t.T)
-
-
-def _coo_residual(rows, cols, values, u, kr_t, scratch) -> tuple[float, float]:
-    """Squared residual and squared model at the nonzeros of a coordinate list.
-
-    The model is ``u @ kr_t``, whose entry at a nonzero in row ``i`` and
-    column ``c`` is the dot product of ``u[i]`` and ``kr_t[:, c]``. Returns
-    ``(sum (x - m)^2, sum m^2)`` over the nonzeros ``x`` and their model
-    entries ``m``, formed over the chunks of :func:`_coo_partial` from the
-    gather of :func:`_coo_mttkrp`, in the same ``scratch``.
-    """
-    rank = u.shape[1]
-    u_t = np.ascontiguousarray(u.T)
+    out_t = None if num_rows is None else np.zeros((rank, num_rows))
+    u_t = None if u is None else np.ascontiguousarray(u.T)
     residual = model = 0.0
     for start, stop in _row_slabs(values.shape[0], 8 * rank):
-        prods = scratch[: rank * (stop - start)].reshape(rank, stop - start)
-        np.take(kr_t, cols[start:stop], axis=1, out=prods, mode="clip")
-        prods *= _rows_at(u_t, rows[start:stop])
-        m = prods.sum(axis=0)
-        model += float(np.dot(m, m))
-        np.subtract(values[start:stop], m, out=m)
-        residual += float(np.dot(m, m))
-    return residual, model
+        gathered = scratch[: rank * (stop - start)].reshape(rank, stop - start)
+        np.take(kr_t, cols[start:stop], axis=1, out=gathered, mode="clip")
+        if u_t is not None:
+            prods = _rows_at(u_t, rows[start:stop])
+            prods *= gathered
+            m = prods.sum(axis=0)
+            model += float(np.dot(m, m))
+            np.subtract(values[start:stop], m, out=m)
+            residual += float(np.dot(m, m))
+        if out_t is not None:
+            gathered *= values[start:stop]
+            first, bounds = _runs(rows[start:stop])
+            runs = np.flatnonzero(np.diff(bounds))
+            out_t[:, first + runs] += np.add.reduceat(gathered, bounds[runs], axis=1)
+    return (None if out_t is None else np.ascontiguousarray(out_t.T)), residual, model
 
 
 def mttkrp(x, factors, mode: int) -> np.ndarray:

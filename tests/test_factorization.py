@@ -220,29 +220,41 @@ def memo_case(shape, seed):
     return data, rank, blocks, others
 
 
-def evaluations(problem, blocks):
+def evaluations(problem, blocks, objective_first=True):
+    """Everything the problem computes at ``blocks``. The objective goes
+    first by default, as in a sweep, so that the terms it leaves in the memo
+    serve the rest."""
+    objective = problem.objective(blocks) if objective_first else None
     subs = [problem.block_subproblem(blocks, i) for i in range(len(blocks))]
     return (
         [(s.gram, s.linear) for s in subs],
         problem.full_gradient(blocks),
         stationarity_measure(problem, blocks),
+        problem.objective(blocks) if objective is None else objective,
     )
 
 
 def assert_same_bits(a, b):
-    (subs_a, grads_a, stat_a), (subs_b, grads_b, stat_b) = a, b
+    (subs_a, grads_a, stat_a, obj_a), (subs_b, grads_b, stat_b, obj_b) = a, b
     for (gram_a, lin_a), (gram_b, lin_b) in zip(subs_a, subs_b):
         assert gram_a.tobytes() == gram_b.tobytes()
         assert lin_a.tobytes() == lin_b.tobytes()
     for ga, gb in zip(grads_a, grads_b):
         assert ga.tobytes() == gb.tobytes()
     assert stat_a == stat_b
+    assert obj_a == obj_b
 
 
-@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 4, 2, 5), (6, 7), "sparse", "sparse_pivot_middle"])
+MEMO_SHAPES = [(4, 5, 6), (3, 4, 2, 5), (6, 7), "sparse", "sparse_pivot_middle"]
+
+
+@pytest.mark.parametrize("shape", MEMO_SHAPES)
 def test_memo_hit_and_miss_give_same_bits(shape):
     data, rank, blocks, others = memo_case(shape, seed=21)
     fresh = evaluations(NtfProblem(data, rank), blocks)
+    # The terms the objective leaves behind are those the MTTKRP kernels
+    # compute without it.
+    assert_same_bits(evaluations(NtfProblem(data, rank), blocks, objective_first=False), fresh)
     warmed = NtfProblem(data, rank)
     pivot = warmed._pivot
     assert pivot == (1 if shape == "sparse_pivot_middle" else len(blocks) - 1)
@@ -261,7 +273,7 @@ def test_memo_hit_and_miss_give_same_bits(shape):
 
 
 def test_memo_sees_in_place_block_writes():
-    for shape in [(4, 5, 6), "sparse"]:
+    for shape in MEMO_SHAPES:
         data, rank, blocks, _ = memo_case(shape, seed=22)
         problem = NtfProblem(data, rank)
         for j in range(len(blocks)):
@@ -406,6 +418,35 @@ def test_objective_at_an_exact_sparse_fit_takes_the_dense_residual():
     norm_sq = float(np.sum(data**2))
     assert 0.0 <= problem.objective(factors) <= 1e-28 * norm_sq
     assert abs(problem.objective(factors) - reference) <= 1e-28 * norm_sq
+
+
+def test_dense_residual_on_sparse_data_leaves_no_partial_behind():
+    # An exact fit of sparse data, as above, whose pivot is the last mode:
+    # the dense residual's partial would have the key and shape of the
+    # nonzero path's, but other bits.
+    rng = np.random.default_rng(44)
+    shape, rank = (20, 30, 40), 2
+    factors = []
+    for d in shape:
+        f = np.zeros((d, rank))
+        for a in range(rank):
+            f[rng.choice(d, 3, replace=False), a] = 0.5 + rng.random(3)
+        factors.append(f)
+    data = cp_reconstruct(factors, np.ones((rank, 1)))[..., 0]
+    problem = NtfProblem(data, rank)
+    assert problem._coo is not None and problem._pivot == 2
+    assert problem._coo_objective(factors) is None
+    problem.objective(factors)
+    assert problem._memo.partial[0] is None
+    fresh = NtfProblem(data, rank)
+    assert stationarity_measure(problem, factors) == stationarity_measure(fresh, factors)
+    assert_same_bits(
+        evaluations(problem, factors, objective_first=False),
+        evaluations(fresh, factors, objective_first=False),
+    )
+    # Block terms at other blocks round the partial's last bits away, so
+    # the partial itself is compared too.
+    assert problem._partial(factors[2]).tobytes() == fresh._partial(factors[2]).tobytes()
 
 
 # ---------------------------------------------------------------------------

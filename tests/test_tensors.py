@@ -8,12 +8,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from drbcd import tensors
 from drbcd.tensors import (
+    _coo_gather,
     _coo_matrix,
-    _coo_mttkrp,
     _coo_partial,
-    _coo_residual,
     _last_mode_mttkrp,
     _last_mode_partial,
+    _mttkrp_from_partial,
     _row_slabs,
     as_tensor,
     cp_reconstruct,
@@ -274,6 +274,10 @@ def check_last_mode_kernels(x, factors):
     p = _last_mode_partial(x, factors[-1])
     assert p.shape == x.shape[:-1] + (factors[-1].shape[1],)
     assert_allclose(unfold(p, m - 1), factors[-1].T @ unfold(x, m - 1), rtol=1e-12, atol=1e-12)
+    for mode in range(m - 1):
+        got = _mttkrp_from_partial(p, factors[:-1], mode)
+        assert got.flags.c_contiguous
+        assert_allclose(got, unfold_chain_reference(x, factors, mode), rtol=1e-12, atol=1e-12)
     expected_last = unfold_chain_reference(x, factors, m - 1)
     got_last = _last_mode_mttkrp(x, factors[:-1])
     assert got_last.flags.c_contiguous
@@ -284,7 +288,8 @@ def check_last_mode_kernels(x, factors):
         )
 
 
-@pytest.mark.parametrize("shape", [(7, 6), (7, 5, 6), (3, 4, 7, 5)])
+# Their partials have 1, 2, 3 and 4 modes.
+@pytest.mark.parametrize("shape", [(7, 6), (7, 5, 6), (3, 4, 7, 5), (3, 2, 4, 5, 3)])
 @pytest.mark.parametrize("case", ["ragged", "row_exceeds_slab", "default"])
 def test_slabbed_kernels_match_unfold_reference(monkeypatch, shape, case):
     rng = np.random.default_rng(31)
@@ -345,8 +350,8 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         others = factors[:pivot] + factors[pivot + 1 :]
         kr_t = tensors._khatri_rao_t(others)
         assert_array_equal(kr_t, tensors._khatri_rao_native(others).T)
-        got = _coo_mttkrp(rows, cols, values, kr_t, shape[pivot], scratch)
-        assert got.flags.c_contiguous
+        got, residual, at_nonzeros = _coo_gather(rows, cols, values, kr_t, scratch, num_rows=shape[pivot])
+        assert got.flags.c_contiguous and residual == at_nonzeros == 0.0
         assert_allclose(got, mttkrp_oracle(x, factors, pivot), rtol=1e-12, atol=1e-12)
         # The partial: the tensor contracted with the pivot's factor, over the
         # other modes' cells in row-major order.
@@ -355,9 +360,16 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         expected = np.tensordot(x, factors[pivot], axes=([pivot], [0])).reshape(-1, rank)
         assert_allclose(partial, expected, rtol=1e-12, atol=1e-12)
         model = cp_oracle(factors[:-1], factors[-1].T).ravel()[nonzero]
-        residual, at_nonzeros = _coo_residual(rows, cols, values, factors[pivot], kr_t, scratch)
+        # One gather for the residual, the model's energy at the nonzeros and
+        # the pivot's MTTKRP, which has the bits of the MTTKRP alone.
+        both, residual, at_nonzeros = _coo_gather(
+            rows, cols, values, kr_t, scratch, num_rows=shape[pivot], u=factors[pivot]
+        )
         assert_allclose(residual, np.sum((x.ravel()[nonzero] - model) ** 2), rtol=1e-12)
         assert_allclose(at_nonzeros, np.sum(model**2), rtol=1e-12)
+        assert both.tobytes() == got.tobytes()
+        alone, *sums = _coo_gather(rows, cols, values, kr_t, scratch, u=factors[pivot])
+        assert alone is None and sums == [residual, at_nonzeros]
 
 
 # ---------------------------------------------------------------------------
