@@ -28,13 +28,17 @@ Each run starts from ``init_factors`` with seed ``1000 + seed``. (With the
 data's own seed, the synthetic cases would start at the factors that
 generated the data, an exact fit.)
 
-For every run it prints the sweeps each side did, the largest relative
-deviation of the objective and of the stationarity measure over the sweeps,
-whether the two traces are bit-identical, and whether the long/short point
-classes match. For a change that moves paths, it also prints each side's
-final objective and the lowest stationarity measure its run reached (the
-running minimum at its last sweep), so that a reader sees which side ends
-lower.
+It first prints, for every case and seed, a digest of the data tensor each
+side built (SHA-256 of its shape and float64 bytes) and whether the two
+match. For every run it then prints the sweeps each side did, the largest
+relative deviation of the objective and of the stationarity measure over
+the sweeps, whether the two traces are bit-identical, whether the
+long/short point classes match, and whether the run's data matched. A
+trace that diverges on matching data points to the solver; one on data
+that differs points to the inputs. For a change that moves paths, it also
+prints each side's final objective and the lowest stationarity measure its
+run reached (the running minimum at its last sweep), so that a reader sees
+which side ends lower.
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Run inside each tree; prints {run name: [[objective, stationarity, class], ...]}.
+# Run inside each tree; prints {"data": {case name: digest}, "runs": {run
+# name: [[objective, stationarity, class], ...]}}.
 WORKER = r"""
-import json, sys
+import hashlib, json, sys
+import numpy as np
 sys.path.insert(0, "src")
 from drbcd import datagen, driver, factorization, schedule
 
@@ -64,7 +70,12 @@ INIT_SEED = 1000
 def records(trace):
     return [[r.objective, r.stationarity, r.point_class] for r in trace]
 
-out = {}
+def digest(x):
+    h = hashlib.sha256(repr(x.shape).encode())
+    h.update(np.ascontiguousarray(x, dtype="<f8"))
+    return h.hexdigest()[:16]
+
+out = {"data": {}, "runs": {}}
 for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
     for seed in seeds:
         if data == "synth":
@@ -72,6 +83,7 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
         else:
             x = datagen.sparse_surrogate(datagen.SynthSpec(
                 dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067))
+        out["data"][f"{name} seed {seed}"] = digest(x)
         problem = factorization.NtfProblem(x, rank)
         # Not the data's seed: the synthetic data are built from the factors
         # that init_factors draws for the same seed.
@@ -82,11 +94,11 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
             schedule=schedule.RadiusSchedule(kind="power_log", beta=beta, c_prime=c_prime),
             max_sweeps=sweeps, clock="sweep",
         )
-        out[f"{name} seed {seed}"] = records(driver.run(problem, init, cfg)[1])
+        out["runs"][f"{name} seed {seed}"] = records(driver.run(problem, init, cfg)[1])
         mu_cfg = driver.SolverConfig(
             schedule=schedule.RadiusSchedule(kind="infinite"), max_sweeps=MU_SWEEPS, clock="sweep"
         )
-        out[f"mu on {name} seed {seed}"] = records(factorization.run_mu(problem, init, mu_cfg)[1])
+        out["runs"][f"mu on {name} seed {seed}"] = records(factorization.run_mu(problem, init, mu_cfg)[1])
         del x, problem
 print(json.dumps(out))
 """
@@ -100,6 +112,19 @@ def run_tree(tree: Path) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"trajectory run failed in {tree}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def data_of(run: str) -> str:
+    """The case whose data a run factorizes: ``mu on X`` factorizes ``X``'s."""
+    return run.removeprefix("mu on ")
+
+
+def compare_data(parent: dict, change: dict) -> dict:
+    """Per case, ``(parent digest, change digest, same)``; a case one side lacks has ``None``."""
+    return {
+        name: (parent.get(name), change.get(name), parent.get(name) == change.get(name))
+        for name in {**parent, **change}
+    }
 
 
 def relative_deviation(a: float, b: float) -> float:
@@ -134,16 +159,23 @@ def main(argv=None) -> int:
 
     parent = run_tree(args.parent.resolve())
     change = run_tree(args.change.resolve())
+    data = compare_data(parent["data"], change["data"])
+    print(f"{'data':34s} {'parent digest':>16s} {'change digest':>16s}  same")
+    for name, (before, after, same) in data.items():
+        print(f"{name:34s} {before or 'n/a':>16s} {after or 'n/a':>16s}  {'yes' if same else 'no'}")
+    matched = all(same for _, _, same in data.values())
+    print("inputs matched on every case" if matched else "inputs DIFFER on the cases marked no")
+    print()
     print(f"{'run':34s} {'sweeps':>8s} {'objective':>10s} {'stationarity':>12s}  bit-identical  classes match  "
-          f"{'final objective (parent, change)':>34s}  {'min stationarity (parent, change)':>34s}")
-    for name in parent:
-        c = compare(parent[name], change[name])
+          f"same data  {'final objective (parent, change)':>34s}  {'min stationarity (parent, change)':>34s}")
+    for name in parent["runs"]:
+        c = compare(parent["runs"][name], change["runs"][name])
         sweeps = "{}/{}".format(*c["sweeps"])
         final = "{:.10e} {:.10e}".format(*c["final_objective"])
         lowest = "{:.10e} {:.10e}".format(*c["min_stationarity"])
         print(f"{name:34s} {sweeps:>8s} {c['objective']:10.2e} {c['stationarity']:12.2e}  "
               f"{'yes' if c['identical'] else 'no':13s}  {'yes' if c['classes_match'] else 'no':13s}  "
-              f"{final:>34s}  {lowest:>34s}")
+              f"{'yes' if data[data_of(name)][2] else 'no':9s}  {final:>34s}  {lowest:>34s}")
     return 0
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .driver import SolverConfig, TraceRecord, _sweep_loop, stationarity_measure
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
+    SLAB_BYTES,
     _coo_gather,
     _coo_matrix,
     _coo_partial,
@@ -105,10 +106,16 @@ def _nonzero_list(
     sample = flat[:: max(1, flat.size >> 14)]
     if np.count_nonzero(sample) >= 2.0 * SPARSE_SHARE * sample.size:
         return None
-    nonzero = np.flatnonzero(flat != 0.0)
+    # Over slabs of SLAB_BYTES of the data, so that no tensor-sized mask is
+    # formed: ``flatnonzero`` takes about a quarter of the time on a boolean
+    # mask that it takes on float64 data.
+    step = SLAB_BYTES // 8
+    nonzero = np.concatenate(
+        [np.flatnonzero(flat[s : s + step] != 0.0) + s for s in range(0, flat.size, step)]
+    )
     if nonzero.size >= SPARSE_SHARE * flat.size:
         return None
-    coo = _coo_matrix(nonzero, flat[nonzero], data.shape, pivot)
+    coo = _coo_matrix(nonzero, flat, data.shape, pivot)
     for a in coo:
         a.flags.writeable = False
     return coo

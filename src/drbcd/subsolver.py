@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +64,9 @@ class QuadraticBlockSubproblem:
 
     ``gram`` is r x r symmetric PSD, ``linear`` is d x r, and
     ``objective(U) = tr(U gram U^T) - 2 tr(U linear^T) + constant``.
-    The gram matrix is symmetrized on construction (tolerance 1e-12).
+    The gram matrix is symmetrized on construction (tolerance 1e-12); one
+    that is symmetric bit for bit is kept as it is, which averaging would
+    leave unchanged.
     """
 
     gram: np.ndarray
@@ -79,11 +82,13 @@ class QuadraticBlockSubproblem:
             raise ValueError(
                 f"linear term shape {linear.shape} incompatible with gram {gram.shape}"
             )
-        asym = float(np.max(np.abs(gram - gram.T), initial=0.0))
-        scale = float(np.max(np.abs(gram), initial=0.0))
-        if asym > GRAM_SYMMETRY_TOL * (1.0 + scale):
-            raise ValueError(f"gram matrix is not symmetric (max asymmetry {asym:g})")
-        object.__setattr__(self, "gram", (gram + gram.T) / 2.0)
+        if not np.array_equal(gram, gram.T):
+            asym = float(np.max(np.abs(gram - gram.T), initial=0.0))
+            scale = float(np.max(np.abs(gram), initial=0.0))
+            if asym > GRAM_SYMMETRY_TOL * (1.0 + scale):
+                raise ValueError(f"gram matrix is not symmetric (max asymmetry {asym:g})")
+            gram = (gram + gram.T) / 2.0
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "linear", linear)
 
     def objective(self, u: np.ndarray) -> float:
@@ -425,8 +430,9 @@ class _ExactBlockSolve:
         floor = float(lam.min(initial=math.inf))
         scale = self.radius**-2
 
+        @cache
         def excess(m: float) -> tuple[float, float]:
-            """``phi(m) / radius^2 - 1``, and ``-phi'(m) / radius^2``."""
+            """``phi(m) / radius^2 - 1``, and ``-phi'(m) / radius^2``; once per ``m``."""
             if m + floor <= 0.0:
                 return math.inf, math.inf
             t = 1.0 / (lam + m)
@@ -542,25 +548,30 @@ def solve_block_qp(
     the last iterate is worse, the start is returned with the start's own
     fixed-point residual, and ``converged`` is true only when the exact solve
     succeeded and that residual passes the test (a tie at the optimum, up to
-    rounding).
+    rounding). A start that is the center bit for bit, as the driver passes
+    it, is feasible and its own projection, so it is taken as it is.
     """
     start = np.asarray(start, dtype=np.float64)
     if start.shape != feasible.center.shape:
         raise ValueError(
             f"start shape {start.shape} does not match center {feasible.center.shape}"
         )
-    if not feasible.contains(start, tol=1e-8 * (1.0 + float(np.abs(start).max(initial=0.0)))):
-        raise ValueError("start point is infeasible for the box/ball constraints")
-
-    step = 1.0 / _lipschitz(q.gram)
 
     def _project(y: np.ndarray) -> np.ndarray:
         if math.isinf(feasible.radius):
             return np.clip(y, feasible.lower, feasible.upper)
         return project_box_ball(y, feasible).point
 
-    # Keep the start exactly feasible (contains() allows a whisper of slack).
-    u0 = _project(start)
+    if np.array_equal(start.view(np.uint64), feasible.center.view(np.uint64)):
+        # The center, as the driver passes it: in the box and at distance 0,
+        # so its projection is itself.
+        u0 = feasible.center
+    else:
+        if not feasible.contains(start, tol=1e-8 * (1.0 + float(np.abs(start).max(initial=0.0)))):
+            raise ValueError("start point is infeasible for the box/ball constraints")
+        # Keep the start exactly feasible (contains() allows a whisper of slack).
+        u0 = _project(start)
+    step = 1.0 / _lipschitz(q.gram)
     try:
         u, exact = _ExactBlockSolve(q, feasible).solve(u0), True
     except _PivotingFailed:

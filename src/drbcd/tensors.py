@@ -229,25 +229,36 @@ def _last_mode_mttkrp(x, factors) -> np.ndarray:
     return np.ascontiguousarray((kr_t @ x.reshape(-1, x.shape[-1])).T)
 
 
-def _coo_matrix(flat_index, values, shape, pivot: int):
+def _coo_matrix(flat_index, flat, shape, pivot: int):
     """Entries of a tensor as a coordinate list of its matricization at ``pivot``.
 
-    ``flat_index`` holds the row-major positions of the entries in a tensor
-    of ``shape`` and ``values`` the entries. The matrix's rows are the
-    indices of mode ``pivot``; its columns are the cells of the other modes,
-    a cell being one combination of their indices, numbered row-major (as
-    the rows of :func:`_khatri_rao_native` of their factors are). Returns
-    ``(rows, cols, values)`` ordered by ``rows``, stably, which is the order
-    :func:`_coo_gather` needs. The rows are sorted as the smallest unsigned
-    type that holds them, for which numpy's stable sort is a radix sort,
-    about 10x faster than on ``intp``.
+    ``flat`` is the tensor of ``shape``, flattened in row-major order, and
+    ``flat_index`` holds the positions of the entries to list, ascending.
+    The matrix's rows are the indices of mode ``pivot``; its columns are
+    the cells of the other modes, a cell being one combination of their
+    indices, numbered row-major (as the rows of :func:`_khatri_rao_native`
+    of their factors are). Returns ``(rows, cols, values)`` ordered by
+    ``rows``, stably, which is the order :func:`_coo_gather` needs. The
+    rows are sorted as the smallest unsigned type that holds them, for which
+    numpy's stable sort is a radix sort, about 10x faster than on ``intp``.
+    The positions are put in that order first, and the columns and values
+    are formed from them in place, so that little more than the list itself
+    is held at once.
     """
+    length = shape[pivot]
     inner = prod(shape[pivot + 1 :])
-    outer, within = np.divmod(flat_index, inner)
-    before, rows = np.divmod(outer, shape[pivot])
-    cols = before * inner + within
-    order = np.argsort(rows.astype(np.min_scalar_type(shape[pivot] - 1)), kind="stable")
-    return rows[order], cols[order], values[order]
+    key = flat_index // inner
+    key %= length
+    key = key.astype(np.min_scalar_type(length - 1))
+    index = flat_index[np.argsort(key, kind="stable")]
+    rows = np.repeat(np.arange(length), np.bincount(key, minlength=length))
+    del key
+    values = flat[index]
+    cols = index // (length * inner)
+    cols *= inner
+    index %= inner
+    cols += index
+    return rows, cols, values
 
 
 def _runs(idx) -> tuple[int, np.ndarray]:
@@ -402,18 +413,24 @@ def write_ntf1(path, x) -> None:
     """Write ``x`` in the NTF1 binary format.
 
     Layout: magic ``NTF1``, uint32-LE mode count, one uint64-LE dimension per
-    mode, then the float64-LE entries in row-major order.
+    mode, then the float64-LE entries in row-major order. The entries are
+    written from the array's own buffer, without a copy (on a little-endian
+    host).
     """
     x = as_tensor(x)
     with open(path, "wb") as fh:
         fh.write(NTF1_MAGIC)
         fh.write(struct.pack("<I", x.ndim))
         fh.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-        fh.write(x.astype("<f8", copy=False).tobytes(order="C"))
+        fh.write(x.astype("<f8", copy=False))
 
 
 def read_ntf1(path) -> np.ndarray:
-    """Read a tensor written by :func:`write_ntf1`."""
+    """Read a tensor written by :func:`write_ntf1`.
+
+    The entries are read straight into the array returned, without a second
+    copy (on a little-endian host).
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != NTF1_MAGIC:
@@ -430,11 +447,9 @@ def read_ntf1(path) -> np.ndarray:
         dims = struct.unpack(f"<{m}Q", raw_dims)
         if any(d == 0 for d in dims):
             raise ValueError(f"{path!s}: NTF1 dimensions must be positive")
-        count = prod(dims)
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
+        data = np.empty(dims, dtype="<f8")
+        if fh.readinto(data) != data.nbytes:
             raise ValueError(f"{path!s}: truncated NTF1 payload")
         if fh.read(1):
             raise ValueError(f"{path!s}: trailing bytes after NTF1 payload")
-    data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return data.reshape(dims)
+    return data.astype(np.float64, copy=False)

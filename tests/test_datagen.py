@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from drbcd import datagen
 from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from drbcd.factorization import NtfProblem
+from drbcd.tensors import cp_reconstruct, frobenius_norm
 
 
 def test_lowrank_paper_shape_and_nonnegativity():
@@ -70,10 +74,112 @@ def test_surrogate_requires_target():
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="rank"):
-        SynthSpec(dims=(3, 4), rank=5)
+        synthetic_lowrank(SynthSpec(dims=(3, 4), rank=5))
     with pytest.raises(ValueError, match="density"):
         SynthSpec(dims=(3, 4), rank=2, density=0.0)
     with pytest.raises(ValueError, match="dims"):
         SynthSpec(dims=(), rank=1)
     with pytest.raises(ValueError, match="noise"):
         SynthSpec(dims=(3, 4), rank=2, noise_level=-1.0)
+
+
+def test_rank_is_checked_only_where_it_is_read():
+    # The surrogate never reads the rank; the low-rank family needs one in
+    # [1, min(dims)].
+    spec = SynthSpec(dims=(5, 5, 5), rank=6, seed=0, density=0.5, target_mean_abs=0.1)
+    assert sparse_surrogate(spec).shape == (5, 5, 5)
+    for rank in (0, 6):
+        with pytest.raises(ValueError, match=r"rank must lie in \[1, min\(dims\)\] = \[1, 5\]"):
+            synthetic_lowrank(SynthSpec(dims=(5, 5, 5), rank=rank))
+
+
+# ---------------------------------------------------------------------------
+# One buffer per tensor, with the bits of the whole-tensor formulas
+
+
+def reference_lowrank(spec):
+    """The generator as one whole-tensor formula, with its temporaries."""
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    factors = [rng.random((d, spec.rank)) for d in spec.dims]
+    x = cp_reconstruct(factors, np.ones((spec.rank, 1)))[..., 0]
+    if spec.noise_level > 0.0:
+        sigma = spec.noise_level * frobenius_norm(x) / np.sqrt(x.size)
+        x = np.maximum(x + sigma * rng.standard_normal(x.shape), 0.0)
+    return np.ascontiguousarray(x), factors
+
+
+def reference_surrogate(spec):
+    """The surrogate as one whole-tensor formula, with its temporaries."""
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    mask = rng.random(spec.dims) < spec.density
+    values = rng.random(spec.dims)
+    x = np.where(mask, values, 0.0)
+    mean = float(np.mean(np.abs(x)))
+    return np.ascontiguousarray(x * (spec.target_mean_abs / mean))
+
+
+# Two, three and four modes; sizes below one chunk, of exactly one and two
+# chunks, and between multiples of it.
+SHAPES = [(17, 29), (256, 256), (300, 500), (2, 256, 256), (40, 50, 70), (8, 9, 10, 11), (6, 7, 8, 300)]
+
+
+def test_shapes_cover_the_chunk_boundaries():
+    sizes = {int(np.prod(s)) for s in SHAPES}
+    assert {datagen.CHUNK, 2 * datagen.CHUNK} <= sizes
+    assert any(n < datagen.CHUNK for n in sizes)
+    assert any(n > datagen.CHUNK and n % datagen.CHUNK for n in sizes)
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+@pytest.mark.parametrize("noise_level", [0.0, 0.3])
+def test_lowrank_has_the_bits_of_the_whole_tensor_formula(dims, noise_level):
+    spec = SynthSpec(dims=dims, rank=2, seed=11, noise_level=noise_level)
+    x, model = synthetic_lowrank(spec)
+    expected, factors = reference_lowrank(spec)
+    assert x.flags.c_contiguous and x.dtype == np.float64
+    assert_array_equal(x, expected, strict=True)
+    assert np.array_equal(np.signbit(x), np.signbit(expected))
+    for got, want in zip(model.factors, factors):
+        assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+@pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
+def test_surrogate_has_the_bits_of_the_whole_tensor_formula(dims, density):
+    spec = SynthSpec(dims=dims, rank=2, seed=12, density=density, target_mean_abs=0.25)
+    x = sparse_surrogate(spec)
+    expected = reference_surrogate(spec)
+    assert x.flags.c_contiguous and x.dtype == np.float64
+    assert_array_equal(x, expected, strict=True)
+    assert not np.signbit(x).any()
+
+
+def traced_peak(build):
+    """``build()`` and the most bytes numpy held at once while it ran."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Sixteen chunks: what one chunk's draws hold beside the result is 1/16 of it.
+PEAK_DIMS = (100, 100, 100)
+
+
+def test_surrogate_is_built_in_its_own_buffer():
+    # The result, the boolean mask (an eighth of it) and one chunk's draws;
+    # the whole-tensor formula held about 3x the result.
+    spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.01, target_mean_abs=0.00067)
+    x, peak = traced_peak(lambda: sparse_surrogate(spec))
+    assert x.nbytes == 8 * 10**6
+    assert peak <= 1.25 * x.nbytes
+
+
+def test_noisy_lowrank_adds_its_noise_in_place():
+    # The result and the Khatri-Rao chain it is formed from, then one chunk's
+    # noise at a time; the whole-tensor formula held about 3x the result.
+    spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=14, noise_level=0.1)
+    (x, _), peak = traced_peak(lambda: synthetic_lowrank(spec))
+    assert peak <= 1.25 * x.nbytes

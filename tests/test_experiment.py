@@ -595,6 +595,25 @@ def test_cli_bad_setting_exits_2_before_writing(tmp_path, monkeypatch, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data, code", [("surrogate", 0), ("synth", 2)])
+def test_cli_checks_the_rank_only_where_the_data_reads_it(tmp_path, capsys, data, code):
+    # The surrogate never reads the rank, so a rank above the shortest mode
+    # factorizes it, as it would the same tensor read from a file; the
+    # low-rank data is generated at that rank and cannot be.
+    out = tmp_path / "exp"
+    argv = ["--data", data, "--rank", "6", "--shape", "5,5,5", "--density", "0.5",
+            "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--serial", "--out", str(out)]
+    if data == "synth":
+        argv.remove("--density")
+        argv.remove("0.5")
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "rank must lie in [1, min(dims)]" in err and not out.exists()
+    else:
+        assert "error" not in err and (out / "config.txt").exists()
+
+
 def test_cli_reads_ntf1_file(tmp_path):
     from drbcd.datagen import SynthSpec, synthetic_lowrank
     from drbcd.tensors import write_ntf1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ def test_block_subproblem_equals_restricted_objective():
         assert abs(diffs[0]) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("shape", [(4, 5, 6), (3, 4, 2, 5), (6, 7)])
+def test_block_subproblem_gram_is_symmetric_bit_for_bit(shape):
+    # A Hadamard product of Grams ``b.T @ b``: the subproblem keeps it as it
+    # is, with no averaging copy.
+    rng = np.random.default_rng(19)
+    problem = NtfProblem(rng.random(shape), 4)
+    blocks = [rng.random((d, 4)) for d in shape]
+    for i in range(len(shape)):
+        gram = problem.block_subproblem(blocks, i).gram
+        assert np.array_equal(gram, gram.T)
+
+
 def test_block_subproblem_index_error():
     problem = NtfProblem(np.ones((2, 3)), rank=1)
     with pytest.raises(ValueError, match="index"):
@@ -339,6 +352,49 @@ def test_nonzero_path_is_chosen_below_the_nonzero_share(below):
         assert not any(a.flags.writeable for a in problem._coo)
         assert np.all(np.diff(rows) >= 0) and values.size == threshold - 1
         assert_array_equal(rebuilt_from_list(problem), data)
+
+
+def reference_nonzero_list(data, pivot):
+    """The list from one whole-tensor mask, ordered by one argsort of the rows."""
+    flat = data.ravel()
+    nonzero = np.flatnonzero(flat != 0.0)
+    inner = math.prod(data.shape[pivot + 1 :])
+    outer, within = np.divmod(nonzero, inner)
+    before, rows = np.divmod(outer, data.shape[pivot])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], (before * inner + within)[order], flat[nonzero][order]
+
+
+@pytest.mark.parametrize("slab_bytes", [8, 56, 512, None])
+@pytest.mark.parametrize("shape", [(20, 30, 25), (30, 20, 25), (5, 6, 7, 8)])
+def test_nonzero_list_matches_the_whole_tensor_search(monkeypatch, slab_bytes, shape):
+    # The mask is formed slab by slab, and the list ordered from the sorted
+    # positions; NaN counts as nonzero and -0.0 as zero, as with one mask.
+    rng = np.random.default_rng(43)
+    data = sparse_data(rng, shape, math.prod(shape) // 100)
+    data.flat[[3, 11]] = [np.nan, -0.0]
+    if slab_bytes is not None:
+        monkeypatch.setattr(factorization, "SLAB_BYTES", slab_bytes)
+    for pivot in range(len(shape)):
+        got = factorization._nonzero_list(data, pivot)
+        for a, b in zip(got, reference_nonzero_list(data, pivot)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_sparse_problem_holds_its_copy_and_list_alone():
+    # Set-up holds the private copy and the coordinate list, and little
+    # else: no tensor-sized mask, and no more than a third of the list in
+    # temporaries beside it (a whole-tensor mask and argsort held 4.5 lists).
+    data = sparse_data(np.random.default_rng(44), (100, 100, 100), 10**4)
+    tracemalloc.start()
+    try:
+        problem = NtfProblem(data, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    listed = sum(a.nbytes for a in problem._coo)
+    assert listed == 24 * 10**4
+    assert peak <= problem.data.nbytes + 2 * listed
 
 
 def both_paths(data, rank):

@@ -269,6 +269,56 @@ def test_gram_symmetry_enforced():
         QuadraticBlockSubproblem(gram=np.array([[1.0, 0.5], [0.0, 1.0]]), linear=np.zeros((1, 2)))
 
 
+def test_exactly_symmetric_gram_is_kept_and_a_nearly_symmetric_one_averaged():
+    a = np.random.default_rng(3).standard_normal((4, 4))
+    gram = a + a.T  # symmetric bit for bit
+    q = QuadraticBlockSubproblem(gram=gram, linear=np.zeros((2, 4)))
+    assert q.gram.tobytes() == gram.tobytes() == ((gram + gram.T) / 2.0).tobytes()
+    nearly = gram.copy()
+    nearly[0, 1] += 1e-14
+    q = QuadraticBlockSubproblem(gram=nearly, linear=np.zeros((2, 4)))
+    assert q.gram.tobytes() == ((nearly + nearly.T) / 2.0).tobytes()
+    assert np.array_equal(q.gram, q.gram.T)
+
+
+@pytest.mark.parametrize("radius", [0.3, math.inf])
+def test_solve_from_the_center_skips_the_start_checks(monkeypatch, radius):
+    # The driver starts every solve at the center: in the box, at distance
+    # 0, and its own projection, bit for bit. The solve then neither tests
+    # nor projects the start, and still certifies its point with at least
+    # one projection when the radius is finite. Entries on both faces.
+    rng = np.random.default_rng(8)
+    q = random_psd_problem(rng, 6, 3)
+    center = rng.random((6, 3))
+    center[0, 0], center[1, 2] = 0.0, 1.0
+    fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=center, radius=radius)
+    assert project_box_ball(fs.center, fs).point.tobytes() == fs.center.tobytes()
+    assert np.clip(fs.center, 0.0, 1.0).tobytes() == fs.center.tobytes()
+    # The same values with other bits (a negative zero) take the checks.
+    other = fs.center.copy()
+    other[0, 0] = -0.0
+    checked = solve_block_qp(q, fs, start=other)
+
+    projections = []
+
+    def count(p, feasible):
+        projections.append(p)
+        return project_box_ball(p, feasible)
+
+    def no_test(self, p, tol=1e-9):
+        raise AssertionError("the center's feasibility was tested")
+
+    monkeypatch.setattr("drbcd.subsolver.project_box_ball", count)
+    monkeypatch.setattr(BoxBallFeasibleSet, "contains", no_test)
+    fast = solve_block_qp(q, fs, start=fs.center.copy())
+    np.testing.assert_array_equal(fast.point, checked.point)
+    assert (fast.residual, fast.iterations, fast.converged) == (
+        checked.residual, checked.iterations, checked.converged
+    )
+    assert len(projections) >= (1 if math.isfinite(radius) else 0)
+    assert all(p is not fs.center for p in projections)
+
+
 # ---------------------------------------------------------------------------
 # solve_block_qp
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * rank * nonzeros_per_chunk)
     scratch = np.empty(rank * nonzero.size)
     for pivot in range(len(shape)):
-        rows, cols, values = _coo_matrix(nonzero, x.ravel()[nonzero], shape, pivot)
+        rows, cols, values = _coo_matrix(nonzero, x.ravel(), shape, pivot)
         assert np.all(np.diff(rows) >= 0)
         assert_array_equal(coo_tensor(rows, cols, values, shape, pivot), x)
         others = factors[:pivot] + factors[pivot + 1 :]
@@ -465,3 +466,55 @@ def test_ntf1_rejects_truncation(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_ntf1(path)
+
+
+@pytest.mark.parametrize("cut", [8, 1, 7 * 8])
+def test_ntf1_rejects_a_short_payload_at_any_cut(tmp_path, cut):
+    x = np.arange(24.0).reshape(2, 3, 4)
+    path = tmp_path / "x.ntf1"
+    write_ntf1(path, x)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match="truncated NTF1 payload"):
+        read_ntf1(path)
+
+
+@pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8])
+def test_ntf1_rejects_trailing_bytes(tmp_path, extra):
+    path = tmp_path / "x.ntf1"
+    write_ntf1(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_ntf1(path)
+
+
+def test_ntf1_round_trip_is_bit_identical(tmp_path):
+    # Signed zeros, subnormals and the extremes of the range keep their bits,
+    # in the file and back.
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((3, 4, 2, 5))
+    x.flat[:6] = [-0.0, 0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, -1.0]
+    path = tmp_path / "x.ntf1"
+    write_ntf1(path, x)
+    assert path.read_bytes()[8 + 8 * x.ndim :] == x.astype("<f8").tobytes()
+    y = read_ntf1(path)
+    assert y.dtype == np.float64 and y.shape == x.shape and y.flags.c_contiguous
+    assert y.tobytes() == x.tobytes()
+
+
+def test_ntf1_io_holds_no_second_copy(tmp_path):
+    # Reading fills the array returned; writing sends the array's own
+    # buffer. Before, each held one more copy of the payload.
+    x = np.random.default_rng(32).random((100, 100, 100))
+    path = tmp_path / "x.ntf1"
+    tracemalloc.start()
+    try:
+        write_ntf1(path, x)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        y = read_ntf1(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written <= 0.1 * x.nbytes
+    assert read <= 1.1 * x.nbytes
+    assert_array_equal(y, x)

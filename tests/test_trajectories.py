@@ -1,9 +1,11 @@
 """``scripts/trajectories.py``: the comparison of two traces, on hand-made
 records and without a solver run."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +61,37 @@ def test_each_side_ends_with_its_own_final_objective_and_lowest_stationarity(tra
     shorter = trajectories.compare(PARENT, PARENT[:2])
     assert shorter["final_objective"] == (7.0, 8.0)
     assert shorter["min_stationarity"] == (1.0, 2.0)
+
+
+def test_data_digests_are_compared_per_case(trajectories):
+    parent = {"paper seed 1": "aa", "paper seed 2": "bb", "desk seed 1": "cc"}
+    change = {"paper seed 1": "aa", "paper seed 2": "bx", "surrogate seed 1": "dd"}
+    c = trajectories.compare_data(parent, change)
+    assert c == {
+        "paper seed 1": ("aa", "aa", True),
+        "paper seed 2": ("bb", "bx", False),
+        "desk seed 1": ("cc", None, False),
+        "surrogate seed 1": (None, "dd", False),
+    }
+    assert list(c)[:3] == list(parent)
+
+
+def test_each_run_maps_to_the_data_it_factorizes(trajectories):
+    assert trajectories.data_of("paper seed 1") == "paper seed 1"
+    assert trajectories.data_of("mu on surrogate 500x90x100 seed 2") == "surrogate 500x90x100 seed 2"
+
+
+def test_worker_digest_tells_shape_and_bits_apart(trajectories):
+    # The digest the worker prints, run on tensors that differ only in shape,
+    # only in the sign of a zero, or not at all.
+    worker = trajectories.WORKER
+    namespace = {"hashlib": hashlib, "np": np}
+    exec(worker[worker.index("def digest") : worker.index("out = {")], namespace)
+    digest = namespace["digest"]
+    x = np.arange(24.0).reshape(2, 3, 4)
+    assert digest(x) == digest(x.copy()) and len(digest(x)) == 16
+    assert digest(x) != digest(x.reshape(4, 3, 2))
+    y = x.copy()
+    y[0, 0, 0] = -0.0
+    assert digest(x) != digest(y)
+    assert digest(np.asfortranarray(x)) == digest(x)
