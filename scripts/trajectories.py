@@ -30,7 +30,10 @@ generated the data, an exact fit.)
 
 It first prints, for every case and seed, a digest of the data tensor each
 side built (SHA-256 of its shape and float64 bytes) and whether the two
-match. For every run it then prints the sweeps each side did, the largest
+match; next to them, the digest of the tensor each side's ``NtfProblem``
+returns as its ``data``, whether those match, and the bytes of the arrays
+each problem holds, so that a change in how a problem holds its data shows
+beside its inputs. For every run it then prints the sweeps each side did, the largest
 relative deviation of the objective and of the stationarity measure over
 the sweeps, whether the two traces are bit-identical, whether the
 long/short point classes match, and whether the run's data matched. A
@@ -50,8 +53,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Run inside each tree; prints {"data": {case name: digest}, "runs": {run
-# name: [[objective, stationarity, class], ...]}}.
+# Run inside each tree; prints {"data": {case name: digest}, "problem": {case
+# name: [digest, bytes held]}, "runs": {run name: [[objective, stationarity,
+# class], ...]}}.
 WORKER = r"""
 import hashlib, json, sys
 import numpy as np
@@ -75,7 +79,16 @@ def digest(x):
     h.update(np.ascontiguousarray(x, dtype="<f8"))
     return h.hexdigest()[:16]
 
-out = {"data": {}, "runs": {}}
+def held_bytes(problem):
+    buffers = {}
+    for value in vars(problem).values():
+        for a in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(a, np.ndarray):
+                owner = a if a.base is None else a.base
+                buffers[id(owner)] = owner.nbytes
+    return sum(buffers.values())
+
+out = {"data": {}, "problem": {}, "runs": {}}
 for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
     for seed in seeds:
         if data == "synth":
@@ -85,6 +98,7 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
                 dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067))
         out["data"][f"{name} seed {seed}"] = digest(x)
         problem = factorization.NtfProblem(x, rank)
+        out["problem"][f"{name} seed {seed}"] = [digest(problem.data), held_bytes(problem)]
         # Not the data's seed: the synthetic data are built from the factors
         # that init_factors draws for the same seed.
         init = factorization.init_factors(
@@ -160,11 +174,19 @@ def main(argv=None) -> int:
     parent = run_tree(args.parent.resolve())
     change = run_tree(args.change.resolve())
     data = compare_data(parent["data"], change["data"])
-    print(f"{'data':34s} {'parent digest':>16s} {'change digest':>16s}  same")
+    problems = compare_data(*({k: v[0] for k, v in side["problem"].items()} for side in (parent, change)))
+    print(f"{'data':34s} {'parent digest':>16s} {'change digest':>16s}  same  "
+          f"{'problem digests (parent, change)':>33s}  same  {'bytes held (parent, change)':>27s}")
     for name, (before, after, same) in data.items():
-        print(f"{name:34s} {before or 'n/a':>16s} {after or 'n/a':>16s}  {'yes' if same else 'no'}")
+        problem_before, problem_after, problem_same = problems[name]
+        digests = f"{problem_before or 'n/a'} {problem_after or 'n/a'}"
+        held = " ".join(str(side["problem"].get(name, (None, "n/a"))[1]) for side in (parent, change))
+        print(f"{name:34s} {before or 'n/a':>16s} {after or 'n/a':>16s}  {'yes' if same else 'no':4s}  "
+              f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}")
     matched = all(same for _, _, same in data.values())
     print("inputs matched on every case" if matched else "inputs DIFFER on the cases marked no")
+    matched = all(same for _, _, same in problems.values())
+    print("problems' data matched on every case" if matched else "problems' data DIFFER on the cases marked no")
     print()
     print(f"{'run':34s} {'sweeps':>8s} {'objective':>10s} {'stationarity':>12s}  bit-identical  classes match  "
           f"same data  {'final objective (parent, change)':>34s}  {'min stationarity (parent, change)':>34s}")

@@ -483,7 +483,7 @@ def _start(problem: NtfProblem, cfg: ExperimentConfig, run_index: int) -> list[n
     """Run ``run_index``'s start, seeded ``seed + run_index`` whatever the
     algorithm; read-only, since every algorithm's run shares it."""
     blocks = init_factors(
-        problem.data.shape,
+        problem.shape,
         cfg.rank,
         seed=cfg.seed + run_index,
         scale=cfg.init_scale,

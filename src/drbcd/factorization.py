@@ -30,16 +30,17 @@ from .driver import SolverConfig, TraceRecord, _sweep_loop, stationarity_measure
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
     SLAB_BYTES,
+    _checked_max,
     _coo_gather,
     _coo_matrix,
     _coo_partial,
+    _coo_tensor,
     _khatri_rao_native,
     _khatri_rao_t,
     _last_mode_mttkrp,
     _last_mode_partial,
     _mttkrp_from_partial,
     _row_slabs,
-    as_tensor,
 )
 
 __all__ = [
@@ -121,9 +122,11 @@ def _nonzero_list(
     return coo
 
 
-def default_box_bound(data: np.ndarray, num_blocks: int) -> float:
-    """Generous per-entry factor bound keeping the feasible set compact."""
-    top = float(data.max(initial=0.0))
+def default_box_bound(top: float, num_blocks: int) -> float:
+    """Generous per-entry factor bound keeping the feasible set compact.
+
+    ``top`` is the data's largest entry.
+    """
     return 10.0 * max(1.0, top) ** (1.0 / (num_blocks + 1))
 
 
@@ -170,10 +173,13 @@ class NtfProblem:
     so pass over dense data twice, and over the nonzeros of sparse data
     three times, instead of seven times.
 
-    Which passes run depends on the data alone. When its nonzeros are fewer
-    than :data:`SPARSE_SHARE` of the entries, the problem keeps one
-    read-only coordinate list of them next to :attr:`data`, and the
-    MTTKRPs and the objective visit the nonzeros alone (the
+    Which passes run, and how the data is held, depends on the data alone;
+    it is held once. Dense data is held as a private read-only copy. When
+    the nonzeros are fewer than :data:`SPARSE_SHARE` of the entries, the
+    problem holds one read-only coordinate list of them instead, 24 bytes a
+    nonzero, formed from the caller's array without a tensor-sized copy, so
+    that the caller may free that array once the problem is built; the
+    MTTKRPs and the objective then visit the nonzeros alone (the
     coordinate-format MTTKRP and factored-tensor norm of Bader & Kolda
     2007, "Efficient MATLAB computations with sparse and factored
     tensors", on the dimension tree of Kaya & Uçar 2018, "Parallel
@@ -184,46 +190,69 @@ class NtfProblem:
     then has one row per cell, never more than on the dense path. Dense
     data pivots on the last mode, and the objective is a pass over
     cache-sized row slabs of the data's native view ``X.reshape(-1,
-    d_last)``.
+    d_last)``. The solves read the data's :attr:`shape`; :attr:`data`
+    returns the tensor itself, rebuilt on every access from sparse data.
     """
 
     def __init__(self, data, rank: int, box_bound: float | None = None):
-        # A private read-only copy: the memo is keyed by the blocks alone, so
-        # the data must never change under it.
-        self.data = np.array(data, dtype=np.float64, order="C")
-        self.data.flags.writeable = False
+        x = np.asarray(data, dtype=np.float64, order="C")
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
-        if self.data.ndim < 2:
+        if x.ndim < 2:
             raise ValueError("factorization needs at least two data modes")
-        if 0 in self.data.shape:
-            raise ValueError(
-                f"every data mode needs positive length, got shape {self.data.shape}"
-            )
+        if 0 in x.shape:
+            raise ValueError(f"every data mode needs positive length, got shape {x.shape}")
+        self.shape: tuple[int, ...] = x.shape
         self.rank = int(rank)
         # The longest mode (the last of equal lengths) is the sparse pivot:
         # its partial then has the fewest cells.
-        longest = self.data.ndim - 1 - int(np.argmax(self.data.shape[::-1]))
-        self._coo = _nonzero_list(self.data, longest)
-        self._pivot = self.data.ndim - 1 if self._coo is None else longest
+        longest = x.ndim - 1 - int(np.argmax(x.shape[::-1]))
+        self._coo = _nonzero_list(x, longest)
+        self._pivot = x.ndim - 1 if self._coo is None else longest
+        self._dense = None
+        if self._coo is None:
+            # Private and read-only, since the memo is keyed by the blocks
+            # alone; a conversion above already made an array of our own.
+            self._dense = x.copy() if x is data or x.base is not None else x
+            self._dense.flags.writeable = False
         # Every nonzero entry (NaN and infinities among them): the checks,
         # the maximum and the square sum need no more.
-        entries = self.data.ravel() if self._coo is None else self._coo[2]
-        as_tensor(entries, nonneg=True)
+        entries = self._coo[2] if self._dense is None else self._dense.ravel()
+        top = _checked_max(entries, nonneg=True) if entries.size else 0.0
         self.box_bound = (
-            default_box_bound(entries, self.data.ndim) if box_bound is None else float(box_bound)
+            default_box_bound(top, self.num_blocks) if box_bound is None else float(box_bound)
         )
         if not self.box_bound > 0.0:
             raise ValueError(f"box bound must be positive, got {self.box_bound}")
         self._norm_sq = float(np.dot(entries, entries))
-        self._memo = _Memo(self.data.ndim)
+        self._memo = _Memo(self.num_blocks)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The data tensor, read-only.
+
+        Dense data returns the problem's own copy, the same array every
+        time. Sparse data rebuilds the tensor from the coordinate list on
+        every access: a fresh tensor-sized array of zeros, and a scatter of
+        the nonzeros into it. On 90x500x100 at 1% nonzero that took ~9 ms
+        on one core, a little less than copying the tensor (~11 ms). An
+        entry the list left out as zero comes back as ``+0.0``, also where
+        the input held ``-0.0``. No solve reads it but the objective's
+        rounding fallback (see :meth:`_coo_objective`), whose squared
+        residuals do not see the sign of a zero.
+        """
+        if self._dense is not None:
+            return self._dense
+        x = _coo_tensor(*self._coo, self.shape, self._pivot)
+        x.flags.writeable = False
+        return x
 
     @property
     def num_blocks(self) -> int:
-        return self.data.ndim
+        return len(self.shape)
 
     def block_shape(self, i: int) -> tuple[int, int]:
-        return (self.data.shape[i], self.rank)
+        return (self.shape[i], self.rank)
 
     def _check_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         if len(blocks) != self.num_blocks:
@@ -252,7 +281,8 @@ class NtfProblem:
 
         On sparse data (see :meth:`_coo_objective`) the residual is formed
         at the nonzeros alone, unless rounding could move the result by more
-        than ``1e-12`` of itself.
+        than ``1e-12`` of itself; then the pass above runs on the tensor
+        rebuilt from the list (see :attr:`data`).
 
         The pass leaves behind, in this thread's memo, the MTTKRP term that
         the stationarity measure at the same blocks needs next and that the
@@ -266,7 +296,7 @@ class NtfProblem:
             total = self._coo_objective(blocks)
             if total is not None:
                 return total
-        xr = self.data.reshape(-1, self.data.shape[-1])
+        xr = self.data.reshape(-1, self.shape[-1])
         kr = _khatri_rao_native(blocks[:-1])
         last = blocks[-1]
         slabs = _row_slabs(xr.shape[0], xr[0].nbytes)
@@ -290,7 +320,7 @@ class NtfProblem:
             if partial is not None:
                 np.matmul(xr[start:stop], last, out=partial[start:stop])
         if partial is not None:
-            partial = partial.reshape(self.data.shape[:-1] + (self.rank,))
+            partial = partial.reshape(self.shape[:-1] + (self.rank,))
             partial.flags.writeable = False
             memo.partial = (key, partial)
         return total
@@ -333,7 +363,7 @@ class NtfProblem:
         total = residual + (energy - at_nonzeros)
         scale = float(np.sqrt(np.prod([np.diag(g) for g in grams], axis=0)).sum()) ** 2
         unit_roundoff = np.finfo(np.float64).eps / 2
-        terms = sum(self.data.shape) + self.num_blocks + self.rank**2
+        terms = sum(self.shape) + self.num_blocks + self.rank**2
         return total if unit_roundoff * terms * scale <= 1e-12 * total else None
 
     def _chunk_scratch(self) -> np.ndarray:
@@ -385,7 +415,7 @@ class NtfProblem:
         if i != self._pivot:
             linear = _mttkrp_from_partial(self._partial(pivot), others, i - (i > self._pivot))
         elif self._coo is None:
-            linear = _last_mode_mttkrp(self.data, others)
+            linear = _last_mode_mttkrp(self._dense, others)
         else:
             linear = _coo_gather(
                 *self._coo, _khatri_rao_t(others), self._chunk_scratch(), num_rows=pivot.shape[0]
@@ -413,9 +443,9 @@ class NtfProblem:
         cached_key, partial = memo.partial
         if cached_key != key:
             if self._coo is None:
-                partial = _last_mode_partial(self.data, pivot)
+                partial = _last_mode_partial(self._dense, pivot)
             else:
-                shape = self.data.shape[: self._pivot] + self.data.shape[self._pivot + 1 :]
+                shape = self.shape[: self._pivot] + self.shape[self._pivot + 1 :]
                 cells = _coo_partial(*self._coo, pivot, math.prod(shape))
                 partial = cells.reshape(shape + (self.rank,))
             partial.flags.writeable = False

@@ -35,9 +35,11 @@ their results and the scratch buffers the ``_coo_*`` kernels are given.
 
 from __future__ import annotations
 
+import os
 import struct
 from functools import reduce
 from math import isfinite, prod
+from stat import S_ISREG
 
 import numpy as np
 
@@ -75,14 +77,21 @@ def as_tensor(data, nonneg: bool = False) -> np.ndarray:
     if x.ndim == 0:
         raise ValueError("tensor must have at least one mode")
     if x.size:
-        # ``min`` and ``max`` propagate NaN, so together they find every
-        # non-finite entry without a tensor-sized boolean temporary.
-        lowest, highest = float(x.min()), float(x.max())
-        if not (isfinite(lowest) and isfinite(highest)):
-            raise ValueError("tensor entries must be finite (no NaN/Inf)")
-        if nonneg and lowest < 0.0:
-            raise ValueError("tensor entries must be nonnegative")
+        _checked_max(x, nonneg)
     return x
+
+
+def _checked_max(x: np.ndarray, nonneg: bool) -> float:
+    """The largest entry of a nonempty ``x``, once its entries pass
+    :func:`as_tensor`'s checks; one pass each for the minimum and maximum."""
+    # ``min`` and ``max`` propagate NaN, so together they find every
+    # non-finite entry without a tensor-sized boolean temporary.
+    lowest, highest = float(x.min()), float(x.max())
+    if not (isfinite(lowest) and isfinite(highest)):
+        raise ValueError("tensor entries must be finite (no NaN/Inf)")
+    if nonneg and lowest < 0.0:
+        raise ValueError("tensor entries must be nonnegative")
+    return highest
 
 
 def frobenius_norm(x) -> float:
@@ -261,6 +270,19 @@ def _coo_matrix(flat_index, flat, shape, pivot: int):
     return rows, cols, values
 
 
+def _coo_tensor(rows, cols, values, shape, pivot: int) -> np.ndarray:
+    """The tensor of ``shape`` whose nonzeros :func:`_coo_matrix` listed.
+
+    Every entry not listed is ``+0.0``; only index arrays of the list's
+    length are formed beside the result.
+    """
+    inner = prod(shape[pivot + 1 :])
+    out = np.zeros(shape)
+    before, within = np.divmod(cols, inner)
+    out.reshape(-1, shape[pivot], inner)[before, rows, within] = values
+    return out
+
+
 def _runs(idx) -> tuple[int, np.ndarray]:
     """``(first, bounds)`` for a sorted, nonempty index array ``idx``.
 
@@ -429,7 +451,9 @@ def read_ntf1(path) -> np.ndarray:
     """Read a tensor written by :func:`write_ntf1`.
 
     The entries are read straight into the array returned, without a second
-    copy (on a little-endian host).
+    copy (on a little-endian host). A regular file too short for the entries
+    its header claims is refused before the array is allocated; any other
+    file, such as a pipe, is refused once its bytes run out.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -447,6 +471,9 @@ def read_ntf1(path) -> np.ndarray:
         dims = struct.unpack(f"<{m}Q", raw_dims)
         if any(d == 0 for d in dims):
             raise ValueError(f"{path!s}: NTF1 dimensions must be positive")
+        info = os.fstat(fh.fileno())
+        if S_ISREG(info.st_mode) and info.st_size - fh.tell() < 8 * prod(dims):
+            raise ValueError(f"{path!s}: truncated NTF1 payload")
         data = np.empty(dims, dtype="<f8")
         if fh.readinto(data) != data.nbytes:
             raise ValueError(f"{path!s}: truncated NTF1 payload")

@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import drbcd.experiment as experiment
 from drbcd.cli import main, parse_config, read_config_file
@@ -631,6 +632,45 @@ def test_cli_reads_ntf1_file(tmp_path):
     )
     assert code == 0
     assert (out / "als_run1.csv").exists()
+
+
+def test_cli_refuses_an_ntf1_header_larger_than_its_file(tmp_path, capsys):
+    # A 40-byte file whose header claims 10^15 entries: one error line and
+    # exit 2, not an allocation of 7.1 PiB.
+    path = tmp_path / "huge.ntf1"
+    path.write_bytes(b"NTF1" + struct.pack("<I3Q", 3, 10**5, 10**5, 10**5) + bytes(8))
+    out = tmp_path / "exp"
+    assert main(["--data", f"file:{path}", "--rank", "2", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("drbcd: error: ")
+    assert "truncated NTF1 payload" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["surrogate", "file"])
+def test_save_data_round_trips_sparse_data(tmp_path, source):
+    # The problem holds sparse data as its nonzeros alone; the file it saves
+    # is the input again, with a -0.0 written as +0.0.
+    from drbcd.tensors import read_ntf1, write_ntf1
+
+    argv = ["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--serial",
+            "--save-data", "--out", str(tmp_path / "exp")]
+    if source == "surrogate":
+        argv += ["--data", "surrogate", "--shape", "6,7,8", "--density", "0.03"]
+        data = experiment.resolve_data(parse_config(argv)[0])
+    else:
+        data = np.zeros((6, 7, 8))
+        data.flat[[5, 40, 41, 300]] = [0.25, 1.0, -0.0, 3.5]
+        path = tmp_path / "data.ntf1"
+        write_ntf1(path, data)
+        argv += ["--data", f"file:{path}"]
+    assert NtfProblem(data, 2)._coo is not None
+    assert main(argv) == 0
+    saved = read_ntf1(tmp_path / "exp" / "data.ntf1")
+    assert_array_equal(saved, data)
+    assert not np.signbit(saved).any()
+    if source == "surrogate":
+        assert saved.tobytes() == data.tobytes()
 
 
 def test_save_data_emits_ntf1(tmp_path):

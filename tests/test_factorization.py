@@ -22,6 +22,18 @@ def sparse_data(rng, shape, nonzeros):
     return data
 
 
+def sparse_lowrank(rng, shape, rank):
+    """An exactly rank-``rank`` tensor whose factor columns have three
+    nonzero rows each, and its factors."""
+    factors = []
+    for d in shape:
+        f = np.zeros((d, rank))
+        for a in range(rank):
+            f[rng.choice(d, 3, replace=False), a] = 0.5 + rng.random(3)
+        factors.append(f)
+    return cp_reconstruct(factors, np.ones((rank, 1)))[..., 0], factors
+
+
 def random_problem(rng, dims, rank, box_bound=None):
     data = rng.random(dims)
     problem = NtfProblem(data, rank, box_bound=box_bound)
@@ -382,19 +394,81 @@ def test_nonzero_list_matches_the_whole_tensor_search(monkeypatch, slab_bytes, s
 
 
 def test_sparse_problem_holds_its_copy_and_list_alone():
-    # Set-up holds the private copy and the coordinate list, and little
-    # else: no tensor-sized mask, and no more than a third of the list in
-    # temporaries beside it (a whole-tensor mask and argsort held 4.5 lists).
+    # Sparse data is held as its coordinate list alone: no copy of the
+    # tensor (34 lists on this data), and set-up peaks below two lists, with
+    # no tensor-sized mask (a whole-tensor mask and argsort held 4.5 lists).
     data = sparse_data(np.random.default_rng(44), (100, 100, 100), 10**4)
     tracemalloc.start()
     try:
         problem = NtfProblem(data, 5)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     listed = sum(a.nbytes for a in problem._coo)
     assert listed == 24 * 10**4
-    assert peak <= problem.data.nbytes + 2 * listed
+    assert held <= 1.1 * listed
+    assert peak <= 2 * listed
+
+
+def test_data_is_rebuilt_from_a_sparse_list_and_held_once_when_dense():
+    rng = np.random.default_rng(46)
+    data = sparse_data(rng, (10, 12, 15), 18)
+    data.flat[np.flatnonzero(data == 0.0)[0]] = -0.0
+    problem = NtfProblem(data, 3)
+    assert problem._coo is not None and problem.shape == data.shape
+    first, second = problem.data, problem.data
+    assert_array_equal(first, data)
+    assert first.dtype == np.float64 and first.flags.c_contiguous
+    assert not first.flags.writeable and not np.signbit(first).any()
+    assert first is not second and not np.shares_memory(first, second)
+    assert not np.shares_memory(first, data)
+
+    data = rng.random((4, 5, 6))
+    problem = NtfProblem(data, 3)
+    assert problem._coo is None and problem.shape == data.shape
+    assert problem.data is problem.data
+    assert_array_equal(problem.data, data)
+    assert not problem.data.flags.writeable and not np.shares_memory(problem.data, data)
+    # A conversion is the problem's own array: it is not copied again.
+    converted = NtfProblem(data.tolist(), 3).data
+    assert converted.base is None and not converted.flags.writeable
+    assert converted.tobytes() == data.tobytes()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_sweeps_on_sparse_data_read_the_tensor_in_the_rounding_fallback_alone(monkeypatch, exact):
+    # Reading ``data`` rebuilds a sparse tensor. A run the nonzero formula
+    # serves never reads it; one at an exact fit, where the formula is
+    # refused on every objective, reads it once a refusal.
+    rng = np.random.default_rng(47)
+    shape, rank = (20, 30, 40), 2
+    if exact:
+        data, blocks = sparse_lowrank(rng, shape, rank)
+    else:
+        data = sparse_data(rng, shape, 240)
+        blocks = [rng.random((d, rank)) for d in shape]
+    problem = NtfProblem(data, rank)
+    assert problem._coo is not None
+    del data
+    reads, refusals = [], []
+    data_property, coo_objective = NtfProblem.data, NtfProblem._coo_objective
+
+    def read(self):
+        reads.append(self)
+        return data_property.fget(self)
+
+    def objective(self, blocks):
+        total = coo_objective(self, blocks)
+        refusals.append(total is None)
+        return total
+
+    monkeypatch.setattr(NtfProblem, "data", property(read))
+    monkeypatch.setattr(NtfProblem, "_coo_objective", objective)
+    cfg = SolverConfig(schedule=RadiusSchedule(kind="power_log", beta=0.5, c_prime=1.0), max_sweeps=5)
+    _, trace = run(problem, blocks, cfg)
+    assert len(trace) == 6 and len(refusals) >= 6
+    assert len(reads) == sum(refusals)
+    assert all(refusals) if exact else not any(refusals)
 
 
 def both_paths(data, rank):
@@ -454,17 +528,9 @@ def test_nonzero_path_matches_dense_property(shape, longest, rank, nonzeros, emp
 
 
 def test_objective_at_an_exact_sparse_fit_takes_the_dense_residual():
-    # Factor columns with three nonzero rows each: an exactly rank-2 tensor
-    # with at most 2 * 27 nonzeros of 24,000.
-    rng = np.random.default_rng(43)
-    shape, rank = (20, 30, 40), 2
-    factors = []
-    for d in shape:
-        f = np.zeros((d, rank))
-        for a in range(rank):
-            f[rng.choice(d, 3, replace=False), a] = 0.5 + rng.random(3)
-        factors.append(f)
-    data = cp_reconstruct(factors, np.ones((rank, 1)))[..., 0]
+    # An exactly rank-2 tensor with at most 2 * 27 nonzeros of 24,000.
+    rank = 2
+    data, factors = sparse_lowrank(np.random.default_rng(43), (20, 30, 40), rank)
     problem = NtfProblem(data, rank)
     assert problem._coo is not None
     # The zeros' share cancels to rounding, so the formula is refused.
@@ -480,15 +546,8 @@ def test_dense_residual_on_sparse_data_leaves_no_partial_behind():
     # An exact fit of sparse data, as above, whose pivot is the last mode:
     # the dense residual's partial would have the key and shape of the
     # nonzero path's, but other bits.
-    rng = np.random.default_rng(44)
-    shape, rank = (20, 30, 40), 2
-    factors = []
-    for d in shape:
-        f = np.zeros((d, rank))
-        for a in range(rank):
-            f[rng.choice(d, 3, replace=False), a] = 0.5 + rng.random(3)
-        factors.append(f)
-    data = cp_reconstruct(factors, np.ones((rank, 1)))[..., 0]
+    rank = 2
+    data, factors = sparse_lowrank(np.random.default_rng(44), (20, 30, 40), rank)
     problem = NtfProblem(data, rank)
     assert problem._coo is not None and problem._pivot == 2
     assert problem._coo_objective(factors) is None

@@ -1,4 +1,7 @@
 import math
+import os
+import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from drbcd.tensors import (
     _coo_gather,
     _coo_matrix,
     _coo_partial,
+    _coo_tensor,
     _last_mode_mttkrp,
     _last_mode_partial,
     _mttkrp_from_partial,
@@ -348,6 +352,10 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         rows, cols, values = _coo_matrix(nonzero, x.ravel(), shape, pivot)
         assert np.all(np.diff(rows) >= 0)
         assert_array_equal(coo_tensor(rows, cols, values, shape, pivot), x)
+        # The list's own inverse; the -0.0 that the mask left come back as +0.0.
+        rebuilt = _coo_tensor(rows, cols, values, shape, pivot)
+        assert_array_equal(rebuilt, x)
+        assert np.signbit(x).any() and not np.signbit(rebuilt[x == 0.0]).any()
         others = factors[:pivot] + factors[pivot + 1 :]
         kr_t = tensors._khatri_rao_t(others)
         assert_array_equal(kr_t, tensors._khatri_rao_native(others).T)
@@ -485,6 +493,36 @@ def test_ntf1_rejects_trailing_bytes(tmp_path, extra):
     path.write_bytes(path.read_bytes() + extra)
     with pytest.raises(ValueError, match="trailing bytes"):
         read_ntf1(path)
+
+
+def test_ntf1_refuses_a_header_larger_than_its_file(tmp_path):
+    # A 40-byte file whose header claims 10^15 entries (7.1 PiB) is refused
+    # from the file's size, before the array is allocated.
+    path = tmp_path / "huge.ntf1"
+    path.write_bytes(b"NTF1" + struct.pack("<I3Q", 3, 10**5, 10**5, 10**5) + bytes(8))
+    assert path.stat().st_size == 40
+    with pytest.raises(ValueError, match="truncated NTF1 payload"):
+        read_ntf1(path)
+
+
+@pytest.mark.parametrize("cut, message", [(8, "truncated NTF1 payload"), (-1, "trailing bytes")])
+def test_ntf1_checks_a_pipe_once_its_bytes_run_out(tmp_path, cut, message):
+    # A pipe has no size to compare the header with: its payload is read and
+    # then found short, or followed by more bytes.
+    path = tmp_path / "x.ntf1"
+    write_ntf1(path, np.ones((2, 3)))
+    raw = path.read_bytes()
+    raw = raw[:-cut] if cut > 0 else raw + bytes(-cut)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            read_ntf1(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_ntf1_round_trip_is_bit_identical(tmp_path):

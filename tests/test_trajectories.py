@@ -95,3 +95,32 @@ def test_worker_digest_tells_shape_and_bits_apart(trajectories):
     y[0, 0, 0] = -0.0
     assert digest(x) != digest(y)
     assert digest(np.asfortranarray(x)) == digest(x)
+
+
+def test_data_table_shows_each_problems_data_and_bytes_beside_the_inputs(trajectories, monkeypatch, capsys):
+    # Same inputs on both sides; the change's problem holds a list of 24
+    # bytes where the parent held a copy of 96, and returns the same tensor.
+    sides = {
+        "parent": {"data": {"c seed 1": "aa"}, "problem": {"c seed 1": ["aa", 96]}, "runs": {}},
+        "change": {"data": {"c seed 1": "aa"}, "problem": {"c seed 1": ["aa", 24]}, "runs": {}},
+    }
+    monkeypatch.setattr(trajectories, "run_tree", lambda tree: sides[tree.name])
+    assert trajectories.main(["--parent", "parent", "--change", "change"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["c", "seed", "1", "aa", "aa", "yes", "aa", "aa", "yes", "96", "24"]
+    assert lines[2:4] == ["inputs matched on every case", "problems' data matched on every case"]
+
+
+def test_worker_counts_each_buffer_a_problem_holds_once(trajectories):
+    worker = trajectories.WORKER
+    namespace = {"hashlib": hashlib, "np": np}
+    exec(worker[worker.index("def digest") : worker.index("out = {")], namespace)
+    held_bytes = namespace["held_bytes"]
+
+    class Holder:
+        pass
+
+    holder = Holder()
+    base = np.zeros(10)
+    holder.whole, holder.view, holder.parts, holder.rank = base, base[2:], (np.zeros(3), base[:4]), 5
+    assert held_bytes(holder) == 8 * 13
