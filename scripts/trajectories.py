@@ -33,15 +33,15 @@ side built (SHA-256 of its shape and float64 bytes) and whether the two
 match; next to them, the digest of the tensor each side's ``NtfProblem``
 returns as its ``data``, whether those match, and the bytes of the arrays
 each problem holds, so that a change in how a problem holds its data shows
-beside its inputs. For every run it then prints the sweeps each side did, the largest
-relative deviation of the objective and of the stationarity measure over
-the sweeps, whether the two traces are bit-identical, whether the
-long/short point classes match, and whether the run's data matched. A
-trace that diverges on matching data points to the solver; one on data
-that differs points to the inputs. For a change that moves paths, it also
-prints each side's final objective and the lowest stationarity measure its
-run reached (the running minimum at its last sweep), so that a reader sees
-which side ends lower.
+beside its inputs. For every run it then prints the sweeps each side did,
+the largest relative deviation of the objective and of the stationarity
+measure over the sweeps, whether the two traces are bit-identical in every
+field the trace CSV writes, whether the long/short point classes match, and
+whether the run's data matched. A trace that diverges on matching data
+points to the solver; one on data that differs points to the inputs. For a
+change that moves paths, it also prints each side's final objective and the
+lowest stationarity measure its run reached (the running minimum at its
+last sweep), so that a reader sees which side ends lower.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ import sys
 from pathlib import Path
 
 # Run inside each tree; prints {"data": {case name: digest}, "problem": {case
-# name: [digest, bytes held]}, "runs": {run name: [[objective, stationarity,
-# class], ...]}}.
+# name: [digest, bytes held]}, "runs": {run name: [record, ...]}}, a record
+# being every field the trace CSV writes (see `compare`).
 WORKER = r"""
 import hashlib, json, sys
 import numpy as np
@@ -72,7 +72,12 @@ MU_SWEEPS = 10
 INIT_SEED = 1000
 
 def records(trace):
-    return [[r.objective, r.stationarity, r.point_class] for r in trace]
+    # Named one by one: an older tree's records may hold fields that a newer one dropped.
+    return [
+        [r.objective, r.stationarity, r.point_class, list(r.block_step_norms), r.radius,
+         r.unconverged_solves, r.stop_reason]
+        for r in trace
+    ]
 
 def digest(x):
     h = hashlib.sha256(repr(x.shape).encode())
@@ -150,8 +155,11 @@ def relative_deviation(a: float, b: float) -> float:
 def compare(parent: list, change: list) -> dict:
     """One run's change trace against its parent trace.
 
-    Records are ``[objective, stationarity, point_class]``; deviations are
-    taken over the sweeps both traces have.
+    Records are ``[objective, stationarity, point_class, block_step_norms,
+    radius, unconverged_solves, stop_reason]``, every field the trace CSV
+    writes (the sweep clock stamps ``elapsed_seconds`` with the index), so
+    ``identical`` covers them all; deviations are taken over the sweeps both
+    traces have.
     """
     pairs = list(zip(parent, change))
     return {

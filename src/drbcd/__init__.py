@@ -12,6 +12,7 @@ with its CLI (:mod:`drbcd.cli`).
 from .datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from .driver import (
     BlockProblem,
+    CheckOutcome,
     SolverConfig,
     TraceRecord,
     TraceVerification,
@@ -57,6 +58,7 @@ __all__ = [
     "BlockProblem",
     "BlockSolveResult",
     "BoxBallFeasibleSet",
+    "CheckOutcome",
     "FactorModel",
     "NtfProblem",
     "ProjectionResult",

@@ -27,6 +27,7 @@ from .subsolver import BoxBallFeasibleSet, QuadraticBlockSubproblem, solve_block
 
 __all__ = [
     "BlockProblem",
+    "CheckOutcome",
     "TraceRecord",
     "SolverConfig",
     "TraceVerification",
@@ -79,7 +80,6 @@ class TraceRecord:
     stationarity: float
     point_class: str
     elapsed_seconds: float
-    cumulative_sq_steps: float
     # Block solves of this sweep that the exact solve and its certificate
     # did not settle: pivoting failed, or the projected-gradient loop met
     # its iteration cap or fell back to the start.
@@ -105,7 +105,6 @@ class SolverConfig:
     stationarity_stop: float | None = None
     qp_tol: float = 1e-8
     qp_max_iters: int = 500
-    compute_stationarity: bool = True
     clock: str = "wall"
 
     def __post_init__(self):
@@ -152,9 +151,8 @@ def bcd_dr_sweep(
 
     Blocks are updated in ascending order; each update starts from the
     previous block value (always feasible) and stays within the sweep
-    radius. ``cumulative_sq_steps`` in the returned record covers this sweep
-    only, and ``elapsed_seconds`` is 0; :func:`run` accumulates the first
-    across sweeps and stamps the clock.
+    radius. ``elapsed_seconds`` in the returned record is 0; :func:`run`
+    stamps the clock.
     """
     if n < 1:
         raise ValueError("sweep index n must be >= 1")
@@ -177,22 +175,33 @@ def bcd_dr_sweep(
         step_norms.append(float(np.linalg.norm(result.point - current[i])))
         unconverged += not result.converged
         current[i] = result.point
-    objective = problem.objective(current)
-    stat = (
-        stationarity_measure(problem, current) if cfg.compute_stationarity else math.nan
-    )
-    record = TraceRecord(
+    return current, _trace_record(problem, current, n, step_norms, radius, unconverged)
+
+
+def _trace_record(
+    problem: BlockProblem,
+    blocks: Sequence[np.ndarray],
+    n: int,
+    step_norms: Sequence[float],
+    radius: float,
+    unconverged: int = 0,
+) -> TraceRecord:
+    """The record of the point ``blocks`` that sweep ``n`` reached.
+
+    Takes the objective and the stationarity measure there, in that order,
+    and classifies the steps against ``radius``; ``elapsed_seconds`` is 0
+    until the sweep loop stamps the clock.
+    """
+    return TraceRecord(
         n=n,
-        objective=objective,
+        objective=problem.objective(blocks),
         block_step_norms=tuple(step_norms),
         radius=radius,
-        stationarity=stat,
+        stationarity=stationarity_measure(problem, blocks),
         point_class=classify_point(step_norms, radius),
         elapsed_seconds=0.0,
-        cumulative_sq_steps=float(sum(s * s for s in step_norms)),
         unconverged_solves=unconverged,
     )
-    return current, record
 
 
 def run(
@@ -222,10 +231,9 @@ def _sweep_loop(
 
     Checks the initial point against the boxes, clips it, and records it as
     ``n = 0``. Then ``sweep(blocks, n)`` does sweep ``n >= 1`` and returns
-    the new point and a record whose squared steps cover that sweep only;
-    the loop accumulates them, stamps the clock, and stops at the sweep,
-    time, or stationarity budget, which it names in the last record's
-    ``stop_reason``.
+    the new point and its record; the loop stamps the clock, and stops at
+    the sweep, time, or stationarity budget, which it names in the last
+    record's ``stop_reason``.
     """
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks0]
     if len(blocks) != problem.num_blocks:
@@ -239,26 +247,10 @@ def _sweep_loop(
         blocks[i] = np.clip(b, lower, upper)
 
     start_time = time.perf_counter()
-    f0 = problem.objective(blocks)
-    if not math.isfinite(f0):
-        raise FloatingPointError(f"objective at the initial point is {f0}")
-    stat0 = (
-        stationarity_measure(problem, blocks) if cfg.compute_stationarity else math.nan
-    )
-    trace = [
-        TraceRecord(
-            n=0,
-            objective=f0,
-            block_step_norms=tuple(0.0 for _ in blocks),
-            radius=math.inf,
-            stationarity=stat0,
-            point_class="long",
-            elapsed_seconds=0.0,
-            cumulative_sq_steps=0.0,
-        )
-    ]
+    trace = [_trace_record(problem, blocks, 0, [0.0] * len(blocks), math.inf)]
+    if not math.isfinite(trace[0].objective):
+        raise FloatingPointError(f"objective at the initial point is {trace[0].objective}")
 
-    cum_sq = 0.0
     reason = "max_sweeps"
     for n in range(1, cfg.max_sweeps + 1):
         blocks, record = sweep(blocks, n)
@@ -266,19 +258,12 @@ def _sweep_loop(
             raise FloatingPointError(
                 f"objective became {record.objective} at sweep {n}"
             )
-        cum_sq += record.cumulative_sq_steps
         elapsed = (
             float(n) if cfg.clock == "sweep" else time.perf_counter() - start_time
         )
-        record = replace(
-            record, elapsed_seconds=elapsed, cumulative_sq_steps=cum_sq
-        )
+        record = replace(record, elapsed_seconds=elapsed)
         trace.append(record)
-        if (
-            cfg.stationarity_stop is not None
-            and cfg.compute_stationarity
-            and record.stationarity <= cfg.stationarity_stop
-        ):
+        if cfg.stationarity_stop is not None and record.stationarity <= cfg.stationarity_stop:
             reason = "stationarity"
             break
         if elapsed >= cfg.max_seconds:
@@ -288,27 +273,87 @@ def _sweep_loop(
     return blocks, trace
 
 
-@dataclass(frozen=True)
-class TraceVerification:
-    """Outcome of the three per-run invariant checks.
+# The checks of :func:`verify_trace`, listed in TRACE_CHECKS. Each one is
+# built per trace from the schedule and the block count, and maps each
+# record in turn to its signed excess over the check's bound (positive is a
+# violation), or to ``None`` where it does not apply.
+def _monotone_descent(schedule: RadiusSchedule, num_blocks: int):
+    """Objective non-increasing within ``1e-9 * (1 + f)`` slack."""
+    prev_f = None
 
-    Worst excesses are signed: positive means the corresponding bound was
-    violated by that amount; the sweep index points at the offender.
+    def excess(rec: TraceRecord) -> float | None:
+        nonlocal prev_f
+        f, prev_f = prev_f, rec.objective
+        return None if f is None else rec.objective - f - MONOTONE_SLACK * (1.0 + abs(f))
+
+    return excess
+
+
+def _radius_bound(schedule: RadiusSchedule, num_blocks: int):
+    """Every block step norm at most ``radius * (1 + 1e-12)``."""
+
+    def excess(rec: TraceRecord) -> float | None:
+        if rec.n == 0:
+            return None
+        worst_step = max(rec.block_step_norms, default=0.0)
+        if math.isinf(rec.radius):
+            return -math.inf if worst_step < math.inf else math.inf
+        return worst_step - rec.radius * (1.0 + RADIUS_SLACK)
+
+    return excess
+
+
+def _square_sum_bound(schedule: RadiusSchedule, num_blocks: int):
+    """At every horizon, the accumulated squared step norm stays below
+    ``m * c'^2 * sum w_n^2 + 1e-6`` (trivially true for infinite radii)."""
+    unbounded = schedule.kind == "infinite" or math.isinf(schedule.c_prime)
+    cum = 0.0
+    weight_sq_partial = 0.0
+
+    def excess(rec: TraceRecord) -> float | None:
+        nonlocal cum, weight_sq_partial
+        if rec.n == 0:
+            return None
+        cum += float(sum(s * s for s in rec.block_step_norms))
+        w = schedule.weight(rec.n)
+        weight_sq_partial += w * w
+        bound = math.inf if unbounded else num_blocks * schedule.c_prime**2 * weight_sq_partial
+        return cum - bound - SQUARE_SUM_SLACK
+
+    return excess
+
+
+TRACE_CHECKS = (
+    ("monotone descent", _monotone_descent),
+    ("radius bound", _radius_bound),
+    ("square-sum bound", _square_sum_bound),
+)
+
+
+@dataclass(frozen=True)
+class CheckOutcome:
+    """One check over a whole trace.
+
+    ``worst`` is the signed worst excess (positive: the bound was violated
+    by that much; 0 when it is not finite) and ``sweep`` the sweep of a
+    violation's worst excess, ``None`` when the check held.
     """
 
-    monotone_ok: bool
-    monotone_worst: float
-    monotone_sweep: int | None
-    radius_ok: bool
-    radius_worst: float
-    radius_sweep: int | None
-    square_sum_ok: bool
-    square_sum_worst: float
-    square_sum_sweep: int | None
+    check: str
+    ok: bool
+    worst: float
+    sweep: int | None
+
+
+@dataclass(frozen=True)
+class TraceVerification:
+    """Outcome of every check in :data:`TRACE_CHECKS`, in its order."""
+
+    outcomes: tuple[CheckOutcome, ...]
 
     @property
     def all_ok(self) -> bool:
-        return self.monotone_ok and self.radius_ok and self.square_sum_ok
+        return all(outcome.ok for outcome in self.outcomes)
 
 
 def verify_trace(
@@ -316,64 +361,22 @@ def verify_trace(
 ) -> TraceVerification:
     """Re-check descent, radius feasibility, and the squared-step bound.
 
-    (a) objective non-increasing within ``1e-9 * (1 + f)`` slack;
-    (b) every block step norm at most ``radius * (1 + 1e-12)``;
-    (c) at every horizon, the accumulated squared step norm stays below
-        ``m * c'^2 * sum w_n^2 + 1e-6`` (trivially true for infinite radii).
+    One pass over the trace runs every check in :data:`TRACE_CHECKS` and
+    keeps each one's worst excess and the sweep where it occurred.
     """
     if not trace:
         raise ValueError("trace is empty")
 
-    mono_worst, mono_sweep = -math.inf, None
-    prev_f = None
+    num_blocks = len(trace[0].block_step_norms)
+    excesses = [make(schedule, num_blocks) for _, make in TRACE_CHECKS]
+    worst = [(-math.inf, None)] * len(TRACE_CHECKS)
     for rec in trace:
-        if prev_f is not None:
-            excess = rec.objective - prev_f - MONOTONE_SLACK * (1.0 + abs(prev_f))
-            if excess > mono_worst:
-                mono_worst, mono_sweep = excess, rec.n
-        prev_f = rec.objective
+        for j, excess in enumerate(excesses):
+            e = excess(rec)
+            if e is not None and e > worst[j][0]:
+                worst[j] = (e, rec.n)
 
-    rad_worst, rad_sweep = -math.inf, None
-    for rec in trace:
-        if rec.n == 0:
-            continue
-        bound = rec.radius * (1.0 + RADIUS_SLACK)
-        worst_step = max(rec.block_step_norms, default=0.0)
-        excess = worst_step - bound
-        if math.isinf(rec.radius):
-            excess = -math.inf if worst_step < math.inf else math.inf
-        if excess > rad_worst:
-            rad_worst, rad_sweep = excess, rec.n
-
-    sq_worst, sq_sweep = -math.inf, None
-    m = len(trace[0].block_step_norms)
-    cum = 0.0
-    weight_sq_partial = 0.0
-    for rec in trace:
-        if rec.n == 0:
-            continue
-        cum += float(sum(s * s for s in rec.block_step_norms))
-        w = schedule.weight(rec.n)
-        weight_sq_partial += w * w
-        if schedule.kind == "infinite" or math.isinf(schedule.c_prime):
-            bound = math.inf
-        else:
-            bound = m * schedule.c_prime**2 * weight_sq_partial
-        excess = cum - bound - SQUARE_SUM_SLACK
-        if excess > sq_worst:
-            sq_worst, sq_sweep = excess, rec.n
-
-    def _finite(x: float) -> float:
-        return x if math.isfinite(x) else 0.0
-
-    return TraceVerification(
-        monotone_ok=mono_worst <= 0.0,
-        monotone_worst=_finite(mono_worst),
-        monotone_sweep=mono_sweep if mono_worst > 0.0 else None,
-        radius_ok=rad_worst <= 0.0,
-        radius_worst=_finite(rad_worst),
-        radius_sweep=rad_sweep if rad_worst > 0.0 else None,
-        square_sum_ok=sq_worst <= 0.0,
-        square_sum_worst=_finite(sq_worst),
-        square_sum_sweep=sq_sweep if sq_worst > 0.0 else None,
-    )
+    return TraceVerification(tuple(
+        CheckOutcome(name, w <= 0.0, w if math.isfinite(w) else 0.0, n if w > 0.0 else None)
+        for (name, _), (w, n) in zip(TRACE_CHECKS, worst)
+    ))

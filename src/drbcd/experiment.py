@@ -49,10 +49,6 @@ __all__ = [
     "write_aggregate_csv",
 ]
 
-TRACE_HEADER = (
-    "run,iter,elapsed_s,objective,recon_error,step_norm_total,radius,stationarity,point_class,"
-    "unconverged_solves,stop_reason"
-)
 AGGREGATE_HEADER = "elapsed_s,algorithm,mean_error,std_error,n_runs"
 
 ALGORITHM_NAMES = ("als_dr", "als", "mu")
@@ -75,6 +71,22 @@ DEFAULT_SURROGATE_SHAPE = (90, 500, 100)
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+# A trace CSV's columns after its leading ``run``: (column, record formatter).
+TRACE_COLUMNS = (
+    ("iter", lambda rec: str(rec.n)),
+    ("elapsed_s", lambda rec: _fmt(rec.elapsed_seconds)),
+    ("objective", lambda rec: _fmt(rec.objective)),
+    ("recon_error", lambda rec: _fmt(math.sqrt(max(rec.objective, 0.0)))),
+    ("step_norm_total", lambda rec: _fmt(math.sqrt(sum(s * s for s in rec.block_step_norms)))),
+    ("radius", lambda rec: _fmt(rec.radius)),
+    ("stationarity", lambda rec: _fmt(rec.stationarity)),
+    ("point_class", lambda rec: rec.point_class),
+    ("unconverged_solves", lambda rec: str(rec.unconverged_solves)),
+    ("stop_reason", lambda rec: rec.stop_reason),
+)
+TRACE_HEADER = ",".join(["run"] + [column for column, _ in TRACE_COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -323,15 +335,10 @@ class InvariantViolation:
     def from_verdict(
         cls, algorithm: str, run_index: int, verdict: TraceVerification
     ) -> list["InvariantViolation"]:
-        checks = (
-            ("monotone descent", verdict.monotone_ok, verdict.monotone_sweep, verdict.monotone_worst),
-            ("radius bound", verdict.radius_ok, verdict.radius_sweep, verdict.radius_worst),
-            ("square-sum bound", verdict.square_sum_ok, verdict.square_sum_sweep, verdict.square_sum_worst),
-        )
         return [
-            cls(algorithm, run_index, check, sweep, excess)
-            for check, ok, sweep, excess in checks
-            if not ok
+            cls(algorithm, run_index, outcome.check, outcome.sweep, outcome.worst)
+            for outcome in verdict.outcomes
+            if not outcome.ok
         ]
 
 
@@ -496,27 +503,9 @@ def _start(problem: NtfProblem, cfg: ExperimentConfig, run_index: int) -> list[n
 
 def write_trace_csv(path, run_index: int, trace: Sequence[TraceRecord]) -> None:
     """One row per trace record, 17 significant digits, fixed newline."""
-    rows = [TRACE_HEADER]
-    for rec in trace:
-        total_step = math.sqrt(sum(s * s for s in rec.block_step_norms))
-        recon = math.sqrt(max(rec.objective, 0.0))
-        rows.append(
-            ",".join(
-                [
-                    str(run_index),
-                    str(rec.n),
-                    _fmt(rec.elapsed_seconds),
-                    _fmt(rec.objective),
-                    _fmt(recon),
-                    _fmt(total_step),
-                    _fmt(rec.radius),
-                    _fmt(rec.stationarity),
-                    rec.point_class,
-                    str(rec.unconverged_solves),
-                    rec.stop_reason,
-                ]
-            )
-        )
+    rows = [TRACE_HEADER] + [
+        ",".join([str(run_index)] + [fmt(rec) for _, fmt in TRACE_COLUMNS]) for rec in trace
+    ]
     Path(path).write_bytes(("\n".join(rows) + "\n").encode("ascii"))
 
 

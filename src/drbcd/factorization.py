@@ -26,7 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .driver import SolverConfig, TraceRecord, _sweep_loop, stationarity_measure
+from .driver import SolverConfig, TraceRecord, _sweep_loop, _trace_record
+# Not called here: kept so that ``factorization.stationarity_measure`` stays
+# an attribute, which ``bench/tracing.py`` wraps.
+from .driver import stationarity_measure  # noqa: F401
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
     SLAB_BYTES,
@@ -524,23 +527,7 @@ def run_mu(
 
     def sweep(blocks: list[np.ndarray], n: int) -> tuple[list[np.ndarray], TraceRecord]:
         current = mu_sweep(problem, blocks, eps=eps)
-        steps = tuple(float(np.linalg.norm(c - b)) for c, b in zip(current, blocks))
-        objective = problem.objective(current)
-        stat = (
-            stationarity_measure(problem, current)
-            if cfg.compute_stationarity
-            else math.nan
-        )
-        record = TraceRecord(
-            n=n,
-            objective=objective,
-            block_step_norms=steps,
-            radius=math.inf,
-            stationarity=stat,
-            point_class="long",
-            elapsed_seconds=0.0,
-            cumulative_sq_steps=float(sum(s * s for s in steps)),
-        )
-        return current, record
+        steps = [float(np.linalg.norm(c - b)) for c, b in zip(current, blocks)]
+        return current, _trace_record(problem, current, n, steps, math.inf)
 
     return _sweep_loop(problem, blocks0, cfg, sweep)

@@ -46,6 +46,8 @@ class RadiusSchedule:
     constant_value: float = 1.0
 
     def __post_init__(self):
+        # An integer beta would make ``n ** (-beta)`` an integer power.
+        object.__setattr__(self, "beta", float(self.beta))
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "power_log" and not 0.0 < self.beta <= 1.0:

@@ -558,8 +558,6 @@ def solve_block_qp(
         )
 
     def _project(y: np.ndarray) -> np.ndarray:
-        if math.isinf(feasible.radius):
-            return np.clip(y, feasible.lower, feasible.upper)
         return project_box_ball(y, feasible).point
 
     if np.array_equal(start.view(np.uint64), feasible.center.view(np.uint64)):

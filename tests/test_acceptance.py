@@ -144,12 +144,7 @@ def test_criterion_05_exact_recovery_desk_scale():
         hits = 0
         for seed in range(1, 6):
             blocks = init_factors(data.shape, 3, seed=seed).to_blocks()
-            cfg = SolverConfig(
-                schedule=schedule,
-                max_sweeps=300,
-                max_seconds=60.0,
-                compute_stationarity=False,
-            )
+            cfg = SolverConfig(schedule=schedule, max_sweeps=300, max_seconds=60.0)
             _, trace = run(problem, blocks, cfg)
             rel = math.sqrt(max(trace[-1].objective, 0.0)) / data_norm
             hits += rel <= 1e-2

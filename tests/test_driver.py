@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from drbcd.driver import (
+    CheckOutcome,
     SolverConfig,
     TraceRecord,
     bcd_dr_sweep,
@@ -310,8 +311,11 @@ def record(n, objective, steps, radius):
         stationarity=0.0,
         point_class=classify_point(steps, radius),
         elapsed_seconds=float(n),
-        cumulative_sq_steps=0.0,
     )
+
+
+def near(x):
+    return pytest.approx(x, rel=1e-12, abs=0.0)
 
 
 def test_verify_trace_detects_objective_increase():
@@ -321,9 +325,13 @@ def test_verify_trace_detects_objective_increase():
         record(2, 2.0, [0.1, 0.1], 0.5),
     ]
     verdict = verify_trace(trace, s)
-    assert not verdict.monotone_ok
-    assert verdict.monotone_sweep == 2
-    assert verdict.monotone_worst > 0.9
+    assert verdict.outcomes == (
+        CheckOutcome("monotone descent", False, near(2.0 - 1.0 - 1e-9 * 2.0), 2),
+        # Ties keep the first sweep's excess; a check that held has no sweep.
+        CheckOutcome("radius bound", True, near(0.1 - 0.5 * (1 + 1e-12)), None),
+        CheckOutcome("square-sum bound", True, near(0.02 - 2 * 0.25 - 1e-6), None),
+    )
+    assert not verdict.all_ok
 
 
 def test_verify_trace_detects_radius_violation():
@@ -333,17 +341,38 @@ def test_verify_trace_detects_radius_violation():
         record(2, 0.5, [1.0, 0.1], 0.5),
     ]
     verdict = verify_trace(trace, s)
-    assert verdict.monotone_ok
-    assert not verdict.radius_ok
-    assert verdict.radius_sweep == 2
+    # The step beyond the radius also carries the squared steps past
+    # m * c'^2 * sum w^2 = 2 * 1 * (0.25 + 0.25).
+    assert verdict.outcomes == (
+        CheckOutcome("monotone descent", True, near(0.5 - 1.0 - 1e-9 * 2.0), None),
+        CheckOutcome("radius bound", False, near(1.0 - 0.5 * (1 + 1e-12)), 2),
+        CheckOutcome("square-sum bound", False, near(0.02 + 1.01 - 1.0 - 1e-6), 2),
+    )
 
 
 def test_verify_trace_detects_square_sum_violation():
     s = RadiusSchedule(kind="constant", c_prime=0.1, constant_value=1.0)
-    # Steps far beyond m * c'^2 * sum w^2 = 2 * 0.01 * n.
+    # Steps far beyond m * c'^2 * sum w^2 = 2 * 0.01 * n, inside the
+    # recorded radius.
     trace = [record(n, 1.0 / n, [0.5, 0.5], 0.6) for n in range(1, 4)]
     verdict = verify_trace(trace, s)
-    assert not verdict.square_sum_ok
+    assert verdict.outcomes == (
+        CheckOutcome("monotone descent", True, near(1 / 3 - 1 / 2 - 1e-9 * 1.5), None),
+        CheckOutcome("radius bound", True, near(0.5 - 0.6 * (1 + 1e-12)), None),
+        CheckOutcome("square-sum bound", False, near(3 * 0.5 - 2 * 0.01 * 3 - 1e-6), 3),
+    )
+
+
+def test_verify_trace_infinite_radius_and_unbounded_steps():
+    # An infinite radius bounds every finite step; only an infinite step
+    # breaks it, by an excess that is reported as 0.
+    s = RadiusSchedule(kind="infinite")
+    trace = [record(0, 1.0, [0.0], math.inf), record(1, 0.5, [1e100], math.inf)]
+    assert verify_trace(trace, s).all_ok
+    trace.append(record(2, 0.25, [math.inf], math.inf))
+    verdict = verify_trace(trace, s)
+    assert [outcome.ok for outcome in verdict.outcomes] == [True, False, True]
+    assert verdict.outcomes[1] == CheckOutcome("radius bound", False, 0.0, 2)
 
 
 def test_verify_trace_empty_error():

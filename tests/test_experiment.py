@@ -14,6 +14,7 @@ import drbcd.experiment as experiment
 from drbcd.cli import main, parse_config, read_config_file
 from drbcd.driver import TraceRecord
 from drbcd.factorization import NtfProblem
+from drbcd.schedule import RadiusSchedule
 from drbcd.experiment import (
     AGGREGATE_HEADER,
     TRACE_HEADER,
@@ -38,7 +39,6 @@ def trace_from_errors(times_errors):
                 stationarity=0.0,
                 point_class="long",
                 elapsed_seconds=t,
-                cumulative_sq_steps=0.0,
             )
         )
     return out
@@ -518,6 +518,52 @@ def test_report_lists_broken_invariants(tmp_path, monkeypatch, capsys):
         ("als_dr-0.5", "monotone descent", 3), ("als", "monotone descent", 3)
     }
     assert all(v.excess > 0.0 for v in violations)
+
+
+@pytest.mark.parametrize(
+    "factor, checks",
+    [(2.0, ("radius bound",)), (1e3, ("radius bound", "square-sum bound"))],
+)
+def test_report_lists_steps_beyond_the_radius(tmp_path, monkeypatch, capsys, factor, checks):
+    # A wrapped sweep records the first block's step at sweep 3 as `factor`
+    # times the radius of every radius-restricted run. Twice the radius
+    # breaks the radius bound alone; a thousand times it also carries the
+    # squared steps past m c'^2 sum w_n^2. Plain ALS, with an infinite
+    # radius, is left as it is and stays clean.
+    import dataclasses
+
+    import drbcd.driver as driver
+
+    sweep = driver.bcd_dr_sweep
+
+    def inflates_step_at_sweep_3(problem, blocks, n, cfg):
+        blocks, record = sweep(problem, blocks, n, cfg)
+        if n == 3 and math.isfinite(record.radius):
+            steps = (factor * record.radius,) + record.block_step_norms[1:]
+            record = dataclasses.replace(record, block_step_norms=steps)
+        return blocks, record
+
+    monkeypatch.setattr(driver, "bcd_dr_sweep", inflates_step_at_sweep_3)
+    argv = ["--shape", "6,7,5", "--rank", "2", "--algo", "als_dr-0.5", "--algo", "als",
+            "--runs", "2", "--max-sweeps", "5", "--serial", "--clock", "sweep"]
+    assert main(argv + ["--out", str(tmp_path / "broken")]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("INVARIANT")]
+    assert [l.split(" (worst excess")[0] for l in lines] == [
+        f"INVARIANT als_dr-0.5 run {k}: {check} broken at sweep 3" for k in (1, 2) for check in checks
+    ]
+
+    cfg, _ = parse_config(argv + ["--out", str(tmp_path / "summary")])
+    violations = run_experiment(cfg).violations
+    assert [(v.algorithm, v.run_index, v.check, v.sweep) for v in violations] == [
+        ("als_dr-0.5", k, check, 3) for k in (1, 2) for check in checks
+    ]
+    spec = cfg.algos[0]
+    radius_3 = RadiusSchedule(kind="power_log", beta=spec.beta, c_prime=spec.c_prime).radius(3)
+    for v in violations:
+        if v.check == "radius bound":
+            assert v.excess == pytest.approx((factor - 1.0 - 1e-12) * radius_3, rel=1e-12)
+        else:
+            assert v.excess > 0.0
 
 
 def test_run_experiment_reaches_optimum_on_noiseless_data(tmp_path):

@@ -128,3 +128,16 @@ def test_weight_vectorized_matches_scalar():
     n = np.array([1, 2, 10, 500])
     vec = s.weight(n)
     assert_allclose(vec, [s.weight(int(k)) for k in n], rtol=1e-15)
+
+
+def test_integer_beta_gives_the_float_schedule_bit_for_bit():
+    # An integer beta once made ``n ** (-beta)`` an integer power, which
+    # numpy refuses on the first weight.
+    as_int = RadiusSchedule(kind="power_log", beta=1, c_prime=3.0)
+    as_float = RadiusSchedule(kind="power_log", beta=1.0, c_prime=3.0)
+    n = np.arange(1, 1001)
+    assert as_int.weight(n).tobytes() == as_float.weight(n).tobytes()
+    assert as_int.radius(n).tobytes() == as_float.radius(n).tobytes()
+    for k in (1, 2, 3, 1000):
+        assert as_int.weight(k) == as_float.weight(k)
+        assert as_int.radius(k) == as_float.radius(k)

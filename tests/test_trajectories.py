@@ -3,6 +3,8 @@ records and without a solver run."""
 
 import hashlib
 import importlib.util
+import math
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,17 @@ def trajectories():
     return module
 
 
-PARENT = [[10.0, 4.0, "long"], [8.0, 2.0, "short"], [7.0, 1.0, "short"]]
+def rec(objective, stationarity, point_class, steps=(0.5, 0.25), radius=0.5, unconverged=0, stop=""):
+    """A worker record: objective, stationarity, class, block step norms,
+    radius, unconverged solves, stop reason."""
+    return [objective, stationarity, point_class, list(steps), radius, unconverged, stop]
+
+
+PARENT = [
+    rec(10.0, 4.0, "long", steps=(0.0, 0.0), radius=math.inf),
+    rec(8.0, 2.0, "short"),
+    rec(7.0, 1.0, "short", stop="max_sweeps"),
+]
 
 
 def test_identical_traces(trajectories):
@@ -30,7 +42,9 @@ def test_identical_traces(trajectories):
 
 
 def test_deviations_are_relative_to_the_larger_value(trajectories):
-    change = [[10.0, 4.0, "long"], [8.0 * (1 + 1e-9), 2.0, "short"], [7.0, 1.1, "short"]]
+    change = [list(r) for r in PARENT]
+    change[1][0] = 8.0 * (1 + 1e-9)
+    change[2][1] = 1.1
     c = trajectories.compare(PARENT, change)
     assert c["objective"] == pytest.approx(1e-9 / (1 + 1e-9))
     assert c["stationarity"] == pytest.approx(0.1 / 1.1)
@@ -50,10 +64,29 @@ def test_class_and_length_mismatches(trajectories):
     assert shorter["objective"] == 0.0
 
 
+@pytest.mark.parametrize("field, value", [(3, [0.5, 0.25000000000000006]), (4, 0.6), (5, 1), (6, "stationarity")])
+def test_any_field_the_csv_writes_breaks_identity(trajectories, field, value):
+    # Same objective, stationarity and classes; one other field differs.
+    change = [list(r) for r in PARENT]
+    change[2][field] = value
+    c = trajectories.compare(PARENT, change)
+    assert not c["identical"] and c["classes_match"]
+    assert c["objective"] == 0.0 and c["stationarity"] == 0.0
+
+
+def test_worker_records_every_field_the_csv_writes(trajectories):
+    worker = trajectories.WORKER
+    namespace = {}
+    exec(worker[worker.index("def records") : worker.index("def digest")], namespace)
+    trace = [SimpleNamespace(objective=7.0, stationarity=1.0, point_class="short", block_step_norms=(0.5, 0.25),
+                             radius=0.5, unconverged_solves=0, stop_reason="max_sweeps", elapsed_seconds=2.0)]
+    assert namespace["records"](trace) == [PARENT[2]]
+
+
 def test_each_side_ends_with_its_own_final_objective_and_lowest_stationarity(trajectories):
     # The change ends lower, after a stationarity measure that is not
     # monotone: its running minimum is reached before the last sweep.
-    change = [[10.0, 4.0, "long"], [6.0, 0.5, "short"], [5.0, 0.9, "short"], [4.5, 0.7, "short"]]
+    change = [PARENT[0], rec(6.0, 0.5, "short"), rec(5.0, 0.9, "short"), rec(4.5, 0.7, "short", stop="max_sweeps")]
     c = trajectories.compare(PARENT, change)
     assert c["sweeps"] == (2, 3)
     assert c["final_objective"] == (7.0, 4.5)
