@@ -31,8 +31,10 @@ generated the data, an exact fit.)
 It first prints, for every case and seed, a digest of the data tensor each
 side built (SHA-256 of its shape and float64 bytes) and whether the two
 match; next to them, the digest of the tensor each side's ``NtfProblem``
-returns as its ``data``, whether those match, and the bytes of the arrays
-each problem holds, so that a change in how a problem holds its data shows
+returns as its ``data``, whether those match, the bytes of the arrays each
+problem holds, and the most bytes numpy held at once while ``NtfProblem(x)``
+was built (its ``tracemalloc`` peak, the data itself not counted), so that a
+change in how a problem holds its data, or in what building it costs, shows
 beside its inputs. For every run it then prints the sweeps each side did,
 the largest relative deviation of the objective and of the stationarity
 measure over the sweeps, whether the two traces are bit-identical in every
@@ -54,10 +56,10 @@ import sys
 from pathlib import Path
 
 # Run inside each tree; prints {"data": {case name: digest}, "problem": {case
-# name: [digest, bytes held]}, "runs": {run name: [record, ...]}}, a record
-# being every field the trace CSV writes (see `compare`).
+# name: [digest, bytes held, set-up peak]}, "runs": {run name: [record, ...]}},
+# a record being every field the trace CSV writes (see `compare`).
 WORKER = r"""
-import hashlib, json, sys
+import hashlib, json, sys, tracemalloc
 import numpy as np
 sys.path.insert(0, "src")
 from drbcd import datagen, driver, factorization, schedule
@@ -102,8 +104,11 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
             x = datagen.sparse_surrogate(datagen.SynthSpec(
                 dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067))
         out["data"][f"{name} seed {seed}"] = digest(x)
+        tracemalloc.start()
         problem = factorization.NtfProblem(x, rank)
-        out["problem"][f"{name} seed {seed}"] = [digest(problem.data), held_bytes(problem)]
+        setup_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out["problem"][f"{name} seed {seed}"] = [digest(problem.data), held_bytes(problem), setup_peak]
         # Not the data's seed: the synthetic data are built from the factors
         # that init_factors draws for the same seed.
         init = factorization.init_factors(
@@ -184,13 +189,17 @@ def main(argv=None) -> int:
     data = compare_data(parent["data"], change["data"])
     problems = compare_data(*({k: v[0] for k, v in side["problem"].items()} for side in (parent, change)))
     print(f"{'data':34s} {'parent digest':>16s} {'change digest':>16s}  same  "
-          f"{'problem digests (parent, change)':>33s}  same  {'bytes held (parent, change)':>27s}")
+          f"{'problem digests (parent, change)':>33s}  same  {'bytes held (parent, change)':>27s}  "
+          f"{'set-up peak (parent, change)':>28s}")
     for name, (before, after, same) in data.items():
         problem_before, problem_after, problem_same = problems[name]
         digests = f"{problem_before or 'n/a'} {problem_after or 'n/a'}"
-        held = " ".join(str(side["problem"].get(name, (None, "n/a"))[1]) for side in (parent, change))
+        held, peak = (
+            " ".join(str(side["problem"].get(name, (None, "n/a", "n/a"))[column]) for side in (parent, change))
+            for column in (1, 2)
+        )
         print(f"{name:34s} {before or 'n/a':>16s} {after or 'n/a':>16s}  {'yes' if same else 'no':4s}  "
-              f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}")
+              f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}  {peak:>28s}")
     matched = all(same for _, _, same in data.values())
     print("inputs matched on every case" if matched else "inputs DIFFER on the cases marked no")
     matched = all(same for _, _, same in problems.values())

@@ -21,6 +21,10 @@ nonzeros are taken, and the low-rank family's noise is added, in chunks of
 order, so draws of ``n`` and then ``m`` entries are the first ``n + m``
 entries of one draw of ``n + m``, bit for bit. A tensor is therefore the
 same for every chunk size, and the same as one whole-tensor draw.
+
+Each tensor is returned read-only, together with the array that owns its
+memory, so that :class:`drbcd.factorization.NtfProblem` shares it instead of
+copying it; a caller who wants to modify one takes a ``.copy()``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from math import prod
 import numpy as np
 
 from .factorization import FactorModel
-from .tensors import SLAB_BYTES, cp_reconstruct, frobenius_norm
+from .tensors import SLAB_BYTES, _read_only, cp_reconstruct, frobenius_norm
 
 __all__ = ["SynthSpec", "synthetic_lowrank", "sparse_surrogate"]
 
@@ -97,7 +101,7 @@ def synthetic_lowrank(spec: SynthSpec) -> tuple[np.ndarray, FactorModel]:
             part = flat[start:stop]
             part += sigma * rng.standard_normal(stop - start)
             np.maximum(part, 0.0, out=part)
-    return x, FactorModel(factors=factors)
+    return _read_only(x), FactorModel(factors=factors)
 
 
 def sparse_surrogate(spec: SynthSpec) -> np.ndarray:
@@ -128,4 +132,4 @@ def sparse_surrogate(spec: SynthSpec) -> np.ndarray:
             "surrogate came out identically zero; increase density or dims"
         )
     x *= spec.target_mean_abs / mean
-    return x
+    return _read_only(x)

@@ -229,11 +229,11 @@ def _sweep_loop(
 ) -> tuple[list[np.ndarray], list[TraceRecord]]:
     """The loop behind :func:`run` and the multiplicative-update baseline.
 
-    Checks the initial point against the boxes, clips it, and records it as
-    ``n = 0``. Then ``sweep(blocks, n)`` does sweep ``n >= 1`` and returns
-    the new point and its record; the loop stamps the clock, and stops at
-    the sweep, time, or stationarity budget, which it names in the last
-    record's ``stop_reason``.
+    Checks that the initial point is finite and in its boxes, clips it, and
+    records it as ``n = 0``. Then ``sweep(blocks, n)`` does sweep ``n >= 1``
+    and returns the new point and its record; the loop stamps the clock, and
+    stops at the sweep, time, or stationarity budget, which it names in the
+    last record's ``stop_reason``.
     """
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks0]
     if len(blocks) != problem.num_blocks:
@@ -242,6 +242,8 @@ def _sweep_loop(
         )
     for i, b in enumerate(blocks):
         lower, upper = problem.block_feasible_box(i)
+        if not np.isfinite(b).all():
+            raise ValueError(f"initial block {i} has a non-finite entry")
         if float(b.min()) < lower - 1e-12 or float(b.max()) > upper + 1e-12:
             raise ValueError(f"initial block {i} violates its feasible box")
         blocks[i] = np.clip(b, lower, upper)

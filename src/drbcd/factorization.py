@@ -133,6 +133,31 @@ def default_box_bound(top: float, num_blocks: int) -> float:
     return 10.0 * max(1.0, top) ** (1.0 / (num_blocks + 1))
 
 
+def _held_dense(x: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only array a dense problem reads, and the array owning its memory.
+
+    ``x`` is ``data`` as C-ordered float64. It is kept as it is when a
+    conversion made it (the problem's own array), or when it is read-only
+    and its memory belongs to a read-only ndarray: ``x`` itself, or its
+    ``base`` when that owns its data. Anything else is copied: writeable
+    input, a read-only view of a writeable array, or memory of a foreign
+    buffer (``np.frombuffer``, ``np.memmap``), any of which could change
+    under the memo, which is keyed by the blocks alone.
+    """
+    owner = x if x.flags.owndata else x.base
+    converted = x is not data and owner is x
+    shared = (
+        not x.flags.writeable
+        and isinstance(owner, np.ndarray)
+        and owner.flags.owndata
+        and not owner.flags.writeable
+    )
+    if not (converted or shared):
+        x = owner = x.copy()
+    x.flags.writeable = False
+    return x, owner
+
+
 class _Memo(threading.local):
     """One thread's memo of the MTTKRP work on one problem.
 
@@ -177,12 +202,17 @@ class NtfProblem:
     three times, instead of seven times.
 
     Which passes run, and how the data is held, depends on the data alone;
-    it is held once. Dense data is held as a private read-only copy. When
-    the nonzeros are fewer than :data:`SPARSE_SHARE` of the entries, the
-    problem holds one read-only coordinate list of them instead, 24 bytes a
-    nonzero, formed from the caller's array without a tensor-sized copy, so
-    that the caller may free that array once the problem is built; the
-    MTTKRPs and the objective then visit the nonzeros alone (the
+    it is held once. Dense data is shared, not copied, when the caller's
+    array is read-only and so is the ndarray that owns its memory, as with
+    the tensors of :mod:`drbcd.datagen` and :func:`drbcd.tensors.read_ntf1`;
+    any other dense input is held as a private read-only copy. Every public
+    evaluation raises ``ValueError`` once the memory it reads has been made
+    writeable again, since the memo would then go stale. When the nonzeros
+    are fewer than :data:`SPARSE_SHARE` of the entries, the problem holds
+    one read-only coordinate list of them instead, 24 bytes a nonzero,
+    formed from the caller's array without a tensor-sized copy, so that the
+    caller may free that array once the problem is built; the MTTKRPs and
+    the objective then visit the nonzeros alone (the
     coordinate-format MTTKRP and factored-tensor norm of Bader & Kolda
     2007, "Efficient MATLAB computations with sparse and factored
     tensors", on the dimension tree of Kaya & Uçar 2018, "Parallel
@@ -212,12 +242,9 @@ class NtfProblem:
         longest = x.ndim - 1 - int(np.argmax(x.shape[::-1]))
         self._coo = _nonzero_list(x, longest)
         self._pivot = x.ndim - 1 if self._coo is None else longest
-        self._dense = None
+        self._dense = self._owner = None
         if self._coo is None:
-            # Private and read-only, since the memo is keyed by the blocks
-            # alone; a conversion above already made an array of our own.
-            self._dense = x.copy() if x is data or x.base is not None else x
-            self._dense.flags.writeable = False
+            self._dense, self._owner = _held_dense(x, data)
         # Every nonzero entry (NaN and infinities among them): the checks,
         # the maximum and the square sum need no more.
         entries = self._coo[2] if self._dense is None else self._dense.ravel()
@@ -234,10 +261,10 @@ class NtfProblem:
     def data(self) -> np.ndarray:
         """The data tensor, read-only.
 
-        Dense data returns the problem's own copy, the same array every
-        time. Sparse data rebuilds the tensor from the coordinate list on
-        every access: a fresh tensor-sized array of zeros, and a scatter of
-        the nonzeros into it. On 90x500x100 at 1% nonzero that took ~9 ms
+        Dense data returns the array the problem reads, the same every
+        time: the caller's own when it was shared. Sparse data rebuilds the
+        tensor from the coordinate list on every access: a fresh tensor-sized
+        array of zeros, and a scatter of the nonzeros into it. On 90x500x100 at 1% nonzero that took ~9 ms
         on one core, a little less than copying the tensor (~11 ms). An
         entry the list left out as zero comes back as ``+0.0``, also where
         the input held ``-0.0``. No solve reads it but the objective's
@@ -258,6 +285,16 @@ class NtfProblem:
         return (self.shape[i], self.rank)
 
     def _check_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The blocks as float64 arrays, checked against their shapes.
+
+        Every public evaluation calls this first, so each also refuses dense
+        data whose owner has been made writeable since the problem was built.
+        """
+        if self._owner is not None and self._owner.flags.writeable:
+            raise ValueError(
+                "the problem's dense data has been made writeable since the problem "
+                "was built, so its memoized terms may be stale; build a new problem"
+            )
         if len(blocks) != self.num_blocks:
             raise ValueError(f"expected {self.num_blocks} blocks, got {len(blocks)}")
         out = []

@@ -94,6 +94,19 @@ def _checked_max(x: np.ndarray, nonneg: bool) -> float:
     return highest
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """``x``, made read-only together with the array that owns its memory.
+
+    What the package's producers return, so that
+    :class:`drbcd.factorization.NtfProblem` shares the tensor instead of
+    copying it.
+    """
+    if x.base is not None:
+        x.base.flags.writeable = False
+    x.flags.writeable = False
+    return x
+
+
 def frobenius_norm(x) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel()))
@@ -448,12 +461,15 @@ def write_ntf1(path, x) -> None:
 
 
 def read_ntf1(path) -> np.ndarray:
-    """Read a tensor written by :func:`write_ntf1`.
+    """Read a tensor written by :func:`write_ntf1`; the array is read-only.
 
     The entries are read straight into the array returned, without a second
-    copy (on a little-endian host). A regular file too short for the entries
-    its header claims is refused before the array is allocated; any other
-    file, such as a pipe, is refused once its bytes run out.
+    copy (on a little-endian host). The array is read-only, so that
+    :class:`drbcd.factorization.NtfProblem` shares it instead of copying it;
+    a caller who wants to modify it takes a ``.copy()``. A regular file too
+    short for the entries its header claims is refused before the array is
+    allocated; any other file, such as a pipe, is refused once its bytes run
+    out.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -479,4 +495,4 @@ def read_ntf1(path) -> np.ndarray:
             raise ValueError(f"{path!s}: truncated NTF1 payload")
         if fh.read(1):
             raise ValueError(f"{path!s}: trailing bytes after NTF1 payload")
-    return data.astype(np.float64, copy=False)
+    return _read_only(data.astype(np.float64, copy=False))

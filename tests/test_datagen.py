@@ -183,3 +183,14 @@ def test_noisy_lowrank_adds_its_noise_in_place():
     spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=14, noise_level=0.1)
     (x, _), peak = traced_peak(lambda: synthetic_lowrank(spec))
     assert peak <= 1.25 * x.nbytes
+
+
+def test_generators_return_read_only_tensors_that_problems_share():
+    dense, _ = synthetic_lowrank(SynthSpec(dims=(5, 6, 7), rank=2, seed=15, noise_level=0.1))
+    sparse = sparse_surrogate(SynthSpec(dims=(5, 6, 7), rank=2, seed=15, density=0.3, target_mean_abs=0.25))
+    for x in (dense, sparse):
+        owner = x if x.base is None else x.base
+        assert not x.flags.writeable and not owner.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0, 0] = 1.0
+    assert NtfProblem(dense, 2).data is dense

@@ -334,6 +334,82 @@ def test_problem_keeps_its_own_copy_of_the_data():
             assert not any(a.flags.writeable for a in problem._coo)
 
 
+def test_a_read_only_owner_is_shared():
+    data = np.random.default_rng(25).random((4, 5, 6))
+    data.flags.writeable = False
+    assert NtfProblem(data, 3).data is data
+    # A read-only view of a read-only owner, as the generators return.
+    view = data.reshape(4, 30).reshape(4, 5, 6)
+    assert view.base is data and NtfProblem(view, 3).data is view
+    generated, _ = synthetic_lowrank(SynthSpec(dims=(4, 5, 6), rank=2, seed=25))
+    assert NtfProblem(generated, 2).data is generated
+
+
+@pytest.mark.parametrize("source", ["view of a writeable array", "frombuffer", "memmap"])
+def test_read_only_data_that_can_change_is_copied(tmp_path, source):
+    base = np.random.default_rng(26).random((4, 5, 6))
+    if source == "view of a writeable array":
+        data = base.view()
+        data.flags.writeable = False
+    elif source == "frombuffer":
+        data = np.frombuffer(bytearray(base.tobytes())).reshape(base.shape)
+        data.flags.writeable = False
+    else:
+        base.tofile(tmp_path / "x.bin")
+        data = np.memmap(tmp_path / "x.bin", dtype=np.float64, mode="r", shape=base.shape)
+    assert not data.flags.writeable
+    problem = NtfProblem(data, 3)
+    assert not np.shares_memory(problem.data, data)
+    assert problem.data.tobytes() == base.tobytes() and not problem.data.flags.writeable
+
+
+def test_a_generated_tensor_is_shared_without_a_tensor_sized_allocation():
+    # The copy this replaces allocated the whole tensor again.
+    data, _ = synthetic_lowrank(SynthSpec(dims=(100, 100, 100), rank=5, seed=27))
+    tracemalloc.start()
+    try:
+        problem = NtfProblem(data, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.data is data
+    assert peak <= 0.1 * data.nbytes
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_evaluations_refuse_dense_data_made_writeable(shared):
+    # Writing to the data behind a problem would leave its memoized terms
+    # stale: block_subproblem below would return the old linear term while
+    # the objective read the new data.
+    rng = np.random.default_rng(28)
+    data = rng.random((4, 5, 6))
+    data.flags.writeable = not shared
+    problem = NtfProblem(data, 3)
+    blocks = [rng.random((d, 3)) for d in data.shape]
+    problem.block_subproblem(blocks, 0)
+    problem.objective(blocks)
+    owner = data if shared else problem.data
+    owner.flags.writeable = True
+    owner += 1.0
+    evaluations = [problem.objective, lambda b: problem.block_subproblem(b, 0), problem.full_gradient]
+    for evaluate in evaluations:
+        with pytest.raises(ValueError, match="made writeable"):
+            evaluate(blocks)
+
+
+@pytest.mark.parametrize("solve", [run, run_mu])
+def test_a_start_with_a_nan_entry_names_its_block(monkeypatch, solve):
+    data, _ = synthetic_lowrank(SynthSpec(dims=(4, 5, 3), rank=2, seed=29))
+    problem = NtfProblem(data, 2)
+    blocks = init_factors(data.shape, 2, seed=30).to_blocks()
+    blocks[1][2, 0] = np.nan
+    # Refused before anything is evaluated at the start.
+    monkeypatch.setattr(NtfProblem, "objective", lambda self, blocks: pytest.fail("objective evaluated"))
+    cfg = SolverConfig(schedule=RadiusSchedule(kind="infinite"), max_sweeps=3)
+    with pytest.raises(ValueError, match="initial block 1 has a non-finite entry"):
+        solve(problem, blocks, cfg)
+
+
 # ---------------------------------------------------------------------------
 # the nonzero-only path for sparse data
 

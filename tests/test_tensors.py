@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drbcd import tensors
+from drbcd.factorization import NtfProblem
 from drbcd.tensors import (
     _coo_gather,
     _coo_matrix,
@@ -445,6 +446,15 @@ def test_ntf1_round_trip(tmp_path):
     path = tmp_path / "x.ntf1"
     write_ntf1(path, x)
     assert_array_equal(read_ntf1(path), x)
+
+
+def test_ntf1_read_is_read_only_and_shared_by_a_problem(tmp_path):
+    x = np.random.default_rng(30).random((3, 4, 2))
+    write_ntf1(tmp_path / "x.ntf1", x)
+    y = read_ntf1(tmp_path / "x.ntf1")
+    owner = y if y.base is None else y.base
+    assert not y.flags.writeable and not owner.flags.writeable
+    assert NtfProblem(y, 2).data is y
 
 
 def test_ntf1_header_layout(tmp_path):
