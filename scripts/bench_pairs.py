@@ -12,11 +12,12 @@ Then, from the repository root::
 
 Pair ``k`` of ten (``k`` from 0) runs both sides on seed ``--seed + k``,
 untraced, for the ``run_seconds`` that ``BENCHMARK.json`` fixes; the side
-that runs first alternates from pair to pair. Each run's last output line
-(the benchmark's JSON result) and the provenance of its record are kept,
-also when some of its solves failed and it exited 1; its ``ok_frac`` then
-reads below 1 and is judged like any other metric. Only a run that prints
-no result stops the session.
+that runs first alternates from pair to pair. Each pair prints both sides'
+``sweeps_per_s`` as it ends, and the claimed metric's when there is one.
+Each run's last output line (the benchmark's JSON result) and the
+provenance of its record are kept, also when some of its solves failed and
+it exited 1; its ``ok_frac`` then reads below 1 and is judged like any
+other metric. Only a run that prints no result stops the session.
 For every end-to-end metric the summary gives each side's median and
 quartiles and the number of pairs the change won, ties counting for neither
 side. A claimed metric is met when the change wins at least nine tenths of
@@ -66,6 +67,12 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         result["stderr"] = proc.stderr
     return result
+
+
+def shown(result: dict, name: str) -> str:
+    """A run's value of metric ``name`` for a progress line."""
+    value = result["metrics"][name]["value"]
+    return "n/a" if value is None else f"{value:.4g}"
 
 
 def quartiles(values: list[float]) -> dict:
@@ -152,10 +159,10 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_side(getattr(args, side).resolve(), args.workload, seed, seconds)
         pairs.append(pair)
-        shown = {s: pair[s]["metrics"]["sweeps_per_s"]["value"] for s in ("parent", "change")}
-        shown = {s: "n/a" if v is None else f"{v:.4g}" for s, v in shown.items()}
-        print(f"pair {k} seed {seed}: sweeps_per_s parent {shown['parent']}, "
-              f"change {shown['change']}", flush=True)
+        print(f"pair {k} seed {seed}: " + "; ".join(
+            f"{name} parent {shown(pair['parent'], name)}, change {shown(pair['change'], name)}"
+            for name in dict.fromkeys(["sweeps_per_s", args.claim or "sweeps_per_s"])
+        ), flush=True)
     held_out = pairs[PAIRS:]
     pairs = pairs[:PAIRS]
 

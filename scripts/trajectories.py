@@ -29,11 +29,13 @@ data's own seed, the synthetic cases would start at the factors that
 generated the data, an exact fit.)
 
 It first prints, for every case and seed, a digest of the data tensor each
-side built (SHA-256 of its shape and float64 bytes) and whether the two
-match; next to them, the digest of the tensor each side's ``NtfProblem``
-returns as its ``data``, whether those match, the bytes of the arrays each
-problem holds, and the most bytes numpy held at once while ``NtfProblem(x)``
-was built (its ``tracemalloc`` peak, the data itself not counted), so that a
+side built (SHA-256 of its shape and float64 bytes), whether the two match,
+and the most bytes numpy held at once while the generator ran, the tensor
+itself not counted (its build peak, from ``tracemalloc``); next to them,
+the digest of the tensor each side's ``NtfProblem`` returns as its
+``data``, whether those match, the bytes of the arrays each problem holds,
+and the most bytes numpy held at once while ``NtfProblem(x)`` was built
+(its ``tracemalloc`` peak, the data itself not counted), so that a
 change in how a problem holds its data, or in what building it costs, shows
 beside its inputs. For every run it then prints the sweeps each side did,
 the largest relative deviation of the objective and of the stationarity
@@ -55,9 +57,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Run inside each tree; prints {"data": {case name: digest}, "problem": {case
-# name: [digest, bytes held, set-up peak]}, "runs": {run name: [record, ...]}},
-# a record being every field the trace CSV writes (see `compare`).
+# Run inside each tree; prints {"data": {case name: digest}, "build": {case
+# name: build peak}, "problem": {case name: [digest, bytes held, set-up peak]},
+# "runs": {run name: [record, ...]}}, a record being every field the trace CSV
+# writes (see `compare`).
 WORKER = r"""
 import hashlib, json, sys, tracemalloc
 import numpy as np
@@ -95,15 +98,22 @@ def held_bytes(problem):
                 buffers[id(owner)] = owner.nbytes
     return sum(buffers.values())
 
-out = {"data": {}, "problem": {}, "runs": {}}
+out = {"data": {}, "build": {}, "problem": {}, "runs": {}}
+# A generator's first call imports modules; keep them out of the first build peak.
+datagen.synthetic_lowrank(datagen.SynthSpec(dims=(2, 2), rank=1))
+datagen.sparse_surrogate(datagen.SynthSpec(dims=(2, 2), rank=1, density=0.5, target_mean_abs=1.0))
 for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
     for seed in seeds:
+        tracemalloc.start()
         if data == "synth":
             x = datagen.synthetic_lowrank(datagen.SynthSpec(dims=dims, rank=rank, seed=seed))[0]
         else:
             x = datagen.sparse_surrogate(datagen.SynthSpec(
                 dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067))
+        build_peak = tracemalloc.get_traced_memory()[1] - x.nbytes
+        tracemalloc.stop()
         out["data"][f"{name} seed {seed}"] = digest(x)
+        out["build"][f"{name} seed {seed}"] = build_peak
         tracemalloc.start()
         problem = factorization.NtfProblem(x, rank)
         setup_peak = tracemalloc.get_traced_memory()[1]
@@ -189,16 +199,19 @@ def main(argv=None) -> int:
     data = compare_data(parent["data"], change["data"])
     problems = compare_data(*({k: v[0] for k, v in side["problem"].items()} for side in (parent, change)))
     print(f"{'data':34s} {'parent digest':>16s} {'change digest':>16s}  same  "
+          f"{'build peak (parent, change)':>27s}  "
           f"{'problem digests (parent, change)':>33s}  same  {'bytes held (parent, change)':>27s}  "
           f"{'set-up peak (parent, change)':>28s}")
     for name, (before, after, same) in data.items():
         problem_before, problem_after, problem_same = problems[name]
         digests = f"{problem_before or 'n/a'} {problem_after or 'n/a'}"
+        build = " ".join(str(side["build"].get(name, "n/a")) for side in (parent, change))
         held, peak = (
             " ".join(str(side["problem"].get(name, (None, "n/a", "n/a"))[column]) for side in (parent, change))
             for column in (1, 2)
         )
         print(f"{name:34s} {before or 'n/a':>16s} {after or 'n/a':>16s}  {'yes' if same else 'no':4s}  "
+              f"{build:>27s}  "
               f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}  {peak:>28s}")
     matched = all(same for _, _, same in data.values())
     print("inputs matched on every case" if matched else "inputs DIFFER on the cases marked no")

@@ -13,10 +13,13 @@ Two families:
   entry is rescaled to a target value, standing in for sparse count-like
   data such as tf-idf tensors.
 
-Each generator builds its tensor in one buffer, the result, and holds no
-other tensor-sized array: the uniform draws that decide the surrogate's
-nonzeros are taken, and the low-rank family's noise is added, in chunks of
-:data:`CHUNK` entries. Chunking keeps the stream: ``random`` and
+Each generator writes its tensor once, into one buffer, the result, and
+holds no other tensor-sized array. The low-rank family multiplies the first
+loading matrix by the Khatri-Rao product of the others, and adds its noise
+in chunks of :data:`CHUNK` entries. The surrogate takes its two uniform
+draws per entry, the one that decides the nonzeros and the one that gives
+the magnitudes, in lockstep chunks from two generators on one key (see
+:func:`sparse_surrogate`). Chunking keeps the stream: ``random`` and
 ``standard_normal`` consume the generator's output entry by entry, in C
 order, so draws of ``n`` and then ``m`` entries are the first ``n + m``
 entries of one draw of ``n + m``, bit for bit. A tensor is therefore the
@@ -35,7 +38,7 @@ from math import prod
 import numpy as np
 
 from .factorization import FactorModel
-from .tensors import SLAB_BYTES, _read_only, cp_reconstruct, frobenius_norm
+from .tensors import SLAB_BYTES, _khatri_rao_native, _read_only, frobenius_norm
 
 __all__ = ["SynthSpec", "synthetic_lowrank", "sparse_surrogate"]
 
@@ -86,6 +89,11 @@ def synthetic_lowrank(spec: SynthSpec) -> tuple[np.ndarray, FactorModel]:
     ``noise_level`` adds Gaussian noise scaled to
     ``noise_level * ||X||_F / sqrt(X.size)`` per entry, clamped at zero to
     keep the tensor nonnegative; it is added chunk by chunk, in place.
+
+    The tensor is ``U0 @ K.T``, reshaped, with ``K`` the Khatri-Rao product
+    of the other loading matrices: the bits of
+    :func:`drbcd.tensors.cp_reconstruct` with an all-ones code, without the
+    second product, ``K`` times the ones, that its chain forms beside ``K``.
     """
     if not 1 <= spec.rank <= min(spec.dims):
         raise ValueError(
@@ -93,7 +101,10 @@ def synthetic_lowrank(spec: SynthSpec) -> tuple[np.ndarray, FactorModel]:
         )
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     factors = [rng.random((d, spec.rank)) for d in spec.dims]
-    x = cp_reconstruct(factors, np.ones((spec.rank, 1))).reshape(spec.dims)
+    # The chain starts from a row of ones, so that a one-mode tensor is
+    # U0's row sums; times that row, U1 keeps its bits.
+    chain = [np.ones((1, spec.rank))] + factors[1:]
+    x = (factors[0] @ _khatri_rao_native(chain).T).reshape(spec.dims)
     if spec.noise_level > 0.0:
         sigma = spec.noise_level * frobenius_norm(x) / np.sqrt(x.size)
         flat = x.reshape(-1)
@@ -112,20 +123,34 @@ def sparse_surrogate(spec: SynthSpec) -> np.ndarray:
     absolute value hits ``target_mean_abs`` exactly (well inside any relative
     tolerance). Deterministic per seed.
 
-    One uniform draw per entry decides the nonzeros, then one more per entry
-    gives the magnitudes. The first draws are taken in chunks into a boolean
-    mask, the second straight into the result, which the mask then zeroes
-    and the target rescales in place. The tensor is nonnegative by
-    construction, so its mean is its mean absolute entry.
+    One uniform draw per entry decides the nonzeros, an entry being nonzero
+    where its draw is below ``density``, then one more per entry gives the
+    magnitudes: the first ``N`` draws of the seed's stream, then the next
+    ``N``, for ``N`` entries. Both are taken in lockstep chunks, with no
+    tensor-sized mask: a second generator on the same key is moved past the
+    first ``N`` draws (Philox advances by blocks of four draws, the rest are
+    drawn and dropped). A chunk's first draws are taken into the result,
+    compared with ``density``, and overwritten by its magnitudes, which the
+    comparison then zeroes, all while the chunk is in cache. The mean and the
+    rescale to the target are whole-tensor passes. The tensor is nonnegative
+    by construction, so its mean is its mean absolute entry.
     """
     if spec.target_mean_abs is None:
         raise ValueError("sparse_surrogate requires target_mean_abs")
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    mask = np.empty(prod(spec.dims), dtype=bool)
-    for start, stop in _chunks(mask.size):
-        np.less(rng.random(stop - start), spec.density, out=mask[start:stop])
-    x = rng.random(spec.dims)
-    x *= mask.reshape(spec.dims)
+    size = prod(spec.dims)
+    pattern = np.random.Generator(np.random.Philox(key=spec.seed))
+    skipped = np.random.Philox(key=spec.seed)
+    skipped.advance(size // 4)
+    skipped.random_raw(size % 4)
+    magnitudes = np.random.Generator(skipped)
+    x = np.empty(spec.dims)
+    flat = x.reshape(-1)
+    for start, stop in _chunks(size):
+        part = flat[start:stop]
+        pattern.random(out=part)
+        keep = part < spec.density
+        magnitudes.random(out=part)
+        part *= keep
     mean = float(np.mean(x))
     if mean == 0.0:
         raise ValueError(

@@ -30,6 +30,7 @@ from .datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from .driver import SolverConfig, TraceRecord, TraceVerification, run, verify_trace
 from .factorization import NtfProblem, init_factors, run_mu
 from .schedule import RadiusSchedule
+from .subsolver import MAX_RANK
 from .tensors import read_ntf1, write_ntf1
 
 __all__ = [
@@ -159,6 +160,12 @@ class ExperimentConfig:
         self.shape = tuple(int(d) for d in self.shape)
         if self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank}")
+        if self.rank > MAX_RANK:
+            # Every exact block solve of a larger rank would fail and fall
+            # back to projected gradient from its start.
+            raise ValueError(
+                f"rank must be at most {MAX_RANK}, the exact block solve's limit, got {self.rank}"
+            )
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
         if not self.algos:

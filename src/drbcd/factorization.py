@@ -33,7 +33,7 @@ from .driver import stationarity_measure  # noqa: F401
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
     SLAB_BYTES,
-    _checked_max,
+    _checked_max_norm_sq,
     _coo_gather,
     _coo_matrix,
     _coo_partial,
@@ -246,15 +246,16 @@ class NtfProblem:
         if self._coo is None:
             self._dense, self._owner = _held_dense(x, data)
         # Every nonzero entry (NaN and infinities among them): the checks,
-        # the maximum and the square sum need no more.
+        # the maximum and the square sum need no more, and take one pass.
         entries = self._coo[2] if self._dense is None else self._dense.ravel()
-        top = _checked_max(entries, nonneg=True) if entries.size else 0.0
+        top, self._norm_sq = (
+            _checked_max_norm_sq(entries, nonneg=True) if entries.size else (0.0, 0.0)
+        )
         self.box_bound = (
             default_box_bound(top, self.num_blocks) if box_bound is None else float(box_bound)
         )
         if not self.box_bound > 0.0:
             raise ValueError(f"box bound must be positive, got {self.box_bound}")
-        self._norm_sq = float(np.dot(entries, entries))
         self._memo = _Memo(self.num_blocks)
 
     @property

@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 GRAM_SYMMETRY_TOL = 1e-12
+# The largest rank (a block's column count) that the exact solve takes: its
+# free patterns are bit masks in an int64. Pivoting fails on every solve of
+# a larger rank.
+MAX_RANK = 62
 
 
 def _norm(x: np.ndarray) -> float:
@@ -290,7 +294,7 @@ class _ExactBlockSolve:
     there. Faces with no violation at a ``mu`` are optimal at that ``mu``;
     they end the solve when ``mu`` is complementary to the ball, and else
     narrow a bracket on the optimal ``mu``. Patterns are bit masks, so the
-    rank is at most 62.
+    rank is at most :data:`MAX_RANK`.
     """
 
     def __init__(self, q: QuadraticBlockSubproblem, feasible: BoxBallFeasibleSet):
@@ -471,8 +475,8 @@ class _ExactBlockSolve:
         d, r = c.shape
         if self.lower == self.upper:
             return c.copy()
-        if r > 62:
-            raise _PivotingFailed("rank above 62")
+        if r > MAX_RANK:
+            raise _PivotingFailed(f"rank above {MAX_RANK}")
         self.set_faces(
             slice(None),
             np.where(warm <= self.lower, -1, np.where(warm >= self.upper, 1, 0)).astype(np.int8),
@@ -550,6 +554,10 @@ def solve_block_qp(
     succeeded and that residual passes the test (a tie at the optimum, up to
     rounding). A start that is the center bit for bit, as the driver passes
     it, is feasible and its own projection, so it is taken as it is.
+
+    The exact solve takes blocks of at most :data:`MAX_RANK` (62) columns.
+    Pivoting fails on every solve of a wider block, which then runs the
+    loop from the start and reports ``converged=False``.
     """
     start = np.asarray(start, dtype=np.float64)
     if start.shape != feasible.center.shape:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import struct
 from functools import reduce
-from math import isfinite, prod
+from math import inf, isfinite, prod
 from stat import S_ISREG
 
 import numpy as np
@@ -77,21 +77,39 @@ def as_tensor(data, nonneg: bool = False) -> np.ndarray:
     if x.ndim == 0:
         raise ValueError("tensor must have at least one mode")
     if x.size:
-        _checked_max(x, nonneg)
+        _checked_max_norm_sq(x.reshape(-1), nonneg, squares=False)
     return x
 
 
-def _checked_max(x: np.ndarray, nonneg: bool) -> float:
-    """The largest entry of a nonempty ``x``, once its entries pass
-    :func:`as_tensor`'s checks; one pass each for the minimum and maximum."""
-    # ``min`` and ``max`` propagate NaN, so together they find every
-    # non-finite entry without a tensor-sized boolean temporary.
-    lowest, highest = float(x.min()), float(x.max())
-    if not (isfinite(lowest) and isfinite(highest)):
-        raise ValueError("tensor entries must be finite (no NaN/Inf)")
+def _checked_max_norm_sq(
+    flat: np.ndarray, nonneg: bool, squares: bool = True
+) -> tuple[float, float]:
+    """The largest entry and the square sum of a nonempty 1-D ``flat``, once
+    its entries pass :func:`as_tensor`'s checks; the sum reads 0 without
+    ``squares``.
+
+    One pass over slabs of about :data:`SLAB_BYTES`, each read for its
+    minimum, its maximum and its square sum while it is in cache. ``min``
+    and ``max`` propagate NaN, so together they find every non-finite entry
+    without a boolean temporary; the pass stops at the first slab holding
+    one. A negative entry is refused only once the whole pass has found no
+    non-finite entry, so the message is the same wherever the two lie. The
+    square sum adds the slabs' dot products, so its last bits may differ
+    from those of one dot over the whole array.
+    """
+    lowest, highest, norm_sq = inf, -inf, 0.0
+    step = SLAB_BYTES // flat.itemsize
+    for start in range(0, flat.shape[0], step):
+        slab = flat[start : start + step]
+        low, high = float(slab.min()), float(slab.max())
+        if not (isfinite(low) and isfinite(high)):
+            raise ValueError("tensor entries must be finite (no NaN/Inf)")
+        lowest, highest = min(lowest, low), max(highest, high)
+        if squares:
+            norm_sq += float(np.dot(slab, slab))
     if nonneg and lowest < 0.0:
         raise ValueError("tensor entries must be nonnegative")
-    return highest
+    return highest, norm_sq
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -307,10 +325,20 @@ def _runs(idx) -> tuple[int, np.ndarray]:
     return first, np.searchsorted(idx, np.arange(first, int(idx[-1]) + 2))
 
 
-def _rows_at(u_t, idx) -> np.ndarray:
-    """``u_t[:, idx]`` for a sorted ``idx``: each column repeated over its run."""
+def _rows_at(u_t, idx):
+    """The rows of ``u_t[:, idx]`` for a sorted ``idx``, one at a time.
+
+    Each is a repeat of its entries over the runs of ``idx``, formed when it
+    is asked for. A chunk's product row takes ``1/r`` of
+    :data:`SLAB_BYTES`, a fifth of it at rank 5: below the C allocator's
+    default 128 KB threshold for mapping fresh pages, which the whole
+    ``(r, n)`` product of a chunk is not, so that a sweep does not fault in
+    new memory for it on every chunk.
+    """
     first, bounds = _runs(idx)
-    return np.repeat(u_t[:, first : first + bounds.shape[0] - 1], np.diff(bounds), axis=1)
+    counts = np.diff(bounds)
+    for row in u_t[:, first : first + counts.shape[0]]:
+        yield np.repeat(row, counts)
 
 
 def _coo_partial(rows, cols, values, u, cells: int) -> np.ndarray:
@@ -320,19 +348,18 @@ def _coo_partial(rows, cols, values, u, cells: int) -> np.ndarray:
     :func:`_coo_matrix`) and ``u`` has one row per row of ``A``. The
     nonzeros are taken in chunks whose products fill about
     :data:`SLAB_BYTES` (see :func:`_row_slabs`): each chunk's rows of ``u``
-    (runs of the sorted rows, so a repeat rather than a gather) are scaled
-    by the values and scattered into their columns' rows of the result.
-    Returned C-contiguous.
+    (runs of the sorted rows, so a repeat rather than a gather), one rank
+    column at a time, are scaled by the values and scattered into that
+    column of the result at their columns' rows. Returned C-contiguous.
     """
     rank = u.shape[1]
     u_t = np.ascontiguousarray(u.T)
-    out_t = np.zeros((rank, cells))
+    out = np.zeros((cells, rank))
     for start, stop in _row_slabs(values.shape[0], 8 * rank):
-        prods = _rows_at(u_t, rows[start:stop])
-        prods *= values[start:stop]
-        for out_row, prod_row in zip(out_t, prods):
-            np.add.at(out_row, cols[start:stop], prod_row)
-    return np.ascontiguousarray(out_t.T)
+        for j, prod_row in enumerate(_rows_at(u_t, rows[start:stop])):
+            prod_row *= values[start:stop]
+            np.add.at(out[:, j], cols[start:stop], prod_row)
+    return out
 
 
 def _coo_gather(
@@ -369,9 +396,14 @@ def _coo_gather(
         gathered = scratch[: rank * (stop - start)].reshape(rank, stop - start)
         np.take(kr_t, cols[start:stop], axis=1, out=gathered, mode="clip")
         if u_t is not None:
+            # Summed one rank row at a time, in the order of a sum over the
+            # rank axis of the whole product.
             prods = _rows_at(u_t, rows[start:stop])
-            prods *= gathered
-            m = prods.sum(axis=0)
+            m = next(prods)
+            m *= gathered[0]
+            for prod_row, g in zip(prods, gathered[1:]):
+                prod_row *= g
+                m += prod_row
             model += float(np.dot(m, m))
             np.subtract(values[start:stop], m, out=m)
             residual += float(np.dot(m, m))

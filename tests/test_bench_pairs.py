@@ -106,3 +106,20 @@ def test_failed_solves_are_judged_by_ok_frac(bench_pairs, monkeypatch, tmp_path)
     assert summary["sweeps_per_s"]["verdict"] == "unresolved"
     assert summary["sweeps_per_s"]["claim_met"] is False
     assert summary["mu_sweeps_per_s"]["verdict"] == "no regression"
+
+
+@pytest.mark.parametrize(
+    "claim, shown",
+    [
+        (None, "sweeps_per_s parent 1, change 1.997"),
+        ("sweeps_per_s", "sweeps_per_s parent 1, change 1.997"),
+        ("peak_rss_mb", "sweeps_per_s parent 1, change 1.997; peak_rss_mb parent 1, change 1"),
+    ],
+)
+def test_each_pair_prints_the_claimed_metric(bench_pairs, monkeypatch, tmp_path, capsys, claim, shown):
+    fake_runs(bench_pairs, monkeypatch, 2.0)
+    extra = ("--claim", claim) if claim else ()
+    bench_pairs.main(argv(tmp_path, *extra))
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pair ")]
+    assert len(lines) == bench_pairs.PAIRS
+    assert lines[0] == f"pair 0 seed 101: {shown}"

@@ -118,16 +118,23 @@ def reference_surrogate(spec):
     return np.ascontiguousarray(x * (spec.target_mean_abs / mean))
 
 
-# Two, three and four modes; sizes below one chunk, of exactly one and two
-# chunks, and between multiples of it.
-SHAPES = [(17, 29), (256, 256), (300, 500), (2, 256, 256), (40, 50, 70), (8, 9, 10, 11), (6, 7, 8, 300)]
+# One to four modes; sizes below one chunk, one entry short of it, of
+# exactly one and two chunks, and between multiples of it. The surrogate's
+# second generator skips the first draws four at a time and then one at a
+# time, so the sizes take every remainder modulo 4.
+SHAPES = [
+    (17, 29), (5, 13107), (256, 256), (65537, 2), (131075,), (300, 500), (2, 256, 256),
+    (40, 50, 70), (8, 9, 10, 11), (6, 7, 8, 300),
+]
 
 
 def test_shapes_cover_the_chunk_boundaries():
     sizes = {int(np.prod(s)) for s in SHAPES}
-    assert {datagen.CHUNK, 2 * datagen.CHUNK} <= sizes
+    assert {datagen.CHUNK - 1, datagen.CHUNK, 2 * datagen.CHUNK} <= sizes
     assert any(n < datagen.CHUNK for n in sizes)
     assert any(n > datagen.CHUNK and n % datagen.CHUNK for n in sizes)
+    assert {n % 4 for n in sizes} == {0, 1, 2, 3}
+    assert {2, 3} <= {n % 4 for n in sizes if n > datagen.CHUNK and n % datagen.CHUNK}
 
 
 @pytest.mark.parametrize("dims", SHAPES)
@@ -155,7 +162,12 @@ def test_surrogate_has_the_bits_of_the_whole_tensor_formula(dims, density):
 
 
 def traced_peak(build):
-    """``build()`` and the most bytes numpy held at once while it ran."""
+    """``build()`` and the most bytes numpy held at once while it ran.
+
+    ``build`` runs once untraced first, so that modules that numpy imports
+    on a first call are not counted.
+    """
+    build()
     tracemalloc.start()
     try:
         out = build()
@@ -169,12 +181,22 @@ PEAK_DIMS = (100, 100, 100)
 
 
 def test_surrogate_is_built_in_its_own_buffer():
-    # The result, the boolean mask (an eighth of it) and one chunk's draws;
-    # the whole-tensor formula held about 3x the result.
+    # The result and one chunk's boolean pattern, an eighth of a chunk: both
+    # draws go into the result. A tensor-sized mask held 1.125x the result,
+    # the whole-tensor formula about 3x.
     spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.01, target_mean_abs=0.00067)
     x, peak = traced_peak(lambda: sparse_surrogate(spec))
     assert x.nbytes == 8 * 10**6
-    assert peak <= 1.25 * x.nbytes
+    assert peak <= 1.05 * x.nbytes
+
+
+def test_noiseless_lowrank_holds_one_khatri_rao_product():
+    # The result and the Khatri-Rao product of the last two factors, a
+    # twentieth of it at rank 5 (10,000 x 5), and no second product times
+    # an all-ones code.
+    spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=14)
+    (x, _), peak = traced_peak(lambda: synthetic_lowrank(spec))
+    assert peak <= 1.06 * x.nbytes
 
 
 def test_noisy_lowrank_adds_its_noise_in_place():

@@ -642,6 +642,20 @@ def test_cli_bad_setting_exits_2_before_writing(tmp_path, monkeypatch, capsys, a
     assert not out.exists()
 
 
+def test_cli_refuses_a_rank_above_the_exact_solves_limit(tmp_path, capsys):
+    # Every exact block solve of rank 63 would fail and fall back to
+    # projected gradient from its start; 62 is the limit.
+    out = tmp_path / "exp"
+    with pytest.raises(SystemExit) as exc:
+        main(["--data", "synth", "--shape", "64,64,64", "--rank", "63", "--out", str(out)])
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    assert errors == ["drbcd: error: rank must be at most 62, the exact block solve's limit, got 63"]
+    assert not out.exists()
+    cfg, _ = parse_config(["--data", "synth", "--shape", "64,64,64", "--rank", "62", "--out", str(out)])
+    assert cfg.rank == 62
+
+
 @pytest.mark.parametrize("data, code", [("surrogate", 0), ("synth", 2)])
 def test_cli_checks_the_rank_only_where_the_data_reads_it(tmp_path, capsys, data, code):
     # The surrogate never reads the rank, so a rank above the shortest mode

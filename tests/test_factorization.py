@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,49 @@ def test_problem_rejects_bad_entries(nonzeros, bad, message):
     if nonzeros is not None:
         data[4, 5, 6] = 1.0
         assert NtfProblem(data, 2)._coo is not None
+
+
+# Three full slabs of the check pass and a partial fourth (1,072 entries).
+CHECK_SHAPE = (4, 7, 7060)
+SLAB_ENTRIES = tensors.SLAB_BYTES // 8
+NOT_FINITE = "tensor entries must be finite (no NaN/Inf)"
+NEGATIVE = "tensor entries must be nonnegative"
+
+
+def test_check_shape_ends_in_a_partial_slab():
+    assert 3 * SLAB_ENTRIES < math.prod(CHECK_SHAPE) < 4 * SLAB_ENTRIES
+
+
+@pytest.mark.parametrize("where", [5, SLAB_ENTRIES + 17, math.prod(CHECK_SHAPE) - 3],
+                         ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad, message", [(np.nan, NOT_FINITE), (np.inf, NOT_FINITE),
+                                          (-np.inf, NOT_FINITE), (-1.0, NEGATIVE)])
+def test_dense_checks_find_a_bad_entry_in_any_slab(where, bad, message):
+    # One pass over the slabs takes the checks, with as_tensor's messages.
+    data = np.random.default_rng(7).random(CHECK_SHAPE)
+    data.flat[where] = bad
+    for check in (lambda: NtfProblem(data, 2), lambda: tensors.as_tensor(data, nonneg=True)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check()
+
+
+def test_a_non_finite_entry_is_named_before_a_negative_one_in_an_earlier_slab():
+    data = np.random.default_rng(8).random(CHECK_SHAPE)
+    data.flat[3] = -1.0
+    data.flat[-1] = np.nan
+    with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+        NtfProblem(data, 2)
+
+
+def test_one_check_pass_gives_the_box_bound_and_the_square_sum():
+    # The largest entry sits in the last, partial slab.
+    data = np.random.default_rng(9).random(CHECK_SHAPE)
+    data.flat[-2] = 3.0
+    problem = NtfProblem(data, 2)
+    assert problem._coo is None
+    assert problem.box_bound == factorization.default_box_bound(float(data.max()), 3)
+    want = float(np.dot(data.ravel(), data.ravel()))
+    assert abs(problem._norm_sq - want) <= 1e-14 * want
 
 
 def test_objective_shape_mismatch_error():

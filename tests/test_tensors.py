@@ -382,6 +382,42 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         assert alone is None and sums == [residual, at_nonzeros]
 
 
+def whole_chunk_kernels(rows, cols, values, u, kr_t, cells):
+    """The partial and the sums at the nonzeros, from each chunk's whole
+    ``(r, n)`` product of rows of ``u``, as one fancy index."""
+    rank = u.shape[1]
+    out_t = np.zeros((rank, cells))
+    residual = model = 0.0
+    for start, stop in tensors._row_slabs(values.shape[0], 8 * rank):
+        prods = u.T[:, rows[start:stop]] * values[start:stop]
+        for out_row, prod_row in zip(out_t, prods):
+            np.add.at(out_row, cols[start:stop], prod_row)
+        m = (u.T[:, rows[start:stop]] * kr_t[:, cols[start:stop]]).sum(axis=0)
+        model += float(np.dot(m, m))
+        m = values[start:stop] - m
+        residual += float(np.dot(m, m))
+    return np.ascontiguousarray(out_t.T), residual, model
+
+
+@pytest.mark.parametrize("nonzeros_per_chunk", [1, 5, None])
+def test_coo_kernels_keep_the_bits_of_whole_chunk_products(monkeypatch, nonzeros_per_chunk):
+    # The product rows are formed and summed one rank row at a time.
+    rng = np.random.default_rng(38)
+    shape, rank, pivot = (9, 40, 8), 4, 1
+    x = rng.random(shape) * (rng.random(shape) < 0.2)
+    factors = [rng.standard_normal((d, rank)) for d in shape]
+    if nonzeros_per_chunk is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * rank * nonzeros_per_chunk)
+    rows, cols, values = _coo_matrix(np.flatnonzero(x), x.ravel(), shape, pivot)
+    kr_t = tensors._khatri_rao_t(factors[:pivot] + factors[pivot + 1 :])
+    scratch = np.empty(rank * values.size)
+    partial = _coo_partial(rows, cols, values, factors[pivot], kr_t.shape[1])
+    _, residual, model = _coo_gather(rows, cols, values, kr_t, scratch, u=factors[pivot])
+    want = whole_chunk_kernels(rows, cols, values, factors[pivot], kr_t, kr_t.shape[1])
+    assert partial.flags.c_contiguous and partial.tobytes() == want[0].tobytes()
+    assert (residual, model) == want[1:]
+
+
 # ---------------------------------------------------------------------------
 # cp_reconstruct
 
