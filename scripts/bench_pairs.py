@@ -30,6 +30,19 @@ change run beats every parent run; else "no regression". A metric that has
 no value in some run, because every solve of one algorithm failed there,
 reads "unresolved", and a claim on it is not met.
 
+With ``--aa``, every one of the ten pairs also runs a copy of the parent
+tree, made for the session (an A/A control: the same code, run beside the
+parent under the same host load). The three runs of pair ``k`` go parent,
+change, copy for even ``k`` and copy, change, parent for odd ``k``, so that
+each of the three orders of two sides comes first equally often. For every
+end-to-end metric the summary then records, under ``aa``, the copy's
+quartiles, the median of the per-pair gaps copy minus parent, and their
+``spread``: the larger absolute value of their lower and upper quartiles,
+so that in at least a quarter of the pairs an identical tree differed from
+the parent by that much. A claim is then met only if its medians also
+differ by more than that spread. Unclaimed metrics keep their verdicts; the
+A/A numbers say how far the host moves them with no change at all.
+
 A ``--claim`` must name an end-to-end metric of ``BENCHMARK.json``. The
 exit status is 1 when the claim is not met or any of the ten pairs'
 verdicts reads "worse" (the held-out pair, summarized on its own, does not
@@ -40,9 +53,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 PAIRS = 10
@@ -94,13 +109,23 @@ def regression_verdict(parent: list[float], change: list[float], higher: bool, b
     return "no regression"
 
 
+def aa_floor(parent: list[float], copy: list[float]) -> dict:
+    """The A/A control of one metric: the copy's quartiles and its per-pair gaps to the parent."""
+    gaps = quartiles([c - p for p, c in zip(parent, copy)])
+    return {"copy": quartiles(copy), "median_gap": gaps["median"],
+            "spread": max(abs(gaps["q1"]), abs(gaps["q3"]))}
+
+
 def summarize(pairs: list[dict], spec: dict, claim: str | None) -> dict:
     summary = {}
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        copy = [p["copy"]["metrics"][name]["value"] for p in pairs if "copy" in p]
         missing = {"parent": parent.count(None), "change": change.count(None)}
+        if copy:
+            missing["copy"] = copy.count(None)
         if any(missing.values()):
             # A run where every solve of one algorithm failed has no value
             # here; its ok_frac counts the failures.
@@ -122,14 +147,34 @@ def summarize(pairs: list[dict], spec: dict, claim: str | None) -> dict:
             "median_ratio": after["median"] / before["median"] if before["median"] else None,
             "verdict": regression_verdict(parent, change, higher, m["bound"]),
         }
+        if copy:
+            entry["aa"] = aa_floor(parent, copy)
         if name == claim:
             gap = abs(after["median"] - before["median"])
             entry["claim_met"] = (
                 wins >= 0.9 * len(pairs)
                 and gap > before["q3"] - before["q1"]
+                and gap > entry.get("aa", {}).get("spread", 0.0)
             )
         summary[name] = entry
     return summary
+
+
+def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, claim: str | None) -> list[dict]:
+    """One pair per seed; a ``copy`` tree, if given, runs in the first :data:`PAIRS` only."""
+    pairs = []
+    for k, seed in enumerate(seeds):
+        sides = [s for s in ("parent", "change", "copy") if s in trees and (s != "copy" or k < PAIRS)]
+        order = sides if k % 2 == 0 else sides[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_side(trees[side], workload, seed, seconds)
+        pairs.append(pair)
+        print(f"pair {k} seed {seed}: " + "; ".join(
+            f"{name} " + ", ".join(f"{side} {shown(pair[side], name)}" for side in sides)
+            for name in dict.fromkeys(["sweeps_per_s", claim or "sweeps_per_s"])
+        ), flush=True)
+    return pairs
 
 
 def main(argv=None) -> int:
@@ -141,6 +186,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", default=None, help="end-to-end metric the change claims to improve")
     parser.add_argument("--held-out", type=int, default=None,
                         help="seed of one more pair, summarized on its own")
+    parser.add_argument("--aa", action="store_true",
+                        help="also run a copy of the parent in each of the ten pairs, as an A/A control")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -152,17 +199,13 @@ def main(argv=None) -> int:
     seeds = [args.seed + k for k in range(PAIRS)]
     if args.held_out is not None:
         seeds.append(args.held_out)
-    pairs = []
-    for k, seed in enumerate(seeds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_side(getattr(args, side).resolve(), args.workload, seed, seconds)
-        pairs.append(pair)
-        print(f"pair {k} seed {seed}: " + "; ".join(
-            f"{name} parent {shown(pair['parent'], name)}, change {shown(pair['change'], name)}"
-            for name in dict.fromkeys(["sweeps_per_s", args.claim or "sweeps_per_s"])
-        ), flush=True)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory() as scratch:
+        if args.aa:
+            trees["copy"] = Path(scratch) / "parent-copy"
+            shutil.copytree(trees["parent"], trees["copy"],
+                            ignore=shutil.ignore_patterns(".git", ".bench_out", "__pycache__"))
+        pairs = run_pairs(trees, args.workload, seeds, seconds, args.claim)
     held_out = pairs[PAIRS:]
     pairs = pairs[:PAIRS]
 
@@ -181,6 +224,8 @@ def main(argv=None) -> int:
         compared = (f"parent {entry['parent']['median']:.6g}  change {entry['change']['median']:.6g}  "
                     f"wins {entry['change_wins']}/{len(pairs)}" if "missing" not in entry
                     else f"runs without a value: {entry['missing']}")
+        if "aa" in entry:
+            compared += f"  A/A gap {entry['aa']['median_gap']:+.4g} spread {entry['aa']['spread']:.4g}"
         print(f"{name:20s} {compared}  {entry['verdict']}"
               + (f"  claim met: {entry['claim_met']}" if "claim_met" in entry else ""))
     failed = [name for name, entry in record["summary"].items()

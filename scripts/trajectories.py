@@ -35,13 +35,15 @@ itself not counted (its build peak, from ``tracemalloc``); next to them,
 the digest of the tensor each side's ``NtfProblem`` returns as its
 ``data``, whether those match, the bytes of the arrays each problem holds,
 and the most bytes numpy held at once while ``NtfProblem(x)`` was built
-(its ``tracemalloc`` peak, the data itself not counted), so that a
-change in how a problem holds its data, or in what building it costs, shows
-beside its inputs. For every run it then prints the sweeps each side did,
-the largest relative deviation of the objective and of the stationarity
-measure over the sweeps, whether the two traces are bit-identical in every
-field the trace CSV writes, whether the long/short point classes match, and
-whether the run's data matched. A trace that diverges on matching data
+(its ``tracemalloc`` peak, the data itself not counted), and the most
+bytes numpy held at once over the case's BCD-DR and MU runs together,
+beyond what the problem held before them (their solve peak), so that a
+change in how a problem holds its data, or in what building it or solving
+on it costs, shows beside its inputs. For every run it then prints the
+sweeps each side did, the largest relative deviation of the objective and
+of the stationarity measure over the sweeps, whether the two traces are
+bit-identical in every field the trace CSV writes, whether the long/short
+point classes match, and whether the run's data matched. A trace that diverges on matching data
 points to the solver; one on data that differs points to the inputs. For a
 change that moves paths, it also prints each side's final objective and the
 lowest stationarity measure its run reached (the running minimum at its
@@ -59,8 +61,8 @@ from pathlib import Path
 
 # Run inside each tree; prints {"data": {case name: digest}, "build": {case
 # name: build peak}, "problem": {case name: [digest, bytes held, set-up peak]},
-# "runs": {run name: [record, ...]}}, a record being every field the trace CSV
-# writes (see `compare`).
+# "solve": {case name: solve peak}, "runs": {run name: [record, ...]}}, a
+# record being every field the trace CSV writes (see `compare`).
 WORKER = r"""
 import hashlib, json, sys, tracemalloc
 import numpy as np
@@ -98,7 +100,7 @@ def held_bytes(problem):
                 buffers[id(owner)] = owner.nbytes
     return sum(buffers.values())
 
-out = {"data": {}, "build": {}, "problem": {}, "runs": {}}
+out = {"data": {}, "build": {}, "problem": {}, "solve": {}, "runs": {}}
 # A generator's first call imports modules; keep them out of the first build peak.
 datagen.synthetic_lowrank(datagen.SynthSpec(dims=(2, 2), rank=1))
 datagen.sparse_surrogate(datagen.SynthSpec(dims=(2, 2), rank=1, density=0.5, target_mean_abs=1.0))
@@ -128,11 +130,14 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
             schedule=schedule.RadiusSchedule(kind="power_log", beta=beta, c_prime=c_prime),
             max_sweeps=sweeps, clock="sweep",
         )
-        out["runs"][f"{name} seed {seed}"] = records(driver.run(problem, init, cfg)[1])
         mu_cfg = driver.SolverConfig(
             schedule=schedule.RadiusSchedule(kind="infinite"), max_sweeps=MU_SWEEPS, clock="sweep"
         )
+        tracemalloc.start()
+        out["runs"][f"{name} seed {seed}"] = records(driver.run(problem, init, cfg)[1])
         out["runs"][f"mu on {name} seed {seed}"] = records(factorization.run_mu(problem, init, mu_cfg)[1])
+        out["solve"][f"{name} seed {seed}"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         del x, problem
 print(json.dumps(out))
 """
@@ -201,18 +206,19 @@ def main(argv=None) -> int:
     print(f"{'data':34s} {'parent digest':>16s} {'change digest':>16s}  same  "
           f"{'build peak (parent, change)':>27s}  "
           f"{'problem digests (parent, change)':>33s}  same  {'bytes held (parent, change)':>27s}  "
-          f"{'set-up peak (parent, change)':>28s}")
+          f"{'set-up peak (parent, change)':>28s}  {'solve peak (parent, change)':>27s}")
     for name, (before, after, same) in data.items():
         problem_before, problem_after, problem_same = problems[name]
         digests = f"{problem_before or 'n/a'} {problem_after or 'n/a'}"
-        build = " ".join(str(side["build"].get(name, "n/a")) for side in (parent, change))
+        build, solve = (" ".join(str(side[key].get(name, "n/a")) for side in (parent, change))
+                        for key in ("build", "solve"))
         held, peak = (
             " ".join(str(side["problem"].get(name, (None, "n/a", "n/a"))[column]) for side in (parent, change))
             for column in (1, 2)
         )
         print(f"{name:34s} {before or 'n/a':>16s} {after or 'n/a':>16s}  {'yes' if same else 'no':4s}  "
               f"{build:>27s}  "
-              f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}  {peak:>28s}")
+              f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}  {peak:>28s}  {solve:>27s}")
     matched = all(same for _, _, same in data.values())
     print("inputs matched on every case" if matched else "inputs DIFFER on the cases marked no")
     matched = all(same for _, _, same in problems.values())

@@ -162,13 +162,15 @@ class _Memo(threading.local):
     """One thread's memo of the MTTKRP work on one problem.
 
     ``partial`` is the data contracted with the pivot's block along the
-    pivot (see :class:`NtfProblem`), keyed by the bytes of that block;
-    ``linear[i]`` is block ``i``'s linear term, keyed by the bytes of every
-    other block. ``slab`` is the dense objective's residual buffer, one row
-    block of the data's native view ``X.reshape(-1, d_last)`` (see
-    :data:`drbcd.tensors.SLAB_BYTES`), so the objective never makes a
-    tensor-sized temporary. ``chunk`` is the scratch of the nonzero-only
-    passes, an ``(r, n)`` product for a chunk of ``n`` nonzeros.
+    pivot (see :class:`NtfProblem`), keyed by the bytes of that block. It is
+    dropped before its successor is allocated, so a thread holds one partial
+    at a time, never two. ``linear[i]`` is block ``i``'s linear term, keyed
+    by the bytes of every other block. ``slab`` is the dense objective's
+    residual buffer, one row block of the data's native view
+    ``X.reshape(-1, d_last)`` (see :data:`drbcd.tensors.SLAB_BYTES`), so the
+    objective never makes a tensor-sized temporary. ``chunk`` is the scratch
+    of the nonzero-only passes, an ``(r, n)`` product for a chunk of ``n``
+    nonzeros.
     """
 
     def __init__(self, num_blocks: int):
@@ -193,13 +195,15 @@ class NtfProblem:
 
     The MTTKRPs follow a two-level dimension tree around one pivot mode.
     Each thread memoizes the partial ``P``, the data contracted with the
-    pivot's block along the pivot; every other mode's term contracts ``P``
-    with the remaining blocks (see :mod:`drbcd.tensors`), and the pivot's
-    own term is one pass over the data. The objective's pass leaves behind
-    the term the stationarity measure at the same blocks needs next (see
-    :meth:`objective`). A sweep, its objective and its stationarity measure
-    so pass over dense data twice, and over the nonzeros of sparse data
-    three times, instead of seven times.
+    pivot's block along the pivot, and holds one at a time: the stale ``P``
+    is freed before a new pivot block's is allocated. Every other mode's
+    term contracts ``P`` with the remaining blocks (see
+    :mod:`drbcd.tensors`), and the pivot's own term is one pass over the
+    data. The objective's pass leaves behind the term the stationarity
+    measure at the same blocks needs next (see :meth:`objective`). A sweep,
+    its objective and its stationarity measure so pass over dense data
+    twice, and over the nonzeros of sparse data three times, instead of
+    seven times.
 
     Which passes run, and how the data is held, depends on the data alone;
     it is held once. Dense data is shared, not copied, when the caller's
@@ -330,7 +334,14 @@ class NtfProblem:
         pass can form from what it reads anyway: on dense data the partial
         ``P = Xr @ U_last``, from the same slabs and GEMMs as
         :func:`drbcd.tensors._last_mode_partial`, and on sparse data the
-        pivot's term. A memo hit skips that work.
+        pivot's term. A memo hit skips that work; on a miss the stale partial
+        is dropped before the new one is allocated.
+
+        The residual's product takes ``U_last.T`` as a transposed view. A
+        contiguous copy multiplies faster (the residual products of a
+        100x200x300 rank-5 pass took 2.5 ms against 4.1 ms, one BLAS thread)
+        but OpenBLAS rounds some entries differently in that layout, and at
+        that scale the objective moved in its last bits.
         """
         blocks = self._check_blocks(blocks)
         if self._coo is not None:
@@ -350,6 +361,7 @@ class NtfProblem:
         key = last.tobytes() if self._coo is None else None
         partial = None
         if key is not None and memo.partial[0] != key:
+            memo.partial = (None, None)  # freed before its successor is allocated
             partial = np.empty((xr.shape[0], self.rank))
         total = 0.0
         for start, stop in slabs:
@@ -481,16 +493,17 @@ class NtfProblem:
         """
         memo = self._memo
         key = pivot.tobytes()
-        cached_key, partial = memo.partial
-        if cached_key != key:
-            if self._coo is None:
-                partial = _last_mode_partial(self._dense, pivot)
-            else:
-                shape = self.shape[: self._pivot] + self.shape[self._pivot + 1 :]
-                cells = _coo_partial(*self._coo, pivot, math.prod(shape))
-                partial = cells.reshape(shape + (self.rank,))
-            partial.flags.writeable = False
-            memo.partial = (key, partial)
+        if memo.partial[0] == key:
+            return memo.partial[1]
+        memo.partial = (None, None)  # freed before its successor is allocated
+        if self._coo is None:
+            partial = _last_mode_partial(self._dense, pivot)
+        else:
+            shape = self.shape[: self._pivot] + self.shape[self._pivot + 1 :]
+            cells = _coo_partial(*self._coo, pivot, math.prod(shape))
+            partial = cells.reshape(shape + (self.rank,))
+        partial.flags.writeable = False
+        memo.partial = (key, partial)
         return partial
 
     def block_feasible_box(self, i: int) -> tuple[float, float]:

@@ -19,6 +19,14 @@ blocks for another purpose (the objective's residual in
 The contraction of ``P`` takes one batched matrix-vector product per rank
 column (see :func:`_mttkrp_from_partial`).
 
+The dense GEMMs keep their operands' layouts, transposed views included:
+with OpenBLAS 0.3.31 a product's bits depend on whether an operand is a
+transposed view or a contiguous copy. On small products, which take its
+small-matrix kernels, the two layouts round some entries differently. A
+contiguous copy would be faster (see :func:`_last_mode_mttkrp` and the
+objective in :mod:`drbcd.factorization`), but the objectives, the MTTKRPs
+and the generated tensors would then lose the bits they have.
+
 The private ``_coo_*`` kernels apply the same tree to a coordinate list of
 a tensor's nonzeros and never touch its zeros. The list is the tensor as a
 sparse matrix (see :func:`_coo_matrix`): its rows are the indices of one
@@ -263,6 +271,11 @@ def _last_mode_mttkrp(x, factors) -> np.ndarray:
     d_last)``; OpenBLAS runs this form about twice as fast as the equal
     ``Xr.T @ K``. Returned C-contiguous, as that form was, so that later
     reductions over the term add in the same order.
+
+    ``K.T`` is a transposed view. The contiguous :func:`_khatri_rao_t` took
+    6.3 ms against 6.8 ms at 100x200x300 rank 5 (one BLAS thread), with the
+    same bits there, but moved the bits on smaller shapes such as 30x40x50
+    at ranks 2-5, so the view stays.
     """
     x = np.asarray(x, dtype=np.float64)
     kr_t = _khatri_rao_native(factors).T

@@ -150,6 +150,22 @@ def test_lowrank_has_the_bits_of_the_whole_tensor_formula(dims, noise_level):
         assert_array_equal(got, want, strict=True)
 
 
+# Shapes on which OpenBLAS rounds ``U0 @ K.T`` differently once ``K.T`` is
+# a contiguous copy rather than a transposed view, and the desk and paper
+# shapes.
+@pytest.mark.parametrize("dims, rank", [
+    (dims, rank)
+    for dims in [(14, 44, 33), (14, 58, 51), (13, 15, 5, 4), (53, 252), (20, 25, 30)]
+    for rank in range(1, min(5, min(dims)) + 1)
+] + [((100, 200, 300), 5)])
+@pytest.mark.parametrize("noise_level", [0.0, 0.3])
+def test_lowrank_keeps_the_bits_of_the_transposed_view_product(dims, rank, noise_level):
+    # reference_lowrank forms U0 @ K.T with K = _khatri_rao_native(U1, ...,
+    # Um, ones((1, r))), a transposed view.
+    spec = SynthSpec(dims=dims, rank=rank, seed=13 + rank, noise_level=noise_level)
+    assert_array_equal(synthetic_lowrank(spec)[0], reference_lowrank(spec)[0], strict=True)
+
+
 @pytest.mark.parametrize("dims", SHAPES)
 @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
 def test_surrogate_has_the_bits_of_the_whole_tensor_formula(dims, density):

@@ -362,6 +362,78 @@ def test_memoized_terms_are_read_only():
                 linear[0, 0] = 1.0
 
 
+# ---------------------------------------------------------------------------
+# the dense passes' bits, and the one partial a thread holds
+
+
+def transposed_view_objective(x, blocks):
+    """The dense objective's total and partial from the transposed-view
+    formulas, over the objective's row slabs of ``Xr = x.reshape(-1,
+    d_last)``: ``Xr[s:e] - K[s:e] @ U_last.T`` and ``Xr[s:e] @ U_last``."""
+    xr = x.reshape(-1, x.shape[-1])
+    kr = tensors._khatri_rao_native(blocks[:-1])
+    last = blocks[-1]
+    total, partial = 0.0, []
+    for start, stop in tensors._row_slabs(xr.shape[0], xr[0].nbytes):
+        residual = (xr[start:stop] - kr[start:stop] @ last.T).ravel()
+        total += float(np.dot(residual, residual))
+        partial.append(xr[start:stop] @ last)
+    return total, np.concatenate(partial)
+
+
+# With a last mode of 300 or 389, OpenBLAS rounds the residual's product
+# differently once U_last.T is a contiguous copy rather than a transposed
+# view, at ranks 2-5; the others have several slabs, or four modes.
+@pytest.mark.parametrize("shape", [(10, 20, 300), (6, 7, 389), (60, 70, 80), (6, 8, 10, 12), (5, 6, 7, 300)])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_dense_objective_keeps_the_bits_of_the_transposed_view_formulas(shape, rank):
+    # At the generating factors the total is rounding error alone, so a
+    # product that rounded one model entry differently shows in it.
+    x, model = synthetic_lowrank(SynthSpec(dims=shape, rank=rank, seed=rank))
+    rng = np.random.default_rng(rank)
+    for blocks in (model.to_blocks(), [rng.random((d, rank)) for d in shape]):
+        problem = NtfProblem(x, rank)
+        total, partial = transposed_view_objective(x, blocks)
+        assert problem.objective(blocks) == total
+        assert problem._memo.partial[1].tobytes() == partial.tobytes()
+
+
+@pytest.mark.parametrize("case", ["dense objective", "dense partial", "sparse partial"])
+def test_a_new_pivot_block_frees_the_stale_partial_before_its_successor(case):
+    # Both partials alive at once would add a whole partial to the peak. A
+    # partial of 480 KB dwarfs the ufunc buffers (at most 128 KB) that
+    # numpy takes while it forms the objective's Khatri-Rao product.
+    rng = np.random.default_rng(31)
+    shape, rank = (120, 100, 130), 5
+    # The sparse case keeps few nonzeros, so that its scatter's temporaries
+    # stay small beside a partial.
+    data = sparse_data(rng, shape, math.prod(shape) // 400) if case == "sparse partial" else rng.random(shape)
+    problem = NtfProblem(data, rank)
+    assert (problem._coo is None) == (case != "sparse partial") and problem._pivot == 2
+    blocks = [rng.random((d, rank)) for d in shape]
+    moved = blocks[:-1] + [blocks[-1] + 1.0]
+    if case == "dense objective":
+        evaluate = problem.objective
+    else:
+        def evaluate(b):
+            return problem.block_subproblem(b, 0)
+    size = math.prod(shape[:-1]) * rank * 8  # one partial's bytes
+    # The objective's Khatri-Rao product of the leading blocks is as large.
+    transient = size if case == "dense objective" else 0
+    tracemalloc.start()
+    try:
+        evaluate(blocks)
+        assert problem._memo.partial[1].nbytes == size
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(moved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem._memo.partial[0] == moved[-1].tobytes()
+    assert peak - before < transient + 0.5 * size
+
+
 def test_problem_keeps_its_own_copy_of_the_data():
     for shape in [(4, 5, 6), "sparse"]:
         data, rank, blocks, _ = memo_case(shape, seed=24)

@@ -294,6 +294,21 @@ def check_last_mode_kernels(x, factors):
         )
 
 
+# Shapes on which OpenBLAS rounds the product differently once ``K.T`` is a
+# contiguous copy rather than a transposed view (at ranks 2-5 on some of
+# them), and the desk and paper shapes, where it does not.
+@pytest.mark.parametrize("shape, rank", [
+    (shape, rank) for shape in [(7, 3, 9), (17, 1, 33), (30, 40, 50), (6, 8, 10, 12), (20, 25, 30)]
+    for rank in range(1, 6)
+] + [((100, 200, 300), 5)])
+def test_last_mode_mttkrp_keeps_the_bits_of_the_transposed_view_product(shape, rank):
+    rng = np.random.default_rng(rank)
+    x = rng.random(shape)
+    factors = [rng.random((d, rank)) for d in shape[:-1]]
+    expected = (tensors._khatri_rao_native(factors).T @ x.reshape(-1, shape[-1])).T
+    assert _last_mode_mttkrp(x, factors).tobytes() == expected.tobytes()
+
+
 # Their partials have 1, 2, 3 and 4 modes.
 @pytest.mark.parametrize("shape", [(7, 6), (7, 5, 6), (3, 4, 7, 5), (3, 2, 4, 5, 3)])
 @pytest.mark.parametrize("case", ["ragged", "row_exceeds_slab", "default"])

@@ -134,20 +134,22 @@ def test_data_table_shows_each_problems_data_and_bytes_beside_the_inputs(traject
     # Same inputs on both sides, generated with a peak of 12 bytes beside
     # the tensor where the parent's took 30; the change's problem holds a
     # list of 24 bytes where the parent held a copy of 96, built with a peak
-    # of 40 bytes where the parent's took 100, and returns the same tensor.
+    # of 40 bytes where the parent's took 100, and returns the same tensor;
+    # its runs peaked at 70 bytes where the parent's took 160.
     sides = {
         "parent": {"data": {"c seed 1": "aa"}, "build": {"c seed 1": 30},
-                   "problem": {"c seed 1": ["aa", 96, 100]}, "runs": {}},
+                   "problem": {"c seed 1": ["aa", 96, 100]}, "solve": {"c seed 1": 160}, "runs": {}},
         "change": {"data": {"c seed 1": "aa"}, "build": {"c seed 1": 12},
-                   "problem": {"c seed 1": ["aa", 24, 40]}, "runs": {}},
+                   "problem": {"c seed 1": ["aa", 24, 40]}, "solve": {"c seed 1": 70}, "runs": {}},
     }
     monkeypatch.setattr(trajectories, "run_tree", lambda tree: sides[tree.name])
     assert trajectories.main(["--parent", "parent", "--change", "change"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].index("same  build peak (parent, change)") < lines[0].index("problem digests")
-    assert lines[0].endswith("set-up peak (parent, change)")
+    assert lines[0].index("set-up peak (parent, change)") < lines[0].index("solve peak")
+    assert lines[0].endswith("solve peak (parent, change)")
     assert lines[1].split() == ["c", "seed", "1", "aa", "aa", "yes", "30", "12", "aa", "aa", "yes",
-                                "96", "24", "100", "40"]
+                                "96", "24", "100", "40", "160", "70"]
     assert lines[2:4] == ["inputs matched on every case", "problems' data matched on every case"]
 
 
