@@ -10,9 +10,9 @@ Then, from the repository root::
         --workload paper_fit --seed 101 --claim sweeps_per_s \\
         --out BENCH_paper_fit.json
 
-Pair ``k`` of ten (``k`` from 0) runs both sides on seed ``--seed + k``,
-untraced, for the ``run_seconds`` that ``BENCHMARK.json`` fixes; the side
-that runs first alternates from pair to pair. Each pair prints both sides'
+Pair ``k`` of ten (``k`` from 0) runs both sides, and the parent's A/A
+control (below), on seed ``--seed + k``, untraced, for the ``run_seconds``
+that ``BENCHMARK.json`` fixes. Each pair prints the three runs'
 ``sweeps_per_s`` as it ends, and the claimed metric's when there is one.
 Each run's last output line (the benchmark's JSON result) and the
 provenance of its record are kept, also when some of its solves failed and
@@ -21,27 +21,29 @@ other metric. Only a run that prints no result stops the session.
 For every end-to-end metric the summary gives each side's median and
 quartiles and the number of pairs the change won, ties counting for neither
 side. A claimed metric is met when the change wins at least nine tenths of
-the pairs and the medians differ by more than the parent's interquartile
-range. Every metric also gets a no-regression verdict against its
-``bound``, a fraction of the parent's median: "worse" when the change's
-median is worse than the parent's by more than the bound; else "unresolved"
-when the parent's interquartile range is wider than the bound, unless every
-change run beats every parent run; else "no regression". A metric that has
-no value in some run, because every solve of one algorithm failed there,
-reads "unresolved", and a claim on it is not met.
+the pairs and the medians differ by more than both the parent's
+interquartile range and the A/A spread (below). Every metric also gets a
+no-regression verdict against its ``bound``, a fraction of the parent's
+median: "worse" when the change's median is worse than the parent's by more
+than the bound; else "unresolved" when the parent's interquartile range is
+wider than the bound, unless every change run beats every parent run; else
+"no regression". A metric that has no value in some parent or change run,
+because every solve of one algorithm failed there, reads "unresolved", and
+a claim on it is not met.
 
-With ``--aa``, every one of the ten pairs also runs a copy of the parent
-tree, made for the session (an A/A control: the same code, run beside the
-parent under the same host load). The three runs of pair ``k`` go parent,
-change, copy for even ``k`` and copy, change, parent for odd ``k``, so that
-each of the three orders of two sides comes first equally often. For every
-end-to-end metric the summary then records, under ``aa``, the copy's
-quartiles, the median of the per-pair gaps copy minus parent, and their
-``spread``: the larger absolute value of their lower and upper quartiles,
-so that in at least a quarter of the pairs an identical tree differed from
-the parent by that much. A claim is then met only if its medians also
-differ by more than that spread. Unclaimed metrics keep their verdicts; the
-A/A numbers say how far the host moves them with no change at all.
+Every pair, the held-out one too, runs the parent tree a third time as its
+A/A control, called the copy: the same code, run beside the parent under
+the same host load. The three runs of pair ``k`` go parent, change, copy
+for even ``k`` and copy, change, parent for odd ``k``, so that each of the
+three orders of two sides comes first equally often. For every end-to-end
+metric the summary records, under ``aa``, the copy's quartiles, the median
+of the per-pair gaps copy minus parent, and their ``spread``: the larger
+absolute value of their lower and upper quartiles, so that in at least a
+quarter of the pairs an identical tree differed from the parent by that
+much. A metric that has no value in some copy run gets ``aa`` as
+``{"missing": n}``, and a claim on it is not met; its verdict still
+compares parent and change alone. Unclaimed metrics keep their verdicts;
+the A/A numbers say how far the host moves them with no change at all.
 
 A ``--claim`` must name an end-to-end metric of ``BENCHMARK.json``. The
 exit status is 1 when the claim is not met or any of the ten pairs'
@@ -53,11 +55,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
+import math
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 PAIRS = 10
@@ -111,6 +112,8 @@ def regression_verdict(parent: list[float], change: list[float], higher: bool, b
 
 def aa_floor(parent: list[float], copy: list[float]) -> dict:
     """The A/A control of one metric: the copy's quartiles and its per-pair gaps to the parent."""
+    if None in copy:
+        return {"missing": copy.count(None)}
     gaps = quartiles([c - p for p, c in zip(parent, copy)])
     return {"copy": quartiles(copy), "median_gap": gaps["median"],
             "spread": max(abs(gaps["q1"]), abs(gaps["q3"]))}
@@ -120,12 +123,9 @@ def summarize(pairs: list[dict], spec: dict, claim: str | None) -> dict:
     summary = {}
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
-        parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
-        change = [p["change"]["metrics"][name]["value"] for p in pairs]
-        copy = [p["copy"]["metrics"][name]["value"] for p in pairs if "copy" in p]
+        parent, change, copy = ([p[side]["metrics"][name]["value"] for p in pairs]
+                                for side in ("parent", "change", "copy"))
         missing = {"parent": parent.count(None), "change": change.count(None)}
-        if copy:
-            missing["copy"] = copy.count(None)
         if any(missing.values()):
             # A run where every solve of one algorithm failed has no value
             # here; its ok_frac counts the failures.
@@ -146,25 +146,24 @@ def summarize(pairs: list[dict], spec: dict, claim: str | None) -> dict:
             "change_losses": losses,
             "median_ratio": after["median"] / before["median"] if before["median"] else None,
             "verdict": regression_verdict(parent, change, higher, m["bound"]),
+            "aa": aa_floor(parent, copy),
         }
-        if copy:
-            entry["aa"] = aa_floor(parent, copy)
         if name == claim:
             gap = abs(after["median"] - before["median"])
             entry["claim_met"] = (
                 wins >= 0.9 * len(pairs)
                 and gap > before["q3"] - before["q1"]
-                and gap > entry.get("aa", {}).get("spread", 0.0)
+                and gap > entry["aa"].get("spread", math.inf)
             )
         summary[name] = entry
     return summary
 
 
 def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, claim: str | None) -> list[dict]:
-    """One pair per seed; a ``copy`` tree, if given, runs in the first :data:`PAIRS` only."""
+    """One pair per seed, of three runs: parent, change and copy (see the module docstring)."""
     pairs = []
+    sides = ("parent", "change", "copy")
     for k, seed in enumerate(seeds):
-        sides = [s for s in ("parent", "change", "copy") if s in trees and (s != "copy" or k < PAIRS)]
         order = sides if k % 2 == 0 else sides[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
@@ -186,8 +185,6 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", default=None, help="end-to-end metric the change claims to improve")
     parser.add_argument("--held-out", type=int, default=None,
                         help="seed of one more pair, summarized on its own")
-    parser.add_argument("--aa", action="store_true",
-                        help="also run a copy of the parent in each of the ten pairs, as an A/A control")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -199,13 +196,9 @@ def main(argv=None) -> int:
     seeds = [args.seed + k for k in range(PAIRS)]
     if args.held_out is not None:
         seeds.append(args.held_out)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    with tempfile.TemporaryDirectory() as scratch:
-        if args.aa:
-            trees["copy"] = Path(scratch) / "parent-copy"
-            shutil.copytree(trees["parent"], trees["copy"],
-                            ignore=shutil.ignore_patterns(".git", ".bench_out", "__pycache__"))
-        pairs = run_pairs(trees, args.workload, seeds, seconds, args.claim)
+    parent = args.parent.resolve()
+    pairs = run_pairs({"parent": parent, "change": args.change.resolve(), "copy": parent},
+                      args.workload, seeds, seconds, args.claim)
     held_out = pairs[PAIRS:]
     pairs = pairs[:PAIRS]
 
@@ -224,8 +217,11 @@ def main(argv=None) -> int:
         compared = (f"parent {entry['parent']['median']:.6g}  change {entry['change']['median']:.6g}  "
                     f"wins {entry['change_wins']}/{len(pairs)}" if "missing" not in entry
                     else f"runs without a value: {entry['missing']}")
-        if "aa" in entry:
-            compared += f"  A/A gap {entry['aa']['median_gap']:+.4g} spread {entry['aa']['spread']:.4g}"
+        aa = entry.get("aa", {})
+        if "spread" in aa:
+            compared += f"  A/A gap {aa['median_gap']:+.4g} spread {aa['spread']:.4g}"
+        elif aa:
+            compared += f"  A/A runs without a value: {aa['missing']}"
         print(f"{name:20s} {compared}  {entry['verdict']}"
               + (f"  claim met: {entry['claim_met']}" if "claim_met" in entry else ""))
     failed = [name for name, entry in record["summary"].items()

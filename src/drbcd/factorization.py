@@ -162,10 +162,11 @@ class _Memo(threading.local):
     """One thread's memo of the MTTKRP work on one problem.
 
     ``partial`` is the data contracted with the pivot's block along the
-    pivot (see :class:`NtfProblem`), keyed by the bytes of that block. It is
-    dropped before its successor is allocated, so a thread holds one partial
-    at a time, never two. ``linear[i]`` is block ``i``'s linear term, keyed
-    by the bytes of every other block. ``slab`` is the dense objective's
+    pivot (see :class:`NtfProblem`), keyed by the bytes of that block.
+    ``linear[i]`` is block ``i``'s linear term, keyed by the bytes of every
+    other block. :meth:`drop_partial` frees the partial, with every term
+    formed from it, before its successor is allocated, so a thread holds
+    one partial at a time, never two. ``slab`` is the dense objective's
     residual buffer, one row block of the data's native view
     ``X.reshape(-1, d_last)`` (see :data:`drbcd.tensors.SLAB_BYTES`), so the
     objective never makes a tensor-sized temporary. ``chunk`` is the scratch
@@ -181,6 +182,16 @@ class _Memo(threading.local):
         self.slab: np.ndarray | None = None
         self.chunk: np.ndarray | None = None
 
+    def drop_partial(self, pivot: int) -> None:
+        """Forget the partial and the terms of every block but ``pivot``.
+
+        Those terms are formed from a partial, and their keys name its
+        pivot block, not the successor's; on a two-mode tensor such a term
+        is a view of its partial and would keep it alive.
+        """
+        self.partial = (None, None)
+        self.linear = [(None, None) if i != pivot else entry for i, entry in enumerate(self.linear)]
+
 
 class NtfProblem:
     """Least-squares factorization of a nonnegative tensor, one block per mode.
@@ -195,8 +206,9 @@ class NtfProblem:
 
     The MTTKRPs follow a two-level dimension tree around one pivot mode.
     Each thread memoizes the partial ``P``, the data contracted with the
-    pivot's block along the pivot, and holds one at a time: the stale ``P``
-    is freed before a new pivot block's is allocated. Every other mode's
+    pivot's block along the pivot, and holds one at a time: the stale ``P``,
+    with the terms formed from it, is freed before a new pivot block's is
+    allocated. Every other mode's
     term contracts ``P`` with the remaining blocks (see
     :mod:`drbcd.tensors`), and the pivot's own term is one pass over the
     data. The objective's pass leaves behind the term the stationarity
@@ -361,7 +373,7 @@ class NtfProblem:
         key = last.tobytes() if self._coo is None else None
         partial = None
         if key is not None and memo.partial[0] != key:
-            memo.partial = (None, None)  # freed before its successor is allocated
+            memo.drop_partial(self._pivot)
             partial = np.empty((xr.shape[0], self.rank))
         total = 0.0
         for start, stop in slabs:
@@ -461,9 +473,8 @@ class NtfProblem:
         pivot's own term is one pass over the data.
         """
         key = self._linear_key(blocks, i)
-        cached_key, linear = self._memo.linear[i]
-        if cached_key == key:
-            return linear
+        if self._memo.linear[i][0] == key:
+            return self._memo.linear[i][1]
         pivot, others = self._split(blocks)
         if i != self._pivot:
             linear = _mttkrp_from_partial(self._partial(pivot), others, i - (i > self._pivot))
@@ -495,7 +506,7 @@ class NtfProblem:
         key = pivot.tobytes()
         if memo.partial[0] == key:
             return memo.partial[1]
-        memo.partial = (None, None)  # freed before its successor is allocated
+        memo.drop_partial(self._pivot)
         if self._coo is None:
             partial = _last_mode_partial(self._dense, pivot)
         else:

@@ -111,9 +111,10 @@ def test_failed_solves_are_judged_by_ok_frac(bench_pairs, monkeypatch, tmp_path)
 @pytest.mark.parametrize(
     "claim, shown",
     [
-        (None, "sweeps_per_s parent 1, change 1.997"),
-        ("sweeps_per_s", "sweeps_per_s parent 1, change 1.997"),
-        ("peak_rss_mb", "sweeps_per_s parent 1, change 1.997; peak_rss_mb parent 1, change 1"),
+        (None, "sweeps_per_s parent 1, change 1.997, copy 1"),
+        ("sweeps_per_s", "sweeps_per_s parent 1, change 1.997, copy 1"),
+        ("peak_rss_mb",
+         "sweeps_per_s parent 1, change 1.997, copy 1; peak_rss_mb parent 1, change 1, copy 1"),
     ],
 )
 def test_each_pair_prints_the_claimed_metric(bench_pairs, monkeypatch, tmp_path, capsys, claim, shown):
@@ -125,61 +126,70 @@ def test_each_pair_prints_the_claimed_metric(bench_pairs, monkeypatch, tmp_path,
     assert lines[0] == f"pair 0 seed 101: {shown}"
 
 
-def aa_runs(module, monkeypatch, tmp_path, copy_noise):
+def aa_runs(module, monkeypatch, parent, copy_noise, change_worse=False, copy_missing=False):
     """The parent reads 1.0 for every metric; the change reads 2.0 less a
-    little per seed for ``sweeps_per_s``; the parent's copy reads 1.0, plus
-    ``copy_noise`` on even seeds and less it on odd ones. Returns the runs
-    made, as ``(side, seed)``."""
+    little per seed for ``sweeps_per_s``, or 0.5 with ``change_worse``; the
+    copy reads 1.0, plus ``copy_noise`` on even seeds and less it on odd
+    ones, and no value at seed 105 with ``copy_missing``. The copy runs the
+    ``parent`` tree too, so a run is told apart by its place in its pair. Returns the runs made, as ``(side, seed)``."""
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "marker.py").write_text("")
-    (tmp_path / ".bench_out").mkdir()
     runs = []
+    seeds = []
 
     def run_side(tree, workload, seed, seconds):
-        side = {ROOT: "change", tmp_path: "parent"}.get(tree, "copy")
-        if side == "copy":
-            assert (tree / "src" / "marker.py").exists() and not (tree / ".bench_out").exists()
+        if seed not in seeds:
+            seeds.append(seed)
+        sides = ("parent", "change", "copy")
+        order = sides if (len(seeds) - 1) % 2 == 0 else sides[::-1]
+        side = order[sum(s == seed for _, s in runs)]
+        assert tree == (ROOT if side == "change" else parent)
         runs.append((side, seed))
         values = dict.fromkeys(names, 1.0)
         if side == "change":
-            values["sweeps_per_s"] = 2.0 - 1e-3 * (seed % 7)
+            values["sweeps_per_s"] = 0.5 if change_worse else 2.0 - 1e-3 * (seed % 7)
         elif side == "copy":
             values["sweeps_per_s"] = 1.0 + (copy_noise if seed % 2 == 0 else -copy_noise)
+            if copy_missing and seed == 105:
+                values["sweeps_per_s"] = None
         return {"metrics": {n: {"value": v} for n, v in values.items()}, "provenance": {}}
 
     monkeypatch.setattr(module, "run_side", run_side)
     return runs
 
 
-@pytest.mark.parametrize("copy_noise, code", [(0.0, 0), (1.5, 1)])
-def test_aa_control_must_be_cleared_by_a_claim(bench_pairs, monkeypatch, tmp_path, copy_noise, code):
+@pytest.mark.parametrize(
+    "copy_noise, change_worse, copy_missing, code",
+    [
+        (0.0, False, False, 0),
+        (1.5, False, False, 1),
+        (0.0, False, True, 1),  # no A/A spread: the claim is not met
+        (0.0, True, True, 1),  # the change is worse, whatever the copy read
+    ],
+)
+def test_aa_control_must_be_cleared_by_a_claim(
+    bench_pairs, monkeypatch, tmp_path, copy_noise, change_worse, copy_missing, code
+):
     # The change beats every parent run by about 1.0, over a parent IQR of 0.
     # A copy of the parent that moves by 1.5 either way leaves that gap
     # inside the A/A spread, so the claim is not met.
-    runs = aa_runs(bench_pairs, monkeypatch, tmp_path, copy_noise)
-    assert bench_pairs.main(argv(tmp_path, "--claim", "sweeps_per_s", "--aa", "--held-out", "999")) == code
+    runs = aa_runs(bench_pairs, monkeypatch, tmp_path, copy_noise, change_worse, copy_missing)
+    assert bench_pairs.main(argv(tmp_path, "--claim", "sweeps_per_s", "--held-out", "999")) == code
     record = json.loads((tmp_path / "BENCH.json").read_text())
     entry = record["summary"]["sweeps_per_s"]
-    assert entry["aa"]["median_gap"] == 0.0
-    assert entry["aa"]["spread"] == copy_noise
-    assert entry["aa"]["copy"]["median"] == 1.0
+    if copy_missing:
+        assert entry["aa"] == {"missing": 1}
+    else:
+        assert entry["aa"]["median_gap"] == 0.0
+        assert entry["aa"]["spread"] == copy_noise
+        assert entry["aa"]["copy"]["median"] == 1.0
+    assert entry["verdict"] == ("worse" if change_worse else "no regression")
     assert entry["claim_met"] is (code == 0)
     assert record["summary"]["ok_frac"]["aa"] == {
         "copy": {"q1": 1.0, "median": 1.0, "q3": 1.0}, "median_gap": 0.0, "spread": 0.0}
-    # Ten pairs of three runs, each side first and last equally often; the
-    # held-out pair runs no copy.
-    assert len(runs) == 3 * bench_pairs.PAIRS + 2
+    # Eleven pairs of three runs, each side first and last equally often in
+    # the ten; the held-out pair runs a copy too.
+    assert len(runs) == 3 * (bench_pairs.PAIRS + 1)
     assert runs[:6] == [("parent", 101), ("change", 101), ("copy", 101),
                         ("copy", 102), ("change", 102), ("parent", 102)]
-    assert runs[-2:] == [("parent", 999), ("change", 999)]
-    assert "aa" not in record["held_out"]["sweeps_per_s"]
-
-
-def test_without_aa_no_copy_runs(bench_pairs, monkeypatch, tmp_path, capsys):
-    runs = aa_runs(bench_pairs, monkeypatch, tmp_path, 0.0)
-    assert bench_pairs.main(argv(tmp_path, "--claim", "sweeps_per_s")) == 0
-    assert {side for side, _ in runs} == {"parent", "change"}
-    summary = json.loads((tmp_path / "BENCH.json").read_text())["summary"]
-    assert all("aa" not in entry for entry in summary.values())
-    assert "A/A" not in capsys.readouterr().out
+    assert runs[-3:] == [("parent", 999), ("change", 999), ("copy", 999)]
+    assert record["held_out"]["sweeps_per_s"]["aa"]["spread"] == copy_noise

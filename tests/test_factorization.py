@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -398,18 +399,28 @@ def test_dense_objective_keeps_the_bits_of_the_transposed_view_formulas(shape, r
         assert problem._memo.partial[1].tobytes() == partial.tobytes()
 
 
-@pytest.mark.parametrize("case", ["dense objective", "dense partial", "sparse partial"])
-def test_a_new_pivot_block_frees_the_stale_partial_before_its_successor(case):
+@pytest.mark.parametrize("case, shape", [
+    ("dense objective", (120, 100, 130)),
+    ("dense partial", (120, 100, 130)),
+    ("sparse partial", (120, 100, 130)),
+    # On two modes the memoized term of the other block is a view of the
+    # partial, so it must go with it. A short last mode keeps the memo keys,
+    # copies of the pivot's block, small beside a partial; a sparse pivot
+    # is the longest mode, so its keys are not (see the next test).
+    ("dense objective", (12000, 13)),
+    ("dense partial", (12000, 13)),
+])
+def test_a_new_pivot_block_frees_the_stale_partial_before_its_successor(case, shape):
     # Both partials alive at once would add a whole partial to the peak. A
     # partial of 480 KB dwarfs the ufunc buffers (at most 128 KB) that
     # numpy takes while it forms the objective's Khatri-Rao product.
     rng = np.random.default_rng(31)
-    shape, rank = (120, 100, 130), 5
+    rank = 5
     # The sparse case keeps few nonzeros, so that its scatter's temporaries
     # stay small beside a partial.
     data = sparse_data(rng, shape, math.prod(shape) // 400) if case == "sparse partial" else rng.random(shape)
     problem = NtfProblem(data, rank)
-    assert (problem._coo is None) == (case != "sparse partial") and problem._pivot == 2
+    assert (problem._coo is None) == (case != "sparse partial") and problem._pivot == len(shape) - 1
     blocks = [rng.random((d, rank)) for d in shape]
     moved = blocks[:-1] + [blocks[-1] + 1.0]
     if case == "dense objective":
@@ -418,12 +429,16 @@ def test_a_new_pivot_block_frees_the_stale_partial_before_its_successor(case):
         def evaluate(b):
             return problem.block_subproblem(b, 0)
     size = math.prod(shape[:-1]) * rank * 8  # one partial's bytes
-    # The objective's Khatri-Rao product of the leading blocks is as large.
-    transient = size if case == "dense objective" else 0
+    # The objective's Khatri-Rao product of the leading blocks is as large,
+    # unless it is the one leading block itself.
+    transient = size if case == "dense objective" and len(shape) > 2 else 0
     tracemalloc.start()
     try:
         evaluate(blocks)
+        linear = problem.block_subproblem(blocks, 0).linear
         assert problem._memo.partial[1].nbytes == size
+        assert np.shares_memory(linear, problem._memo.partial[1]) == (len(shape) == 2)
+        del linear
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         evaluate(moved)
@@ -432,6 +447,30 @@ def test_a_new_pivot_block_frees_the_stale_partial_before_its_successor(case):
         tracemalloc.stop()
     assert problem._memo.partial[0] == moved[-1].tobytes()
     assert peak - before < transient + 0.5 * size
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_on_two_modes_the_other_blocks_term_goes_with_its_partial(monkeypatch, sparse):
+    rng = np.random.default_rng(32)
+    shape, rank = (50, 60), 3
+    data = sparse_data(rng, shape, 100) if sparse else rng.random(shape)
+    problem = NtfProblem(data, rank)
+    assert (problem._coo is not None) == sparse and problem._pivot == 1
+    blocks = [rng.random((d, rank)) for d in shape]
+    linear = problem.block_subproblem(blocks, 0).linear
+    partial = problem._memo.partial[1]
+    stale = weakref.ref(partial if partial.base is None else partial.base)
+    assert np.shares_memory(linear, partial)
+    del linear, partial
+    name = "_coo_partial" if sparse else "_last_mode_partial"
+    form = getattr(factorization, name)
+
+    def checked(*args):
+        assert stale() is None, "the stale partial is alive while its successor is formed"
+        return form(*args)
+
+    monkeypatch.setattr(factorization, name, checked)
+    problem.block_subproblem(blocks[:-1] + [blocks[-1] + 1.0], 0)
 
 
 def test_problem_keeps_its_own_copy_of_the_data():
