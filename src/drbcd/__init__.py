@@ -37,13 +37,10 @@ from .subsolver import (
     QuadraticBlockSubproblem,
     lipschitz_estimate,
     project_ball,
-    project_box,
     project_box_ball,
     solve_block_qp,
 )
 from .tensors import (
-    cp_reconstruct,
-    fold,
     frobenius_norm,
     khatri_rao,
     mttkrp,
@@ -70,8 +67,6 @@ __all__ = [
     "TraceVerification",
     "bcd_dr_sweep",
     "classify_point",
-    "cp_reconstruct",
-    "fold",
     "frobenius_norm",
     "init_factors",
     "khatri_rao",
@@ -79,7 +74,6 @@ __all__ = [
     "mttkrp",
     "mu_sweep",
     "project_ball",
-    "project_box",
     "project_box_ball",
     "read_ntf1",
     "run",

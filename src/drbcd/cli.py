@@ -2,14 +2,18 @@
 
 Every flag is a flat config-file key (``--max-sweeps`` is ``max-sweeps =
 ...`` in a file); both come from the one option table
-:data:`drbcd.experiment.OPTIONS`. Flags override file values and the merged
-result is echoed to the output directory as ``config.txt``, from which the
-experiment can be reproduced. ``--paper-scale`` switches the defaults to the
-full-size comparison (shape 100x200x300, rank 5, 10 runs, all four
-algorithms); explicit flags still win over the preset. A setting the
-experiment cannot run with (a beta outside ``(0, 1]``, a rank the data
-cannot have, a missing data file) exits 2 with one ``error:`` line before
-the output directory is created.
+:data:`drbcd.experiment.OPTIONS`. Each key sets the config field of its
+name, except ``algo`` and ``beta``, which build ``algos``, and
+``paper-scale``. Flags override file values and the merged result is echoed
+to the output directory as ``config.txt``, from which the experiment can be
+reproduced. ``--paper-scale`` switches the defaults to the full-size
+comparison (shape 100x200x300, rank 5, 10 runs); explicit flags still win
+over the preset. A default that the experiment does not read, such as the
+preset's shape with file data, is dropped. A setting the experiment would
+not read (``--noise-level`` without ``--data synth``, ``--c-prime`` without
+an ``als_dr`` entry) or cannot run with (a beta outside ``(0, 1]``, a rank
+the data cannot have, a missing data file) exits 2 with one ``error:`` line
+before the output directory is created.
 """
 
 from __future__ import annotations
@@ -22,13 +26,13 @@ from pathlib import Path
 from .experiment import (
     DEFAULT_ALGOS,
     DEFAULT_BETA,
-    DEFAULT_C_PRIME,
     DEFAULT_SURROGATE_SHAPE,
     OPTIONS,
     PAPER_SCALE_PRESET,
     AlgorithmSpec,
     ExperimentConfig,
     SettingError,
+    readers,
     run_experiment,
 )
 
@@ -48,12 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", metavar="FILE", help="flat key = value config file")
     for opt in OPTIONS:
+        text = opt.help + (f" (read with {' or '.join(opt.read_with)})" if opt.read_with else "")
         if opt.switch:
-            p.add_argument(f"--{opt.key}", action="store_const", const=True, help=opt.help)
+            p.add_argument(f"--{opt.key}", action="store_const", const=True, help=text)
         elif opt.key == "algo":
-            p.add_argument("--algo", action="append", help=opt.help)
+            p.add_argument("--algo", action="append", help=text)
         else:
-            p.add_argument(f"--{opt.key}", type=opt.parse, help=opt.help)
+            p.add_argument(f"--{opt.key}", type=opt.parse, help=text)
     return p
 
 
@@ -109,39 +114,27 @@ def parse_config(argv=None) -> tuple[ExperimentConfig, list[str]]:
                 f"value {file_values[key]!r}"
             )
 
-    merged: dict = {}
-    if flag_values.get("paper-scale", file_values.get("paper-scale", False)):
-        merged.update(PAPER_SCALE_PRESET)
-    merged.update(file_values)
-    merged.update(flag_values)
-
-    if "rank" not in merged:
-        parser.error("missing required value for rank (use --rank or a config file)")
-    if "shape" not in merged and merged.get("data") == "surrogate":
-        merged["shape"] = DEFAULT_SURROGATE_SHAPE
-
-    kwargs = {
-        f.name: merged[key]
-        for f in fields(ExperimentConfig)
-        if (key := f.name.replace("_", "-")) in merged
-    }
+    merged = {**file_values, **flag_values}
     try:
         tokens = [tok.strip() for tok in merged.get("algo", DEFAULT_ALGOS)]
-        beta = merged.get("beta", DEFAULT_BETA)
-        c_prime = merged.get("c-prime", DEFAULT_C_PRIME)
-        kwargs["algos"] = [AlgorithmSpec.parse(tok, beta, c_prime) for tok in tokens]
-        # A value that no entry uses would be dropped without a word.
-        if "beta" in merged and "als_dr" not in tokens:
-            raise ValueError(
-                "beta applies only to bare als_dr entries and none is given "
-                f"(algorithms: {', '.join(tokens)}); pin it inline as als_dr-BETA"
-            )
-        if "c-prime" in merged and not any(a.name == "als_dr" for a in kwargs["algos"]):
-            raise ValueError(
-                "c-prime applies only to als_dr entries and none is given "
-                f"(algorithms: {', '.join(tokens)})"
-            )
-        cfg = ExperimentConfig(**kwargs)
+        beta = _OPTIONS_BY_KEY["beta"]
+        if "beta" in merged and not beta.read_by({f"--algo {tok}" for tok in tokens}):
+            raise beta.unread()
+        algos = [AlgorithmSpec.parse(tok, merged.get("beta", DEFAULT_BETA)) for tok in tokens]
+        # Defaults the user did not set; dropped where nothing would read them.
+        data = merged.get("data", "synth")
+        defaults = {"shape": DEFAULT_SURROGATE_SHAPE} if data == "surrogate" else {}
+        if merged.get("paper-scale"):
+            defaults.update(PAPER_SCALE_PRESET)
+        switches = [key for key, value in merged.items() if _OPTIONS_BY_KEY[key].switch and value]
+        present = readers(data, algos, switches)
+        values = {k: v for k, v in defaults.items() if _OPTIONS_BY_KEY[k].read_by(present)}
+        values.update(merged)
+        if "rank" not in values:
+            parser.error("missing required value for rank (use --rank or a config file)")
+        names = {f.name for f in fields(ExperimentConfig)}
+        kwargs = {opt.attr: values[opt.key] for opt in OPTIONS if opt.key in values and opt.attr in names}
+        cfg = ExperimentConfig(**kwargs, algos=algos)
     except ValueError as exc:
         parser.error(str(exc))
     return cfg, notes

@@ -91,9 +91,8 @@ def synthetic_lowrank(spec: SynthSpec) -> tuple[np.ndarray, FactorModel]:
     keep the tensor nonnegative; it is added chunk by chunk, in place.
 
     The tensor is ``U0 @ K.T``, reshaped, with ``K`` the Khatri-Rao product
-    of the other loading matrices: the bits of
-    :func:`drbcd.tensors.cp_reconstruct` with an all-ones code, without the
-    second product, ``K`` times the ones, that its chain forms beside ``K``.
+    of the other loading matrices: the plain CP sum of rank-1 outer
+    products, formed in one GEMM.
     """
     if not 1 <= spec.rank <= min(spec.dims):
         raise ValueError(

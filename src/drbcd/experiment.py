@@ -20,9 +20,9 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "ExperimentConfig",
     "Option",
     "OPTIONS",
+    "readers",
     "AggregateCurve",
     "ExperimentSummary",
     "AlgorithmTally",
@@ -60,12 +61,8 @@ DEFAULT_ALGOS = ("als_dr-0.5", "als_dr-1", "als", "mu")
 DEFAULT_BETA = 0.5
 DEFAULT_C_PRIME = 1e5
 
-PAPER_SCALE_PRESET = {
-    "shape": (100, 200, 300),
-    "rank": 5,
-    "runs": 10,
-    "algo": list(DEFAULT_ALGOS),
-}
+# The preset's algorithms are the default four.
+PAPER_SCALE_PRESET = {"shape": (100, 200, 300), "rank": 5, "runs": 10}
 
 DEFAULT_SURROGATE_SHAPE = (90, 500, 100)
 
@@ -92,11 +89,11 @@ TRACE_HEADER = ",".join(["run"] + [column for column, _ in TRACE_COLUMNS])
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One algorithm entry: the radius-restricted solver, plain ALS, or MU."""
+    """One algorithm entry: the radius-restricted solver with its decay
+    exponent ``beta``, plain ALS, or MU."""
 
     name: str
     beta: float | None = None
-    c_prime: float | None = None
 
     def __post_init__(self):
         if self.name not in ALGORITHM_NAMES:
@@ -104,10 +101,10 @@ class AlgorithmSpec:
                 f"unknown algorithm {self.name!r}; expected one of {ALGORITHM_NAMES}"
             )
         if self.name == "als_dr":
-            if self.beta is None or self.c_prime is None:
-                raise ValueError("als_dr requires beta and c_prime")
-        elif self.beta is not None or self.c_prime is not None:
-            raise ValueError(f"{self.name} takes no beta or c_prime")
+            if self.beta is None:
+                raise ValueError("als_dr requires beta")
+        elif self.beta is not None:
+            raise ValueError(f"{self.name} takes no beta")
 
     @property
     def label(self) -> str:
@@ -116,27 +113,29 @@ class AlgorithmSpec:
         return self.name
 
     @classmethod
-    def parse(cls, token: str, beta: float, c_prime: float) -> "AlgorithmSpec":
+    def parse(cls, token: str, beta: float) -> "AlgorithmSpec":
         """Parse an ``--algo`` token; ``als_dr-<beta>`` pins beta inline."""
         token = token.strip()
         if token.startswith("als_dr-"):
-            return cls(name="als_dr", beta=float(token[len("als_dr-") :]), c_prime=c_prime)
+            return cls(name="als_dr", beta=float(token[len("als_dr-") :]))
         if token == "als_dr":
-            return cls(name="als_dr", beta=beta, c_prime=c_prime)
+            return cls(name="als_dr", beta=beta)
         return cls(name=token)
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description (see the CLI for construction)."""
+    """Fully resolved experiment description (see the CLI for construction).
+
+    A field whose option nothing in the experiment reads (see
+    :attr:`Option.read_with`) must hold its default.
+    """
 
     rank: int
     data: str = "synth"
     shape: tuple[int, ...] = (20, 25, 30)
     algos: list[AlgorithmSpec] = field(
-        default_factory=lambda: [
-            AlgorithmSpec.parse(token, DEFAULT_BETA, DEFAULT_C_PRIME) for token in DEFAULT_ALGOS
-        ]
+        default_factory=lambda: [AlgorithmSpec.parse(token, DEFAULT_BETA) for token in DEFAULT_ALGOS]
     )
     runs: int = 5
     seed: int = 0
@@ -151,6 +150,8 @@ class ExperimentConfig:
     noise_level: float = 0.0
     density: float = 0.01
     mean_abs: float = 0.00067
+    # The radius constant and log offset of every als_dr entry's schedule.
+    c_prime: float = DEFAULT_C_PRIME
     log_offset: int = 1
     init_scale: float = 1.0
     save_data: bool = False
@@ -175,9 +176,6 @@ class ExperimentConfig:
         if repeated:
             # Each label names its trace files, so a repeat would overwrite.
             raise ValueError(f"duplicate algorithm labels: {', '.join(repeated)}")
-        if len({a.c_prime for a in self.algos if a.name == "als_dr"}) > 1:
-            # config.txt holds one c-prime for every als_dr entry.
-            raise ValueError("every als_dr entry must use the same c_prime")
         if not (
             self.data in ("synth", "surrogate") or self.data.startswith("file:")
         ):
@@ -201,21 +199,29 @@ class ExperimentConfig:
             raise ValueError(f"clock must be 'wall' or 'sweep', got {self.clock!r}")
         if self.bins < 1:
             raise ValueError(f"bins must be at least 1, got {self.bins}")
+        # config.txt would record a value that nothing ran with.
+        defaults = {f.name: f.default for f in fields(self)}
+        read = self._read_options()
+        for opt in OPTIONS:
+            if opt not in read and getattr(self, opt.attr, None) != defaults.get(opt.attr):
+                raise opt.unread()
+
+    def _read_options(self) -> list[Option]:
+        switches = [opt.key for opt in OPTIONS if opt.switch and getattr(self, opt.attr, False)]
+        present = readers(self.data, self.algos, switches)
+        return [opt for opt in OPTIONS if opt.read_by(present)]
 
     def provenance_lines(self, notes: Sequence[str] = ()) -> list[str]:
-        """Flat key = value lines; parseable back into an identical config."""
+        """Flat key = value lines, one for each setting the experiment reads;
+        parseable back into an identical config."""
         lines = ["# resolved experiment configuration"]
         lines += [f"# {note}" for note in notes]
-        for opt in OPTIONS:
+        for opt in self._read_options():
             if opt.key == "algo":
                 lines += [
                     f"algo = als_dr-{_fmt(a.beta)}" if a.name == "als_dr" else f"algo = {a.name}"
                     for a in self.algos
                 ]
-            elif opt.key == "c-prime":
-                # At most one value: every als_dr entry shares it.
-                c_primes = {a.c_prime for a in self.algos if a.name == "als_dr"}
-                lines += [f"c-prime = {_fmt(c)}" for c in c_primes]
             elif getattr(self, opt.attr, None) is not None:
                 value = getattr(self, opt.attr)
                 lines.append(f"{opt.key} = {_FORMATS.get(opt.parse, str)(value)}")
@@ -249,13 +255,18 @@ class Option:
 
     ``parse`` reads a value from text; a switch's flag takes no value. A
     key names the :class:`ExperimentConfig` field with its dashes as
-    underscores; ``algo``, ``beta`` and ``c-prime`` build the ``algos``
-    field together, and ``paper-scale`` selects a preset.
+    underscores, except three: ``algo`` and ``beta`` build the ``algos``
+    field, and ``paper-scale`` selects a preset. ``read_with`` names what
+    reads the option, as flags: ``--data KIND``, ``--algo NAME`` or a switch
+    such as ``--plot``; an option that names none is always read. A field
+    that nothing in its experiment reads must keep its default, and
+    ``config.txt`` leaves it out.
     """
 
     key: str
     parse: Callable[[str], object]
     help: str
+    read_with: tuple[str, ...] = ()
 
     @property
     def attr(self) -> str:
@@ -265,15 +276,30 @@ class Option:
     def switch(self) -> bool:
         return self.parse is _parse_bool
 
+    def read_by(self, present: set[str]) -> bool:
+        """Whether an experiment with the ``present`` readers reads this option."""
+        return not self.read_with or not present.isdisjoint(self.read_with)
+
+    def unread(self) -> ValueError:
+        return ValueError(f"{self.key} is not read: only {' or '.join(self.read_with)} reads it")
+
+
+def readers(data: str, algos: Iterable[AlgorithmSpec], switches: Iterable[str]) -> set[str]:
+    """What an experiment reads options with, named as in :attr:`Option.read_with`:
+    its data kind, its algorithms and the switches that are on."""
+    present = {f"--data {data.split(':', 1)[0]}", *(f"--{key}" for key in switches)}
+    return present | {f"--algo {a.name}" for a in algos}
+
 
 # In config.txt order; ``algo`` is the one key that repeats.
 OPTIONS = (
     Option("data", str, "synth, surrogate or file:PATH (an NTF1 tensor)"),
-    Option("shape", _parse_shape, "data tensor dimensions d1,d2,..."),
+    Option("shape", _parse_shape, "data tensor dimensions d1,d2,...", ("--data synth", "--data surrogate")),
     Option("rank", int, "factorization rank"),
     Option("algo", str, "algorithm entry: als_dr, als_dr-BETA, als or mu (repeatable)"),
-    Option("beta", float, "decay exponent for bare als_dr entries (an error when there are none)"),
-    Option("c-prime", float, "search radius constant for every als_dr entry, the default ones too"),
+    # Read where the tokens are parsed: only a bare als_dr token takes it.
+    Option("beta", float, "decay exponent for bare als_dr entries; als_dr-BETA pins one inline", ("--algo als_dr",)),
+    Option("c-prime", float, "search radius constant for every als_dr entry", ("--algo als_dr",)),
     Option("runs", int, "runs per algorithm"),
     Option("seed", int, "base seed (run k uses seed + k)"),
     Option("max-sweeps", int, "sweep budget per run"),
@@ -284,11 +310,11 @@ OPTIONS = (
     Option("paper-scale", _parse_bool, "full-size comparison defaults (100x200x300, rank 5, 10 runs)"),
     Option("serial", _parse_bool, "run cells sequentially"),
     Option("clock", str, "trace timestamps: wall (wall time) or sweep (deterministic sweep index)"),
-    Option("log-y", _parse_bool, "log-scale error axis"),
-    Option("noise-level", float, "synthetic data noise level"),
-    Option("density", float, "surrogate nonzero probability"),
-    Option("mean-abs", float, "surrogate target mean absolute entry"),
-    Option("log-offset", int, "offset inside the schedule log divisor"),
+    Option("log-y", _parse_bool, "log-scale error axis", ("--plot",)),
+    Option("noise-level", float, "synthetic data noise level", ("--data synth",)),
+    Option("density", float, "surrogate nonzero probability", ("--data surrogate",)),
+    Option("mean-abs", float, "surrogate target mean absolute entry", ("--data surrogate",)),
+    Option("log-offset", int, "offset inside the schedule log divisor", ("--algo als_dr",)),
     Option("init-scale", float, "uniform init upper bound"),
     Option("save-data", _parse_bool, "write data.ntf1"),
     Option("bins", int, "aggregation time bins"),
@@ -480,7 +506,7 @@ def _solver_config(cfg: ExperimentConfig, algo: AlgorithmSpec) -> SolverConfig:
         schedule = RadiusSchedule(
             kind="power_log",
             beta=algo.beta,
-            c_prime=algo.c_prime,
+            c_prime=cfg.c_prime,
             log_offset=cfg.log_offset,
         )
     else:

@@ -38,7 +38,6 @@ __all__ = [
     "BoxBallFeasibleSet",
     "ProjectionResult",
     "BlockSolveResult",
-    "project_box",
     "project_ball",
     "project_box_ball",
     "lipschitz_estimate",
@@ -154,13 +153,6 @@ class BlockSolveResult(NamedTuple):
     residual: float
     iterations: int
     converged: bool
-
-
-def project_box(p, lower: float, upper: float) -> np.ndarray:
-    """Entrywise clamp of ``p`` into ``[lower, upper]``."""
-    if lower > upper:
-        raise ValueError(f"empty box: lower {lower} > upper {upper}")
-    return np.clip(np.asarray(p, dtype=np.float64), lower, upper)
 
 
 def project_ball(p, center, radius: float) -> np.ndarray:

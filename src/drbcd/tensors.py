@@ -3,7 +3,7 @@
 Tensors and matrices are plain ``numpy.ndarray`` values in double precision,
 stored row-major (C order). Mode-``k`` unfolding follows the convention where
 the column index runs over the remaining modes with the *lowest*-numbered mode
-varying fastest; ``fold`` is its exact inverse.
+varying fastest.
 
 :func:`mttkrp` never unfolds: it works on the native layout, where for a
 C-contiguous tensor ``Xr = x.reshape(-1, d_last)`` is a free view. The last
@@ -55,10 +55,8 @@ __all__ = [
     "as_tensor",
     "frobenius_norm",
     "unfold",
-    "fold",
     "khatri_rao",
     "mttkrp",
-    "cp_reconstruct",
     "read_ntf1",
     "write_ntf1",
 ]
@@ -149,21 +147,6 @@ def unfold(x, mode: int) -> np.ndarray:
     if not 0 <= mode < x.ndim:
         raise ValueError(f"mode {mode} out of range for a {x.ndim}-mode tensor")
     return np.reshape(np.moveaxis(x, mode, 0), (x.shape[mode], -1), order="F")
-
-
-def fold(mat, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold`: ``fold(unfold(x, k), k, x.shape) == x``."""
-    shape = tuple(int(d) for d in shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    mat = np.asarray(mat, dtype=np.float64)
-    rest = shape[:mode] + shape[mode + 1 :]
-    if mat.shape != (shape[mode], prod(rest)):
-        raise ValueError(
-            f"matrix of shape {mat.shape} does not fold into {shape} along mode {mode}"
-        )
-    t = np.reshape(mat, (shape[mode],) + rest, order="F")
-    return np.ascontiguousarray(np.moveaxis(t, 0, mode))
 
 
 def khatri_rao(a, b) -> np.ndarray:
@@ -460,33 +443,6 @@ def mttkrp(x, factors, mode: int) -> np.ndarray:
     if mode == x.ndim - 1:
         return _last_mode_mttkrp(x, factors[:-1])
     return _mttkrp_from_partial(_last_mode_partial(x, factors[-1]), factors[:-1], mode)
-
-
-def cp_reconstruct(factors, code) -> np.ndarray:
-    """Assemble the rank-``r`` model tensor from loading matrices and a code.
-
-    Entry ``(i_1, ..., i_m, t)`` is ``sum_j U1[i_1,j] * ... * Um[i_m,j] * H[j,t]``
-    for loading matrices ``U1..Um`` and code ``H`` (r x T). The result has the
-    trailing observation axis of length ``T``; with ``T = 1`` and an all-ones
-    code this is the plain CP sum of rank-1 outer products.
-    """
-    factors = [np.asarray(f, dtype=np.float64) for f in factors]
-    code = np.asarray(code, dtype=np.float64)
-    if not factors:
-        raise ValueError("need at least one loading matrix")
-    if code.ndim != 2:
-        raise ValueError("code must be a 2-D (r x T) matrix")
-    rank = factors[0].shape[1]
-    for j, f in enumerate(factors):
-        if f.ndim != 2 or f.shape[1] != rank:
-            raise ValueError(f"loading matrix {j} does not have {rank} columns")
-    if code.shape[0] != rank:
-        raise ValueError(
-            f"code has {code.shape[0]} rows, expected rank {rank}"
-        )
-    shape = tuple(f.shape[0] for f in factors) + (code.shape[1],)
-    chain = _khatri_rao_native(factors[1:] + [code.T])
-    return (factors[0] @ chain.T).reshape(shape)
 
 
 def write_ntf1(path, x) -> None:

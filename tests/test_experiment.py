@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import sys
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import drbcd.experiment as experiment
-from drbcd.cli import main, parse_config, read_config_file
+from drbcd.cli import build_parser, main, parse_config, read_config_file
+from drbcd.datagen import SynthSpec, synthetic_lowrank
 from drbcd.driver import TraceRecord
 from drbcd.factorization import NtfProblem
 from drbcd.schedule import RadiusSchedule
@@ -26,6 +28,7 @@ from drbcd.experiment import (
     run_experiment,
 )
 from drbcd.svgplot import emit_svg_plot
+from drbcd.tensors import read_ntf1, write_ntf1
 
 
 def trace_from_errors(times_errors):
@@ -53,7 +56,7 @@ def test_parse_config_als_dr_entry():
     cfg, _ = parse_config(["--rank", "3", "--algo", "als_dr", "--beta", "0.5", "--c-prime", "1e5"])
     assert len(cfg.algos) == 1
     spec = cfg.algos[0]
-    assert spec.name == "als_dr" and spec.beta == 0.5 and spec.c_prime == 1e5
+    assert spec.name == "als_dr" and spec.beta == 0.5 and cfg.c_prime == 1e5
     assert spec.label == "als_dr-0.5"
 
 
@@ -80,7 +83,7 @@ def test_parse_config_rejects_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_parse_config_paper_scale_preset():
+def test_parse_config_paper_scale_preset(tmp_path):
     cfg, _ = parse_config(["--paper-scale", "--rank", "5"])
     assert cfg.shape == (100, 200, 300)
     assert cfg.runs == 10
@@ -88,6 +91,16 @@ def test_parse_config_paper_scale_preset():
     # Explicit flags still win over the preset.
     cfg2, _ = parse_config(["--paper-scale", "--rank", "5", "--runs", "2"])
     assert cfg2.runs == 2
+    # File data does not read the preset's shape: it is dropped, not refused.
+    path = tmp_path / "d.ntf1"
+    write_ntf1(path, synthetic_lowrank(SynthSpec(dims=(4, 5, 6), rank=2, seed=1))[0])
+    out = tmp_path / "exp"
+    argv = ["--paper-scale", "--data", f"file:{path}", "--runs", "1", "--max-sweeps", "2",
+            "--clock", "sweep", "--serial", "--out", str(out)]
+    assert main(argv) == 0
+    keys = [l.split(" = ")[0] for l in (out / "config.txt").read_text().splitlines()[1:]]
+    assert "shape" not in keys and "rank" in keys
+    assert parse_config(argv)[0] == parse_config(["--config", str(out / "config.txt")])[0]
 
 
 def test_parse_config_inline_beta_tokens():
@@ -95,7 +108,7 @@ def test_parse_config_inline_beta_tokens():
         ["--rank", "2", "--algo", "als_dr-0.5", "--algo", "als_dr-1", "--c-prime", "100"]
     )
     assert [a.beta for a in cfg.algos] == [0.5, 1.0]
-    assert all(a.c_prime == 100 for a in cfg.algos)
+    assert cfg.c_prime == 100
 
 
 def test_parse_config_c_prime_reaches_default_entries(tmp_path, capsys):
@@ -106,7 +119,7 @@ def test_parse_config_c_prime_reaches_default_entries(tmp_path, capsys):
     ]
     cfg, _ = parse_config(argv)
     assert [a.label for a in cfg.algos] == ["als_dr-0.5", "als_dr-1", "als", "mu"]
-    assert {a.c_prime for a in cfg.algos if a.name == "als_dr"} == {3.0}
+    assert cfg.c_prime == 3.0
     assert main(argv) == 0
     assert "c-prime = 3" in (out / "config.txt").read_text().splitlines()
     report = capsys.readouterr().out
@@ -118,33 +131,111 @@ def test_parse_config_c_prime_reaches_default_entries(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, config, key",
+    "argv, key, reader",
     [
-        (["--beta", "0.7"], "", "beta"),
-        (["--algo", "als_dr-0.5", "--beta", "0.7"], "", "beta"),
-        (["--paper-scale", "--beta", "0.7"], "", "beta"),
-        (["--algo", "als", "--algo", "mu", "--c-prime", "3"], "", "c-prime"),
-        ([], "beta = 0.7\n", "beta"),
-        ([], "algo = als_dr-1\nbeta = 0.7\n", "beta"),
-        ([], "algo = mu\nc-prime = 3\n", "c-prime"),
+        (["--data", "file:{tmp}/d.ntf1", "--shape", "9,9,9"], "shape", "--data synth or --data surrogate"),
+        (["--data", "synth", "--log-y"], "log-y", "--plot"),
+        (["--data", "surrogate", "--noise-level", "5"], "noise-level", "--data synth"),
+        (["--data", "synth", "--density", "0"], "density", "--data surrogate"),
+        (["--algo", "als", "--log-offset", "0"], "log-offset", "--algo als_dr"),
+        (["--algo", "als", "--algo", "mu", "--c-prime", "3"], "c-prime", "--algo als_dr"),
+        (["--beta", "0.7"], "beta", "--algo als_dr"),
+        (["--algo", "als_dr-0.5", "--beta", "0.7"], "beta", "--algo als_dr"),
+        (["--paper-scale", "--beta", "0.7"], "beta", "--algo als_dr"),
     ],
 )
-def test_parse_config_rejects_unused_beta_and_c_prime(tmp_path, capsys, argv, config, key):
-    if config:
-        path = tmp_path / "exp.cfg"
-        path.write_text(config)
-        argv = argv + ["--config", str(path)]
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_cli_refuses_a_setting_nothing_reads(tmp_path, capsys, argv, key, reader, via):
+    # config.txt would record a value that no part of the run read.
+    write_ntf1(tmp_path / "d.ntf1", synthetic_lowrank(SynthSpec(dims=(4, 5, 6), rank=2, seed=1))[0])
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if via == "config":
+        pairs = []
+        for arg in argv:
+            if arg.startswith("--"):
+                pairs.append([arg[2:], "true"])
+            else:
+                pairs[-1][1] = arg
+        (tmp_path / "exp.cfg").write_text("".join(f"{k} = {v}\n" for k, v in pairs))
+        argv = ["--config", str(tmp_path / "exp.cfg")]
+    out = tmp_path / "exp"
     with pytest.raises(SystemExit) as exc:
-        parse_config(["--rank", "2", *argv])
+        main(["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--out", str(out), *argv])
     assert exc.value.code == 2
-    assert f"{key} applies only to" in capsys.readouterr().err
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("drbcd: error:")]
+    assert errors == [f"drbcd: error: {key} is not read: only {reader} reads it"]
+    assert not out.exists()
+
+
+# config.txt as written before the reading rule, with a line for every
+# field, read or not; each case names the lines that its run does not read.
+_OLD_TAIL = """runs = 1
+seed = 0
+max-sweeps = 2
+max-seconds = 60
+out = exp
+plot = false
+serial = true
+clock = sweep
+log-y = false
+noise-level = {noise}
+density = 0.01
+mean-abs = 0.00067000000000000002
+log-offset = 1
+init-scale = 1
+save-data = false
+bins = 50
+"""
+_OLD_CONFIGS = [
+    (
+        ["--data", "synth", "--shape", "6,7,5", "--noise-level", "0.1", "--algo", "als_dr-0.5",
+         "--algo", "als"],
+        "data = synth\nshape = 6,7,5\nrank = 2\nalgo = als_dr-0.5\nalgo = als\nc-prime = 100000\n"
+        + _OLD_TAIL.format(noise="0.10000000000000001"),
+        {"log-y", "density", "mean-abs"},
+    ),
+    (
+        ["--data", "surrogate", "--c-prime", "3"],
+        "data = surrogate\nshape = 90,500,100\nrank = 2\nalgo = als_dr-0.5\nalgo = als_dr-1\n"
+        "algo = als\nalgo = mu\nc-prime = 3\n" + _OLD_TAIL.format(noise="0"),
+        {"log-y", "noise-level"},
+    ),
+    (
+        ["--data", "file:data.ntf1", "--algo", "als", "--algo", "mu"],
+        "data = file:data.ntf1\nshape = 20,25,30\nrank = 2\nalgo = als\nalgo = mu\n"
+        + _OLD_TAIL.format(noise="0"),
+        {"shape", "log-y", "noise-level", "density", "mean-abs", "log-offset"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text, unread", _OLD_CONFIGS, ids=["synth", "surrogate", "file"])
+def test_an_older_config_txt_with_defaults_in_unread_lines_still_loads(tmp_path, argv, text, unread):
+    path = tmp_path / "config.txt"
+    path.write_text("# resolved experiment configuration\n" + text)
+    cfg, _ = parse_config(
+        ["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--serial",
+         "--out", "exp", *argv]
+    )
+    assert parse_config(["--config", str(path)])[0] == cfg
+    old = text.splitlines()
+    assert cfg.provenance_lines()[1:] == [l for l in old if l.split(" = ")[0] not in unread]
+
+
+def test_help_names_what_reads_each_option():
+    text = " ".join(build_parser().format_help().split())
+    assert "surrogate nonzero probability (read with --data surrogate)" in text
+    for opt in OPTIONS:
+        suffix = f" (read with {' or '.join(opt.read_with)})" if opt.read_with else ""
+        assert " ".join((opt.help + suffix).split()) in text, opt.key
 
 
 def test_parse_config_bare_als_dr_takes_beta_from_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("algo = als_dr\nalgo = als_dr-1\nbeta = 0.7\nc-prime = 2\n")
     cfg, _ = parse_config(["--rank", "2", "--config", str(path)])
-    assert [(a.beta, a.c_prime) for a in cfg.algos] == [(0.7, 2.0), (1.0, 2.0)]
+    assert [a.beta for a in cfg.algos] == [0.7, 1.0]
+    assert cfg.c_prime == 2.0
 
 
 def test_read_config_file_round_trip(tmp_path):
@@ -162,53 +253,61 @@ def test_read_config_file_round_trip(tmp_path):
 
 @st.composite
 def config_fields(draw):
-    """Every ExperimentConfig field, drawn over its whole type; NaN is left
-    out because it never equals itself."""
+    """The data kind, the algorithms and the plot switch, then every field
+    that they read, drawn over its whole type; the fields nothing reads keep
+    their defaults. NaN is left out because it never equals itself."""
     floats = st.floats(allow_nan=False)
     # Mostly printable ASCII, with the characters config.txt cannot hold.
     text = st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("#\n\t\u00e9"))
-    c_prime = draw(floats)
     algo = st.one_of(
-        st.builds(AlgorithmSpec, st.just("als_dr"), floats, st.just(c_prime)),
+        st.builds(AlgorithmSpec, st.just("als_dr"), floats),
         st.sampled_from([AlgorithmSpec("als"), AlgorithmSpec("mu")]),
     )
-    return dict(
+    drawn = dict(
+        data=draw(st.sampled_from(["synth", "surrogate"]) | text.map("file:".__add__)),
+        algos=draw(st.lists(algo, min_size=1, max_size=4, unique_by=lambda a: a.label)),
+        plot=draw(st.booleans()),
+    )
+    strategies = dict(
         # ExperimentConfig refuses a larger rank, so one could never reach
         # the round trip: drawing it only made Hypothesis reject the example.
-        rank=draw(st.integers(min_value=1, max_value=MAX_RANK)),
-        data=draw(st.sampled_from(["synth", "surrogate"]) | text.map("file:".__add__)),
-        shape=draw(st.lists(st.integers(), max_size=4).map(tuple)),
-        algos=draw(st.lists(algo, min_size=1, max_size=4, unique_by=lambda a: a.label)),
-        runs=draw(st.integers(min_value=1)),
-        seed=draw(st.integers()),
-        max_sweeps=draw(st.integers()),
-        max_seconds=draw(floats),
-        box_bound=draw(st.none() | floats),
-        out=draw(text),
-        plot=draw(st.booleans()),
-        serial=draw(st.booleans()),
-        clock=draw(st.sampled_from(["wall", "sweep"])),
-        log_y=draw(st.booleans()),
-        noise_level=draw(floats),
-        density=draw(floats),
-        mean_abs=draw(floats),
-        log_offset=draw(st.integers()),
-        init_scale=draw(floats),
-        save_data=draw(st.booleans()),
-        bins=draw(st.integers(min_value=1)),
+        rank=st.integers(min_value=1, max_value=MAX_RANK),
+        shape=st.lists(st.integers(), max_size=4).map(tuple),
+        runs=st.integers(min_value=1),
+        seed=st.integers(),
+        max_sweeps=st.integers(),
+        max_seconds=floats,
+        box_bound=st.none() | floats,
+        out=text,
+        serial=st.booleans(),
+        clock=st.sampled_from(["wall", "sweep"]),
+        log_y=st.booleans(),
+        noise_level=floats,
+        density=floats,
+        mean_abs=floats,
+        c_prime=floats,
+        log_offset=st.integers(),
+        init_scale=floats,
+        save_data=st.booleans(),
+        bins=st.integers(min_value=1),
     )
+    assert set(strategies) | set(drawn) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    present = experiment.readers(drawn["data"], drawn["algos"], ["plot"] if drawn["plot"] else [])
+    for attr, strategy in strategies.items():
+        opt = next(opt for opt in OPTIONS if opt.attr == attr)
+        if opt.read_by(present):
+            drawn[attr] = draw(strategy)
+    return drawn
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(fields=config_fields())
 def test_config_txt_parses_back_to_an_equal_config(fields):
-    # Each table key but algo, beta, c-prime (together: algos) and
-    # paper-scale (a preset) is a field; every field is drawn.
-    keys = {opt.attr for opt in OPTIONS} - {"algo", "beta", "c_prime", "paper_scale"}
-    assert set(fields) == keys | {"algos"}
     try:
         cfg = ExperimentConfig(**fields)
-    except ValueError:
+    except ValueError as exc:
+        # The strategy draws only what the config reads.
+        assert "is not read" not in str(exc)
         reject()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.txt"
@@ -217,21 +316,20 @@ def test_config_txt_parses_back_to_an_equal_config(fields):
         back, notes = parse_config(["--config", str(path)])
     assert back == cfg
     assert notes == []
+    # No line for a setting that the config does not read.
+    present = experiment.readers(cfg.data, cfg.algos, ["plot"] if cfg.plot else [])
+    keys = {line.split(" = ")[0] for line in cfg.provenance_lines()[1:]}
+    assert all(opt.read_by(present) for opt in OPTIONS if opt.key in keys)
 
 
 def test_config_rejects_what_config_txt_cannot_hold(capsys):
     with pytest.raises(ValueError, match="duplicate algorithm labels: als_dr-0.5"):
-        ExperimentConfig(rank=2, algos=[AlgorithmSpec("als_dr", 0.5, 1.0)] * 2)
+        ExperimentConfig(rank=2, algos=[AlgorithmSpec("als_dr", 0.5)] * 2)
     # Distinct betas, one label: their trace files would collide.
     with pytest.raises(ValueError, match="duplicate"):
         ExperimentConfig(
             rank=2,
-            algos=[AlgorithmSpec("als_dr", 0.1234567, 1.0), AlgorithmSpec("als_dr", 0.1234568, 1.0)],
-        )
-    with pytest.raises(ValueError, match="c_prime"):
-        ExperimentConfig(
-            rank=2,
-            algos=[AlgorithmSpec("als_dr", 0.5, 1.0), AlgorithmSpec("als_dr", 1.0, 100.0)],
+            algos=[AlgorithmSpec("als_dr", 0.1234567), AlgorithmSpec("als_dr", 0.1234568)],
         )
     for out in ("a#b", "a\nb", " a", "caf\u00e9"):
         with pytest.raises(ValueError, match="config.txt"):
@@ -401,10 +499,10 @@ def test_threaded_run_matches_serial_bytes(tmp_path, monkeypatch):
     # the sparse surrogate, its coordinate list and per-thread scratch) and
     # each run index's read-only start;
     # more workers than cores and a short switch interval interleave them.
-    algos = [AlgorithmSpec("als_dr", 0.5, 1.0), AlgorithmSpec("als"), AlgorithmSpec("mu")]
+    algos = [AlgorithmSpec("als_dr", 0.5), AlgorithmSpec("als"), AlgorithmSpec("mu")]
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
     for data, shape in [("synth", (8, 9, 10)), ("surrogate", (10, 50, 12))]:
-        kwargs = dict(data=data, shape=shape, algos=algos, runs=3, max_sweeps=15)
+        kwargs = dict(data=data, shape=shape, algos=algos, c_prime=1.0, runs=3, max_sweeps=15)
         out = tmp_path / data
         serial = run_experiment(desk_config(tmp_path, out=str(out / "s"), **kwargs))
         sparse = NtfProblem(experiment.resolve_data(desk_config(tmp_path, **kwargs)), 2)._coo is not None
@@ -428,7 +526,8 @@ def test_report_counts_short_sweeps(tmp_path, c_prime, binds):
     cfg = desk_config(
         tmp_path,
         shape=(5, 6, 4),
-        algos=[AlgorithmSpec("als_dr", 0.5, c_prime), AlgorithmSpec("als")],
+        algos=[AlgorithmSpec("als_dr", 0.5), AlgorithmSpec("als")],
+        c_prime=c_prime,
         max_sweeps=10,
     )
     summary = run_experiment(cfg)
@@ -489,8 +588,6 @@ def test_report_lists_broken_invariants(tmp_path, monkeypatch, capsys):
     # A wrapped sweep raises the recorded objective at sweep 3 of every
     # block-descent run; MU runs are not checked. A broken invariant is
     # reported, not a failure.
-    import dataclasses
-
     import drbcd.driver as driver
 
     sweep = driver.bcd_dr_sweep
@@ -533,8 +630,6 @@ def test_report_lists_steps_beyond_the_radius(tmp_path, monkeypatch, capsys, fac
     # breaks the radius bound alone; a thousand times it also carries the
     # squared steps past m c'^2 sum w_n^2. Plain ALS, with an infinite
     # radius, is left as it is and stays clean.
-    import dataclasses
-
     import drbcd.driver as driver
 
     sweep = driver.bcd_dr_sweep
@@ -561,7 +656,7 @@ def test_report_lists_steps_beyond_the_radius(tmp_path, monkeypatch, capsys, fac
         ("als_dr-0.5", k, check, 3) for k in (1, 2) for check in checks
     ]
     spec = cfg.algos[0]
-    radius_3 = RadiusSchedule(kind="power_log", beta=spec.beta, c_prime=spec.c_prime).radius(3)
+    radius_3 = RadiusSchedule(kind="power_log", beta=spec.beta, c_prime=cfg.c_prime).radius(3)
     for v in violations:
         if v.check == "radius bound":
             assert v.excess == pytest.approx((factor - 1.0 - 1e-12) * radius_3, rel=1e-12)
@@ -572,7 +667,7 @@ def test_report_lists_steps_beyond_the_radius(tmp_path, monkeypatch, capsys, fac
 def test_run_experiment_reaches_optimum_on_noiseless_data(tmp_path):
     cfg = desk_config(
         tmp_path,
-        algos=[AlgorithmSpec("als_dr", 0.5, 1e5), AlgorithmSpec("als")],
+        algos=[AlgorithmSpec("als_dr", 0.5), AlgorithmSpec("als")],
         runs=1,
         max_sweeps=60,
         clock="wall",
@@ -623,7 +718,7 @@ def test_cli_main_exit_codes(tmp_path, monkeypatch, capsys):
         ["--init-scale", "1000"],
         ["--box-bound", "-1"],
         ["--rank", "9", "--shape", "4,5,6"],
-        ["--data", "surrogate", "--density", "0"],
+        ["--data", "surrogate", "--shape", "5,6,4", "--density", "0"],
         ["--data", "file:missing.ntf1"],
     ],
     ids=["beta", "max_sweeps", "max_seconds", "log_offset", "init_scale", "box_bound",
@@ -634,8 +729,7 @@ def test_cli_bad_setting_exits_2_before_writing(tmp_path, monkeypatch, capsys, a
     # any run, and nothing is written.
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "exp"
-    base = ["--rank", "2", "--shape", "5,6,4", "--runs", "2", "--max-sweeps", "3",
-            "--clock", "sweep", "--out", str(out)]
+    base = ["--rank", "2", "--runs", "2", "--max-sweeps", "3", "--clock", "sweep", "--out", str(out)]
     parse_config(base + argv)
     assert main(base + argv) == 2
     captured = capsys.readouterr()
@@ -679,9 +773,6 @@ def test_cli_checks_the_rank_only_where_the_data_reads_it(tmp_path, capsys, data
 
 
 def test_cli_reads_ntf1_file(tmp_path):
-    from drbcd.datagen import SynthSpec, synthetic_lowrank
-    from drbcd.tensors import write_ntf1
-
     data, _ = synthetic_lowrank(SynthSpec(dims=(5, 4, 6), rank=2, seed=3))
     path = tmp_path / "data.ntf1"
     write_ntf1(path, data)
@@ -714,8 +805,6 @@ def test_cli_refuses_an_ntf1_header_larger_than_its_file(tmp_path, capsys):
 def test_save_data_round_trips_sparse_data(tmp_path, source):
     # The problem holds sparse data as its nonzeros alone; the file it saves
     # is the input again, with a -0.0 written as +0.0.
-    from drbcd.tensors import read_ntf1, write_ntf1
-
     argv = ["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--serial",
             "--save-data", "--out", str(tmp_path / "exp")]
     if source == "surrogate":
@@ -737,8 +826,6 @@ def test_save_data_round_trips_sparse_data(tmp_path, source):
 
 
 def test_save_data_emits_ntf1(tmp_path):
-    from drbcd.tensors import read_ntf1
-
     cfg = desk_config(tmp_path, save_data=True, runs=1, max_sweeps=2)
     run_experiment(cfg)
     saved = read_ntf1(cfg.out + "/data.ntf1")

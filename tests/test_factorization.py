@@ -14,7 +14,8 @@ from drbcd.datagen import SynthSpec, synthetic_lowrank
 from drbcd.driver import SolverConfig, run, stationarity_measure, verify_trace
 from drbcd.factorization import FactorModel, NtfProblem, init_factors, mu_sweep, run_mu
 from drbcd.schedule import RadiusSchedule
-from drbcd.tensors import cp_reconstruct
+
+from _oracles import cp_reconstruct
 
 
 def sparse_data(rng, shape, nonzeros):

@@ -12,10 +12,11 @@ from drbcd.subsolver import (
     QuadraticBlockSubproblem,
     lipschitz_estimate,
     project_ball,
-    project_box,
     project_box_ball,
     solve_block_qp,
 )
+
+from _oracles import project_box
 
 
 def random_psd_problem(rng, d, r, scale=1.0):

@@ -22,8 +22,6 @@ from drbcd.tensors import (
     _mttkrp_from_partial,
     _row_slabs,
     as_tensor,
-    cp_reconstruct,
-    fold,
     frobenius_norm,
     khatri_rao,
     mttkrp,
@@ -31,6 +29,8 @@ from drbcd.tensors import (
     unfold,
     write_ntf1,
 )
+
+from _oracles import cp_reconstruct, fold
 
 
 # ---------------------------------------------------------------------------
