@@ -7,83 +7,17 @@ schedule (:mod:`drbcd.schedule`), the box-and-ball quadratic sub-solver
 (:mod:`drbcd.factorization`), deterministic data generation
 (:mod:`drbcd.datagen`), and the benchmark harness (:mod:`drbcd.experiment`)
 with its CLI (:mod:`drbcd.cli`).
+
+The package exports what each core module lists in its ``__all__``.
 """
 
-from .datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
-from .driver import (
-    BlockProblem,
-    CheckOutcome,
-    SolverConfig,
-    TraceRecord,
-    TraceVerification,
-    bcd_dr_sweep,
-    classify_point,
-    run,
-    stationarity_measure,
-    verify_trace,
-)
-from .factorization import (
-    FactorModel,
-    NtfProblem,
-    init_factors,
-    mu_sweep,
-    run_mu,
-)
-from .schedule import RadiusSchedule
-from .subsolver import (
-    BlockSolveResult,
-    BoxBallFeasibleSet,
-    ProjectionResult,
-    QuadraticBlockSubproblem,
-    lipschitz_estimate,
-    project_ball,
-    project_box_ball,
-    solve_block_qp,
-)
-from .tensors import (
-    frobenius_norm,
-    khatri_rao,
-    mttkrp,
-    read_ntf1,
-    unfold,
-    write_ntf1,
-)
+from . import datagen, driver, factorization, schedule, subsolver, tensors
+
+_CORE = (datagen, driver, factorization, schedule, subsolver, tensors)
+for _module in _CORE:
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+del _module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockProblem",
-    "BlockSolveResult",
-    "BoxBallFeasibleSet",
-    "CheckOutcome",
-    "FactorModel",
-    "NtfProblem",
-    "ProjectionResult",
-    "QuadraticBlockSubproblem",
-    "RadiusSchedule",
-    "SolverConfig",
-    "SynthSpec",
-    "TraceRecord",
-    "TraceVerification",
-    "bcd_dr_sweep",
-    "classify_point",
-    "frobenius_norm",
-    "init_factors",
-    "khatri_rao",
-    "lipschitz_estimate",
-    "mttkrp",
-    "mu_sweep",
-    "project_ball",
-    "project_box_ball",
-    "read_ntf1",
-    "run",
-    "run_mu",
-    "solve_block_qp",
-    "sparse_surrogate",
-    "stationarity_measure",
-    "synthetic_lowrank",
-    "unfold",
-    "verify_trace",
-    "write_ntf1",
-    "__version__",
-]
+__all__ = [name for module in _CORE for name in module.__all__] + ["__version__"]

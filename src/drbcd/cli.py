@@ -93,29 +93,22 @@ def parse_config(argv=None) -> tuple[ExperimentConfig, list[str]]:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    file_values = {}
-    if args.config:
-        try:
-            file_values = read_config_file(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-
     flag_values = {
         opt.key: getattr(args, opt.attr)
         for opt in OPTIONS
         if getattr(args, opt.attr) is not None
     }
-    notes = []
-    for key in sorted(set(file_values) & set(flag_values)):
-        if file_values[key] != flag_values[key]:
-            notes.append(
-                f"flag --{key} value {flag_values[key]!r} overrode config file "
-                f"value {file_values[key]!r}"
-            )
-
-    merged = {**file_values, **flag_values}
     try:
+        file_values = read_config_file(args.config) if args.config else {}
+        notes = []
+        for key in sorted(set(file_values) & set(flag_values)):
+            if file_values[key] != flag_values[key]:
+                notes.append(
+                    f"flag --{key} value {flag_values[key]!r} overrode config file "
+                    f"value {file_values[key]!r}"
+                )
+
+        merged = {**file_values, **flag_values}
         tokens = [tok.strip() for tok in merged.get("algo", DEFAULT_ALGOS)]
         beta = _OPTIONS_BY_KEY["beta"]
         if "beta" in merged and not beta.read_by({f"--algo {tok}" for tok in tokens}):
@@ -131,12 +124,13 @@ def parse_config(argv=None) -> tuple[ExperimentConfig, list[str]]:
         values = {k: v for k, v in defaults.items() if _OPTIONS_BY_KEY[k].read_by(present)}
         values.update(merged)
         if "rank" not in values:
-            parser.error("missing required value for rank (use --rank or a config file)")
+            raise ValueError("missing required value for rank (use --rank or a config file)")
         names = {f.name for f in fields(ExperimentConfig)}
         kwargs = {opt.attr: values[opt.key] for opt in OPTIONS if opt.key in values and opt.attr in names}
         cfg = ExperimentConfig(**kwargs, algos=algos)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except (OSError, ValueError) as exc:
+        # One line, without argparse's usage block, as for a SettingError.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return cfg, notes
 
 

@@ -16,14 +16,16 @@ Two families:
 Each generator writes its tensor once, into one buffer, the result, and
 holds no other tensor-sized array. The low-rank family multiplies the first
 loading matrix by the Khatri-Rao product of the others, and adds its noise
-in chunks of :data:`CHUNK` entries. The surrogate takes its two uniform
-draws per entry, the one that decides the nonzeros and the one that gives
-the magnitudes, in lockstep chunks from two generators on one key (see
-:func:`sparse_surrogate`). Chunking keeps the stream: ``random`` and
-``standard_normal`` consume the generator's output entry by entry, in C
-order, so draws of ``n`` and then ``m`` entries are the first ``n + m``
-entries of one draw of ``n + m``, bit for bit. A tensor is therefore the
-same for every chunk size, and the same as one whole-tensor draw.
+in chunks. The surrogate takes its two uniform draws per entry, the one
+that decides the nonzeros and the one that gives the magnitudes, in
+lockstep chunks from two generators on one key (see
+:func:`sparse_surrogate`). A chunk is a range of entries from
+:func:`drbcd.tensors._row_slabs`, whose float64 draws fill one slab.
+Chunking keeps the stream: ``random`` and ``standard_normal`` consume the
+generator's output entry by entry, in C order, so draws of ``n`` and then
+``m`` entries are the first ``n + m`` entries of one draw of ``n + m``, bit
+for bit. A tensor is therefore the same for every chunk size, and the same
+as one whole-tensor draw.
 
 Each tensor is returned read-only, together with the array that owns its
 memory, so that :class:`drbcd.factorization.NtfProblem` shares it instead of
@@ -38,19 +40,9 @@ from math import prod
 import numpy as np
 
 from .factorization import FactorModel
-from .tensors import SLAB_BYTES, _khatri_rao_native, _read_only, frobenius_norm
+from .tensors import _khatri_rao_native, _read_only, _row_slabs, frobenius_norm
 
 __all__ = ["SynthSpec", "synthetic_lowrank", "sparse_surrogate"]
-
-# Entries per chunk of draws: the float64 draws of one chunk fill a slab.
-CHUNK = SLAB_BYTES // 8
-
-
-def _chunks(size: int):
-    """Consecutive ``(start, stop)`` ranges of at most :data:`CHUNK` entries covering ``range(size)``."""
-    for start in range(0, size, CHUNK):
-        yield start, min(start + CHUNK, size)
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -107,7 +99,7 @@ def synthetic_lowrank(spec: SynthSpec) -> tuple[np.ndarray, FactorModel]:
     if spec.noise_level > 0.0:
         sigma = spec.noise_level * frobenius_norm(x) / np.sqrt(x.size)
         flat = x.reshape(-1)
-        for start, stop in _chunks(flat.size):
+        for start, stop in _row_slabs(flat.size, flat.itemsize):
             part = flat[start:stop]
             part += sigma * rng.standard_normal(stop - start)
             np.maximum(part, 0.0, out=part)
@@ -144,7 +136,7 @@ def sparse_surrogate(spec: SynthSpec) -> np.ndarray:
     magnitudes = np.random.Generator(skipped)
     x = np.empty(spec.dims)
     flat = x.reshape(-1)
-    for start, stop in _chunks(size):
+    for start, stop in _row_slabs(size, flat.itemsize):
         part = flat[start:stop]
         pattern.random(out=part)
         keep = part < spec.density

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -59,7 +58,6 @@ ALGORITHM_NAMES = ("als_dr", "als", "mu")
 # a bare ``als_dr`` entry takes the default beta.
 DEFAULT_ALGOS = ("als_dr-0.5", "als_dr-1", "als", "mu")
 DEFAULT_BETA = 0.5
-DEFAULT_C_PRIME = 1e5
 
 # The preset's algorithms are the default four.
 PAPER_SCALE_PRESET = {"shape": (100, 200, 300), "rank": 5, "runs": 10}
@@ -151,8 +149,8 @@ class ExperimentConfig:
     density: float = 0.01
     mean_abs: float = 0.00067
     # The radius constant and log offset of every als_dr entry's schedule.
-    c_prime: float = DEFAULT_C_PRIME
-    log_offset: int = 1
+    c_prime: float = RadiusSchedule.c_prime
+    log_offset: int = RadiusSchedule.log_offset
     init_scale: float = 1.0
     save_data: bool = False
     bins: int = 50
@@ -560,72 +558,44 @@ def write_aggregate_csv(path, curve: AggregateCurve) -> None:
     Path(path).write_bytes(("\n".join(rows) + "\n").encode("ascii"))
 
 
-def _trace_errors_at(trace: Sequence[TraceRecord], t: float) -> float | None:
-    """Last-observation-carried-forward reconstruction error at time t."""
-    value = None
-    for rec in trace:
-        if rec.elapsed_seconds <= t:
-            value = math.sqrt(max(rec.objective, 0.0))
-        else:
-            break
-    return value
-
-
 def aggregate_runs(
-    traces_by_algo: Mapping[str, Sequence[Sequence[TraceRecord]]],
-    bins,
+    traces_by_algo: Mapping[str, Sequence[Sequence[TraceRecord]]], bins: int
 ) -> AggregateCurve:
     """Resample traces onto shared time bins and average per algorithm.
 
-    ``bins`` is either an integer bin count (bins span the longest observed
-    trace) or an explicit strictly increasing array of bin centers. Runs
-    with empty traces are dropped with a warning; population standard
+    The ``bins`` bin centers are evenly spaced up to the latest elapsed time
+    of any trace, and each run contributes its last reconstruction error at
+    or before a center (last observation carried forward); a run whose first
+    record comes after a center does not count there. Every trace must be
+    nonempty, with nondecreasing elapsed times, as :func:`drbcd.driver.run`
+    and :func:`drbcd.factorization.run_mu` record them. Population standard
     deviation is reported (a single run gives zero std).
     """
-    kept: dict[str, list[Sequence[TraceRecord]]] = {}
     for label, traces in traces_by_algo.items():
-        good = []
-        for k, tr in enumerate(traces):
-            if len(tr) == 0:
-                warnings.warn(f"{label} run {k}: empty trace excluded from aggregation")
-                continue
-            good.append(tr)
-        if good:
-            kept[label] = good
-    if not kept:
-        raise ValueError("no nonempty traces to aggregate")
-
-    if np.isscalar(bins):
-        t_max = max(
-            rec.elapsed_seconds for traces in kept.values() for tr in traces for rec in tr
-        )
-        if t_max <= 0.0:
-            t_max = 1.0
-        centers = np.linspace(t_max / int(bins), t_max, int(bins))
-    else:
-        centers = np.asarray(bins, dtype=np.float64)
+        for k, trace in enumerate(traces):
+            if not trace:
+                raise ValueError(f"{label} run {k}: empty trace")
+    t_max = max(trace[-1].elapsed_seconds for traces in traces_by_algo.values() for trace in traces)
+    if t_max <= 0.0:
+        t_max = 1.0
+    centers = np.linspace(t_max / bins, t_max, bins)
 
     mean: dict[str, np.ndarray] = {}
     std: dict[str, np.ndarray] = {}
     n_runs: dict[str, np.ndarray] = {}
-    for label, traces in kept.items():
-        m = np.empty(len(centers))
-        s = np.empty(len(centers))
-        c = np.empty(len(centers), dtype=np.int64)
-        for j, t in enumerate(centers):
-            vals = [
-                v for tr in traces if (v := _trace_errors_at(tr, float(t))) is not None
-            ]
-            if vals:
-                arr = np.asarray(vals)
-                m[j] = float(arr.mean())
-                s[j] = float(arr.std())
-                c[j] = len(vals)
-            else:
-                m[j] = math.nan
-                s[j] = 0.0
-                c[j] = 0
-        mean[label], std[label], n_runs[label] = m, s, c
+    for label, traces in traces_by_algo.items():
+        # Row k holds run k's error at each center; ``seen`` marks the
+        # centers at or after its first record.
+        errors = np.empty((len(traces), bins))
+        seen = np.empty((len(traces), bins), dtype=bool)
+        for k, trace in enumerate(traces):
+            last = np.searchsorted([rec.elapsed_seconds for rec in trace], centers, side="right") - 1
+            seen[k] = last >= 0
+            errors[k] = [math.sqrt(max(trace[i].objective, 0.0)) for i in last]
+        at = [errors[seen[:, j], j] for j in range(bins)]
+        mean[label] = np.array([a.mean() if a.size else math.nan for a in at])
+        std[label] = np.array([a.std() if a.size else 0.0 for a in at])
+        n_runs[label] = seen.sum(axis=0)
     return AggregateCurve(bin_centers=centers, mean=mean, std=std, n_runs=n_runs)
 
 

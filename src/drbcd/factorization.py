@@ -32,8 +32,7 @@ from .driver import SolverConfig, TraceRecord, _sweep_loop, _trace_record
 from .driver import stationarity_measure  # noqa: F401
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
-    SLAB_BYTES,
-    _checked_max_norm_sq,
+    _checked_range,
     _coo_gather,
     _coo_matrix,
     _coo_partial,
@@ -110,12 +109,11 @@ def _nonzero_list(
     sample = flat[:: max(1, flat.size >> 14)]
     if np.count_nonzero(sample) >= 2.0 * SPARSE_SHARE * sample.size:
         return None
-    # Over slabs of SLAB_BYTES of the data, so that no tensor-sized mask is
-    # formed: ``flatnonzero`` takes about a quarter of the time on a boolean
-    # mask that it takes on float64 data.
-    step = SLAB_BYTES // 8
+    # Over slabs of the data, so that no tensor-sized mask is formed:
+    # ``flatnonzero`` takes about a quarter of the time on a boolean mask
+    # that it takes on float64 data.
     nonzero = np.concatenate(
-        [np.flatnonzero(flat[s : s + step] != 0.0) + s for s in range(0, flat.size, step)]
+        [np.flatnonzero(flat[s:e] != 0.0) + s for s, e in _row_slabs(flat.size, flat.itemsize)]
     )
     if nonzero.size >= SPARSE_SHARE * flat.size:
         return None
@@ -262,11 +260,13 @@ class NtfProblem:
         if self._coo is None:
             self._dense, self._owner = _held_dense(x, data)
         # Every nonzero entry (NaN and infinities among them): the checks,
-        # the maximum and the square sum need no more, and take one pass.
+        # the maximum and the square sum need no more, and take one pass. A
+        # negative entry is refused after the pass, so that a non-finite one
+        # is named first wherever the two lie.
         entries = self._coo[2] if self._dense is None else self._dense.ravel()
-        top, self._norm_sq = (
-            _checked_max_norm_sq(entries, nonneg=True) if entries.size else (0.0, 0.0)
-        )
+        lowest, top, self._norm_sq = _checked_range(entries) if entries.size else (0.0,) * 3
+        if lowest < 0.0:
+            raise ValueError("tensor entries must be nonnegative")
         self.box_bound = (
             default_box_bound(top, self.num_blocks) if box_bound is None else float(box_bound)
         )
@@ -554,31 +554,29 @@ def init_factors(
     return FactorModel(factors=[scale * rng.random((d, rank)) for d in shape])
 
 
-def mu_sweep(
-    problem: NtfProblem, blocks: Sequence[np.ndarray], eps: float = 1e-12
-) -> list[np.ndarray]:
+# Added to the multiplicative update's denominator, which vanishes where a
+# block's row is zero.
+MU_EPS = 1e-12
+
+
+def mu_sweep(problem: NtfProblem, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
     """One multiplicative-update pass over all blocks.
 
-    Each block is rescaled entrywise by ``B / (U G + eps)`` with the Gram and
-    MTTKRP terms recomputed per block, then clamped at the box bound. Zero
-    entries stay zero and nonnegativity is preserved exactly.
+    Each block is rescaled entrywise by ``B / (U G + MU_EPS)`` with the Gram
+    and MTTKRP terms recomputed per block, then clamped at the box bound.
+    Zero entries stay zero and nonnegativity is preserved exactly.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
     current = [np.asarray(b, dtype=np.float64) for b in blocks]
     _, upper = problem.block_feasible_box(0)
     for i in range(problem.num_blocks):
         sub = problem.block_subproblem(current, i)
         u = current[i]
-        current[i] = np.minimum(u * sub.linear / (u @ sub.gram + eps), upper)
+        current[i] = np.minimum(u * sub.linear / (u @ sub.gram + MU_EPS), upper)
     return current
 
 
 def run_mu(
-    problem: NtfProblem,
-    blocks0: Sequence[np.ndarray],
-    cfg: SolverConfig,
-    eps: float = 1e-12,
+    problem: NtfProblem, blocks0: Sequence[np.ndarray], cfg: SolverConfig
 ) -> tuple[list[np.ndarray], list[TraceRecord]]:
     """Multiplicative-update baseline through the block-descent runner's loop.
 
@@ -588,7 +586,7 @@ def run_mu(
     """
 
     def sweep(blocks: list[np.ndarray], n: int) -> tuple[list[np.ndarray], TraceRecord]:
-        current = mu_sweep(problem, blocks, eps=eps)
+        current = mu_sweep(problem, blocks)
         steps = [float(np.linalg.norm(c - b)) for c, b in zip(current, blocks)]
         return current, _trace_record(problem, current, n, steps, math.inf)
 

@@ -27,7 +27,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def emit_svg_plot(curve: AggregateCurve, path, log_y: bool = False, title: str = "Reconstruction error vs elapsed time") -> None:
+def emit_svg_plot(curve: AggregateCurve, path, log_y: bool = False) -> None:
     """Render the aggregate curve to ``path``.
 
     Raises ``ValueError`` (before creating any file) when the curve has no
@@ -102,7 +102,7 @@ def emit_svg_plot(curve: AggregateCurve, path, log_y: bool = False, title: str =
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{(MARGIN_LEFT + plot_right) / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        'font-family="sans-serif" font-size="15">Reconstruction error vs elapsed time</text>',
         # axes
         f'<line x1="{MARGIN_LEFT}" y1="{plot_bottom}" x2="{plot_right}" '
         f'y2="{plot_bottom}" stroke="black" stroke-width="1"/>',

@@ -36,6 +36,9 @@ pivot mode, its columns the cells of the other modes, ordered by row.
 product at the cells once for two sums: the pivot's MTTKRP, summed over
 each row, and the residual and the model's energy at the nonzeros. They
 take the nonzeros in chunks whose products fill about :data:`SLAB_BYTES`.
+Every pass in the package that takes an array in pieces, here, in
+:mod:`drbcd.factorization` and in :mod:`drbcd.datagen`, takes them from
+:func:`_row_slabs`, so the slab size is decided here alone.
 
 All functions are safe to call concurrently; they write to nothing but
 their results and the scratch buffers the ``_coo_*`` kernels are given.
@@ -63,59 +66,49 @@ __all__ = [
 
 NTF1_MAGIC = b"NTF1"
 
-# Passes over a tensor that read ``x.reshape(-1, d_last)`` block by block (the
-# partial contraction here, the objective's residual in
-# :mod:`drbcd.factorization`) take row blocks of about this many bytes, so a
-# block and the products formed from it stay in a core's L2 cache; the
-# nonzero-only kernels take chunks of nonzeros of this size likewise. Blocks of
-# 128 KB to 1 MB measured equally fast on a host with 2 MB of L2 per core;
-# 4 MB blocks, above that, took about 1.5x as long.
+# Every pass that takes an array in pieces takes them from :func:`_row_slabs`,
+# of about this many bytes, so a piece and the products formed from it stay in
+# a core's L2 cache: row blocks of ``x.reshape(-1, d_last)`` (the partial
+# contraction here, the objective's residual in :mod:`drbcd.factorization`),
+# chunks of nonzeros in the nonzero-only kernels, slabs of entries in the
+# entry checks and the nonzero search, and chunks of draws in
+# :mod:`drbcd.datagen`. Blocks of 128 KB to 1 MB measured equally fast on a
+# host with 2 MB of L2 per core; 4 MB blocks, above that, took about 1.5x as
+# long. Tests shrink the pieces by patching this constant alone.
 SLAB_BYTES = 512 << 10
 
 
-def as_tensor(data, nonneg: bool = False) -> np.ndarray:
-    """Coerce ``data`` to a C-contiguous float64 array with finite entries.
-
-    With ``nonneg=True`` additionally rejects negative entries, which is the
-    requirement on factorization input data.
-    """
+def as_tensor(data) -> np.ndarray:
+    """Coerce ``data`` to a C-contiguous float64 array with finite entries."""
     x = np.ascontiguousarray(data, dtype=np.float64)
     if x.ndim == 0:
         raise ValueError("tensor must have at least one mode")
     if x.size:
-        _checked_max_norm_sq(x.reshape(-1), nonneg, squares=False)
+        with np.errstate(over="ignore"):  # in the square sum, which is not used here
+            _checked_range(x.reshape(-1))
     return x
 
 
-def _checked_max_norm_sq(
-    flat: np.ndarray, nonneg: bool, squares: bool = True
-) -> tuple[float, float]:
-    """The largest entry and the square sum of a nonempty 1-D ``flat``, once
-    its entries pass :func:`as_tensor`'s checks; the sum reads 0 without
-    ``squares``.
+def _checked_range(flat: np.ndarray) -> tuple[float, float, float]:
+    """The smallest and largest entry and the square sum of a nonempty 1-D
+    ``flat``, once its entries are found finite.
 
-    One pass over slabs of about :data:`SLAB_BYTES`, each read for its
-    minimum, its maximum and its square sum while it is in cache. ``min``
-    and ``max`` propagate NaN, so together they find every non-finite entry
-    without a boolean temporary; the pass stops at the first slab holding
-    one. A negative entry is refused only once the whole pass has found no
-    non-finite entry, so the message is the same wherever the two lie. The
-    square sum adds the slabs' dot products, so its last bits may differ
-    from those of one dot over the whole array.
+    One pass over slabs of about :data:`SLAB_BYTES` (see :func:`_row_slabs`),
+    each read for its minimum, its maximum and its square sum while it is in
+    cache. ``min`` and ``max`` propagate NaN, so together they find every
+    non-finite entry without a boolean temporary; the pass stops at the
+    first slab holding one. The square sum adds the slabs' dot products, so
+    its last bits may differ from those of one dot over the whole array.
     """
     lowest, highest, norm_sq = inf, -inf, 0.0
-    step = SLAB_BYTES // flat.itemsize
-    for start in range(0, flat.shape[0], step):
-        slab = flat[start : start + step]
+    for start, stop in _row_slabs(flat.shape[0], flat.itemsize):
+        slab = flat[start:stop]
         low, high = float(slab.min()), float(slab.max())
         if not (isfinite(low) and isfinite(high)):
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         lowest, highest = min(lowest, low), max(highest, high)
-        if squares:
-            norm_sq += float(np.dot(slab, slab))
-    if nonneg and lowest < 0.0:
-        raise ValueError("tensor entries must be nonnegative")
-    return highest, norm_sq
+        norm_sq += float(np.dot(slab, slab))
+    return lowest, highest, norm_sq
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Functions that only the tests use, as oracles for the package's kernels."""
 
+import math
 from math import prod
 
 import numpy as np
@@ -54,3 +55,33 @@ def project_box(p, lower: float, upper: float) -> np.ndarray:
     if lower > upper:
         raise ValueError(f"empty box: lower {lower} > upper {upper}")
     return np.clip(np.asarray(p, dtype=np.float64), lower, upper)
+
+
+def _locf_error_at(trace, t: float):
+    """Last-observation-carried-forward reconstruction error at time ``t``."""
+    value = None
+    for rec in trace:
+        if rec.elapsed_seconds <= t:
+            value = math.sqrt(max(rec.objective, 0.0))
+        else:
+            break
+    return value
+
+
+def locf_aggregate(traces_by_algo, centers):
+    """``(mean, std, n_runs)`` per algorithm at ``centers``, one scan of every
+    trace per bin: the reference for :func:`drbcd.experiment.aggregate_runs`."""
+    mean, std, n_runs = {}, {}, {}
+    for label, traces in traces_by_algo.items():
+        m = np.empty(len(centers))
+        s = np.empty(len(centers))
+        c = np.empty(len(centers), dtype=np.int64)
+        for j, t in enumerate(centers):
+            vals = [v for tr in traces if (v := _locf_error_at(tr, float(t))) is not None]
+            if vals:
+                arr = np.asarray(vals)
+                m[j], s[j], c[j] = float(arr.mean()), float(arr.std()), len(vals)
+            else:
+                m[j], s[j], c[j] = math.nan, 0.0, 0
+        mean[label], std[label], n_runs[label] = m, s, c
+    return mean, std, n_runs

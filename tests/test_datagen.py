@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from drbcd import datagen
 from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from drbcd.factorization import NtfProblem
-from drbcd.tensors import frobenius_norm
+from drbcd.tensors import SLAB_BYTES, frobenius_norm
 
 from _oracles import cp_reconstruct
 
@@ -120,6 +119,9 @@ def reference_surrogate(spec):
     return np.ascontiguousarray(x * (spec.target_mean_abs / mean))
 
 
+# Entries per chunk of draws: the float64 draws of one chunk fill a slab.
+CHUNK = SLAB_BYTES // 8
+
 # One to four modes; sizes below one chunk, one entry short of it, of
 # exactly one and two chunks, and between multiples of it. The surrogate's
 # second generator skips the first draws four at a time and then one at a
@@ -132,11 +134,11 @@ SHAPES = [
 
 def test_shapes_cover_the_chunk_boundaries():
     sizes = {int(np.prod(s)) for s in SHAPES}
-    assert {datagen.CHUNK - 1, datagen.CHUNK, 2 * datagen.CHUNK} <= sizes
-    assert any(n < datagen.CHUNK for n in sizes)
-    assert any(n > datagen.CHUNK and n % datagen.CHUNK for n in sizes)
+    assert {CHUNK - 1, CHUNK, 2 * CHUNK} <= sizes
+    assert any(n < CHUNK for n in sizes)
+    assert any(n > CHUNK and n % CHUNK for n in sizes)
     assert {n % 4 for n in sizes} == {0, 1, 2, 3}
-    assert {2, 3} <= {n % 4 for n in sizes if n > datagen.CHUNK and n % datagen.CHUNK}
+    assert {2, 3} <= {n % 4 for n in sizes if n > CHUNK and n % CHUNK}
 
 
 # SHAPES at rank 2; then shapes on which OpenBLAS rounds ``U0 @ K.T``

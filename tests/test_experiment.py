@@ -30,6 +30,8 @@ from drbcd.experiment import (
 from drbcd.svgplot import emit_svg_plot
 from drbcd.tensors import read_ntf1, write_ntf1
 
+from _oracles import locf_aggregate
+
 
 def trace_from_errors(times_errors):
     out = []
@@ -64,6 +66,26 @@ def test_parse_config_missing_rank_names_rank(capsys):
     with pytest.raises(SystemExit):
         parse_config(["--algo", "als"])
     assert "rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--algo", "als"], "rank"),
+    (["--rank", "2", "--algo", "mu", "--c-prime", "3"], "c-prime"),
+])
+def test_cli_setting_error_is_one_line(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("drbcd: error: ") and named in lines[0]
+
+
+def test_cli_syntax_error_keeps_the_usage_block(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--rank", "2", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: drbcd") and "unrecognized arguments: --bogus" in err
 
 
 def test_parse_config_flag_overrides_file(tmp_path):
@@ -360,7 +382,8 @@ def test_aggregate_two_constant_runs():
             trace_from_errors([(0.0, 5.0), (1.0, 5.0)]),
         ]
     }
-    curve = aggregate_runs(traces, np.array([0.5, 1.0]))
+    curve = aggregate_runs(traces, 2)
+    assert_array_equal(curve.bin_centers, [0.5, 1.0])
     assert_allclose(curve.mean["als"], [4.0, 4.0])
     assert_allclose(curve.std["als"], [1.0, 1.0])
     assert list(curve.n_runs["als"]) == [2, 2]
@@ -375,15 +398,51 @@ def test_aggregate_single_run_zero_std():
 
 def test_aggregate_carries_last_observation_forward():
     trace = trace_from_errors([(0.0, 10.0), (1.0, 5.0), (3.0, 2.0)])
-    curve = aggregate_runs({"als": [trace]}, np.array([0.5, 2.0, 3.5]))
-    assert_allclose(curve.mean["als"], [10.0, 5.0, 2.0])
+    curve = aggregate_runs({"als": [trace]}, 6)
+    assert_array_equal(curve.bin_centers, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    assert_allclose(curve.mean["als"], [10.0, 5.0, 5.0, 5.0, 5.0, 2.0])
 
 
-def test_aggregate_excludes_empty_trace_with_warning():
+def test_aggregate_refuses_an_empty_trace():
     traces = {"als": [trace_from_errors([(0.0, 1.0)]), []]}
-    with pytest.warns(UserWarning, match="empty trace"):
-        curve = aggregate_runs(traces, np.array([0.5]))
-    assert list(curve.n_runs["als"]) == [1]
+    with pytest.raises(ValueError, match="als run 1: empty trace"):
+        aggregate_runs(traces, 1)
+
+
+def random_traces(rng):
+    """Traces of one to three algorithms, one to twelve runs each, on the
+    sweep clock or on wall-clock times with ties; a run may start late."""
+    out = {}
+    for label in ["als_dr-0.5", "als", "mu"][: rng.integers(1, 4)]:
+        runs = []
+        for _ in range(rng.integers(1, 13)):
+            size = int(rng.integers(1, 20))
+            if rng.random() < 0.3:
+                times = np.arange(size, dtype=np.float64)
+            else:
+                steps = rng.exponential(size=size) * (rng.random(size) < 0.8)
+                times = np.cumsum(steps) + rng.random() * 3.0
+            errors = rng.random(size) * 10.0 ** rng.integers(-8, 2)
+            runs.append(trace_from_errors(zip(times, errors)))
+        out[label] = runs
+    return out
+
+
+def test_aggregate_matches_the_per_bin_scan_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    late = 0
+    for _ in range(300):
+        traces = random_traces(rng)
+        curve = aggregate_runs(traces, int(rng.integers(1, 60)))
+        mean, std, n_runs = locf_aggregate(traces, curve.bin_centers)
+        assert curve.algorithms == list(traces)
+        for label in traces:
+            assert curve.mean[label].tobytes() == mean[label].tobytes()
+            assert curve.std[label].tobytes() == std[label].tobytes()
+            assert_array_equal(curve.n_runs[label], n_runs[label], strict=True)
+            late += int(np.any(n_runs[label] < len(traces[label])))
+    # Some runs start after a bin, where they do not count.
+    assert late > 0
 
 
 def test_aggregate_requires_some_trace():
@@ -397,7 +456,7 @@ def test_aggregate_requires_some_trace():
 
 def test_svg_structure_one_algorithm(tmp_path):
     trace = trace_from_errors([(0.0, 4.0), (1.0, 2.0)])
-    curve = aggregate_runs({"als": [trace, trace]}, np.array([0.5, 1.0]))
+    curve = aggregate_runs({"als": [trace, trace]}, 2)
     path = tmp_path / "plot.svg"
     emit_svg_plot(curve, path)
     svg = path.read_text()

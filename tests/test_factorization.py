@@ -167,12 +167,17 @@ def test_check_shape_ends_in_a_partial_slab():
 @pytest.mark.parametrize("bad, message", [(np.nan, NOT_FINITE), (np.inf, NOT_FINITE),
                                           (-np.inf, NOT_FINITE), (-1.0, NEGATIVE)])
 def test_dense_checks_find_a_bad_entry_in_any_slab(where, bad, message):
-    # One pass over the slabs takes the checks, with as_tensor's messages.
+    # One pass over the slabs takes the checks, with as_tensor's message
+    # for a non-finite entry; as_tensor takes negative entries.
     data = np.random.default_rng(7).random(CHECK_SHAPE)
     data.flat[where] = bad
-    for check in (lambda: NtfProblem(data, 2), lambda: tensors.as_tensor(data, nonneg=True)):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NtfProblem(data, 2)
+    if message == NOT_FINITE:
         with pytest.raises(ValueError, match=re.escape(message)):
-            check()
+            tensors.as_tensor(data)
+    else:
+        assert tensors.as_tensor(data).flat[where] == bad
 
 
 def test_a_non_finite_entry_is_named_before_a_negative_one_in_an_earlier_slab():
@@ -618,7 +623,7 @@ def test_nonzero_list_matches_the_whole_tensor_search(monkeypatch, slab_bytes, s
     data = sparse_data(rng, shape, math.prod(shape) // 100)
     data.flat[[3, 11]] = [np.nan, -0.0]
     if slab_bytes is not None:
-        monkeypatch.setattr(factorization, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
     for pivot in range(len(shape)):
         got = factorization._nonzero_list(data, pivot)
         for a, b in zip(got, reference_nonzero_list(data, pivot)):

@@ -472,23 +472,21 @@ def test_cp_rank_mismatch():
 # validation and NTF1 round trip
 
 
-def test_as_tensor_rejects_nan_and_negative():
+def test_as_tensor_rejects_non_finite_entries_only():
     with pytest.raises(ValueError, match="finite"):
         as_tensor(np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="finite"):
         as_tensor(np.array([np.inf, 0.0]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        as_tensor(np.array([-1.0, 0.0]), nonneg=True)
+    assert_array_equal(as_tensor(np.array([-1.0, 0.0])), np.array([-1.0, 0.0]))
     assert_array_equal(as_tensor([[1, 2]]), np.array([[1.0, 2.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("nonneg", [False, True])
-def test_as_tensor_rejects_non_finite_entries(bad, nonneg):
+def test_as_tensor_rejects_non_finite_entries(bad):
     x = np.ones((3, 4))
     x[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        as_tensor(x, nonneg=nonneg)
+        as_tensor(x)
 
 
 def test_ntf1_round_trip(tmp_path):
