@@ -29,9 +29,11 @@ data's own seed, the synthetic cases would start at the factors that
 generated the data, an exact fit.)
 
 It first prints, for every case and seed, a digest of the data tensor each
-side built (SHA-256 of its shape and float64 bytes), whether the two match,
-and the most bytes numpy held at once while the generator ran, the tensor
-itself not counted (its build peak, from ``tracemalloc``); next to them,
+side built (SHA-256 of its shape and float64 bytes, taken from the dense
+tensor also where the generator returned the coordinates of its nonzeros,
+so that the two forms compare), whether the two match, and the most bytes
+numpy held at once while the generator ran, what it returned included (its
+build peak, from ``tracemalloc``); next to them,
 the digest of the tensor each side's ``NtfProblem`` returns as its
 ``data``, whether those match, the bytes of the arrays each problem holds,
 and the most bytes numpy held at once while ``NtfProblem(x)`` was built
@@ -91,6 +93,10 @@ def digest(x):
     h.update(np.ascontiguousarray(x, dtype="<f8"))
     return h.hexdigest()[:16]
 
+def dense(x):
+    # A generator returns a tensor, or the coordinates of its nonzeros.
+    return x.dense() if hasattr(x, "dense") else np.asarray(x)
+
 def held_bytes(problem):
     buffers = {}
     for value in vars(problem).values():
@@ -112,9 +118,9 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
         else:
             x = datagen.sparse_surrogate(datagen.SynthSpec(
                 dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067))
-        build_peak = tracemalloc.get_traced_memory()[1] - x.nbytes
+        build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        out["data"][f"{name} seed {seed}"] = digest(x)
+        out["data"][f"{name} seed {seed}"] = digest(dense(x))
         out["build"][f"{name} seed {seed}"] = build_peak
         tracemalloc.start()
         problem = factorization.NtfProblem(x, rank)

@@ -30,7 +30,7 @@ from .driver import SolverConfig, TraceRecord, TraceVerification, run, verify_tr
 from .factorization import NtfProblem, init_factors, run_mu
 from .schedule import RadiusSchedule
 from .subsolver import MAX_RANK
-from .tensors import read_ntf1, write_ntf1
+from .tensors import SparseTensor, read_ntf1, write_ntf1
 
 __all__ = [
     "AlgorithmSpec",
@@ -480,8 +480,13 @@ class SettingError(ValueError):
     """A setting the experiment cannot run with, found before anything is written."""
 
 
-def resolve_data(cfg: ExperimentConfig) -> np.ndarray:
-    """Build or load the experiment tensor (once per config)."""
+def resolve_data(cfg: ExperimentConfig) -> np.ndarray | SparseTensor:
+    """Build or load the experiment tensor (once per config).
+
+    A sparse surrogate below :data:`drbcd.datagen.SPARSE_DENSITY` comes as
+    the coordinates of its nonzeros, which :class:`NtfProblem` takes as it
+    takes a tensor; ``.dense()`` gives the tensor.
+    """
     if cfg.data == "synth":
         spec = SynthSpec(
             dims=cfg.shape, rank=cfg.rank, seed=cfg.seed, noise_level=cfg.noise_level

@@ -32,11 +32,13 @@ from .driver import SolverConfig, TraceRecord, _sweep_loop, _trace_record
 from .driver import stationarity_measure  # noqa: F401
 from .subsolver import QuadraticBlockSubproblem
 from .tensors import (
+    SparseTensor,
     _checked_range,
     _coo_gather,
     _coo_matrix,
     _coo_partial,
     _coo_tensor,
+    _held_read_only,
     _khatri_rao_native,
     _khatri_rao_t,
     _last_mode_mttkrp,
@@ -92,6 +94,11 @@ class FactorModel:
 SPARSE_SHARE = 0.05
 
 
+def _sample_step(size: int) -> int:
+    """The stride of the nonzero search's sample: about 16k entries of ``size``."""
+    return max(1, size >> 14)
+
+
 def _nonzero_list(
     data: np.ndarray, pivot: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -106,7 +113,7 @@ def _nonzero_list(
     share decides.
     """
     flat = data.ravel()
-    sample = flat[:: max(1, flat.size >> 14)]
+    sample = flat[:: _sample_step(flat.size)]
     if np.count_nonzero(sample) >= 2.0 * SPARSE_SHARE * sample.size:
         return None
     # Over slabs of the data, so that no tensor-sized mask is formed:
@@ -115,9 +122,36 @@ def _nonzero_list(
     nonzero = np.concatenate(
         [np.flatnonzero(flat[s:e] != 0.0) + s for s, e in _row_slabs(flat.size, flat.itemsize)]
     )
-    if nonzero.size >= SPARSE_SHARE * flat.size:
+    return _listed(nonzero, flat, data.shape, pivot)
+
+
+def _coordinate_list(
+    data: SparseTensor, pivot: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """:func:`_nonzero_list` of ``data.dense()``, from the coordinates alone.
+
+    The listed zeros, ``-0.0`` among them, are dropped; the sample and the
+    exact share are counted on the positions of the rest, so the same data
+    is listed, or not, and its list has the same bits.
+    """
+    positions, values = data.positions, data.values
+    nonzero = values != 0.0
+    if not nonzero.all():
+        positions, values = positions[nonzero], values[nonzero]
+    size = math.prod(data.shape)
+    step = _sample_step(size)
+    if np.count_nonzero(positions % step == 0) >= 2.0 * SPARSE_SHARE * -(-size // step):
         return None
-    coo = _coo_matrix(nonzero, flat, data.shape, pivot)
+    return _listed(positions, values, data.shape, pivot)
+
+
+def _listed(positions, values, shape, pivot: int):
+    """The read-only list of the nonzeros at ``positions``, or ``None`` when
+    they are at least :data:`SPARSE_SHARE` of the entries; ``values`` as
+    :func:`drbcd.tensors._coo_matrix` takes them."""
+    if positions.size >= SPARSE_SHARE * math.prod(shape):
+        return None
+    coo = _coo_matrix(positions, values, shape, pivot)
     for a in coo:
         a.flags.writeable = False
     return coo
@@ -129,31 +163,6 @@ def default_box_bound(top: float, num_blocks: int) -> float:
     ``top`` is the data's largest entry.
     """
     return 10.0 * max(1.0, top) ** (1.0 / (num_blocks + 1))
-
-
-def _held_dense(x: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only array a dense problem reads, and the array owning its memory.
-
-    ``x`` is ``data`` as C-ordered float64. It is kept as it is when a
-    conversion made it (the problem's own array), or when it is read-only
-    and its memory belongs to a read-only ndarray: ``x`` itself, or its
-    ``base`` when that owns its data. Anything else is copied: writeable
-    input, a read-only view of a writeable array, or memory of a foreign
-    buffer (``np.frombuffer``, ``np.memmap``), any of which could change
-    under the memo, which is keyed by the blocks alone.
-    """
-    owner = x if x.flags.owndata else x.base
-    converted = x is not data and owner is x
-    shared = (
-        not x.flags.writeable
-        and isinstance(owner, np.ndarray)
-        and owner.flags.owndata
-        and not owner.flags.writeable
-    )
-    if not (converted or shared):
-        x = owner = x.copy()
-    x.flags.writeable = False
-    return x, owner
 
 
 class _Memo(threading.local):
@@ -215,18 +224,24 @@ class NtfProblem:
     twice, and over the nonzeros of sparse data three times, instead of
     seven times.
 
-    Which passes run, and how the data is held, depends on the data alone;
-    it is held once. Dense data is shared, not copied, when the caller's
-    array is read-only and so is the ndarray that owns its memory, as with
-    the tensors of :mod:`drbcd.datagen` and :func:`drbcd.tensors.read_ntf1`;
-    any other dense input is held as a private read-only copy. Every public
+    ``data`` is a tensor, as an array or anything ``np.asarray`` takes, or
+    a :class:`drbcd.tensors.SparseTensor`, the coordinates of its nonzeros,
+    as :func:`drbcd.datagen.sparse_surrogate` returns at low densities; the
+    problem built from either is the same, bit for bit, as from the tensor
+    it describes. Which passes run, and how the data is held, depends on
+    the data alone; it is held once. Dense data is shared, not copied, when
+    the caller's array is read-only and so is the ndarray that owns its
+    memory, as with the tensors of :mod:`drbcd.datagen` and
+    :func:`drbcd.tensors.read_ntf1`; any other dense input is held as a
+    private read-only copy. Every public
     evaluation raises ``ValueError`` once the memory it reads has been made
     writeable again, since the memo would then go stale. When the nonzeros
     are fewer than :data:`SPARSE_SHARE` of the entries, the problem holds
     one read-only coordinate list of them instead, 24 bytes a nonzero,
-    formed from the caller's array without a tensor-sized copy, so that the
-    caller may free that array once the problem is built; the MTTKRPs and
-    the objective then visit the nonzeros alone (the
+    formed from the caller's array or coordinates without a tensor-sized
+    array (one stable sort of the coordinates' rows), so that the caller may
+    free its data once the problem is built; the MTTKRPs and the objective
+    then visit the nonzeros alone (the
     coordinate-format MTTKRP and factored-tensor norm of Bader & Kolda
     2007, "Efficient MATLAB computations with sparse and factored
     tensors", on the dimension tree of Kaya & Uçar 2018, "Parallel
@@ -237,28 +252,32 @@ class NtfProblem:
     then has one row per cell, never more than on the dense path. Dense
     data pivots on the last mode, and the objective is a pass over
     cache-sized row slabs of the data's native view ``X.reshape(-1,
-    d_last)``. The solves read the data's :attr:`shape`; :attr:`data`
-    returns the tensor itself, rebuilt on every access from sparse data.
+    d_last)``; coordinates of at least :data:`SPARSE_SHARE` nonzeros are
+    scattered into a private read-only tensor for it. The solves read the
+    data's :attr:`shape`; :attr:`data` returns the tensor itself, rebuilt on
+    every access from a coordinate list.
     """
 
     def __init__(self, data, rank: int, box_bound: float | None = None):
-        x = np.asarray(data, dtype=np.float64, order="C")
+        coords = data if isinstance(data, SparseTensor) else None
+        x = None if coords else np.asarray(data, dtype=np.float64, order="C")
+        shape = coords.shape if coords else x.shape
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
-        if x.ndim < 2:
+        if len(shape) < 2:
             raise ValueError("factorization needs at least two data modes")
-        if 0 in x.shape:
-            raise ValueError(f"every data mode needs positive length, got shape {x.shape}")
-        self.shape: tuple[int, ...] = x.shape
+        if 0 in shape:
+            raise ValueError(f"every data mode needs positive length, got shape {shape}")
+        self.shape: tuple[int, ...] = shape
         self.rank = int(rank)
         # The longest mode (the last of equal lengths) is the sparse pivot:
         # its partial then has the fewest cells.
-        longest = x.ndim - 1 - int(np.argmax(x.shape[::-1]))
-        self._coo = _nonzero_list(x, longest)
-        self._pivot = x.ndim - 1 if self._coo is None else longest
+        longest = len(shape) - 1 - int(np.argmax(shape[::-1]))
+        self._coo = _coordinate_list(coords, longest) if coords else _nonzero_list(x, longest)
+        self._pivot = len(shape) - 1 if self._coo is None else longest
         self._dense = self._owner = None
         if self._coo is None:
-            self._dense, self._owner = _held_dense(x, data)
+            self._dense, self._owner = _held_read_only(coords.dense() if coords else x, data)
         # Every nonzero entry (NaN and infinities among them): the checks,
         # the maximum and the square sum need no more, and take one pass. A
         # negative entry is refused after the pass, so that a non-finite one
@@ -279,12 +298,14 @@ class NtfProblem:
         """The data tensor, read-only.
 
         Dense data returns the array the problem reads, the same every
-        time: the caller's own when it was shared. Sparse data rebuilds the
-        tensor from the coordinate list on every access: a fresh tensor-sized
-        array of zeros, and a scatter of the nonzeros into it. On 90x500x100 at 1% nonzero that took ~9 ms
-        on one core, a little less than copying the tensor (~11 ms). An
-        entry the list left out as zero comes back as ``+0.0``, also where
-        the input held ``-0.0``. No solve reads it but the objective's
+        time: the caller's own when it was shared, or the tensor scattered
+        from the caller's coordinates. Sparse data, from a tensor or from
+        coordinates, rebuilds the tensor from the coordinate list on every
+        access: a fresh tensor-sized array of zeros, and a scatter of the
+        nonzeros into it. On 90x500x100 at 1% nonzero that took ~9 ms on one
+        core, a little less than copying the tensor (~11 ms). An entry the
+        list left out as zero comes back as ``+0.0``, also where the input
+        held ``-0.0``. No solve reads it but the objective's
         rounding fallback (see :meth:`_coo_objective`), whose squared
         residuals do not see the sign of a zero.
         """

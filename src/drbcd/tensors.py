@@ -38,7 +38,9 @@ each row, and the residual and the model's energy at the nonzeros. They
 take the nonzeros in chunks whose products fill about :data:`SLAB_BYTES`.
 Every pass in the package that takes an array in pieces, here, in
 :mod:`drbcd.factorization` and in :mod:`drbcd.datagen`, takes them from
-:func:`_row_slabs`, so the slab size is decided here alone.
+:func:`_row_slabs`, so the slab size is decided here alone; the one
+exception, :mod:`drbcd.datagen`'s pairwise sum over nonzeros, splits where
+numpy's summation tree splits, down to runs of about a slab.
 
 All functions are safe to call concurrently; they write to nothing but
 their results and the scratch buffers the ``_coo_*`` kernels are given.
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import os
 import struct
+from dataclasses import dataclass
 from functools import reduce
 from math import inf, isfinite, prod
 from stat import S_ISREG
@@ -55,6 +58,7 @@ from stat import S_ISREG
 import numpy as np
 
 __all__ = [
+    "SparseTensor",
     "as_tensor",
     "frobenius_norm",
     "unfold",
@@ -71,8 +75,9 @@ NTF1_MAGIC = b"NTF1"
 # a core's L2 cache: row blocks of ``x.reshape(-1, d_last)`` (the partial
 # contraction here, the objective's residual in :mod:`drbcd.factorization`),
 # chunks of nonzeros in the nonzero-only kernels, slabs of entries in the
-# entry checks and the nonzero search, and chunks of draws in
-# :mod:`drbcd.datagen`. Blocks of 128 KB to 1 MB measured equally fast on a
+# entry checks and the nonzero search, and chunks of draws and of counter
+# evaluations in :mod:`drbcd.datagen`, where the pairwise sum over nonzeros
+# also bounds its runs by it. Blocks of 128 KB to 1 MB measured equally fast on a
 # host with 2 MB of L2 per core; 4 MB blocks, above that, took about 1.5x as
 # long. Tests shrink the pieces by patching this constant alone.
 SLAB_BYTES = 512 << 10
@@ -122,6 +127,86 @@ def _read_only(x: np.ndarray) -> np.ndarray:
         x.base.flags.writeable = False
     x.flags.writeable = False
     return x
+
+
+def _held_read_only(x: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a read-only array that nothing else can write, and the array owning its memory.
+
+    ``x`` is ``data`` converted to the dtype and layout its reader needs. It
+    is kept as it is when a conversion made it (the reader's own array), or
+    when it is read-only and its memory belongs to a read-only ndarray:
+    ``x`` itself, or its ``base`` when that owns its data. Anything else is
+    copied: writeable input, a read-only view of a writeable array, or
+    memory of a foreign buffer (``np.frombuffer``, ``np.memmap``), any of
+    which could change under a reader that has checked or memoized it.
+    """
+    owner = x if x.flags.owndata else x.base
+    converted = x is not data and owner is x
+    shared = (
+        not x.flags.writeable
+        and isinstance(owner, np.ndarray)
+        and owner.flags.owndata
+        and not owner.flags.writeable
+    )
+    if not (converted or shared):
+        x = owner = x.copy()
+    x.flags.writeable = False
+    return x, owner
+
+
+@dataclass(frozen=True, eq=False)
+class SparseTensor:
+    """A tensor given by its nonzeros: its ``shape``, the ascending flat
+    (row-major) ``positions`` of its nonzeros, and their ``values``.
+
+    What :func:`drbcd.datagen.sparse_surrogate` returns below its
+    crossover density, and what :class:`drbcd.factorization.NtfProblem`
+    accepts as data beside a dense array, with the same result bit for bit
+    as from :meth:`dense`. ``positions`` and ``values`` are held read-only,
+    as int64 and float64, under the rule of
+    :class:`~drbcd.factorization.NtfProblem`'s dense data: an array that is
+    read-only and owned by a read-only array is shared, any other is
+    copied. Positions that are unsorted, repeated or outside the shape, and
+    lists of unequal lengths, are refused here; the values are checked
+    where they are read, as a dense tensor's entries are.
+    """
+
+    shape: tuple[int, ...]
+    positions: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        shape = tuple(int(d) for d in self.shape)
+        if not shape or min(shape) < 0:
+            raise ValueError(f"sparse tensor shape must be nonnegative lengths, got {shape}")
+        positions = np.asarray(self.positions)
+        if positions.dtype.kind not in "iu":
+            raise ValueError(f"sparse tensor positions must be integers, got dtype {positions.dtype}")
+        positions = _held_read_only(np.ascontiguousarray(positions, dtype=np.int64), self.positions)[0]
+        values = _held_read_only(np.ascontiguousarray(self.values, dtype=np.float64), self.values)[0]
+        if positions.ndim != 1 or values.shape != positions.shape:
+            raise ValueError(
+                f"sparse tensor needs one value per position, got positions of shape "
+                f"{positions.shape} and values of shape {values.shape}"
+            )
+        if positions.size and np.any(positions[1:] <= positions[:-1]):
+            raise ValueError("sparse tensor positions must be strictly ascending (sorted, no repeats)")
+        if positions.size and not (positions[0] >= 0 and positions[-1] < prod(shape)):
+            raise ValueError(f"sparse tensor positions must lie in [0, {prod(shape)}) for shape {shape}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the two lists."""
+        return self.positions.nbytes + self.values.nbytes
+
+    def dense(self) -> np.ndarray:
+        """The tensor itself, read-only: ``+0.0`` wherever no value is listed."""
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.positions] = self.values
+        return _read_only(out)
 
 
 def frobenius_norm(x) -> float:
@@ -258,35 +343,40 @@ def _last_mode_mttkrp(x, factors) -> np.ndarray:
     return np.ascontiguousarray((kr_t @ x.reshape(-1, x.shape[-1])).T)
 
 
-def _coo_matrix(flat_index, flat, shape, pivot: int):
+def _coo_matrix(positions, values, shape, pivot: int):
     """Entries of a tensor as a coordinate list of its matricization at ``pivot``.
 
-    ``flat`` is the tensor of ``shape``, flattened in row-major order, and
-    ``flat_index`` holds the positions of the entries to list, ascending.
-    The matrix's rows are the indices of mode ``pivot``; its columns are
-    the cells of the other modes, a cell being one combination of their
-    indices, numbered row-major (as the rows of :func:`_khatri_rao_native`
-    of their factors are). Returns ``(rows, cols, values)`` ordered by
-    ``rows``, stably, which is the order :func:`_coo_gather` needs. The
-    rows are sorted as the smallest unsigned type that holds them, for which
-    numpy's stable sort is a radix sort, about 10x faster than on ``intp``.
-    The positions are put in that order first, and the columns and values
-    are formed from them in place, so that little more than the list itself
-    is held at once.
+    ``positions`` holds the row-major flat positions of the entries to list,
+    ascending, in a tensor of ``shape``; ``values`` holds the entry at each
+    position, or is the flattened tensor itself (the two agree when every
+    entry is listed). The matrix's rows are the indices of mode ``pivot``;
+    its columns are the cells of the other modes, a cell being one
+    combination of their indices, numbered row-major (as the rows of
+    :func:`_khatri_rao_native` of their factors are). Returns ``(rows,
+    cols, values)`` ordered by ``rows``, stably, which is the order
+    :func:`_coo_gather` needs. The rows are sorted as the smallest unsigned
+    type that holds them, for which numpy's stable sort is a radix sort,
+    about 10x faster than on ``intp``. The positions are put in that order
+    first, the columns and values are formed from them in place, and the
+    rows last, so that little more than the list itself is held at once.
     """
     length = shape[pivot]
     inner = prod(shape[pivot + 1 :])
-    key = flat_index // inner
+    key = positions // inner
     key %= length
     key = key.astype(np.min_scalar_type(length - 1))
-    index = flat_index[np.argsort(key, kind="stable")]
-    rows = np.repeat(np.arange(length), np.bincount(key, minlength=length))
-    del key
-    values = flat[index]
+    order = np.argsort(key, kind="stable")
+    index = positions[order]
+    if values.shape[0] != positions.shape[0]:  # the flattened tensor
+        order = index
+    values = values[order]
+    del order
     cols = index // (length * inner)
     cols *= inner
     index %= inner
     cols += index
+    del index
+    rows = np.repeat(np.arange(length), np.bincount(key, minlength=length))
     return rows, cols, values
 
 

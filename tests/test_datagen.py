@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from drbcd import datagen, tensors
 from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from drbcd.factorization import NtfProblem
-from drbcd.tensors import SLAB_BYTES, frobenius_norm
+from drbcd.tensors import SLAB_BYTES, SparseTensor, frobenius_norm
 
 from _oracles import cp_reconstruct
 
@@ -48,7 +49,7 @@ def test_surrogate_mean_abs_hits_target():
     spec = SynthSpec(
         dims=(30, 100, 50), rank=5, seed=3, density=0.01, target_mean_abs=0.00067
     )
-    x = sparse_surrogate(spec)
+    x = sparse_surrogate(spec).dense()
     realized = float(np.mean(np.abs(x)))
     assert abs(realized - 0.00067) / 0.00067 <= 0.05
     assert x.min() >= 0.0
@@ -119,7 +120,9 @@ def reference_surrogate(spec):
     return np.ascontiguousarray(x * (spec.target_mean_abs / mean))
 
 
-# Entries per chunk of draws: the float64 draws of one chunk fill a slab.
+# Entries per chunk of the dense fill's draws: the float64 draws of one
+# chunk fill a slab. The coordinate form draws its pattern in eighths of
+# that, so a multiple of CHUNK is a multiple of its chunk too.
 CHUNK = SLAB_BYTES // 8
 
 # One to four modes; sizes below one chunk, one entry short of it, of
@@ -165,11 +168,28 @@ def test_lowrank_has_the_bits_of_the_whole_tensor_formula(dims, rank, seed, nois
         assert_array_equal(got, want, strict=True)
 
 
+def dense_of(x):
+    """A surrogate's tensor, checked against its coordinate form when it has one."""
+    if not isinstance(x, SparseTensor):
+        return x
+    dense = x.dense()
+    assert_array_equal(x.positions, np.flatnonzero(dense), strict=True)
+    assert_array_equal(x.values, dense.ravel()[x.positions], strict=True)
+    assert not (x.positions.flags.writeable or x.values.flags.writeable)
+    return dense
+
+
 @pytest.mark.parametrize("dims", SHAPES)
 @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
-def test_surrogate_has_the_bits_of_the_whole_tensor_formula(dims, density):
+@pytest.mark.parametrize("form", ["returned", "coordinates", "dense"])
+def test_surrogate_has_the_bits_of_the_whole_tensor_formula(monkeypatch, dims, density, form):
+    # The form the crossover picks, then each form at every density.
+    if form != "returned":
+        monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0 if form == "coordinates" else 0.0)
     spec = SynthSpec(dims=dims, rank=2, seed=12, density=density, target_mean_abs=0.25)
     x = sparse_surrogate(spec)
+    assert isinstance(x, SparseTensor) == (density < datagen.SPARSE_DENSITY)
+    x = dense_of(x)
     expected = reference_surrogate(spec)
     assert x.flags.c_contiguous and x.dtype == np.float64
     assert_array_equal(x, expected, strict=True)
@@ -196,13 +216,34 @@ PEAK_DIMS = (100, 100, 100)
 
 
 def test_surrogate_is_built_in_its_own_buffer():
-    # The result and one chunk's boolean pattern, an eighth of a chunk: both
-    # draws go into the result. A tensor-sized mask held 1.125x the result,
-    # the whole-tensor formula about 3x.
+    # Below the crossover: the coordinate list and one slab of the counter
+    # evaluation's words, and no tensor; the peak is about a twelfth of the
+    # 8 MB tensor. Filling the tensor took 1.05x it, a tensor-sized mask
+    # 1.125x, the whole-tensor formula about 3x.
     spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.01, target_mean_abs=0.00067)
+    x, peak = traced_peak(lambda: sparse_surrogate(spec))
+    assert isinstance(x, SparseTensor) and x.nbytes == 16 * x.values.size
+    assert peak <= x.nbytes + SLAB_BYTES
+
+
+def test_dense_surrogate_is_built_in_its_own_buffer():
+    # At or above the crossover: the result and one chunk's boolean pattern,
+    # both draws going into the result.
+    spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.3, target_mean_abs=0.00067)
     x, peak = traced_peak(lambda: sparse_surrogate(spec))
     assert x.nbytes == 8 * 10**6
     assert peak <= 1.05 * x.nbytes
+
+
+def test_sparse_problem_is_built_from_the_surrogate_without_a_tensor():
+    # surrogate_bound's data: the problem's coordinate list (1.07 MB), the
+    # generator's positions and values (two thirds of it) and the sort's
+    # key, below two lists; the tensor alone would be 34 of them.
+    spec = SynthSpec(dims=(90, 500, 100), rank=5, seed=16, density=0.01, target_mean_abs=0.00067)
+    problem, peak = traced_peak(lambda: NtfProblem(sparse_surrogate(spec), 5))
+    listed = sum(a.nbytes for a in problem._coo)
+    assert listed == 24 * problem._coo[2].size
+    assert peak <= 2 * listed
 
 
 def test_noiseless_lowrank_holds_one_khatri_rao_product():
@@ -231,3 +272,94 @@ def test_generators_return_read_only_tensors_that_problems_share():
         with pytest.raises(ValueError):
             x[0, 0, 0] = 1.0
     assert NtfProblem(dense, 2).data is dense
+
+
+# ---------------------------------------------------------------------------
+# What the coordinate form emulates of numpy: Philox's stream, evaluated at
+# single positions, and the pairwise sum of ``np.add.reduce``. These fail
+# if a numpy release changes either.
+
+PHILOX_SEEDS = [0, 1, 2**63 + 7, 2**64 + 3, 2**128 - 1]
+
+
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
+def test_counter_draws_are_the_streams_draws(seed):
+    # Every position of two pattern chunks and a few more: all four lanes of
+    # each counter, and the ends of the chunks that the evaluation takes
+    # together (_PHILOX_ENTRY_BYTES) and that the pattern is drawn in.
+    n = 2 * CHUNK + 9
+    key = np.random.Philox(key=seed).state["state"]["key"]
+    raw = np.random.Philox(key=seed).random_raw(n)
+    draws = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    every = np.arange(n)
+    assert_array_equal(datagen._philox_raw(key, every), raw, strict=True)
+    assert_array_equal(datagen._philox_uniform(key, every, 0), draws, strict=True)
+    evaluated = SLAB_BYTES // datagen._PHILOX_ENTRY_BYTES
+    ends = np.unique([k + d for k in (0, evaluated, CHUNK, 2 * CHUNK - 4) for d in range(-3, 5) if k + d >= 0])
+    assert_array_equal(datagen._philox_uniform(key, ends, 3), draws[ends + 3], strict=True)
+    # Far into the stream: Philox.advance moves the counter by blocks of four.
+    far = np.random.Philox(key=seed)
+    far.advance(2**40)
+    assert_array_equal(datagen._philox_raw(key, 2**42 + np.arange(9)), far.random_raw(9), strict=True)
+
+
+PAIRWISE_SIZES = (
+    list(range(1, 10)) + [127, 128, 129, 135, 136, 137, 255, 256, 257]
+    + list(range(1016, 1033)) + [65528, 65535, 65536, 65537, 65544]
+)
+
+
+def sparse_values(rng, size, density):
+    """Nonnegative entries of wide range, so that a sum in another order
+    rounds differently, and zero at ``1 - density`` of the positions."""
+    a = rng.random(size) * 2.0 ** rng.integers(-40, 40, size)
+    a[rng.random(size) >= density] = 0.0
+    return a
+
+
+def assert_pairwise_sum_is_numpys(a):
+    positions = np.flatnonzero(a)
+    values = a.ravel()[positions]
+    total = datagen._pairwise_sum(positions, values, a.size)
+    assert total == float(np.add.reduce(a, axis=None))
+    assert total / a.size == float(np.mean(a))
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 2048])
+@pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
+def test_pairwise_sum_is_numpys_at_every_split(monkeypatch, slab_bytes, density):
+    # The tree's leaves and splits near 8, 128, 1,024 and 65,536 entries;
+    # with small slabs, the runs summed apart are split many times over.
+    if slab_bytes is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(17)
+    for size in PAIRWISE_SIZES:
+        assert_pairwise_sum_is_numpys(sparse_values(rng, size, density))
+
+
+@pytest.mark.parametrize("dims", [(90, 500, 100), (100, 200, 300), (7, 13, 11, 5)])
+@pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
+def test_pairwise_sum_is_numpys_on_whole_tensors(dims, density):
+    rng = np.random.default_rng(18)
+    assert_pairwise_sum_is_numpys(sparse_values(rng, int(np.prod(dims)), density).reshape(dims))
+
+
+def test_pairwise_sum_of_no_nonzeros_is_zero():
+    empty = np.zeros(0, dtype=np.int64)
+    assert datagen._pairwise_sum(empty, np.zeros(0), 1000) == 0.0
+
+
+def test_surrogate_at_the_crossover_takes_the_dense_fill(monkeypatch):
+    spec = SynthSpec(dims=(6, 7, 8), rank=2, seed=19, density=0.25, target_mean_abs=0.5)
+    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 0.25)
+    assert isinstance(sparse_surrogate(spec), np.ndarray)
+    monkeypatch.setattr(datagen, "SPARSE_DENSITY", np.nextafter(0.25, 1.0))
+    assert isinstance(sparse_surrogate(spec), SparseTensor)
+
+
+@pytest.mark.parametrize("coordinates", [False, True])
+def test_an_all_zero_surrogate_is_refused(monkeypatch, coordinates):
+    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0 if coordinates else 0.0)
+    spec = SynthSpec(dims=(2, 2), rank=1, seed=0, density=1e-9, target_mean_abs=0.5)
+    with pytest.raises(ValueError, match="identically zero"):
+        sparse_surrogate(spec)

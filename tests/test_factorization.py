@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drbcd import factorization, tensors
-from drbcd.datagen import SynthSpec, synthetic_lowrank
+from drbcd import datagen, factorization, tensors
+from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from drbcd.driver import SolverConfig, run, stationarity_measure, verify_trace
 from drbcd.factorization import FactorModel, NtfProblem, init_factors, mu_sweep, run_mu
 from drbcd.schedule import RadiusSchedule
@@ -628,6 +628,109 @@ def test_nonzero_list_matches_the_whole_tensor_search(monkeypatch, slab_bytes, s
         got = factorization._nonzero_list(data, pivot)
         for a, b in zip(got, reference_nonzero_list(data, pivot)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_problem(a, b, seed):
+    """``a`` and ``b`` hold the same data, bit for bit, and give the same
+    objective and block terms at one start."""
+    assert a.shape == b.shape and a._pivot == b._pivot
+    assert (a._coo is None) == (b._coo is None)
+    for u, v in zip(a._coo or (), b._coo or ()):
+        assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+    assert a.box_bound == b.box_bound and a._norm_sq == b._norm_sq
+    assert a.data.shape == b.data.shape and a.data.tobytes() == b.data.tobytes()
+    blocks = init_factors(a.shape, a.rank, seed=seed).to_blocks()
+    assert a.objective(blocks) == b.objective(blocks)
+    for i in range(a.num_blocks):
+        sa, sb = a.block_subproblem(blocks, i), b.block_subproblem(blocks, i)
+        assert sa.gram.tobytes() == sb.gram.tobytes()
+        assert sa.linear.tobytes() == sb.linear.tobytes()
+        assert sa.constant == sb.constant
+
+
+@pytest.mark.parametrize("dims", [(20, 30, 25), (30, 20, 25), (5, 6, 7, 8)])
+@pytest.mark.parametrize("density", [0.01, 0.04, 0.3])
+@pytest.mark.parametrize("share", [None, 1e-4, 0.9])
+def test_surrogate_coordinates_make_the_dense_surrogates_problem(monkeypatch, dims, density, share):
+    # Each side of the crossover, and of SPARSE_SHARE: the default, a share
+    # that lists no data and one that lists all of it.
+    if share is not None:
+        monkeypatch.setattr(factorization, "SPARSE_SHARE", share)
+    spec = SynthSpec(dims=dims, rank=3, seed=47, density=density, target_mean_abs=0.25)
+    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0)
+    coords = sparse_surrogate(spec)
+    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 0.0)
+    dense = sparse_surrogate(spec)
+    assert isinstance(coords, tensors.SparseTensor) and isinstance(dense, np.ndarray)
+    problem = NtfProblem(coords, 3)
+    assert_same_problem(problem, NtfProblem(dense, 3), seed=48)
+    if problem._coo is None:
+        assert problem._owner is problem._dense and not problem._dense.flags.writeable
+
+
+def test_coordinates_keep_the_dense_search_and_its_sample(monkeypatch):
+    # Nonzeros at every sampled entry alone: 4.8% of the entries, under
+    # SPARSE_SHARE, but all of the sample, so dense data takes the dense
+    # path without a full search, and so do its coordinates. Listed zeros,
+    # -0.0 among them, are dropped as the dense search drops them.
+    shape = (64, 80, 70)
+    size = math.prod(shape)
+    step = factorization._sample_step(size)
+    assert step > 1 / factorization.SPARSE_SHARE
+    positions = np.arange(0, size, step)
+    values = 1.0 - np.random.default_rng(49).random(positions.size)
+    dense = np.zeros(shape)
+    dense.flat[positions] = values
+    problem = NtfProblem(tensors.SparseTensor(shape, positions, values), 2)
+    assert problem._coo is None
+    assert_same_problem(problem, NtfProblem(dense, 2), seed=50)
+    # Off the sample, the same nonzeros are listed.
+    values[::2] = [0.0, -0.0] * (values[::2].size // 2) + [0.0] * (values[::2].size % 2)
+    shifted = tensors.SparseTensor(shape, positions + 1, values)
+    dense = shifted.dense().copy()
+    dense.flat[positions[::4] + 1] = -0.0
+    problem = NtfProblem(shifted, 2)
+    assert problem._coo is not None and problem._coo[2].size == values[1::2].size
+    assert_same_problem(problem, NtfProblem(dense, 2), seed=51)
+
+
+@pytest.mark.parametrize(
+    "positions, values, message",
+    [
+        ([3, 1], [1.0, 2.0], "strictly ascending"),
+        ([1, 1], [1.0, 2.0], "strictly ascending"),
+        ([-1, 2], [1.0, 2.0], r"lie in \[0, 24\)"),
+        ([2, 24], [1.0, 2.0], r"lie in \[0, 24\)"),
+        ([1, 2], [1.0], "one value per position"),
+        ([[1, 2]], [[1.0, 2.0]], "one value per position"),
+        ([1.0, 2.0], [1.0, 2.0], "integers"),
+        ([1, 2], [1.0, -2.0], "nonnegative"),
+        ([1, 2], [np.nan, 2.0], "finite"),
+        ([1, 2], [1.0, np.inf], "finite"),
+    ],
+    ids=["unsorted", "repeated", "negative position", "past the end", "lengths", "not flat",
+         "float positions", "negative value", "nan", "inf"],
+)
+def test_malformed_coordinates_are_refused_in_one_line(positions, values, message):
+    with pytest.raises(ValueError, match=message) as refused:
+        NtfProblem(tensors.SparseTensor((2, 3, 4), np.array(positions), np.array(values)), 2)
+    assert "\n" not in str(refused.value)
+
+
+def test_coordinates_are_held_read_only_and_shared_only_when_nothing_can_write_them():
+    positions, values = np.array([1, 5, 7]), np.array([0.5, 1.0, 2.0])
+    coords = tensors.SparseTensor([2, 4], positions, values)
+    assert coords.shape == (2, 4) and coords.nbytes == 48
+    assert not np.shares_memory(coords.positions, positions)
+    assert not (coords.positions.flags.writeable or coords.values.flags.writeable)
+    for a in (positions, values):
+        a.flags.writeable = False
+    shared = tensors.SparseTensor((2, 4), positions, values)
+    assert shared.positions is positions and shared.values is values
+    expected = np.zeros((2, 4))
+    expected.flat[positions] = values
+    assert_array_equal(coords.dense(), expected, strict=True)
+    assert not coords.dense().flags.writeable
 
 
 def test_sparse_problem_holds_its_copy_and_list_alone():

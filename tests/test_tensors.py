@@ -397,6 +397,20 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         assert alone is None and sums == [residual, at_nonzeros]
 
 
+@pytest.mark.parametrize("shape", [(7, 6), (7, 5, 6), (3, 4, 7, 5)])
+def test_coo_matrix_takes_values_at_the_positions_or_the_flat_tensor(shape):
+    rng = np.random.default_rng(39)
+    x = rng.random(shape) * (rng.random(shape) < 0.3)
+    nonzero = np.flatnonzero(x)
+    every = np.arange(x.size)
+    for pivot in range(len(shape)):
+        for positions in (nonzero, every):
+            aligned = _coo_matrix(positions, x.ravel()[positions], shape, pivot)
+            flat = _coo_matrix(positions, x.ravel(), shape, pivot)
+            for a, b in zip(aligned, flat):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def whole_chunk_kernels(rows, cols, values, u, kr_t, cells):
     """The partial and the sums at the nonzeros, from each chunk's whole
     ``(r, n)`` product of rows of ``u``, as one fancy index."""

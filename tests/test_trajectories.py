@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from drbcd.tensors import SparseTensor
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -166,3 +168,18 @@ def test_worker_counts_each_buffer_a_problem_holds_once(trajectories):
     base = np.zeros(10)
     holder.whole, holder.view, holder.parts, holder.rank = base, base[2:], (np.zeros(3), base[:4]), 5
     assert held_bytes(holder) == 8 * 13
+
+
+def test_worker_digests_a_tensor_and_its_coordinates_alike(trajectories):
+    # A parent's generator may return the dense surrogate where the change's
+    # returns its coordinates; the digests still compare.
+    worker = trajectories.WORKER
+    namespace = {"hashlib": hashlib, "np": np}
+    exec(worker[worker.index("def digest") : worker.index("out = {")], namespace)
+    digest, dense = namespace["digest"], namespace["dense"]
+    x = np.zeros((3, 4, 5))
+    x.flat[[2, 17, 59]] = [0.5, 1.5, 2.5]
+    coords = SparseTensor(x.shape, np.array([2, 17, 59]), np.array([0.5, 1.5, 2.5]))
+    assert digest(dense(coords)) == digest(dense(x)) == digest(x)
+    x.flat[17] = 1.25
+    assert digest(dense(coords)) != digest(dense(x))
