@@ -35,9 +35,12 @@ so that the two forms compare), whether the two match, and the most bytes
 numpy held at once while the generator ran, what it returned included (its
 build peak, from ``tracemalloc``); next to them,
 the digest of the tensor each side's ``NtfProblem`` returns as its
-``data``, whether those match, the bytes of the arrays each problem holds,
-and the most bytes numpy held at once while ``NtfProblem(x)`` was built
-(its ``tracemalloc`` peak, the data itself not counted), and the most
+``data`` (again the dense tensor, also where ``data`` is the coordinates
+of its nonzeros), whether those match, the bytes of the arrays each problem
+holds, the most bytes numpy held at once while ``NtfProblem(x)`` was built
+(its ``tracemalloc`` peak, the data itself not counted), the most bytes
+numpy held at once while ``tensors.frobenius_norm(problem.data)`` ran, the
+reading of ``data`` included (its norm peak), and the most
 bytes numpy held at once over the case's BCD-DR and MU runs together,
 beyond what the problem held before them (their solve peak), so that a
 change in how a problem holds its data, or in what building it or solving
@@ -62,14 +65,15 @@ import sys
 from pathlib import Path
 
 # Run inside each tree; prints {"data": {case name: digest}, "build": {case
-# name: build peak}, "problem": {case name: [digest, bytes held, set-up peak]},
+# name: build peak}, "problem": {case name: [digest, bytes held, set-up peak,
+# norm peak]},
 # "solve": {case name: solve peak}, "runs": {run name: [record, ...]}}, a
 # record being every field the trace CSV writes (see `compare`).
 WORKER = r"""
 import hashlib, json, sys, tracemalloc
 import numpy as np
 sys.path.insert(0, "src")
-from drbcd import datagen, driver, factorization, schedule
+from drbcd import datagen, driver, factorization, schedule, tensors
 
 CASES = (
     ("paper", "synth", (100, 200, 300), 5, 1.0, 1e5, 30, (1, 2)),
@@ -94,7 +98,8 @@ def digest(x):
     return h.hexdigest()[:16]
 
 def dense(x):
-    # A generator returns a tensor, or the coordinates of its nonzeros.
+    # A generator, or a problem's ``data``, returns a tensor or the
+    # coordinates of its nonzeros.
     return x.dense() if hasattr(x, "dense") else np.asarray(x)
 
 def held_bytes(problem):
@@ -126,7 +131,13 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
         problem = factorization.NtfProblem(x, rank)
         setup_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        out["problem"][f"{name} seed {seed}"] = [digest(problem.data), held_bytes(problem), setup_peak]
+        tracemalloc.start()
+        tensors.frobenius_norm(problem.data)
+        norm_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out["problem"][f"{name} seed {seed}"] = [
+            digest(dense(problem.data)), held_bytes(problem), setup_peak, norm_peak
+        ]
         # Not the data's seed: the synthetic data are built from the factors
         # that init_factors draws for the same seed.
         init = factorization.init_factors(
@@ -212,19 +223,21 @@ def main(argv=None) -> int:
     print(f"{'data':34s} {'parent digest':>16s} {'change digest':>16s}  same  "
           f"{'build peak (parent, change)':>27s}  "
           f"{'problem digests (parent, change)':>33s}  same  {'bytes held (parent, change)':>27s}  "
-          f"{'set-up peak (parent, change)':>28s}  {'solve peak (parent, change)':>27s}")
+          f"{'set-up peak (parent, change)':>28s}  {'norm peak (parent, change)':>26s}  "
+          f"{'solve peak (parent, change)':>27s}")
     for name, (before, after, same) in data.items():
         problem_before, problem_after, problem_same = problems[name]
         digests = f"{problem_before or 'n/a'} {problem_after or 'n/a'}"
         build, solve = (" ".join(str(side[key].get(name, "n/a")) for side in (parent, change))
                         for key in ("build", "solve"))
-        held, peak = (
-            " ".join(str(side["problem"].get(name, (None, "n/a", "n/a"))[column]) for side in (parent, change))
-            for column in (1, 2)
+        held, peak, norm = (
+            " ".join(str(side["problem"].get(name, (None,) + ("n/a",) * 3)[column]) for side in (parent, change))
+            for column in (1, 2, 3)
         )
         print(f"{name:34s} {before or 'n/a':>16s} {after or 'n/a':>16s}  {'yes' if same else 'no':4s}  "
               f"{build:>27s}  "
-              f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}  {peak:>28s}  {solve:>27s}")
+              f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}  {peak:>28s}  "
+              f"{norm:>26s}  {solve:>27s}")
     matched = all(same for _, _, same in data.values())
     print("inputs matched on every case" if matched else "inputs DIFFER on the cases marked no")
     matched = all(same for _, _, same in problems.values())

@@ -37,13 +37,15 @@ from .tensors import (
     _coo_gather,
     _coo_matrix,
     _coo_partial,
-    _coo_tensor,
+    _coo_positions,
+    _dense_slabs,
     _held_read_only,
     _khatri_rao_native,
     _khatri_rao_t,
     _last_mode_mttkrp,
     _last_mode_partial,
     _mttkrp_from_partial,
+    _read_only,
     _row_slabs,
 )
 
@@ -254,8 +256,10 @@ class NtfProblem:
     cache-sized row slabs of the data's native view ``X.reshape(-1,
     d_last)``; coordinates of at least :data:`SPARSE_SHARE` nonzeros are
     scattered into a private read-only tensor for it. The solves read the
-    data's :attr:`shape`; :attr:`data` returns the tensor itself, rebuilt on
-    every access from a coordinate list.
+    data's :attr:`shape`; :attr:`data` returns the tensor itself, or, from
+    a coordinate list, a :class:`~drbcd.tensors.SparseTensor` of it, from
+    which ``NtfProblem(problem.data, rank)`` builds the same problem. No
+    pass on a coordinate list forms a tensor.
     """
 
     def __init__(self, data, rank: int, box_bound: float | None = None):
@@ -294,26 +298,31 @@ class NtfProblem:
         self._memo = _Memo(self.num_blocks)
 
     @property
-    def data(self) -> np.ndarray:
-        """The data tensor, read-only.
+    def data(self) -> np.ndarray | SparseTensor:
+        """The data, read-only: a tensor, or the coordinates of its nonzeros.
 
         Dense data returns the array the problem reads, the same every
         time: the caller's own when it was shared, or the tensor scattered
-        from the caller's coordinates. Sparse data, from a tensor or from
-        coordinates, rebuilds the tensor from the coordinate list on every
-        access: a fresh tensor-sized array of zeros, and a scatter of the
-        nonzeros into it. On 90x500x100 at 1% nonzero that took ~9 ms on one
-        core, a little less than copying the tensor (~11 ms). An entry the
-        list left out as zero comes back as ``+0.0``, also where the input
-        held ``-0.0``. No solve reads it but the objective's
-        rounding fallback (see :meth:`_coo_objective`), whose squared
-        residuals do not see the sign of a zero.
+        from the caller's coordinates. A coordinate list returns a fresh
+        :class:`~drbcd.tensors.SparseTensor` on every access: each entry's
+        flat position recomputed from its row and column (the inverse of
+        :func:`drbcd.tensors._coo_matrix`), put back in ascending order
+        with the values moved along, about two thirds of the list's bytes
+        and no tensor. Its :meth:`~drbcd.tensors.SparseTensor.dense`
+        tensor, or ``np.asarray`` of it, is the data with ``+0.0`` for
+        every entry the list left out as zero, also where the input held
+        ``-0.0``. No solve reads it but the objective's rounding fallback
+        (see :meth:`objective`), whose squared residuals do not see the
+        sign of a zero.
         """
         if self._dense is not None:
             return self._dense
-        x = _coo_tensor(*self._coo, self.shape, self._pivot)
-        x.flags.writeable = False
-        return x
+        rows, cols, values = self._coo
+        positions = _coo_positions(rows, cols, self.shape, self._pivot)
+        order = np.argsort(positions)
+        positions = positions[order]
+        values = values[order]
+        return SparseTensor(self.shape, _read_only(positions), _read_only(values))
 
     @property
     def num_blocks(self) -> int:
@@ -359,8 +368,10 @@ class NtfProblem:
 
         On sparse data (see :meth:`_coo_objective`) the residual is formed
         at the nonzeros alone, unless rounding could move the result by more
-        than ``1e-12`` of itself; then the pass above runs on the tensor
-        rebuilt from the list (see :attr:`data`).
+        than ``1e-12`` of itself; then the pass above runs on slabs filled
+        from the coordinates of :attr:`data` into a second slab-sized
+        buffer, with the bits of the pass over the tensor and no tensor
+        formed.
 
         The pass leaves behind, in this thread's memo, the MTTKRP term that
         the stationarity measure at the same blocks needs next and that the
@@ -381,30 +392,35 @@ class NtfProblem:
             total = self._coo_objective(blocks)
             if total is not None:
                 return total
-        xr = self.data.reshape(-1, self.shape[-1])
         kr = _khatri_rao_native(blocks[:-1])
         last = blocks[-1]
-        slabs = _row_slabs(xr.shape[0], xr[0].nbytes)
+        num_rows, d_last = math.prod(self.shape[:-1]), self.shape[-1]
+        ranges = _row_slabs(num_rows, 8 * d_last)
         memo = self._memo
-        rows = slabs[0][1]  # the first slab is a longest one
+        rows = ranges[0][1]  # the first slab is a longest one
         if memo.slab is None or memo.slab.shape[0] < rows:
-            memo.slab = np.empty((rows, xr.shape[1]))
+            memo.slab = np.empty((rows, d_last))
+        if self._coo is None:
+            xr = self._dense.reshape(-1, d_last)
+            slabs = ((start, stop, xr[start:stop]) for start, stop in ranges)
+        else:
+            slabs = _dense_slabs(self.data)  # the same ranges
         # The nonzero path's partial has another layout: a dense pass on
         # sparse data leaves none behind.
         key = last.tobytes() if self._coo is None else None
         partial = None
         if key is not None and memo.partial[0] != key:
             memo.drop_partial(self._pivot)
-            partial = np.empty((xr.shape[0], self.rank))
+            partial = np.empty((num_rows, self.rank))
         total = 0.0
-        for start, stop in slabs:
+        for start, stop, x_slab in slabs:
             residual = memo.slab[: stop - start]
             np.matmul(kr[start:stop], last.T, out=residual)
-            np.subtract(xr[start:stop], residual, out=residual)
+            np.subtract(x_slab, residual, out=residual)
             flat = residual.ravel()
             total += float(np.dot(flat, flat))
             if partial is not None:
-                np.matmul(xr[start:stop], last, out=partial[start:stop])
+                np.matmul(x_slab, last, out=partial[start:stop])
         if partial is not None:
             partial = partial.reshape(self.shape[:-1] + (self.rank,))
             partial.flags.writeable = False

@@ -27,6 +27,11 @@ contiguous copy would be faster (see :func:`_last_mode_mttkrp` and the
 objective in :mod:`drbcd.factorization`), but the objectives, the MTTKRPs
 and the generated tensors would then lose the bits they have.
 
+A :class:`SparseTensor` holds a tensor as the coordinates of its nonzeros.
+Every function here takes it where it takes a tensor; :func:`frobenius_norm`
+and :func:`write_ntf1` read the coordinates alone, and the rest take the
+tensor from :meth:`SparseTensor.dense`, the one place that forms it.
+
 The private ``_coo_*`` kernels apply the same tree to a coordinate list of
 a tensor's nonzeros and never touch its zeros. The list is the tensor as a
 sparse matrix (see :func:`_coo_matrix`): its rows are the indices of one
@@ -88,10 +93,15 @@ def as_tensor(data) -> np.ndarray:
     x = np.ascontiguousarray(data, dtype=np.float64)
     if x.ndim == 0:
         raise ValueError("tensor must have at least one mode")
-    if x.size:
-        with np.errstate(over="ignore"):  # in the square sum, which is not used here
-            _checked_range(x.reshape(-1))
+    _check_finite(x.reshape(-1))
     return x
+
+
+def _check_finite(flat: np.ndarray) -> None:
+    """Refuse a 1-D ``flat`` with a non-finite entry (see :func:`_checked_range`)."""
+    if flat.size:
+        with np.errstate(over="ignore"):  # in the square sum, which is not used here
+            _checked_range(flat)
 
 
 def _checked_range(flat: np.ndarray) -> tuple[float, float, float]:
@@ -160,9 +170,14 @@ class SparseTensor:
     (row-major) ``positions`` of its nonzeros, and their ``values``.
 
     What :func:`drbcd.datagen.sparse_surrogate` returns below its
-    crossover density, and what :class:`drbcd.factorization.NtfProblem`
-    accepts as data beside a dense array, with the same result bit for bit
-    as from :meth:`dense`. ``positions`` and ``values`` are held read-only,
+    crossover density and :attr:`drbcd.factorization.NtfProblem.data`
+    returns for a problem that holds a coordinate list, and what
+    :class:`~drbcd.factorization.NtfProblem` accepts as data beside a dense
+    array, with the same result bit for bit as from :meth:`dense`. It is
+    array-like: numpy converts it by :meth:`dense`, so every function that
+    takes a tensor takes it, and :func:`frobenius_norm` and
+    :func:`write_ntf1` read the coordinates without forming the tensor.
+    ``positions`` and ``values`` are held read-only,
     as int64 and float64, under the rule of
     :class:`~drbcd.factorization.NtfProblem`'s dense data: an array that is
     read-only and owned by a read-only array is shared, any other is
@@ -198,6 +213,10 @@ class SparseTensor:
         object.__setattr__(self, "values", values)
 
     @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
     def nbytes(self) -> int:
         """Bytes of the two lists."""
         return self.positions.nbytes + self.values.nbytes
@@ -208,9 +227,44 @@ class SparseTensor:
         out.reshape(-1)[self.positions] = self.values
         return _read_only(out)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """:meth:`dense`, converted to ``dtype``; refuses ``copy=False``,
+        since there is no tensor to share without forming one."""
+        if copy is False:
+            raise ValueError("a SparseTensor holds no tensor to share; it converts to one only by forming it")
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _dense_slabs(x: SparseTensor):
+    """``(start, stop, slab)`` for the row slabs of the native view
+    ``x.dense().reshape(-1, d_last)``, taken as :func:`_row_slabs` takes
+    them, each filled from the coordinates into one reused buffer: zeros
+    first, then the slab's nonzeros. A slab is valid until the next is
+    asked for; no tensor is formed.
+    """
+    d_last = x.shape[-1]
+    slabs = _row_slabs(prod(x.shape[:-1]), 8 * d_last)
+    if not slabs:
+        return
+    bounds = np.searchsorted(x.positions, [start * d_last for start, _ in slabs] + [slabs[-1][1] * d_last])
+    buffer = np.empty((slabs[0][1], d_last))  # the first slab is a longest one
+    for (start, stop), low, high in zip(slabs, bounds[:-1], bounds[1:]):
+        slab = buffer[: stop - start]
+        slab.fill(0.0)
+        slab.reshape(-1)[x.positions[low:high] - start * d_last] = x.values[low:high]
+        yield start, stop, slab
+
 
 def frobenius_norm(x) -> float:
-    """Square root of the sum of squared entries."""
+    """Square root of the sum of squared entries.
+
+    Of a :class:`SparseTensor`, from its values alone: no tensor is formed,
+    and the result may differ from the dense tensor's in its last bit,
+    since the zeros change how the sum is split.
+    """
+    if isinstance(x, SparseTensor):
+        x = x.values
     return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel()))
 
 
@@ -380,17 +434,18 @@ def _coo_matrix(positions, values, shape, pivot: int):
     return rows, cols, values
 
 
-def _coo_tensor(rows, cols, values, shape, pivot: int) -> np.ndarray:
-    """The tensor of ``shape`` whose nonzeros :func:`_coo_matrix` listed.
-
-    Every entry not listed is ``+0.0``; only index arrays of the list's
-    length are formed beside the result.
+def _coo_positions(rows, cols, shape, pivot: int) -> np.ndarray:
+    """The row-major flat positions of the entries :func:`_coo_matrix` listed,
+    in the list's order: its inverse. One more index array of the list's
+    length is formed beside the result.
     """
     inner = prod(shape[pivot + 1 :])
-    out = np.zeros(shape)
-    before, within = np.divmod(cols, inner)
-    out.reshape(-1, shape[pivot], inner)[before, rows, within] = values
-    return out
+    positions = cols // inner
+    positions *= shape[pivot]
+    positions += rows
+    positions *= inner
+    positions += cols % inner
+    return positions
 
 
 def _runs(idx) -> tuple[int, np.ndarray]:
@@ -532,16 +587,24 @@ def write_ntf1(path, x) -> None:
     """Write ``x`` in the NTF1 binary format.
 
     Layout: magic ``NTF1``, uint32-LE mode count, one uint64-LE dimension per
-    mode, then the float64-LE entries in row-major order. The entries are
-    written from the array's own buffer, without a copy (on a little-endian
-    host).
+    mode, then the float64-LE entries in row-major order. The entries of an
+    array are written from its own buffer, without a copy (on a
+    little-endian host); those of a :class:`SparseTensor` slab by slab from
+    its coordinates (see :func:`_dense_slabs`), with the bytes of its
+    :meth:`~SparseTensor.dense` tensor and no tensor formed.
     """
-    x = as_tensor(x)
+    if isinstance(x, SparseTensor):
+        _check_finite(x.values)
+        pieces = (slab for _, _, slab in _dense_slabs(x))
+    else:
+        x = as_tensor(x)
+        pieces = (x,)
     with open(path, "wb") as fh:
         fh.write(NTF1_MAGIC)
         fh.write(struct.pack("<I", x.ndim))
         fh.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-        fh.write(x.astype("<f8", copy=False))
+        for piece in pieces:
+            fh.write(piece.astype("<f8", copy=False))
 
 
 def read_ntf1(path) -> np.ndarray:

@@ -488,8 +488,10 @@ def test_problem_keeps_its_own_copy_of_the_data():
         data += 1.0
         assert problem.objective(blocks) == before
         assert_array_equal(problem.block_subproblem(blocks, 0).linear, linear_before)
-        assert not problem.data.flags.writeable
+        # ``data`` is a tensor, or on sparse data the coordinates of one.
+        assert not np.asarray(problem.data).flags.writeable
         if problem._coo is not None:
+            assert not (problem.data.positions.flags.writeable or problem.data.values.flags.writeable)
             rows, cols, _ = problem._coo
             assert rows.dtype == cols.dtype == np.intp
             assert not any(a.flags.writeable for a in problem._coo)
@@ -638,7 +640,9 @@ def assert_same_problem(a, b, seed):
     for u, v in zip(a._coo or (), b._coo or ()):
         assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
     assert a.box_bound == b.box_bound and a._norm_sq == b._norm_sq
-    assert a.data.shape == b.data.shape and a.data.tobytes() == b.data.tobytes()
+    # ``data`` may be a tensor on one side and coordinates on the other.
+    da, db = np.asarray(a.data), np.asarray(b.data)
+    assert da.shape == db.shape and da.tobytes() == db.tobytes()
     blocks = init_factors(a.shape, a.rank, seed=seed).to_blocks()
     assert a.objective(blocks) == b.objective(blocks)
     for i in range(a.num_blocks):
@@ -750,18 +754,24 @@ def test_sparse_problem_holds_its_copy_and_list_alone():
     assert peak <= 2 * listed
 
 
-def test_data_is_rebuilt_from_a_sparse_list_and_held_once_when_dense():
+def test_data_of_a_sparse_list_is_its_coordinates_and_held_once_when_dense():
     rng = np.random.default_rng(46)
     data = sparse_data(rng, (10, 12, 15), 18)
     data.flat[np.flatnonzero(data == 0.0)[0]] = -0.0
     problem = NtfProblem(data, 3)
     assert problem._coo is not None and problem.shape == data.shape
     first, second = problem.data, problem.data
-    assert_array_equal(first, data)
-    assert first.dtype == np.float64 and first.flags.c_contiguous
-    assert not first.flags.writeable and not np.signbit(first).any()
-    assert first is not second and not np.shares_memory(first, second)
-    assert not np.shares_memory(first, data)
+    assert isinstance(first, tensors.SparseTensor) and first.shape == data.shape
+    assert np.all(np.diff(first.positions) > 0)
+    assert not (first.positions.flags.writeable or first.values.flags.writeable)
+    # Rebuilt on every access, from the list alone.
+    assert first is not second and not np.shares_memory(first.values, second.values)
+    assert not np.shares_memory(first.values, problem._coo[2])
+    # The old rebuild's tensor, bit for bit: the -0.0 comes back as +0.0.
+    tensor = np.asarray(first)
+    assert tensor.tobytes() == rebuilt_from_list(problem).tobytes()
+    assert_array_equal(tensor, data)
+    assert not tensor.flags.writeable and not np.signbit(tensor).any() and np.signbit(data).any()
 
     data = rng.random((4, 5, 6))
     problem = NtfProblem(data, 3)
@@ -775,40 +785,94 @@ def test_data_is_rebuilt_from_a_sparse_list_and_held_once_when_dense():
     assert converted.tobytes() == data.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(90, 500, 100), (500, 90, 100)])
+def test_a_problem_built_from_its_own_coordinates_is_the_same_problem(dims):
+    # The surrogate's shape, pivoting on the middle mode and on the first.
+    spec = SynthSpec(dims=dims, rank=5, seed=52, density=0.01, target_mean_abs=0.00067)
+    problem = NtfProblem(sparse_surrogate(spec), 5)
+    assert problem._coo is not None and problem._pivot == int(np.argmax(dims))
+    coords = problem.data
+    again = NtfProblem(coords, 5)
+    assert_same_problem(again, problem, seed=53)
+    assert again.data.positions.tobytes() == coords.positions.tobytes()
+    assert again.data.values.tobytes() == coords.values.tobytes()
+
+
 @pytest.mark.parametrize("exact", [False, True])
-def test_sweeps_on_sparse_data_read_the_tensor_in_the_rounding_fallback_alone(monkeypatch, exact):
-    # Reading ``data`` rebuilds a sparse tensor. A run the nonzero formula
-    # serves never reads it; one at an exact fit, where the formula is
-    # refused on every objective, reads it once a refusal.
+def test_a_sparse_run_forms_no_tensor_fallback_included(monkeypatch, exact):
+    # A run the nonzero formula serves never reads ``data``; one at an exact
+    # fit, where the formula is refused on every objective, reads it once a
+    # refusal and fills slabs from it. Neither forms the tensor (960 KB).
     rng = np.random.default_rng(47)
-    shape, rank = (20, 30, 40), 2
+    shape, rank = (20, 30, 200), 2
+    slab = 16 << 10
+    monkeypatch.setattr(tensors, "SLAB_BYTES", slab)
     if exact:
         data, blocks = sparse_lowrank(rng, shape, rank)
     else:
         data = sparse_data(rng, shape, 240)
         blocks = [rng.random((d, rank)) for d in shape]
-    problem = NtfProblem(data, rank)
-    assert problem._coo is not None
+    problem, again = NtfProblem(data, rank), NtfProblem(data, rank)
+    _, dense = both_paths(data, rank)
+    assert problem._coo is not None and problem._pivot == 2
+    cfg = SolverConfig(
+        schedule=RadiusSchedule(kind="power_log", beta=0.5, c_prime=1.0), max_sweeps=5, clock="sweep"
+    )
+    run(NtfProblem(data, rank), blocks, cfg)  # imports what a run imports on first use
     del data
-    reads, refusals = [], []
-    data_property, coo_objective = NtfProblem.data, NtfProblem._coo_objective
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        final, trace = run(problem, blocks, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 6
+    assert peak < 0.15 * 8 * math.prod(shape)
+
+    # Each objective, alone: beyond the Khatri-Rao products that either
+    # pass forms (one has the rows of a partial), at most the list and two
+    # slabs, the residual's and the data's.
+    reads, refusals, peaks = [], [], []
+    data_property, coo_objective, objective = NtfProblem.data, NtfProblem._coo_objective, NtfProblem.objective
 
     def read(self):
         reads.append(self)
         return data_property.fget(self)
 
-    def objective(self, blocks):
+    def formula(self, blocks):
         total = coo_objective(self, blocks)
         refusals.append(total is None)
         return total
 
+    def traced(self, blocks):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        total = objective(self, blocks)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return total
+
     monkeypatch.setattr(NtfProblem, "data", property(read))
-    monkeypatch.setattr(NtfProblem, "_coo_objective", objective)
-    cfg = SolverConfig(schedule=RadiusSchedule(kind="power_log", beta=0.5, c_prime=1.0), max_sweeps=5)
-    _, trace = run(problem, blocks, cfg)
-    assert len(trace) == 6 and len(refusals) >= 6
+    monkeypatch.setattr(NtfProblem, "_coo_objective", formula)
+    monkeypatch.setattr(NtfProblem, "objective", traced)
+    tracemalloc.start()
+    try:
+        _, twin = run(again, blocks, cfg)
+    finally:
+        tracemalloc.stop()
+    assert twin == trace and len(peaks) >= 6 and len(refusals) == len(peaks)
     assert len(reads) == sum(refusals)
     assert all(refusals) if exact else not any(refusals)
+    listed = sum(a.nbytes for a in problem._coo)
+    products = 2 * math.prod(shape[:-1]) * rank * 8
+    assert max(peaks) <= listed + 2 * slab + products + 8192
+
+    # The fallback's objective has the bits of the dense residual's pass.
+    for at in (blocks, final):
+        if exact:
+            assert problem.objective(at) == dense.objective(at)
+        else:
+            assert_allclose(problem.objective(at), dense.objective(at), rtol=1e-12)
 
 
 def both_paths(data, rank):

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drbcd import tensors
+from drbcd.datagen import SynthSpec, sparse_surrogate
 from drbcd.factorization import NtfProblem
 from drbcd.tensors import (
+    SparseTensor,
     _coo_gather,
     _coo_matrix,
     _coo_partial,
-    _coo_tensor,
+    _coo_positions,
     _last_mode_mttkrp,
     _last_mode_partial,
     _mttkrp_from_partial,
@@ -116,6 +118,109 @@ def test_frobenius_absolute_homogeneity():
         assert_allclose(
             frobenius_norm(a * x), abs(a) * frobenius_norm(x), rtol=1e-12
         )
+
+
+def surrogate(dims, seed=1):
+    """The sparse surrogate's coordinates, at the benchmark's density and scale."""
+    coords = sparse_surrogate(SynthSpec(dims=dims, rank=5, seed=seed, density=0.01, target_mean_abs=0.00067))
+    assert isinstance(coords, SparseTensor)
+    return coords
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_frobenius_of_coordinates_reads_their_values(seed):
+    # The zeros change how the sum splits, so the two may differ in the
+    # last bit.
+    coords = surrogate((30, 40, 50), seed)
+    norm = frobenius_norm(coords)
+    assert norm == float(np.linalg.norm(coords.values))
+    assert_allclose(norm, frobenius_norm(coords.dense()), rtol=1e-14)
+
+
+def test_frobenius_of_a_problems_coordinates_forms_no_tensor():
+    # On the benchmark's 90x500x100 surrogate: at most the list's bytes,
+    # for ``data``'s coordinates, where the tensor took 36 MB.
+    problem = NtfProblem(surrogate((90, 500, 100)), 5)
+    listed = sum(a.nbytes for a in problem._coo)
+    tracemalloc.start()
+    try:
+        norm = frobenius_norm(problem.data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * listed and listed < 0.04 * 8 * math.prod(problem.shape)
+    assert_allclose(norm, math.sqrt(problem._norm_sq), rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# coordinates where a tensor is taken
+
+
+def test_coordinates_convert_to_their_read_only_tensor():
+    coords = surrogate((30, 40, 50))
+    assert coords.ndim == 3
+    x = np.asarray(coords)
+    assert x.tobytes() == coords.dense().tobytes() and x.shape == coords.shape
+    assert not x.flags.writeable
+    assert np.asarray(coords, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError, match="no tensor to share"):
+        np.asarray(coords, copy=False)
+
+
+def test_every_public_function_takes_coordinates_as_their_tensor(tmp_path):
+    coords = surrogate((30, 40, 50))
+    x = coords.dense()
+    assert as_tensor(coords).tobytes() == as_tensor(x).tobytes()
+    assert_allclose(frobenius_norm(coords), frobenius_norm(x), rtol=1e-14)
+    rng = np.random.default_rng(33)
+    factors = [rng.random((d, 3)) for d in x.shape]
+    for mode in range(x.ndim):
+        assert unfold(coords, mode).tobytes() == unfold(x, mode).tobytes()
+        assert mttkrp(coords, factors, mode).tobytes() == mttkrp(x, factors, mode).tobytes()
+    write_ntf1(tmp_path / "coords.ntf1", coords)
+    write_ntf1(tmp_path / "x.ntf1", x)
+    assert (tmp_path / "coords.ntf1").read_bytes() == (tmp_path / "x.ntf1").read_bytes()
+
+
+@pytest.mark.parametrize("slab_bytes", [8, 24, 200, 4000, None])
+def test_ntf1_writes_coordinates_slab_by_slab_with_the_tensors_bytes(tmp_path, monkeypatch, slab_bytes):
+    # A row of 5 entries is 40 bytes: slabs smaller than a row, of a few
+    # rows with a ragged last slab, and the default. Listed zeros, -0.0
+    # among them, keep their bits, as in the tensor.
+    if slab_bytes is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
+    positions = np.array([0, 3, 7, 8, 21, 40, 58, 59])
+    values = np.array([1.5, -0.0, 0.0, 2.5, 5e-324, 3.0, 4.0, 1e300])
+    coords = SparseTensor((3, 4, 5), positions, values)
+    write_ntf1(tmp_path / "coords.ntf1", coords)
+    write_ntf1(tmp_path / "x.ntf1", coords.dense())
+    raw = (tmp_path / "coords.ntf1").read_bytes()
+    assert raw == (tmp_path / "x.ntf1").read_bytes()
+    assert read_ntf1(tmp_path / "coords.ntf1").tobytes() == coords.dense().tobytes()
+    write_ntf1(tmp_path / "empty.ntf1", SparseTensor((2, 3), np.array([], dtype=int), np.array([])))
+    assert_array_equal(read_ntf1(tmp_path / "empty.ntf1"), np.zeros((2, 3)), strict=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ntf1_refuses_coordinates_with_a_non_finite_value(tmp_path, bad):
+    path = tmp_path / "x.ntf1"
+    with pytest.raises(ValueError, match="finite"):
+        write_ntf1(path, SparseTensor((2, 3), np.array([1, 4]), np.array([1.0, bad])))
+    assert not path.exists()
+
+
+def test_ntf1_write_of_coordinates_holds_no_tensor(tmp_path):
+    # One slab-sized buffer beside the coordinates, where the tensor is 36 MB.
+    coords = surrogate((90, 500, 100))
+    path = tmp_path / "x.ntf1"
+    tracemalloc.start()
+    try:
+        write_ntf1(path, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tensors.SLAB_BYTES + 0.1 * coords.nbytes
+    assert read_ntf1(path).tobytes() == coords.dense().tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +473,14 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         rows, cols, values = _coo_matrix(nonzero, x.ravel(), shape, pivot)
         assert np.all(np.diff(rows) >= 0)
         assert_array_equal(coo_tensor(rows, cols, values, shape, pivot), x)
-        # The list's own inverse; the -0.0 that the mask left come back as +0.0.
-        rebuilt = _coo_tensor(rows, cols, values, shape, pivot)
+        # The list's own inverse: each entry's flat position, in the list's
+        # order; the -0.0 that the mask left come back as +0.0.
+        positions = _coo_positions(rows, cols, shape, pivot)
+        assert positions.dtype == np.int64
+        assert_array_equal(np.sort(positions), nonzero)
+        assert x.ravel()[positions].tobytes() == values.tobytes()
+        order = np.argsort(positions)
+        rebuilt = SparseTensor(shape, positions[order], values[order]).dense()
         assert_array_equal(rebuilt, x)
         assert np.signbit(x).any() and not np.signbit(rebuilt[x == 0.0]).any()
         others = factors[:pivot] + factors[pivot + 1 :]

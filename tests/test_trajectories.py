@@ -3,7 +3,10 @@ records and without a solver run."""
 
 import hashlib
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -137,21 +140,23 @@ def test_data_table_shows_each_problems_data_and_bytes_beside_the_inputs(traject
     # the tensor where the parent's took 30; the change's problem holds a
     # list of 24 bytes where the parent held a copy of 96, built with a peak
     # of 40 bytes where the parent's took 100, and returns the same tensor;
-    # its runs peaked at 70 bytes where the parent's took 160.
+    # its norm peaked at 16 bytes where the parent's took 90; its runs
+    # peaked at 70 bytes where the parent's took 160.
     sides = {
         "parent": {"data": {"c seed 1": "aa"}, "build": {"c seed 1": 30},
-                   "problem": {"c seed 1": ["aa", 96, 100]}, "solve": {"c seed 1": 160}, "runs": {}},
+                   "problem": {"c seed 1": ["aa", 96, 100, 90]}, "solve": {"c seed 1": 160}, "runs": {}},
         "change": {"data": {"c seed 1": "aa"}, "build": {"c seed 1": 12},
-                   "problem": {"c seed 1": ["aa", 24, 40]}, "solve": {"c seed 1": 70}, "runs": {}},
+                   "problem": {"c seed 1": ["aa", 24, 40, 16]}, "solve": {"c seed 1": 70}, "runs": {}},
     }
     monkeypatch.setattr(trajectories, "run_tree", lambda tree: sides[tree.name])
     assert trajectories.main(["--parent", "parent", "--change", "change"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].index("same  build peak (parent, change)") < lines[0].index("problem digests")
-    assert lines[0].index("set-up peak (parent, change)") < lines[0].index("solve peak")
+    assert lines[0].index("set-up peak (parent, change)") < lines[0].index("norm peak")
+    assert lines[0].index("norm peak (parent, change)") < lines[0].index("solve peak")
     assert lines[0].endswith("solve peak (parent, change)")
     assert lines[1].split() == ["c", "seed", "1", "aa", "aa", "yes", "30", "12", "aa", "aa", "yes",
-                                "96", "24", "100", "40", "160", "70"]
+                                "96", "24", "100", "40", "90", "16", "160", "70"]
     assert lines[2:4] == ["inputs matched on every case", "problems' data matched on every case"]
 
 
@@ -183,3 +188,25 @@ def test_worker_digests_a_tensor_and_its_coordinates_alike(trajectories):
     assert digest(dense(coords)) == digest(dense(x)) == digest(x)
     x.flat[17] = 1.25
     assert digest(dense(coords)) != digest(dense(x))
+
+
+def test_worker_digests_each_problems_data_as_a_tensor_and_times_its_norm(trajectories):
+    # The worker itself, on small cases: a problem's ``data`` digests as the
+    # tensor the generator described, also where it is the coordinates of
+    # a list, and its norm peaks at about the list's bytes there (a few KB
+    # of objects beside them), far below the tensor's.
+    worker = trajectories.WORKER
+    start = worker.index("CASES = (")
+    cases = """CASES = (
+    ("synth", "synth", (6, 7, 8), 2, 1.0, 1e5, 2, (1,)),
+    ("surrogate", "surrogate", (18, 100, 20), 2, 0.5, 3.0, 2, (1,)),
+)
+"""
+    worker = worker[:start] + cases + worker[worker.index("MU_SWEEPS") :]
+    proc = subprocess.run([sys.executable, "-c", worker], cwd=ROOT, capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in ("synth seed 1", "surrogate seed 1"):
+        digest, held, setup_peak, norm_peak = out["problem"][name]
+        assert digest == out["data"][name]
+    held, norm_peak = out["problem"]["surrogate seed 1"][1:4:2]
+    assert 0 < norm_peak <= held + 4096 < 0.1 * 8 * 18 * 100 * 20
