@@ -11,7 +11,10 @@ CSV; runs are aggregated onto common time bins
 
 The resolved configuration is echoed to the output directory; re-running
 from that file reproduces the experiment (byte-identical trace CSVs with the
-deterministic sweep clock, whether the runs are serial or threaded).
+deterministic sweep clock, whether the runs are serial or threaded, at the
+same BLAS thread count: between 1 and 2 OpenBLAS threads, the objective and
+the reconstruction error were seen to move in their last bits, by up to
+4.2e-16 relative; see ROADMAP item 8).
 """
 
 from __future__ import annotations

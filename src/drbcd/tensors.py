@@ -43,9 +43,7 @@ each row, and the residual and the model's energy at the nonzeros. They
 take the nonzeros in chunks whose products fill about :data:`SLAB_BYTES`.
 Every pass in the package that takes an array in pieces, here, in
 :mod:`drbcd.factorization` and in :mod:`drbcd.datagen`, takes them from
-:func:`_row_slabs`, so the slab size is decided here alone; the one
-exception, :mod:`drbcd.datagen`'s pairwise sum over nonzeros, splits where
-numpy's summation tree splits, down to runs of about a slab.
+:func:`_row_slabs`, so the slab size is decided here alone.
 
 All functions are safe to call concurrently; they write to nothing but
 their results and the scratch buffers the ``_coo_*`` kernels are given.
@@ -80,9 +78,8 @@ NTF1_MAGIC = b"NTF1"
 # a core's L2 cache: row blocks of ``x.reshape(-1, d_last)`` (the partial
 # contraction here, the objective's residual in :mod:`drbcd.factorization`),
 # chunks of nonzeros in the nonzero-only kernels, slabs of entries in the
-# entry checks and the nonzero search, and chunks of draws and of counter
-# evaluations in :mod:`drbcd.datagen`, where the pairwise sum over nonzeros
-# also bounds its runs by it. Blocks of 128 KB to 1 MB measured equally fast on a
+# entry checks and the nonzero search, and chunks of draws in
+# :mod:`drbcd.datagen`. Blocks of 128 KB to 1 MB measured equally fast on a
 # host with 2 MB of L2 per core; 4 MB blocks, above that, took about 1.5x as
 # long. Tests shrink the pieces by patching this constant alone.
 SLAB_BYTES = 512 << 10

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -45,16 +46,22 @@ def test_lowrank_noise_clamped_nonnegative():
     assert x.max() > 0.0
 
 
-def test_surrogate_mean_abs_hits_target():
+@pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
+@pytest.mark.parametrize("coordinates", [False, True])
+def test_surrogate_mean_abs_hits_target(monkeypatch, density, coordinates):
+    # The mean is fsum's, correctly rounded; the rescale and the division
+    # by N round a few more times.
+    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0 if coordinates else 0.0)
     spec = SynthSpec(
-        dims=(30, 100, 50), rank=5, seed=3, density=0.01, target_mean_abs=0.00067
+        dims=(30, 100, 50), rank=5, seed=3, density=density, target_mean_abs=0.00067
     )
-    x = sparse_surrogate(spec).dense()
-    realized = float(np.mean(np.abs(x)))
-    assert abs(realized - 0.00067) / 0.00067 <= 0.05
-    assert x.min() >= 0.0
-    # Mostly zero at 1% density.
-    assert np.count_nonzero(x) < 0.02 * x.size
+    x = sparse_surrogate(spec)
+    values = x.values if coordinates else x.ravel()
+    realized = math.fsum(values) / math.prod(spec.dims)
+    assert abs(realized / 0.00067 - 1) <= 4 * np.finfo(float).eps
+    assert values.min() >= 0.0
+    # Mostly zero at 1% density: no more than twice the density's share.
+    assert np.count_nonzero(values) < 2 * density * math.prod(spec.dims)
 
 
 def test_surrogate_full_density_has_no_zeros():
@@ -112,36 +119,35 @@ def reference_lowrank(spec):
 
 def reference_surrogate(spec):
     """The surrogate as one whole-tensor formula, with its temporaries."""
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    mask = rng.random(spec.dims) < spec.density
-    values = rng.random(spec.dims)
-    x = np.where(mask, values, 0.0)
-    mean = float(np.mean(np.abs(x)))
-    return np.ascontiguousarray(x * (spec.target_mean_abs / mean))
+    size = math.prod(spec.dims)
+    pattern = np.random.Generator(np.random.Philox(key=spec.seed)).random(size)
+    positions = np.flatnonzero(pattern < spec.density)
+    magnitudes = np.random.Generator(np.random.Philox(key=spec.seed).jumped()).random(positions.size)
+    x = np.zeros(size)
+    x[positions] = magnitudes
+    x *= spec.target_mean_abs / (math.fsum(magnitudes) / size)
+    return x.reshape(spec.dims)
 
 
-# Entries per chunk of the dense fill's draws: the float64 draws of one
-# chunk fill a slab. The coordinate form draws its pattern in eighths of
-# that, so a multiple of CHUNK is a multiple of its chunk too.
-CHUNK = SLAB_BYTES // 8
+# Entries per slab of float64 draws: the low-rank family adds its noise in
+# chunks of SLAB; the surrogate draws its pattern in eighths of that, CHUNK.
+SLAB = SLAB_BYTES // 8
+CHUNK = SLAB // 8
 
-# One to four modes; sizes below one chunk, one entry short of it, of
-# exactly one and two chunks, and between multiples of it. The surrogate's
-# second generator skips the first draws four at a time and then one at a
-# time, so the sizes take every remainder modulo 4.
+# One to four modes; sizes below one chunk and one slab, one entry short of
+# each, of exactly one and two of each, and between multiples of them.
 SHAPES = [
-    (17, 29), (5, 13107), (256, 256), (65537, 2), (131075,), (300, 500), (2, 256, 256),
-    (40, 50, 70), (8, 9, 10, 11), (6, 7, 8, 300),
+    (17, 29), (8191,), (64, 128), (2, 64, 128), (5, 13107), (256, 256), (65537, 2),
+    (131075,), (300, 500), (2, 256, 256), (40, 50, 70), (8, 9, 10, 11), (6, 7, 8, 300),
 ]
 
 
 def test_shapes_cover_the_chunk_boundaries():
     sizes = {int(np.prod(s)) for s in SHAPES}
-    assert {CHUNK - 1, CHUNK, 2 * CHUNK} <= sizes
-    assert any(n < CHUNK for n in sizes)
-    assert any(n > CHUNK and n % CHUNK for n in sizes)
-    assert {n % 4 for n in sizes} == {0, 1, 2, 3}
-    assert {2, 3} <= {n % 4 for n in sizes if n > CHUNK and n % CHUNK}
+    for step in (CHUNK, SLAB):
+        assert {step - 1, step, 2 * step} <= sizes
+        assert any(n < step for n in sizes)
+        assert any(n > step and n % step for n in sizes)
 
 
 # SHAPES at rank 2; then shapes on which OpenBLAS rounds ``U0 @ K.T``
@@ -182,10 +188,14 @@ def dense_of(x):
 @pytest.mark.parametrize("dims", SHAPES)
 @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
 @pytest.mark.parametrize("form", ["returned", "coordinates", "dense"])
-def test_surrogate_has_the_bits_of_the_whole_tensor_formula(monkeypatch, dims, density, form):
-    # The form the crossover picks, then each form at every density.
+@pytest.mark.parametrize("slab_bytes", [None, 64 * 37])
+def test_surrogate_has_the_bits_of_the_whole_tensor_formula(monkeypatch, dims, density, form, slab_bytes):
+    # The form the crossover picks, then each form at every density; with
+    # the package's slabs, then with pattern chunks of 37 draws.
     if form != "returned":
         monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0 if form == "coordinates" else 0.0)
+    if slab_bytes is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
     spec = SynthSpec(dims=dims, rank=2, seed=12, density=density, target_mean_abs=0.25)
     x = sparse_surrogate(spec)
     assert isinstance(x, SparseTensor) == (density < datagen.SPARSE_DENSITY)
@@ -216,19 +226,19 @@ PEAK_DIMS = (100, 100, 100)
 
 
 def test_surrogate_is_built_in_its_own_buffer():
-    # Below the crossover: the coordinate list and one slab of the counter
-    # evaluation's words, and no tensor; the peak is about a twelfth of the
+    # Below the crossover: the coordinate list and one 64 KB chunk of the
+    # pattern's draws, and no tensor; the peak is about a fortieth of the
     # 8 MB tensor. Filling the tensor took 1.05x it, a tensor-sized mask
     # 1.125x, the whole-tensor formula about 3x.
     spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.01, target_mean_abs=0.00067)
     x, peak = traced_peak(lambda: sparse_surrogate(spec))
     assert isinstance(x, SparseTensor) and x.nbytes == 16 * x.values.size
-    assert peak <= x.nbytes + SLAB_BYTES
+    assert peak <= x.nbytes + SLAB_BYTES // 8
 
 
 def test_dense_surrogate_is_built_in_its_own_buffer():
-    # At or above the crossover: the result and one chunk's boolean pattern,
-    # both draws going into the result.
+    # At or above the crossover: the result, then one 64 KB chunk's boolean
+    # pattern and its magnitudes, as an array and as the list fsum reads.
     spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.3, target_mean_abs=0.00067)
     x, peak = traced_peak(lambda: sparse_surrogate(spec))
     assert x.nbytes == 8 * 10**6
@@ -272,81 +282,6 @@ def test_generators_return_read_only_tensors_that_problems_share():
         with pytest.raises(ValueError):
             x[0, 0, 0] = 1.0
     assert NtfProblem(dense, 2).data is dense
-
-
-# ---------------------------------------------------------------------------
-# What the coordinate form emulates of numpy: Philox's stream, evaluated at
-# single positions, and the pairwise sum of ``np.add.reduce``. These fail
-# if a numpy release changes either.
-
-PHILOX_SEEDS = [0, 1, 2**63 + 7, 2**64 + 3, 2**128 - 1]
-
-
-@pytest.mark.parametrize("seed", PHILOX_SEEDS)
-def test_counter_draws_are_the_streams_draws(seed):
-    # Every position of two pattern chunks and a few more: all four lanes of
-    # each counter, and the ends of the chunks that the evaluation takes
-    # together (_PHILOX_ENTRY_BYTES) and that the pattern is drawn in.
-    n = 2 * CHUNK + 9
-    key = np.random.Philox(key=seed).state["state"]["key"]
-    raw = np.random.Philox(key=seed).random_raw(n)
-    draws = np.random.Generator(np.random.Philox(key=seed)).random(n)
-    every = np.arange(n)
-    assert_array_equal(datagen._philox_raw(key, every), raw, strict=True)
-    assert_array_equal(datagen._philox_uniform(key, every, 0), draws, strict=True)
-    evaluated = SLAB_BYTES // datagen._PHILOX_ENTRY_BYTES
-    ends = np.unique([k + d for k in (0, evaluated, CHUNK, 2 * CHUNK - 4) for d in range(-3, 5) if k + d >= 0])
-    assert_array_equal(datagen._philox_uniform(key, ends, 3), draws[ends + 3], strict=True)
-    # Far into the stream: Philox.advance moves the counter by blocks of four.
-    far = np.random.Philox(key=seed)
-    far.advance(2**40)
-    assert_array_equal(datagen._philox_raw(key, 2**42 + np.arange(9)), far.random_raw(9), strict=True)
-
-
-PAIRWISE_SIZES = (
-    list(range(1, 10)) + [127, 128, 129, 135, 136, 137, 255, 256, 257]
-    + list(range(1016, 1033)) + [65528, 65535, 65536, 65537, 65544]
-)
-
-
-def sparse_values(rng, size, density):
-    """Nonnegative entries of wide range, so that a sum in another order
-    rounds differently, and zero at ``1 - density`` of the positions."""
-    a = rng.random(size) * 2.0 ** rng.integers(-40, 40, size)
-    a[rng.random(size) >= density] = 0.0
-    return a
-
-
-def assert_pairwise_sum_is_numpys(a):
-    positions = np.flatnonzero(a)
-    values = a.ravel()[positions]
-    total = datagen._pairwise_sum(positions, values, a.size)
-    assert total == float(np.add.reduce(a, axis=None))
-    assert total / a.size == float(np.mean(a))
-
-
-@pytest.mark.parametrize("slab_bytes", [None, 2048])
-@pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
-def test_pairwise_sum_is_numpys_at_every_split(monkeypatch, slab_bytes, density):
-    # The tree's leaves and splits near 8, 128, 1,024 and 65,536 entries;
-    # with small slabs, the runs summed apart are split many times over.
-    if slab_bytes is not None:
-        monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
-    rng = np.random.default_rng(17)
-    for size in PAIRWISE_SIZES:
-        assert_pairwise_sum_is_numpys(sparse_values(rng, size, density))
-
-
-@pytest.mark.parametrize("dims", [(90, 500, 100), (100, 200, 300), (7, 13, 11, 5)])
-@pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
-def test_pairwise_sum_is_numpys_on_whole_tensors(dims, density):
-    rng = np.random.default_rng(18)
-    assert_pairwise_sum_is_numpys(sparse_values(rng, int(np.prod(dims)), density).reshape(dims))
-
-
-def test_pairwise_sum_of_no_nonzeros_is_zero():
-    empty = np.zeros(0, dtype=np.int64)
-    assert datagen._pairwise_sum(empty, np.zeros(0), 1000) == 0.0
 
 
 def test_surrogate_at_the_crossover_takes_the_dense_fill(monkeypatch):
