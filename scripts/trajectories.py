@@ -45,14 +45,20 @@ bytes numpy held at once over the case's BCD-DR and MU runs together,
 beyond what the problem held before them (their solve peak), so that a
 change in how a problem holds its data, or in what building it or solving
 on it costs, shows beside its inputs. For every run it then prints the
-sweeps each side did, the largest relative deviation of the objective and
-of the stationarity measure over the sweeps, whether the two traces are
-bit-identical in every field the trace CSV writes, whether the long/short
-point classes match, and whether the run's data matched. A trace that diverges on matching data
-points to the solver; one on data that differs points to the inputs. For a
-change that moves paths, it also prints each side's final objective and the
-lowest stationarity measure its run reached (the running minimum at its
-last sweep), so that a reader sees which side ends lower.
+sweeps each side did, the largest relative deviation of the objective, the
+largest objective deviation in the form of acceptance criterion 1's slack,
+``|f_change - f_parent| / (1 + |f_parent|)`` (which stays meaningful where
+``f`` nears 0), the largest relative deviation of the stationarity measure,
+the first sweep at which any block step norm differs, whether the two
+traces are bit-identical in every field the trace CSV writes, whether the
+long/short point classes, the sweep counts and the stop reasons match, and
+whether the run's data matched. For a change that moves bits on purpose,
+these say whether it moved the paths or only their rounding. A trace that
+diverges on matching data points to the solver; one on data that differs
+points to the inputs. For a change that moves paths, it also prints each
+side's final objective and the lowest stationarity measure its run reached
+(the running minimum at its last sweep), so that a reader sees which side
+ends lower.
 """
 
 from __future__ import annotations
@@ -203,15 +209,23 @@ def compare(parent: list, change: list) -> dict:
     radius, unconverged_solves, stop_reason]``, every field the trace CSV
     writes (the sweep clock stamps ``elapsed_seconds`` with the index), so
     ``identical`` covers them all; deviations are taken over the sweeps both
-    traces have.
+    traces have. ``objective`` is the largest deviation relative to the
+    larger of the two values, ``objective_slack`` the largest ``|f_change -
+    f_parent| / (1 + |f_parent|)``, the form of the descent slack of
+    acceptance criterion 1. ``first_step_change`` is the first sweep at
+    which any block step norm differs, or ``None``; ``stops_match`` says
+    whether the two runs stopped for the same reason.
     """
     pairs = list(zip(parent, change))
     return {
         "sweeps": (len(parent) - 1, len(change) - 1),
         "objective": max((relative_deviation(p[0], c[0]) for p, c in pairs), default=0.0),
+        "objective_slack": max((abs(p[0] - c[0]) / (1.0 + abs(p[0])) for p, c in pairs), default=0.0),
         "stationarity": max((relative_deviation(p[1], c[1]) for p, c in pairs), default=0.0),
+        "first_step_change": next((n for n, (p, c) in enumerate(pairs) if p[3] != c[3]), None),
         "identical": parent == change,
         "classes_match": [p[2] for p in parent] == [c[2] for c in change],
+        "stops_match": parent[-1][6] == change[-1][6],
         "final_objective": (parent[-1][0], change[-1][0]),
         "min_stationarity": (min(r[1] for r in parent), min(r[1] for r in change)),
     }
@@ -250,15 +264,19 @@ def main(argv=None) -> int:
     matched = all(same for _, _, same in problems.values())
     print("problems' data matched on every case" if matched else "problems' data DIFFER on the cases marked no")
     print()
-    print(f"{'run':34s} {'sweeps':>8s} {'objective':>10s} {'stationarity':>12s}  bit-identical  classes match  "
+    print(f"{'run':34s} {'sweeps':>8s} {'objective':>10s} {'obj/(1+|f|)':>11s} {'stationarity':>12s}  "
+          f"{'first step change':>17s}  bit-identical  classes match  sweeps match  stops match  "
           f"same data  {'final objective (parent, change)':>34s}  {'min stationarity (parent, change)':>34s}")
     for name in parent["runs"]:
         c = compare(parent["runs"][name], change["runs"][name])
         sweeps = "{}/{}".format(*c["sweeps"])
+        first = "none" if c["first_step_change"] is None else str(c["first_step_change"])
         final = "{:.10e} {:.10e}".format(*c["final_objective"])
         lowest = "{:.10e} {:.10e}".format(*c["min_stationarity"])
-        print(f"{name:34s} {sweeps:>8s} {c['objective']:10.2e} {c['stationarity']:12.2e}  "
-              f"{'yes' if c['identical'] else 'no':13s}  {'yes' if c['classes_match'] else 'no':13s}  "
+        yes = {key: "yes" if c[key] else "no" for key in ("identical", "classes_match", "stops_match")}
+        print(f"{name:34s} {sweeps:>8s} {c['objective']:10.2e} {c['objective_slack']:11.2e} "
+              f"{c['stationarity']:12.2e}  {first:>17s}  {yes['identical']:13s}  {yes['classes_match']:13s}  "
+              f"{'yes' if c['sweeps'][0] == c['sweeps'][1] else 'no':12s}  {yes['stops_match']:11s}  "
               f"{'yes' if data[data_of(name)][2] else 'no':9s}  {final:>34s}  {lowest:>34s}")
     return 0
 

@@ -251,7 +251,7 @@ class NtfProblem:
     trees"). The list holds the data as a sparse matrix whose rows are the
     indices of the pivot, the longest mode (the last of equal lengths), and
     whose columns are the cells of the other modes, ordered by row; ``P``
-    then has one row per cell, never more than on the dense path. Dense
+    then has one column per cell, never more than on the dense path. Dense
     data pivots on the last mode, and the objective is a pass over
     cache-sized row slabs of the data's native view ``X.reshape(-1,
     d_last)``; coordinates of at least :data:`SPARSE_SHARE` nonzeros are
@@ -375,17 +375,21 @@ class NtfProblem:
 
         The pass leaves behind, in this thread's memo, the MTTKRP term that
         the stationarity measure at the same blocks needs next and that the
-        pass can form from what it reads anyway: on dense data the partial
-        ``P = Xr @ U_last``, from the same slabs and GEMMs as
+        pass can form from what it reads anyway: on dense data the
+        rank-major partial, slab ``[s:e]`` of it ``U_last.T @ Xr[s:e].T``,
+        from the same slabs and GEMMs as
         :func:`drbcd.tensors._last_mode_partial`, and on sparse data the
         pivot's term. A memo hit skips that work; on a miss the stale partial
         is dropped before the new one is allocated.
 
-        The residual's product takes ``U_last.T`` as a transposed view. A
-        contiguous copy multiplies faster (the residual products of a
-        100x200x300 rank-5 pass took 2.5 ms against 4.1 ms, one BLAS thread)
-        but OpenBLAS rounds some entries differently in that layout, and at
-        that scale the objective moved in its last bits.
+        Both products take ``U_last.T`` as one contiguous copy, not a
+        transposed view. On a 100x200x300 rank-5 tensor, one BLAS thread,
+        the residual products alone took 2.5 ms against 4.1 ms a pass, and
+        the whole pass with its partial 12.1-14.3 ms against 16.4-16.8 ms
+        with the transposed view and an ``(rows, r)`` partial (medians of
+        25 calls, three alternating runs). OpenBLAS rounds some entries
+        differently by the layout, so the two forms differ in their last
+        bits.
         """
         blocks = self._check_blocks(blocks)
         if self._coo is not None:
@@ -405,24 +409,25 @@ class NtfProblem:
             slabs = ((start, stop, xr[start:stop]) for start, stop in ranges)
         else:
             slabs = _dense_slabs(self.data)  # the same ranges
-        # The nonzero path's partial has another layout: a dense pass on
-        # sparse data leaves none behind.
+        # The nonzero path's partial is its own scatter, over its pivot and
+        # with other bits: a dense pass on sparse data leaves none behind.
         key = last.tobytes() if self._coo is None else None
         partial = None
         if key is not None and memo.partial[0] != key:
             memo.drop_partial(self._pivot)
-            partial = np.empty((num_rows, self.rank))
+            partial = np.empty((self.rank, num_rows))
+        last_t = np.ascontiguousarray(last.T)
         total = 0.0
         for start, stop, x_slab in slabs:
             residual = memo.slab[: stop - start]
-            np.matmul(kr[start:stop], last.T, out=residual)
+            np.matmul(kr[start:stop], last_t, out=residual)
             np.subtract(x_slab, residual, out=residual)
             flat = residual.ravel()
             total += float(np.dot(flat, flat))
             if partial is not None:
-                np.matmul(x_slab, last, out=partial[start:stop])
+                np.matmul(last_t, x_slab.T, out=partial[:, start:stop])
         if partial is not None:
-            partial = partial.reshape(self.shape[:-1] + (self.rank,))
+            partial = partial.reshape((self.rank,) + self.shape[:-1])
             partial.flags.writeable = False
             memo.partial = (key, partial)
         return total
@@ -537,7 +542,7 @@ class NtfProblem:
     def _partial(self, pivot: np.ndarray) -> np.ndarray:
         """The data contracted with the pivot's block along the pivot; read-only, memoized.
 
-        Shaped as the other modes, plus a trailing axis of length ``r``.
+        Rank-major: a leading axis of length ``r``, then the other modes.
         """
         memo = self._memo
         key = pivot.tobytes()
@@ -548,8 +553,7 @@ class NtfProblem:
             partial = _last_mode_partial(self._dense, pivot)
         else:
             shape = self.shape[: self._pivot] + self.shape[self._pivot + 1 :]
-            cells = _coo_partial(*self._coo, pivot, math.prod(shape))
-            partial = cells.reshape(shape + (self.rank,))
+            partial = _coo_partial(*self._coo, pivot, math.prod(shape)).reshape((self.rank,) + shape)
         partial.flags.writeable = False
         memo.partial = (key, partial)
         return partial

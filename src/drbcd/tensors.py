@@ -6,26 +6,30 @@ the column index runs over the remaining modes with the *lowest*-numbered mode
 varying fastest.
 
 :func:`mttkrp` never unfolds: it works on the native layout, where for a
-C-contiguous tensor ``Xr = x.reshape(-1, d_last)`` is a free view. The last
-mode's MTTKRP is one GEMM, ``(K.T @ Xr).T`` with ``K`` the Khatri-Rao
-product of the leading factors. Every earlier mode's MTTKRP contracts the
-small partial product ``P = Xr @ U_last`` against the remaining factors, so
-one pass over the tensor serves all of the modes before the last (a
-two-level dimension tree). ``P`` is formed over row blocks of ``Xr`` of
-about :data:`SLAB_BYTES` each, written into one preallocated result, so that
-each block stays in cache while it is multiplied; a pass that reads the same
-blocks for another purpose (the objective's residual in
-:mod:`drbcd.factorization`) can form ``P`` on the way, with the same bits.
-The contraction of ``P`` takes one batched matrix-vector product per rank
-column (see :func:`_mttkrp_from_partial`).
+C-contiguous tensor ``Xr = x.reshape(-1, d_last)`` and ``x.reshape(d_0,
+-1)`` are free views. Every mode before the last contracts the small
+partial product ``P = (Xr @ U_last).T``, held rank-major as ``(r,) + other
+dims``, against the remaining factors, so one pass over the tensor serves
+all of the modes before the last (a two-level dimension tree). ``P`` is
+formed over row blocks of ``Xr`` of about :data:`SLAB_BYTES` each, written
+into one preallocated result, so that each block stays in cache while it is
+multiplied; a pass that reads the same blocks for another purpose (the
+objective's residual in :mod:`drbcd.factorization`) can form ``P`` on the
+way, with the same bits. Each rank slice of ``P`` is contiguous and is
+contracted by matrix-vector products (see :func:`_mttkrp_from_partial`).
+The last mode's MTTKRP contracts mode 0 first and then the middle modes
+(see :func:`_last_mode_mttkrp`).
 
-The dense GEMMs keep their operands' layouts, transposed views included:
-with OpenBLAS 0.3.31 a product's bits depend on whether an operand is a
-transposed view or a contiguous copy. On small products, which take its
-small-matrix kernels, the two layouts round some entries differently. A
-contiguous copy would be faster (see :func:`_last_mode_mttkrp` and the
-objective in :mod:`drbcd.factorization`), but the objectives, the MTTKRPs
-and the generated tensors would then lose the bits they have.
+The dense GEMMs take their small operands as contiguous copies (``U.T``
+rather than the transposed view) and the tensor as a row- or column-block
+of its native layout, the layouts OpenBLAS multiplies fastest here. With
+OpenBLAS 0.3.31 a product's bits depend on its operands' layouts, so these
+choices fix the bits as much as the formulas do; the tests hold each
+kernel to its formula bit for bit. The bits of ``P``, of its contractions
+and of the last mode's MTTKRP were also found not to depend on the BLAS
+thread count (1 or 2 OpenBLAS threads), which a test checks; the sums of
+squares taken by ``np.dot`` still do (above 10,000 entries OpenBLAS splits
+a dot product across threads).
 
 A :class:`SparseTensor` holds a tensor as the coordinates of its nonzeros.
 Every function here takes it where it takes a tensor; :func:`frobenius_norm`
@@ -81,7 +85,9 @@ NTF1_MAGIC = b"NTF1"
 # entry checks and the nonzero search, and chunks of draws in
 # :mod:`drbcd.datagen`. Blocks of 128 KB to 1 MB measured equally fast on a
 # host with 2 MB of L2 per core; 4 MB blocks, above that, took about 1.5x as
-# long. Tests shrink the pieces by patching this constant alone.
+# long. The last mode's MTTKRP counts its slabs by the bytes of a product
+# rather than of the tensor (see :func:`_last_mode_mttkrp`). Tests shrink
+# the pieces by patching this constant alone.
 SLAB_BYTES = 512 << 10
 
 
@@ -327,71 +333,98 @@ def _row_slabs(rows: int, row_bytes: int) -> list[tuple[int, int]]:
 def _last_mode_partial(x, u_last) -> np.ndarray:
     """Contract the last mode of ``x`` with ``u_last`` (d_last x r).
 
-    Returns ``P`` of shape ``x.shape[:-1] + (r,)`` with
-    ``P[i_1, ..., i_{m-1}, j] = sum_t X[i_1, ..., i_{m-1}, t] U_last[t, j]``.
-    Row blocks of the native view ``x.reshape(-1, d_last)`` (see
-    :func:`_row_slabs`) are multiplied into one preallocated ``P``.
+    Returns ``P`` of shape ``(r,) + x.shape[:-1]``, rank-major, with
+    ``P[j, i_1, ..., i_{m-1}] = sum_t X[i_1, ..., i_{m-1}, t] U_last[t, j]``.
+    Each row block ``Xr[s:e]`` of the native view ``Xr = x.reshape(-1,
+    d_last)`` (see :func:`_row_slabs`) gives the columns ``s:e`` of the
+    ``(r, rows)`` result, ``U_last.T @ Xr[s:e].T`` with ``U_last.T`` a
+    contiguous copy. The objective's pass in :mod:`drbcd.factorization`
+    forms ``P`` by the same products, so that the two give it the same bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    u_last = np.asarray(u_last, dtype=np.float64)
     xr = x.reshape(-1, x.shape[-1])
-    p = np.empty((xr.shape[0], u_last.shape[1]))
+    last_t = np.ascontiguousarray(np.asarray(u_last, dtype=np.float64).T)
+    p = np.empty((last_t.shape[0], xr.shape[0]))
     for start, stop in _row_slabs(xr.shape[0], xr[:1].nbytes):
-        np.matmul(xr[start:stop], u_last, out=p[start:stop])
-    return p.reshape(x.shape[:-1] + (u_last.shape[1],))
+        np.matmul(last_t, xr[start:stop].T, out=p[:, start:stop])
+    return p.reshape((last_t.shape[0],) + x.shape[:-1])
 
 
 def _mttkrp_from_partial(partial, factors, mode: int) -> np.ndarray:
     """MTTKRP along ``mode`` (any mode but the last) from ``P``.
 
-    ``partial`` is :func:`_last_mode_partial` of the tensor; ``factors`` lists
-    the leading factors, one per axis of ``partial`` but its last, and the
-    entry at position ``mode`` is ignored. The axes after ``mode`` are
-    contracted first, then the axes before it, each rank column by one
-    batched matrix-vector product on a rank-major view of ``partial``, with
-    no broadcast temporaries. The views are strided by the rank, so (for a
-    rank above 1 and no mode of length 1) numpy's own ``matmul`` loop runs
-    rather than BLAS, and sums the products in index order, as a sum over
-    the contracted axis does.
+    ``partial`` is :func:`_last_mode_partial` of the tensor, rank-major;
+    ``factors`` lists the leading factors, one per axis of ``partial`` after
+    its first, and the entry at position ``mode`` is ignored. Each rank
+    slice ``P[j]`` is contiguous: the axes after ``mode`` are contracted
+    first, as one matrix-vector product of the slice with row ``j`` of the
+    transposed Khatri-Rao product of their factors (see
+    :func:`_khatri_rao_t`), then the axes before it the same way. Returned
+    C-contiguous, except on a partial of one mode besides the rank, where
+    nothing is contracted and the term is the transposed view ``P.T``.
     """
-    dims = partial.shape[:-1]
-    rank = partial.shape[-1]
-    left, right = prod(dims[:mode]), prod(dims[mode + 1 :])
-    t = np.asarray(partial, dtype=np.float64).reshape(left, dims[mode], right, rank)
+    rank, dims = partial.shape[0], partial.shape[1:]
+    if len(dims) == 1:
+        return partial.T
+    t = partial.reshape(rank, prod(dims[: mode + 1]), -1)
     if mode + 1 < len(dims):
-        kr = _khatri_rao_native(factors[mode + 1 :])
-        inner = np.empty((left, dims[mode], rank))
-        for j in range(rank):
-            np.matmul(t[..., j], kr[:, j], out=inner[..., j])
-    else:
-        inner = t[:, :, 0, :]
-    if mode == 0:
-        return inner[0]
-    kr = _khatri_rao_native(factors[:mode])
-    out = np.empty((dims[mode], rank))
-    for j in range(rank):
-        np.matmul(kr[:, j], inner[..., j], out=out[:, j])
+        t = _contract_rank_slices(t, _khatri_rao_t(factors[mode + 1 :]))
+    if mode > 0:
+        t = t.reshape(rank, -1, dims[mode]).transpose(0, 2, 1)
+        t = _contract_rank_slices(t, _khatri_rao_t(factors[:mode]))
+    return np.ascontiguousarray(t.reshape(rank, dims[mode]).T)
+
+
+def _contract_rank_slices(t, kr_t) -> np.ndarray:
+    """``out[j] = t[j] @ kr_t[j]`` for each rank ``j``, ``(r, rows)``: one
+    matrix-vector product per rank slice, each slice contiguous in memory
+    (a transposed view of a contiguous block counts)."""
+    out = np.empty(t.shape[:2])
+    for j in range(t.shape[0]):
+        np.matmul(t[j], kr_t[j], out=out[j])
     return out
 
 
 def _last_mode_mttkrp(x, factors) -> np.ndarray:
     """MTTKRP along the last mode of ``x``; ``factors`` lists the other modes'.
 
-    One GEMM, ``(K.T @ Xr).T``, of the Khatri-Rao product ``K`` of the
-    leading factors (its row index has the last of them varying fastest, as
-    the native layout does) with the native view ``Xr = x.reshape(-1,
-    d_last)``; OpenBLAS runs this form about twice as fast as the equal
-    ``Xr.T @ K``. Returned C-contiguous, as that form was, so that later
-    reductions over the term add in the same order.
+    Through mode 0: ``Y = U_0.T @ x.reshape(d_0, -1)``, with ``U_0.T`` a
+    contiguous copy, is the tensor contracted with the first factor, rank
+    by rank; each rank slice ``Y[j]``, viewed as ``(middle cells,
+    d_last)``, is then contracted with row ``j`` of the transposed
+    Khatri-Rao product of the middle factors (see :func:`_khatri_rao_t`).
+    ``Y`` is formed and contracted over slabs of the middle cells from
+    :func:`_row_slabs`, each slab's part of ``Y`` about :data:`SLAB_BYTES`
+    in one reused buffer, and the slabs' terms are added in order. The
+    first product has the short mode 0 as its inner dimension, where the
+    one GEMM ``K.T @ x.reshape(-1, d_last)`` it replaces summed over every
+    cell of the leading modes. At 100x200x300 rank 5, one BLAS thread, it
+    took 5.9-6.6 ms against 7.8-7.9 ms (medians of 25 calls, three
+    alternating runs). Unlike that GEMM's, its bits were the same on one
+    and on two OpenBLAS threads at 90x500x100.
 
-    ``K.T`` is a transposed view. The contiguous :func:`_khatri_rao_t` took
-    6.3 ms against 6.8 ms at 100x200x300 rank 5 (one BLAS thread), with the
-    same bits there, but moved the bits on smaller shapes such as 30x40x50
-    at ranks 2-5, so the view stays.
+    The slabs are counted by ``Y``'s bytes, not the tensor's: slabs of
+    about :data:`SLAB_BYTES` of the tensor are narrow (655 columns at
+    100x200x300) and took about twice as long, 13 ms against 6 ms; the time
+    halved between 1,500 and 2,600 columns, where OpenBLAS seems to leave
+    its small-matrix path. Returned C-contiguous.
     """
     x = np.asarray(x, dtype=np.float64)
-    kr_t = _khatri_rao_native(factors).T
-    return np.ascontiguousarray((kr_t @ x.reshape(-1, x.shape[-1])).T)
+    d_last = x.shape[-1]
+    xm = x.reshape(x.shape[0], -1)
+    first_t = np.ascontiguousarray(np.asarray(factors[0], dtype=np.float64).T)
+    rank = first_t.shape[0]
+    # On two modes there are no middle factors: one middle cell, weight 1.
+    kr_t = _khatri_rao_t(factors[1:]) if len(factors) > 1 else np.ones((rank, 1))
+    slabs = _row_slabs(kr_t.shape[1], 8 * rank * d_last)
+    y = np.empty((rank, slabs[0][1] * d_last))  # the first slab is a longest one
+    out = np.zeros((rank, d_last))
+    for start, stop in slabs:
+        y_slab = y[:, : (stop - start) * d_last]
+        np.matmul(first_t, xm[:, start * d_last : stop * d_last], out=y_slab)
+        y_slab = y_slab.reshape(rank, stop - start, d_last).transpose(0, 2, 1)
+        out += _contract_rank_slices(y_slab, kr_t[:, start:stop])
+    return np.ascontiguousarray(out.T)
 
 
 def _coo_matrix(positions, values, shape, pivot: int):
@@ -473,23 +506,24 @@ def _rows_at(u_t, idx):
 
 
 def _coo_partial(rows, cols, values, u, cells: int) -> np.ndarray:
-    """``A.T @ u`` for the matrix ``A`` of a coordinate list, ``(cells, r)``.
+    """``(A.T @ u).T`` for the matrix ``A`` of a coordinate list, ``(r, cells)``.
 
     ``rows``, ``cols`` and ``values`` list the nonzeros of ``A`` (see
-    :func:`_coo_matrix`) and ``u`` has one row per row of ``A``. The
+    :func:`_coo_matrix`) and ``u`` has one row per row of ``A``. The result
+    is rank-major, the layout of the dense :func:`_last_mode_partial`. The
     nonzeros are taken in chunks whose products fill about
     :data:`SLAB_BYTES` (see :func:`_row_slabs`): each chunk's rows of ``u``
     (runs of the sorted rows, so a repeat rather than a gather), one rank
     column at a time, are scaled by the values and scattered into that
-    column of the result at their columns' rows. Returned C-contiguous.
+    row of the result at their columns. Returned C-contiguous.
     """
     rank = u.shape[1]
     u_t = np.ascontiguousarray(u.T)
-    out = np.zeros((cells, rank))
+    out = np.zeros((rank, cells))
     for start, stop in _row_slabs(values.shape[0], 8 * rank):
-        for j, prod_row in enumerate(_rows_at(u_t, rows[start:stop])):
+        for out_row, prod_row in zip(out, _rows_at(u_t, rows[start:stop])):
             prod_row *= values[start:stop]
-            np.add.at(out[:, j], cols[start:stop], prod_row)
+            np.add.at(out_row, cols[start:stop], prod_row)
     return out
 
 

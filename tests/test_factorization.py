@@ -373,34 +373,35 @@ def test_memoized_terms_are_read_only():
 # the dense passes' bits, and the one partial a thread holds
 
 
-def transposed_view_objective(x, blocks):
-    """The dense objective's total and partial from the transposed-view
+def contiguous_operand_objective(x, blocks):
+    """The dense objective's total and rank-major partial from their
     formulas, over the objective's row slabs of ``Xr = x.reshape(-1,
-    d_last)``: ``Xr[s:e] - K[s:e] @ U_last.T`` and ``Xr[s:e] @ U_last``."""
+    d_last)``, with ``U_last.T`` a contiguous copy: ``Xr[s:e] - K[s:e] @
+    U_last.T`` and ``U_last.T @ Xr[s:e].T``."""
     xr = x.reshape(-1, x.shape[-1])
     kr = tensors._khatri_rao_native(blocks[:-1])
-    last = blocks[-1]
+    last_t = np.ascontiguousarray(blocks[-1].T)
     total, partial = 0.0, []
     for start, stop in tensors._row_slabs(xr.shape[0], xr[0].nbytes):
-        residual = (xr[start:stop] - kr[start:stop] @ last.T).ravel()
+        residual = (xr[start:stop] - kr[start:stop] @ last_t).ravel()
         total += float(np.dot(residual, residual))
-        partial.append(xr[start:stop] @ last)
-    return total, np.concatenate(partial)
+        partial.append(last_t @ xr[start:stop].T)
+    return total, np.concatenate(partial, axis=1)
 
 
 # With a last mode of 300 or 389, OpenBLAS rounds the residual's product
-# differently once U_last.T is a contiguous copy rather than a transposed
-# view, at ranks 2-5; the others have several slabs, or four modes.
+# differently by whether U_last.T is a contiguous copy or a transposed view,
+# at ranks 2-5; the others have several slabs, or four modes.
 @pytest.mark.parametrize("shape", [(10, 20, 300), (6, 7, 389), (60, 70, 80), (6, 8, 10, 12), (5, 6, 7, 300)])
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
-def test_dense_objective_keeps_the_bits_of_the_transposed_view_formulas(shape, rank):
+def test_dense_objective_keeps_the_bits_of_the_contiguous_operand_formulas(shape, rank):
     # At the generating factors the total is rounding error alone, so a
     # product that rounded one model entry differently shows in it.
     x, model = synthetic_lowrank(SynthSpec(dims=shape, rank=rank, seed=rank))
     rng = np.random.default_rng(rank)
     for blocks in (model.to_blocks(), [rng.random((d, rank)) for d in shape]):
         problem = NtfProblem(x, rank)
-        total, partial = transposed_view_objective(x, blocks)
+        total, partial = contiguous_operand_objective(x, blocks)
         assert problem.objective(blocks) == total
         assert problem._memo.partial[1].tobytes() == partial.tobytes()
 

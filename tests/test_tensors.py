@@ -1,8 +1,11 @@
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,11 +386,12 @@ def slab_cases(x):
 def check_last_mode_kernels(x, factors):
     m = x.ndim
     p = _last_mode_partial(x, factors[-1])
-    assert p.shape == x.shape[:-1] + (factors[-1].shape[1],)
-    assert_allclose(unfold(p, m - 1), factors[-1].T @ unfold(x, m - 1), rtol=1e-12, atol=1e-12)
+    assert p.shape == (factors[-1].shape[1],) + x.shape[:-1]
+    assert_allclose(unfold(p, 0), factors[-1].T @ unfold(x, m - 1), rtol=1e-12, atol=1e-12)
     for mode in range(m - 1):
         got = _mttkrp_from_partial(p, factors[:-1], mode)
-        assert got.flags.c_contiguous
+        # On two modes nothing is contracted: the term is a view of ``P``.
+        assert np.shares_memory(got, p) if m == 2 else got.flags.c_contiguous
         assert_allclose(got, unfold_chain_reference(x, factors, mode), rtol=1e-12, atol=1e-12)
     expected_last = unfold_chain_reference(x, factors, m - 1)
     got_last = _last_mode_mttkrp(x, factors[:-1])
@@ -399,19 +403,71 @@ def check_last_mode_kernels(x, factors):
         )
 
 
-# Shapes on which OpenBLAS rounds the product differently once ``K.T`` is a
-# contiguous copy rather than a transposed view (at ranks 2-5 on some of
-# them), and the desk and paper shapes, where it does not.
+def mode_0_formula(x, factors):
+    """The last mode's MTTKRP through mode 0: over slabs of the middle
+    modes' cells from :func:`_row_slabs`, ``U_0.T`` times the slab's columns
+    of ``x.reshape(d_0, -1)``, each rank slice of which is contracted with
+    that row of the middle factors' transposed Khatri-Rao product (a weight
+    of 1 on two modes) and added to the sum of the slabs before it."""
+    d_last = x.shape[-1]
+    xm = x.reshape(x.shape[0], -1)
+    first_t = np.ascontiguousarray(factors[0].T)
+    rank = first_t.shape[0]
+    kr_t = tensors._khatri_rao_t(factors[1:]) if len(factors) > 1 else np.ones((rank, 1))
+    out = np.zeros((rank, d_last))
+    for s, e in _row_slabs(kr_t.shape[1], 8 * rank * d_last):
+        y = first_t @ xm[:, s * d_last : e * d_last]
+        out += np.stack([kr_t[j, s:e] @ y[j].reshape(e - s, d_last) for j in range(rank)])
+    return out.T
+
+
+# Shapes on which OpenBLAS rounds products differently by the operands'
+# layouts (at ranks 2-5 on some of them), a mode of length 1, four modes,
+# two modes, and the desk and paper shapes.
 @pytest.mark.parametrize("shape, rank", [
-    (shape, rank) for shape in [(7, 3, 9), (17, 1, 33), (30, 40, 50), (6, 8, 10, 12), (20, 25, 30)]
+    (shape, rank) for shape in [(7, 3, 9), (17, 1, 33), (30, 40, 50), (6, 8, 10, 12), (20, 25, 30), (40, 50)]
     for rank in range(1, 6)
 ] + [((100, 200, 300), 5)])
-def test_last_mode_mttkrp_keeps_the_bits_of_the_transposed_view_product(shape, rank):
+def test_last_mode_mttkrp_keeps_the_bits_of_the_mode_0_formula(shape, rank):
     rng = np.random.default_rng(rank)
     x = rng.random(shape)
     factors = [rng.random((d, rank)) for d in shape[:-1]]
-    expected = (tensors._khatri_rao_native(factors).T @ x.reshape(-1, shape[-1])).T
-    assert _last_mode_mttkrp(x, factors).tobytes() == expected.tobytes()
+    got = _last_mode_mttkrp(x, factors)
+    assert got.flags.c_contiguous and got.tobytes() == np.ascontiguousarray(mode_0_formula(x, factors)).tobytes()
+
+
+# The paper and surrogate shapes, one with a short leading mode, and four
+# modes; 90x500x100 is where the one GEMM ``K.T @ x.reshape(-1, d_last)``
+# rounded differently on two threads.
+BLAS_THREAD_SHAPES = [(100, 200, 300), (90, 500, 100), (30, 40, 50), (6, 8, 10, 12)]
+
+DENSE_KERNEL_DIGESTS = r"""
+import hashlib
+import numpy as np
+from drbcd import tensors
+for shape in SHAPES:
+    rng = np.random.default_rng(len(shape))
+    x = rng.random(shape)
+    factors = [rng.random((d, 5)) for d in shape]
+    p = tensors._last_mode_partial(x, factors[-1])
+    terms = [p] + [tensors._mttkrp_from_partial(p, factors[:-1], mode) for mode in range(len(shape) - 1)]
+    terms.append(tensors._last_mode_mttkrp(x, factors[:-1]))
+    print(shape, [hashlib.sha256(np.ascontiguousarray(t)).hexdigest()[:16] for t in terms])
+"""
+
+
+def test_dense_kernels_bits_do_not_depend_on_the_blas_thread_count():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS would run one thread at either setting, so the comparison shows nothing")
+    src = str(Path(tensors.__file__).resolve().parents[1])
+    script = DENSE_KERNEL_DIGESTS.replace("SHAPES", repr(BLAS_THREAD_SHAPES))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == len(BLAS_THREAD_SHAPES)
+    assert outputs[0] == outputs[1]
 
 
 # Their partials have 1, 2, 3 and 4 modes.
@@ -489,12 +545,12 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         got, residual, at_nonzeros = _coo_gather(rows, cols, values, kr_t, scratch, num_rows=shape[pivot])
         assert got.flags.c_contiguous and residual == at_nonzeros == 0.0
         assert_allclose(got, mttkrp_oracle(x, factors, pivot), rtol=1e-12, atol=1e-12)
-        # The partial: the tensor contracted with the pivot's factor, over the
-        # other modes' cells in row-major order.
+        # The partial: the tensor contracted with the pivot's factor, rank
+        # by rank, over the other modes' cells in row-major order.
         partial = _coo_partial(rows, cols, values, factors[pivot], kr_t.shape[1])
         assert partial.flags.c_contiguous
         expected = np.tensordot(x, factors[pivot], axes=([pivot], [0])).reshape(-1, rank)
-        assert_allclose(partial, expected, rtol=1e-12, atol=1e-12)
+        assert_allclose(partial, expected.T, rtol=1e-12, atol=1e-12)
         model = cp_oracle(factors[:-1], factors[-1].T).ravel()[nonzero]
         # One gather for the residual, the model's energy at the nonzeros and
         # the pivot's MTTKRP, which has the bits of the MTTKRP alone.
@@ -523,8 +579,8 @@ def test_coo_matrix_takes_values_at_the_positions_or_the_flat_tensor(shape):
 
 
 def whole_chunk_kernels(rows, cols, values, u, kr_t, cells):
-    """The partial and the sums at the nonzeros, from each chunk's whole
-    ``(r, n)`` product of rows of ``u``, as one fancy index."""
+    """The rank-major partial and the sums at the nonzeros, from each
+    chunk's whole ``(r, n)`` product of rows of ``u``, as one fancy index."""
     rank = u.shape[1]
     out_t = np.zeros((rank, cells))
     residual = model = 0.0
@@ -536,7 +592,7 @@ def whole_chunk_kernels(rows, cols, values, u, kr_t, cells):
         model += float(np.dot(m, m))
         m = values[start:stop] - m
         residual += float(np.dot(m, m))
-    return np.ascontiguousarray(out_t.T), residual, model
+    return out_t, residual, model
 
 
 @pytest.mark.parametrize("nonzeros_per_chunk", [1, 5, None])

@@ -41,8 +41,8 @@ PARENT = [
 
 def test_identical_traces(trajectories):
     c = trajectories.compare(PARENT, [list(r) for r in PARENT])
-    assert c == {"sweeps": (2, 2), "objective": 0.0, "stationarity": 0.0,
-                 "identical": True, "classes_match": True,
+    assert c == {"sweeps": (2, 2), "objective": 0.0, "objective_slack": 0.0, "stationarity": 0.0,
+                 "first_step_change": None, "identical": True, "classes_match": True, "stops_match": True,
                  "final_objective": (7.0, 7.0), "min_stationarity": (1.0, 1.0)}
 
 
@@ -54,6 +54,37 @@ def test_deviations_are_relative_to_the_larger_value(trajectories):
     assert c["objective"] == pytest.approx(1e-9 / (1 + 1e-9))
     assert c["stationarity"] == pytest.approx(0.1 / 1.1)
     assert not c["identical"] and c["classes_match"]
+
+
+def test_objective_slack_takes_criterion_1s_form_near_zero(trajectories):
+    # At f = 3e-11 a deviation of 3e-12 is 10% of f but nothing beside 1 + |f|.
+    parent = [list(r) for r in PARENT]
+    parent[2][0] = 3e-11
+    change = [list(r) for r in parent]
+    change[2][0] = 3.3e-11
+    c = trajectories.compare(parent, change)
+    assert c["objective"] == pytest.approx(0.3 / 3.3)
+    assert c["objective_slack"] == pytest.approx(3e-12 / (1 + 3e-11))
+    change[1][0] = 8.0 + 9e-9
+    assert trajectories.compare(parent, change)["objective_slack"] == pytest.approx(9e-9 / 9.0)
+
+
+def test_first_sweep_whose_step_norms_differ(trajectories):
+    change = [list(r) for r in PARENT]
+    change[2][3] = [0.5, 0.25000000000000006]
+    assert trajectories.compare(PARENT, change)["first_step_change"] == 2
+    change[1][3] = [0.5000000000000001, 0.25]
+    assert trajectories.compare(PARENT, change)["first_step_change"] == 1
+    # Over the sweeps both traces have: a shorter change with the same
+    # steps so far has moved none.
+    assert trajectories.compare(PARENT, PARENT[:2])["first_step_change"] is None
+
+
+def test_stop_reasons_are_compared(trajectories):
+    change = [list(r) for r in PARENT]
+    change[2][6] = "stationarity"
+    assert not trajectories.compare(PARENT, change)["stops_match"]
+    assert not trajectories.compare(PARENT, PARENT[:2])["stops_match"]
 
 
 def test_class_and_length_mismatches(trajectories):
@@ -210,3 +241,31 @@ def test_worker_digests_each_problems_data_as_a_tensor_and_times_its_norm(trajec
         assert digest == out["data"][name]
     held, norm_peak = out["problem"]["surrogate seed 1"][1:4:2]
     assert 0 < norm_peak <= held + 4096 < 0.1 * 8 * 18 * 100 * 20
+
+
+def test_run_table_reports_a_deliberate_change(trajectories, monkeypatch, capsys):
+    # The change moves the objective at rounding level from sweep 1 and a
+    # step norm at sweep 2; the MU run is bit-identical; a third run stops
+    # early for another reason.
+    moved = [list(r) for r in PARENT]
+    moved[1][0] = 8.0 + 2.0**-47  # 7.1e-15, the objective's last bit
+    moved[2][3] = [0.5, 0.25000000000000006]
+    early = [list(r) for r in PARENT[:2]]
+    early[1][6] = "stationarity"
+    runs = {"c seed 1": PARENT, "mu on c seed 1": PARENT, "d seed 1": PARENT}
+    inputs = {"data": {"c seed 1": "aa", "d seed 1": "bb"}, "build": {}, "solve": {},
+              "problem": {"c seed 1": ["aa", 96, 100, 90], "d seed 1": ["bb", 96, 100, 90]}}
+    sides = {"parent": {**inputs, "runs": runs},
+             "change": {**inputs, "runs": {**runs, "c seed 1": moved, "d seed 1": early}}}
+    monkeypatch.setattr(trajectories, "run_tree", lambda tree: sides[tree.name])
+    assert trajectories.main(["--parent", "parent", "--change", "change"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index(next(line for line in lines if line.startswith("run ")))
+    columns = ["objective", "obj/(1+|f|)", "stationarity", "first step change", "bit-identical",
+               "classes match", "sweeps match", "stops match", "same data"]
+    positions = [lines[header].index(column) for column in columns]
+    assert positions == sorted(positions)
+    rows = {line[:34].strip(): line[34:].split()[:9] for line in lines[header + 1 :]}
+    assert rows["c seed 1"] == ["2/2", "8.88e-16", "7.89e-16", "0.00e+00", "2", "no", "yes", "yes", "yes"]
+    assert rows["mu on c seed 1"] == ["2/2", "0.00e+00", "0.00e+00", "0.00e+00", "none", "yes", "yes", "yes", "yes"]
+    assert rows["d seed 1"] == ["2/1", "0.00e+00", "0.00e+00", "0.00e+00", "none", "no", "no", "no", "no"]
