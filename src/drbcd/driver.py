@@ -81,8 +81,8 @@ class TraceRecord:
     point_class: str
     elapsed_seconds: float
     # Block solves of this sweep that the exact solve and its certificate
-    # did not settle: pivoting failed, or the projected-gradient loop met
-    # its iteration cap or fell back to the start.
+    # did not settle: pivoting failed, the certifying step's residual was
+    # above the tolerance, or the solve fell back to the start.
     unconverged_solves: int = 0
     # Why the run stopped, on its last record only: "max_sweeps",
     # "max_seconds" or "stationarity" (the sweep budget, the time budget, or
@@ -92,11 +92,14 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run-level knobs: schedule, budgets, sub-solver tolerances.
+    """Run-level knobs: schedule, budgets, the sub-solver's tolerance.
 
     ``clock='wall'`` stamps records with accumulated wall time;
     ``clock='sweep'`` stamps the sweep index instead, making whole traces
     reproducible byte for byte. The sweep loop itself is deterministic.
+    ``qp_max_iters`` is not read: every block solve takes one certifying
+    step, and the field stays because the benchmark's ``bench/kernels.py``
+    passes it to :func:`~drbcd.subsolver.solve_block_qp`.
     """
 
     schedule: RadiusSchedule = field(default_factory=RadiusSchedule)
@@ -167,9 +170,7 @@ def bcd_dr_sweep(
             lower=lower, upper=upper, center=current[i], radius=radius
         )
         try:
-            result = solve_block_qp(
-                sub, feasible, start=current[i], tol=cfg.qp_tol, max_iters=cfg.qp_max_iters
-            )
+            result = solve_block_qp(sub, feasible, start=current[i], tol=cfg.qp_tol)
         except (ValueError, FloatingPointError) as exc:
             raise type(exc)(f"block {i} at sweep {n}: {exc}") from exc
         step_norms.append(float(np.linalg.norm(result.point - current[i])))

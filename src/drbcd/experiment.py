@@ -163,8 +163,8 @@ class ExperimentConfig:
         if self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank}")
         if self.rank > MAX_RANK:
-            # Every exact block solve of a larger rank would fail and fall
-            # back to projected gradient from its start.
+            # The exact block solve refuses a wider block, so every run
+            # would fail at its first solve.
             raise ValueError(
                 f"rank must be at most {MAX_RANK}, the exact block solve's limit, got {self.rank}"
             )
@@ -486,9 +486,9 @@ class SettingError(ValueError):
 def resolve_data(cfg: ExperimentConfig) -> np.ndarray | SparseTensor:
     """Build or load the experiment tensor (once per config).
 
-    A sparse surrogate below :data:`drbcd.datagen.SPARSE_DENSITY` comes as
-    the coordinates of its nonzeros, which :class:`NtfProblem` takes as it
-    takes a tensor; ``.dense()`` gives the tensor.
+    A sparse surrogate comes as the coordinates of its nonzeros, at every
+    density, which :class:`NtfProblem` takes as it takes a tensor;
+    ``.dense()`` gives the tensor.
     """
     if cfg.data == "synth":
         spec = SynthSpec(

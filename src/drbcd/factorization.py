@@ -228,7 +228,7 @@ class NtfProblem:
 
     ``data`` is a tensor, as an array or anything ``np.asarray`` takes, or
     a :class:`drbcd.tensors.SparseTensor`, the coordinates of its nonzeros,
-    as :func:`drbcd.datagen.sparse_surrogate` returns at low densities; the
+    as :func:`drbcd.datagen.sparse_surrogate` returns; the
     problem built from either is the same, bit for bit, as from the tensor
     it describes. Which passes run, and how the data is held, depends on
     the data alone; it is held once. Dense data is shared, not copied, when

@@ -13,10 +13,10 @@ optimal at a multiplier complementary to the ball. One projected-gradient
 step with a ``1/L`` step, where ``L`` is a hair above the gradient's
 Lipschitz constant ``2 lambda_max(G)`` from one eigenvalue solve, then
 certifies the exact point: its fixed-point residual must fall below the
-tolerance. When pivoting fails, the projected-gradient loop runs from the
-start instead, and the solve reports that it did not converge.
+tolerance. When pivoting fails, that one step is taken from the start
+instead, and the solve reports that it did not converge.
 
-Each step projects exactly onto the intersection: a clamp or a radial shrink
+The step projects exactly onto the intersection: a clamp or a radial shrink
 when one constraint alone decides it, else the clamped ray from the center
 that meets the sphere, found in at most one closed-form re-solve per entry.
 
@@ -46,8 +46,7 @@ __all__ = [
 
 GRAM_SYMMETRY_TOL = 1e-12
 # The largest rank (a block's column count) that the exact solve takes: its
-# free patterns are bit masks in an int64. Pivoting fails on every solve of
-# a larger rank.
+# free patterns are bit masks in an int64. A wider block is refused.
 MAX_RANK = 62
 
 
@@ -119,13 +118,15 @@ class BoxBallFeasibleSet:
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64)
-        if self.lower > self.upper:
-            raise ValueError(f"empty box: lower {self.lower} > upper {self.upper}")
+        # Negated, so that a NaN bound or center entry fails them: every
+        # comparison with NaN is false, and min and max propagate it.
+        if not self.lower <= self.upper:
+            raise ValueError(f"empty box: need lower <= upper, got {self.lower} and {self.upper}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         cmin = float(center.min(initial=self.lower))
         cmax = float(center.max(initial=self.upper))
-        if cmin < self.lower - 1e-12 or cmax > self.upper + 1e-12:
+        if not (cmin >= self.lower - 1e-12 and cmax <= self.upper + 1e-12):
             raise ValueError("center must lie inside the box")
         object.__setattr__(
             self, "center", np.clip(center, self.lower, self.upper)
@@ -222,24 +223,20 @@ def project_box_ball(p, feasible: BoxBallFeasibleSet) -> ProjectionResult:
     return ProjectionResult(np.clip(z, lo, hi, out=z), True, cycles)
 
 
-def _lipschitz(gram: np.ndarray) -> float:
-    """A hair above ``2 lambda_max(gram)``, or a small floor for a zero matrix.
+def lipschitz_estimate(q: QuadraticBlockSubproblem) -> float:
+    """A hair above the gradient Lipschitz constant ``2 lambda_max(gram)`` of
+    ``q``, or a small floor for a zero Gram.
 
     The ``1/L`` step it gives never exceeds the stable step of projected
-    gradient on a quadratic with this Gram.
+    gradient on ``q``.
     """
-    top = float(np.linalg.eigvalsh(gram)[-1])
+    top = float(np.linalg.eigvalsh(q.gram)[-1])
     return max(2.0 * top * (1.0 + 1e-6), 1e-12)
 
 
-def lipschitz_estimate(q: QuadraticBlockSubproblem) -> float:
-    """The gradient Lipschitz constant ``2 lambda_max(gram)`` of ``q``, a hair above."""
-    return _lipschitz(q.gram)
-
-
 # Caps on the exact solve: pivoting rounds in all, past which the solve
-# reports failure and the projected-gradient loop runs from the start
-# instead, and Newton steps on one secular equation.
+# reports failure and the certifying step is taken from the start instead,
+# and Newton steps on one secular equation.
 _ROUNDS = 200
 _NEWTON_STEPS = 60
 # Rounds in a row in which the faces keep changing before the multiplier is
@@ -467,8 +464,6 @@ class _ExactBlockSolve:
         d, r = c.shape
         if self.lower == self.upper:
             return c.copy()
-        if r > MAX_RANK:
-            raise _PivotingFailed(f"rank above {MAX_RANK}")
         self.set_faces(
             slice(None),
             np.where(warm <= self.lower, -1, np.where(warm >= self.upper, 1, 0)).astype(np.int8),
@@ -530,31 +525,35 @@ def solve_block_qp(
     tol: float = 1e-8,
     max_iters: int = 500,
 ) -> BlockSolveResult:
-    """Exact minimization of ``q`` over box ∩ ball, certified by projected gradient.
+    """Exact minimization of ``q`` over box ∩ ball, certified by one projected-gradient step.
 
-    The exact minimizer (see :class:`_ExactBlockSolve`) starts the
-    projected-gradient loop, whose steps project with
-    :func:`project_box_ball`. The loop stops when the fixed-point residual
-    ``||U - P(U - grad/L)||_F`` drops below ``tol * (1 + ||U||_F)``, which
-    at the exact point takes one step, or after ``max_iters`` steps,
-    reporting the achieved residual. When pivoting fails, the loop runs from
-    the start instead and the solve reports ``converged=False`` whatever the
-    loop reaches. The result never has a larger objective than ``start``
-    (the previous block value), which keeps every outer sweep monotone: when
-    the last iterate is worse, the start is returned with the start's own
-    fixed-point residual, and ``converged`` is true only when the exact solve
-    succeeded and that residual passes the test (a tie at the optimum, up to
+    The exact minimizer (see :class:`_ExactBlockSolve`), or the start when
+    pivoting fails, takes one projected-gradient step ``P(U - grad/L)``
+    through :func:`project_box_ball`, with ``L`` from
+    :func:`lipschitz_estimate`, and the stepped point is returned with the
+    step's fixed-point residual ``||U - P(U - grad/L)||_F``; ``iterations``
+    is always 1. ``converged`` is true only when the exact solve succeeded
+    and that residual is at most ``tol * (1 + ||P(U - grad/L)||_F)``. The
+    result never has a larger objective than ``start`` (the previous block
+    value), which keeps every outer sweep monotone: when the stepped point
+    is worse, the start is returned with the start's own fixed-point
+    residual, and ``converged`` is true only when the exact solve succeeded
+    and that residual passes the test (a tie at the optimum, up to
     rounding). A start that is the center bit for bit, as the driver passes
     it, is feasible and its own projection, so it is taken as it is.
 
-    The exact solve takes blocks of at most :data:`MAX_RANK` (62) columns.
-    Pivoting fails on every solve of a wider block, which then runs the
-    loop from the start and reports ``converged=False``.
+    The exact solve takes blocks of at most :data:`MAX_RANK` (62) columns;
+    a wider block raises ``ValueError``. ``max_iters`` is not read: it
+    stays because the benchmark's ``bench/kernels.py`` passes it.
     """
     start = np.asarray(start, dtype=np.float64)
     if start.shape != feasible.center.shape:
         raise ValueError(
             f"start shape {start.shape} does not match center {feasible.center.shape}"
+        )
+    if q.gram.shape[0] > MAX_RANK:
+        raise ValueError(
+            f"block has {q.gram.shape[0]} columns; the exact block solve takes at most {MAX_RANK}"
         )
 
     def _project(y: np.ndarray) -> np.ndarray:
@@ -569,34 +568,26 @@ def solve_block_qp(
             raise ValueError("start point is infeasible for the box/ball constraints")
         # Keep the start exactly feasible (contains() allows a whisper of slack).
         u0 = _project(start)
-    step = 1.0 / _lipschitz(q.gram)
+    step = 1.0 / lipschitz_estimate(q)
     try:
         u, exact = _ExactBlockSolve(q, feasible).solve(u0), True
     except _PivotingFailed:
         u, exact = u0, False
-    residual = math.inf
-    converged = False
-    iterations = 0
-    for k in range(1, max_iters + 1):
-        grad = q.gradient(u)
-        if not np.isfinite(grad).all():
-            raise FloatingPointError(f"non-finite gradient at inner iteration {k}")
-        u_next = _project(u - step * grad)
-        residual = _norm(u - u_next)
-        u = u_next
-        iterations = k
-        if residual <= tol * (1.0 + _norm(u)):
-            converged = exact
-            break
-    if not np.isfinite(u).all():
-        raise FloatingPointError(f"non-finite iterate at inner iteration {iterations}")
+    grad = q.gradient(u)
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite gradient at the certifying step")
+    stepped = _project(u - step * grad)
+    if not np.isfinite(stepped).all():
+        raise FloatingPointError("non-finite point after the certifying step")
+    residual = _norm(u - stepped)
+    converged = exact and residual <= tol * (1.0 + _norm(stepped))
 
     # Descent contract: never return a point worse than the start. The
     # residual is then the start's, so it describes the point returned, and
     # the solve converged only when that residual certifies the start: an
     # exact point that ties with an optimal start up to rounding.
-    if q.objective(u) > q.objective(u0):
-        u = u0.copy()
+    if q.objective(stepped) > q.objective(u0):
+        stepped = u0.copy()
         residual = _norm(u0 - _project(u0 - step * q.gradient(u0)))
         converged = exact and residual <= tol * (1.0 + _norm(u0))
-    return BlockSolveResult(u, residual, iterations, converged)
+    return BlockSolveResult(stepped, residual, 1, converged)

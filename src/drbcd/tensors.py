@@ -172,8 +172,8 @@ class SparseTensor:
     """A tensor given by its nonzeros: its ``shape``, the ascending flat
     (row-major) ``positions`` of its nonzeros, and their ``values``.
 
-    What :func:`drbcd.datagen.sparse_surrogate` returns below its
-    crossover density and :attr:`drbcd.factorization.NtfProblem.data`
+    What :func:`drbcd.datagen.sparse_surrogate` returns and
+    :attr:`drbcd.factorization.NtfProblem.data`
     returns for a problem that holds a coordinate list, and what
     :class:`~drbcd.factorization.NtfProblem` accepts as data beside a dense
     array, with the same result bit for bit as from :meth:`dense`. It is

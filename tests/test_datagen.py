@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from drbcd import datagen, tensors
+from drbcd import tensors
 from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from drbcd.factorization import NtfProblem
 from drbcd.tensors import SLAB_BYTES, SparseTensor, frobenius_norm
@@ -47,16 +47,13 @@ def test_lowrank_noise_clamped_nonnegative():
 
 
 @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
-@pytest.mark.parametrize("coordinates", [False, True])
-def test_surrogate_mean_abs_hits_target(monkeypatch, density, coordinates):
+def test_surrogate_mean_abs_hits_target(density):
     # The mean is fsum's, correctly rounded; the rescale and the division
     # by N round a few more times.
-    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0 if coordinates else 0.0)
     spec = SynthSpec(
         dims=(30, 100, 50), rank=5, seed=3, density=density, target_mean_abs=0.00067
     )
-    x = sparse_surrogate(spec)
-    values = x.values if coordinates else x.ravel()
+    values = sparse_surrogate(spec).values
     realized = math.fsum(values) / math.prod(spec.dims)
     assert abs(realized / 0.00067 - 1) <= 4 * np.finfo(float).eps
     assert values.min() >= 0.0
@@ -66,8 +63,7 @@ def test_surrogate_mean_abs_hits_target(monkeypatch, density, coordinates):
 
 def test_surrogate_full_density_has_no_zeros():
     spec = SynthSpec(dims=(20, 20, 20), rank=2, seed=4, density=1.0, target_mean_abs=0.5)
-    x = sparse_surrogate(spec)
-    assert np.count_nonzero(x) == x.size
+    assert np.count_nonzero(sparse_surrogate(spec).values) == math.prod(spec.dims)
 
 
 def test_surrogate_deterministic():
@@ -175,9 +171,8 @@ def test_lowrank_has_the_bits_of_the_whole_tensor_formula(dims, rank, seed, nois
 
 
 def dense_of(x):
-    """A surrogate's tensor, checked against its coordinate form when it has one."""
-    if not isinstance(x, SparseTensor):
-        return x
+    """A surrogate's tensor, checked against its coordinate form."""
+    assert isinstance(x, SparseTensor)
     dense = x.dense()
     assert_array_equal(x.positions, np.flatnonzero(dense), strict=True)
     assert_array_equal(x.values, dense.ravel()[x.positions], strict=True)
@@ -187,19 +182,13 @@ def dense_of(x):
 
 @pytest.mark.parametrize("dims", SHAPES)
 @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
-@pytest.mark.parametrize("form", ["returned", "coordinates", "dense"])
 @pytest.mark.parametrize("slab_bytes", [None, 64 * 37])
-def test_surrogate_has_the_bits_of_the_whole_tensor_formula(monkeypatch, dims, density, form, slab_bytes):
-    # The form the crossover picks, then each form at every density; with
-    # the package's slabs, then with pattern chunks of 37 draws.
-    if form != "returned":
-        monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0 if form == "coordinates" else 0.0)
+def test_surrogate_has_the_bits_of_the_whole_tensor_formula(monkeypatch, dims, density, slab_bytes):
+    # With the package's slabs, then with pattern chunks of 37 draws.
     if slab_bytes is not None:
         monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
     spec = SynthSpec(dims=dims, rank=2, seed=12, density=density, target_mean_abs=0.25)
-    x = sparse_surrogate(spec)
-    assert isinstance(x, SparseTensor) == (density < datagen.SPARSE_DENSITY)
-    x = dense_of(x)
+    x = dense_of(sparse_surrogate(spec))
     expected = reference_surrogate(spec)
     assert x.flags.c_contiguous and x.dtype == np.float64
     assert_array_equal(x, expected, strict=True)
@@ -226,23 +215,14 @@ PEAK_DIMS = (100, 100, 100)
 
 
 def test_surrogate_is_built_in_its_own_buffer():
-    # Below the crossover: the coordinate list and one 64 KB chunk of the
-    # pattern's draws, and no tensor; the peak is about a fortieth of the
-    # 8 MB tensor. Filling the tensor took 1.05x it, a tensor-sized mask
-    # 1.125x, the whole-tensor formula about 3x.
+    # The coordinate list and one 64 KB chunk of the pattern's draws, and no
+    # tensor; the peak is about a fortieth of the 8 MB tensor. Filling the
+    # tensor took 1.05x it, a tensor-sized mask 1.125x, the whole-tensor
+    # formula about 3x.
     spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.01, target_mean_abs=0.00067)
     x, peak = traced_peak(lambda: sparse_surrogate(spec))
     assert isinstance(x, SparseTensor) and x.nbytes == 16 * x.values.size
     assert peak <= x.nbytes + SLAB_BYTES // 8
-
-
-def test_dense_surrogate_is_built_in_its_own_buffer():
-    # At or above the crossover: the result, then one 64 KB chunk's boolean
-    # pattern and its magnitudes, as an array and as the list fsum reads.
-    spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.3, target_mean_abs=0.00067)
-    x, peak = traced_peak(lambda: sparse_surrogate(spec))
-    assert x.nbytes == 8 * 10**6
-    assert peak <= 1.05 * x.nbytes
 
 
 def test_sparse_problem_is_built_from_the_surrogate_without_a_tensor():
@@ -276,25 +256,15 @@ def test_noisy_lowrank_adds_its_noise_in_place():
 def test_generators_return_read_only_tensors_that_problems_share():
     dense, _ = synthetic_lowrank(SynthSpec(dims=(5, 6, 7), rank=2, seed=15, noise_level=0.1))
     sparse = sparse_surrogate(SynthSpec(dims=(5, 6, 7), rank=2, seed=15, density=0.3, target_mean_abs=0.25))
-    for x in (dense, sparse):
+    for x in (dense, sparse.positions, sparse.values):
         owner = x if x.base is None else x.base
         assert not x.flags.writeable and not owner.flags.writeable
         with pytest.raises(ValueError):
-            x[0, 0, 0] = 1.0
+            x[(0,) * x.ndim] = 1.0
     assert NtfProblem(dense, 2).data is dense
 
 
-def test_surrogate_at_the_crossover_takes_the_dense_fill(monkeypatch):
-    spec = SynthSpec(dims=(6, 7, 8), rank=2, seed=19, density=0.25, target_mean_abs=0.5)
-    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 0.25)
-    assert isinstance(sparse_surrogate(spec), np.ndarray)
-    monkeypatch.setattr(datagen, "SPARSE_DENSITY", np.nextafter(0.25, 1.0))
-    assert isinstance(sparse_surrogate(spec), SparseTensor)
-
-
-@pytest.mark.parametrize("coordinates", [False, True])
-def test_an_all_zero_surrogate_is_refused(monkeypatch, coordinates):
-    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0 if coordinates else 0.0)
+def test_an_all_zero_surrogate_is_refused():
     spec = SynthSpec(dims=(2, 2), rank=1, seed=0, density=1e-9, target_mean_abs=0.5)
     with pytest.raises(ValueError, match="identically zero"):
         sparse_surrogate(spec)

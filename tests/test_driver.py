@@ -65,9 +65,8 @@ def test_sweep_leaves_minimizer_fixed():
 
 
 def test_sweep_counts_unconverged_block_solves(monkeypatch):
-    # With the exact solve forced to fail, one inner step from the origin
-    # cannot reach either target, so both solves of the first sweep stop at
-    # the cap.
+    # With the exact solve forced to fail, both solves of the first sweep
+    # take their one step from the start and count as unconverged.
     import drbcd.subsolver as subsolver
 
     def fail(self, warm):
@@ -75,7 +74,7 @@ def test_sweep_counts_unconverged_block_solves(monkeypatch):
 
     monkeypatch.setattr(subsolver._ExactBlockSolve, "solve", fail)
     problem = SeparableQuadratic(targets=[1.0, 2.0])
-    cfg = make_cfg(schedule=RadiusSchedule(kind="infinite"), qp_max_iters=1)
+    cfg = make_cfg(schedule=RadiusSchedule(kind="infinite"))
     _, record = bcd_dr_sweep(problem, scalar_blocks(0.0, 0.0), 1, cfg)
     assert record.unconverged_solves == 2
 
@@ -259,6 +258,12 @@ def test_run_rejects_infeasible_start():
         run(problem, scalar_blocks(5.0), make_cfg())
     with pytest.raises(ValueError, match="feasible"):
         run_mu(problem, scalar_blocks(-0.5), make_cfg())
+
+
+def test_run_refuses_a_block_wider_than_the_exact_solve_takes():
+    problem = SeparableQuadratic(targets=[np.ones((2, 63))])
+    with pytest.raises(ValueError, match="block 0 at sweep 1: block has 63 columns"):
+        run(problem, [np.zeros((2, 63))], make_cfg())
 
 
 def test_run_long_points_match_unconstrained_sweep():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drbcd import datagen, factorization, tensors
+from drbcd import factorization, tensors
 from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from drbcd.driver import SolverConfig, run, stationarity_measure, verify_trace
 from drbcd.factorization import FactorModel, NtfProblem, init_factors, mu_sweep, run_mu
@@ -657,18 +657,15 @@ def assert_same_problem(a, b, seed):
 @pytest.mark.parametrize("density", [0.01, 0.04, 0.3])
 @pytest.mark.parametrize("share", [None, 1e-4, 0.9])
 def test_surrogate_coordinates_make_the_dense_surrogates_problem(monkeypatch, dims, density, share):
-    # Each side of the crossover, and of SPARSE_SHARE: the default, a share
-    # that lists no data and one that lists all of it.
+    # Each side of SPARSE_SHARE: the default, a share that lists no data
+    # and one that lists all of it.
     if share is not None:
         monkeypatch.setattr(factorization, "SPARSE_SHARE", share)
     spec = SynthSpec(dims=dims, rank=3, seed=47, density=density, target_mean_abs=0.25)
-    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 2.0)
     coords = sparse_surrogate(spec)
-    monkeypatch.setattr(datagen, "SPARSE_DENSITY", 0.0)
-    dense = sparse_surrogate(spec)
-    assert isinstance(coords, tensors.SparseTensor) and isinstance(dense, np.ndarray)
+    assert isinstance(coords, tensors.SparseTensor)
     problem = NtfProblem(coords, 3)
-    assert_same_problem(problem, NtfProblem(dense, 3), seed=48)
+    assert_same_problem(problem, NtfProblem(coords.dense(), 3), seed=48)
     if problem._coo is None:
         assert problem._owner is problem._dense and not problem._dense.flags.writeable
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drbcd.subsolver import (
+    MAX_RANK,
     BoxBallFeasibleSet,
     QuadraticBlockSubproblem,
     lipschitz_estimate,
@@ -395,6 +396,24 @@ def test_feasible_set_requires_center_in_box():
         BoxBallFeasibleSet(lower=0.0, upper=1.0, center=np.array([[2.0]]), radius=0.5)
 
 
+def test_feasible_set_refuses_a_nan_center():
+    with pytest.raises(ValueError, match="center must lie inside the box"):
+        BoxBallFeasibleSet(0.0, 1.0, center=[[math.nan, 0.5]], radius=1.0)
+
+
+def test_feasible_set_refuses_a_nan_bound():
+    with pytest.raises(ValueError, match="empty box"):
+        BoxBallFeasibleSet(math.nan, 1.0, center=[[0.5, 0.5]], radius=1.0)
+
+
+def test_solver_refuses_a_block_wider_than_the_exact_solve_takes():
+    r = MAX_RANK + 1
+    q = QuadraticBlockSubproblem(gram=np.eye(r), linear=np.ones((2, r)))
+    fs = BoxBallFeasibleSet(0.0, 1.0, center=np.zeros((2, r)), radius=1.0)
+    with pytest.raises(ValueError, match=f"block has 63 columns; .* at most {MAX_RANK}"):
+        solve_block_qp(q, fs, start=fs.center)
+
+
 def fail_exact_solves(monkeypatch):
     """Make every exact solve fail as pivoting that meets its round cap does."""
     import drbcd.subsolver as subsolver
@@ -406,19 +425,18 @@ def fail_exact_solves(monkeypatch):
 
 
 def test_solver_fallback_to_start_is_reported(monkeypatch):
-    # With the exact solve failing, a step far above 1/L makes the iterates
-    # bounce between the box faces, ending worse than the start: the start
-    # comes back, reported as not converged and with the start's own
-    # fixed-point residual.
+    # With the exact solve failing, a step far above 1/L overshoots to a box
+    # face, ending worse than the start: the start comes back, reported as
+    # not converged and with the start's own fixed-point residual.
     import drbcd.subsolver as subsolver
 
     fail_exact_solves(monkeypatch)
-    monkeypatch.setattr(subsolver, "_lipschitz", lambda gram: 1e-6)
+    monkeypatch.setattr(subsolver, "lipschitz_estimate", lambda q: 1e-6)
     b = np.full((1, 2), 5.0)
     q = QuadraticBlockSubproblem(gram=np.eye(2), linear=b, constant=float(np.sum(b**2)))
     start = b + 0.01
     fs = BoxBallFeasibleSet(lower=0.0, upper=10.0, center=start, radius=math.inf)
-    res = solve_block_qp(q, fs, start=start, max_iters=5)
+    res = solve_block_qp(q, fs, start=start)
     assert np.array_equal(res.point, start)
     assert not res.converged
     # The huge step from the start lands below the box, which clamps it to 0.
@@ -426,7 +444,7 @@ def test_solver_fallback_to_start_is_reported(monkeypatch):
 
 
 def test_solver_fallback_after_convergence_is_not_converged():
-    # The inner loop converges, but the objective rates its point above the
+    # The certifying step passes, but the objective rates its point above the
     # start (as rounding can near a tie): the fallback must not read as
     # converged, and its residual is the start's, far from the tolerance.
     class PrefersStart(QuadraticBlockSubproblem):
@@ -446,9 +464,10 @@ def test_solver_fallback_after_convergence_is_not_converged():
     assert res.residual > 1e-3
 
 
-def test_failed_pivoting_runs_the_loop_from_the_start(monkeypatch):
-    # The loop converges from the start, but the solve still reports that it
-    # did not, so the sweep counts it.
+def test_failed_pivoting_takes_one_projected_gradient_step_from_the_start(monkeypatch):
+    # The one step is taken from the start, bit for bit as the certificate
+    # takes it, and descends; the solve still reports that it did not
+    # converge, so the sweep counts it.
     rng = np.random.default_rng(8)
     q = random_psd_problem(rng, 3, 2)
     center = rng.random((3, 2)) * 0.5
@@ -457,12 +476,13 @@ def test_failed_pivoting_runs_the_loop_from_the_start(monkeypatch):
     assert exact.converged and exact.iterations == 1
 
     fail_exact_solves(monkeypatch)
-    res = solve_block_qp(q, fs, start=center, tol=1e-12, max_iters=5000)
-    assert not res.converged
-    assert 1 < res.iterations < 5000
-    assert res.residual <= 1e-12 * (1.0 + np.linalg.norm(res.point))
-    assert np.abs(res.point - exact.point).max() <= 1e-8
+    res = solve_block_qp(q, fs, start=center)
+    stepped = project_box_ball(center - (1.0 / lipschitz_estimate(q)) * q.gradient(center), fs).point
+    assert np.array_equal(res.point, stepped)
+    assert res.residual == np.linalg.norm(center - stepped)
+    assert res.iterations == 1 and not res.converged
     assert fs.contains(res.point, tol=0.0)
+    assert q.objective(res.point) <= q.objective(center)
 
 
 def test_solver_with_a_singular_gram_from_a_zero_column():
