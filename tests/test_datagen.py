@@ -47,13 +47,16 @@ def test_lowrank_noise_clamped_nonnegative():
 
 
 @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
-def test_surrogate_mean_abs_hits_target(density):
+@pytest.mark.parametrize("coordinates", [False, True])
+def test_surrogate_mean_abs_hits_target(density, coordinates):
     # The mean is fsum's, correctly rounded; the rescale and the division
-    # by N round a few more times.
+    # by N round a few more times. Over the listed values, then over every
+    # entry of the tensor they describe.
     spec = SynthSpec(
         dims=(30, 100, 50), rank=5, seed=3, density=density, target_mean_abs=0.00067
     )
-    values = sparse_surrogate(spec).values
+    x = sparse_surrogate(spec)
+    values = x.values if coordinates else x.dense().ravel()
     realized = math.fsum(values) / math.prod(spec.dims)
     assert abs(realized / 0.00067 - 1) <= 4 * np.finfo(float).eps
     assert values.min() >= 0.0
@@ -170,26 +173,33 @@ def test_lowrank_has_the_bits_of_the_whole_tensor_formula(dims, rank, seed, nois
         assert_array_equal(got, want, strict=True)
 
 
-def dense_of(x):
-    """A surrogate's tensor, checked against its coordinate form."""
-    assert isinstance(x, SparseTensor)
-    dense = x.dense()
-    assert_array_equal(x.positions, np.flatnonzero(dense), strict=True)
-    assert_array_equal(x.values, dense.ravel()[x.positions], strict=True)
-    assert not (x.positions.flags.writeable or x.values.flags.writeable)
-    return dense
+def slabs_of(x):
+    """A surrogate's tensor as :func:`drbcd.tensors._dense_slabs` fills it,
+    slab by slab, for NTF1 files and the objective's pass."""
+    rows = [slab.copy() for _, _, slab in tensors._dense_slabs(x)]
+    return np.concatenate(rows).reshape(x.shape)
 
 
 @pytest.mark.parametrize("dims", SHAPES)
 @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
+@pytest.mark.parametrize("form", ["coordinates", "dense", "slabs"])
 @pytest.mark.parametrize("slab_bytes", [None, 64 * 37])
-def test_surrogate_has_the_bits_of_the_whole_tensor_formula(monkeypatch, dims, density, slab_bytes):
-    # With the package's slabs, then with pattern chunks of 37 draws.
+def test_surrogate_has_the_bits_of_the_whole_tensor_formula(monkeypatch, dims, density, form, slab_bytes):
+    # The coordinate lists against the formula's nonzeros, then the two
+    # ways a tensor is formed from them: whole, and in row slabs; with the
+    # package's slabs, then with pattern chunks of 37 draws.
     if slab_bytes is not None:
         monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
     spec = SynthSpec(dims=dims, rank=2, seed=12, density=density, target_mean_abs=0.25)
-    x = dense_of(sparse_surrogate(spec))
+    x = sparse_surrogate(spec)
+    assert isinstance(x, SparseTensor) and x.shape == spec.dims
+    assert not (x.positions.flags.writeable or x.values.flags.writeable)
     expected = reference_surrogate(spec)
+    if form == "coordinates":
+        assert_array_equal(x.positions, np.flatnonzero(expected).astype(np.int64), strict=True)
+        assert_array_equal(x.values, expected.ravel()[x.positions], strict=True)
+        return
+    x = x.dense() if form == "dense" else slabs_of(x)
     assert x.flags.c_contiguous and x.dtype == np.float64
     assert_array_equal(x, expected, strict=True)
     assert not np.signbit(x).any()
