@@ -10,7 +10,10 @@ time, and on the last record why the run stopped) and :func:`verify_trace`
 re-checks the descent, radius-feasibility, and square-summable-step
 properties on a finished trace.
 
-A run is strictly sequential; independent runs may execute concurrently.
+A run takes its sweeps, and the blocks within a sweep, one after another.
+The dense passes of :class:`drbcd.factorization.NtfProblem` inside them may
+share their row slabs among threads, with the bits of one thread (see
+:mod:`drbcd.tensors`). Independent runs may execute concurrently.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from .schedule import RadiusSchedule
 from .subsolver import BoxBallFeasibleSet, QuadraticBlockSubproblem, solve_block_qp
+from .tensors import _running
 
 __all__ = [
     "BlockProblem",
@@ -222,6 +226,7 @@ def run(
     )
 
 
+@_running()
 def _sweep_loop(
     problem: BlockProblem,
     blocks0: Sequence[np.ndarray],
@@ -234,7 +239,9 @@ def _sweep_loop(
     records it as ``n = 0``. Then ``sweep(blocks, n)`` does sweep ``n >= 1``
     and returns the new point and its record; the loop stamps the clock, and
     stops at the sweep, time, or stationarity budget, which it names in the
-    last record's ``stop_reason``.
+    last record's ``stop_reason``. While it runs it counts as a run in
+    progress, whose thread's core the dense passes leave to it (see
+    :func:`drbcd.tensors._running`).
     """
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks0]
     if len(blocks) != problem.num_blocks:

@@ -33,7 +33,7 @@ from .driver import SolverConfig, TraceRecord, TraceVerification, run, verify_tr
 from .factorization import NtfProblem, init_factors, run_mu
 from .schedule import RadiusSchedule
 from .subsolver import MAX_RANK
-from .tensors import SparseTensor, read_ntf1, write_ntf1
+from .tensors import SparseTensor, _pass_threads, read_ntf1, write_ntf1
 
 __all__ = [
     "AlgorithmSpec",
@@ -469,6 +469,12 @@ class ExperimentSummary:
                     f"comparison: {label} mean final error {dr_final:.6g} is "
                     f"{verdict} plain als ({als_final:.6g}){unbound}"
                 )
+        threads, cores, blas = _pass_threads()
+        lines.append(
+            f"dense passes: up to {_count(threads, 'thread')} ({_count(cores, 'core')}, "
+            f"{_count(blas, 'BLAS thread') if blas else 'BLAS thread count unknown'}), "
+            "one held by each run in progress"
+        )
         for v in self.violations:
             lines.append(
                 f"INVARIANT {v.algorithm} run {v.run_index}: {v.check} broken at "
@@ -477,6 +483,10 @@ class ExperimentSummary:
         for f in self.failures:
             lines.append(f"FAILED {f.algorithm} run {f.run_index}: {f.message}")
         return "\n".join(lines)
+
+
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" + ("" if n == 1 else "s")
 
 
 class SettingError(ValueError):

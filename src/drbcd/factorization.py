@@ -47,6 +47,8 @@ from .tensors import (
     _mttkrp_from_partial,
     _read_only,
     _row_slabs,
+    _scratch,
+    _slab_map,
 )
 
 __all__ = [
@@ -175,12 +177,11 @@ class _Memo(threading.local):
     ``linear[i]`` is block ``i``'s linear term, keyed by the bytes of every
     other block. :meth:`drop_partial` frees the partial, with every term
     formed from it, before its successor is allocated, so a thread holds
-    one partial at a time, never two. ``slab`` is the dense objective's
-    residual buffer, one row block of the data's native view
-    ``X.reshape(-1, d_last)`` (see :data:`drbcd.tensors.SLAB_BYTES`), so the
-    objective never makes a tensor-sized temporary. ``chunk`` is the scratch
-    of the nonzero-only passes, an ``(r, n)`` product for a chunk of ``n``
-    nonzeros.
+    one partial at a time, never two. ``chunk`` is the scratch of the
+    nonzero-only passes, an ``(r, n)`` product for a chunk of ``n``
+    nonzeros. The dense passes' slab buffers are not kept here but in the
+    scratch of whichever thread runs the slab (see
+    :func:`drbcd.tensors._scratch`).
     """
 
     def __init__(self, num_blocks: int):
@@ -188,7 +189,6 @@ class _Memo(threading.local):
         self.linear: list[tuple[tuple[bytes, ...] | None, np.ndarray | None]] = [
             (None, None)
         ] * num_blocks
-        self.slab: np.ndarray | None = None
         self.chunk: np.ndarray | None = None
 
     def drop_partial(self, pivot: int) -> None:
@@ -254,8 +254,9 @@ class NtfProblem:
     then has one column per cell, never more than on the dense path. Dense
     data pivots on the last mode, and the objective is a pass over
     cache-sized row slabs of the data's native view ``X.reshape(-1,
-    d_last)``; coordinates of at least :data:`SPARSE_SHARE` nonzeros are
-    scattered into a private read-only tensor for it. The solves read the
+    d_last)``, shared among threads as the dense MTTKRP passes' slabs are
+    (see :mod:`drbcd.tensors`); coordinates of at least
+    :data:`SPARSE_SHARE` nonzeros are scattered into a private read-only tensor for it. The solves read the
     data's :attr:`shape`; :attr:`data` returns the tensor itself, or, from
     a coordinate list, a :class:`~drbcd.tensors.SparseTensor` of it, from
     which ``NtfProblem(problem.data, rank)`` builds the same problem. No
@@ -360,18 +361,22 @@ class NtfProblem:
         The residual is formed explicitly over row slabs of the data's
         native view ``Xr = X.reshape(-1, d_last)``: slab ``[s:e]`` is
         ``Xr[s:e] - K[s:e] @ U_last.T``, with ``K`` the Khatri-Rao product of
-        the leading blocks, formed in one per-thread buffer of about
-        :data:`drbcd.tensors.SLAB_BYTES` and summed with ``dot``. The
-        expansion ``||X||^2 - 2<U, B> + <U^T U, G>`` would be cheaper but
-        cancels to about ``eps ||X||^2`` near a good fit, which is as large
-        as the slack the descent checks allow.
+        the leading blocks, formed in a buffer of about
+        :data:`drbcd.tensors.SLAB_BYTES` in the scratch of the thread that
+        takes the slab (see :func:`drbcd.tensors._scratch`) and summed with
+        ``dot``. The slabs are shared among threads by
+        :func:`drbcd.tensors._slab_map` and their sums added in slab order,
+        so the total has the serial loop's bits. The expansion ``||X||^2 -
+        2<U, B> + <U^T U, G>`` would be cheaper but cancels to about ``eps
+        ||X||^2`` near a good fit, which is as large as the slack the
+        descent checks allow.
 
         On sparse data (see :meth:`_coo_objective`) the residual is formed
         at the nonzeros alone, unless rounding could move the result by more
         than ``1e-12`` of itself; then the pass above runs on slabs filled
-        from the coordinates of :attr:`data` into a second slab-sized
-        buffer, with the bits of the pass over the tensor and no tensor
-        formed.
+        from the coordinates of :attr:`data` into a second buffer of the
+        same thread's scratch, inside the same per-slab body, with the bits
+        of the pass over the tensor and no tensor formed.
 
         The pass leaves behind, in this thread's memo, the MTTKRP term that
         the stationarity measure at the same blocks needs next and that the
@@ -399,33 +404,36 @@ class NtfProblem:
         kr = _khatri_rao_native(blocks[:-1])
         last = blocks[-1]
         num_rows, d_last = math.prod(self.shape[:-1]), self.shape[-1]
-        ranges = _row_slabs(num_rows, 8 * d_last)
-        memo = self._memo
-        rows = ranges[0][1]  # the first slab is a longest one
-        if memo.slab is None or memo.slab.shape[0] < rows:
-            memo.slab = np.empty((rows, d_last))
         if self._coo is None:
             xr = self._dense.reshape(-1, d_last)
-            slabs = ((start, stop, xr[start:stop]) for start, stop in ranges)
+
+            def data_slab(start: int, stop: int) -> np.ndarray:
+                return xr[start:stop]
         else:
-            slabs = _dense_slabs(self.data)  # the same ranges
+            data_slab = _dense_slabs(self.data)
         # The nonzero path's partial is its own scatter, over its pivot and
         # with other bits: a dense pass on sparse data leaves none behind.
+        memo = self._memo
         key = last.tobytes() if self._coo is None else None
         partial = None
         if key is not None and memo.partial[0] != key:
             memo.drop_partial(self._pivot)
             partial = np.empty((self.rank, num_rows))
         last_t = np.ascontiguousarray(last.T)
-        total = 0.0
-        for start, stop, x_slab in slabs:
-            residual = memo.slab[: stop - start]
+
+        def slab_sum(start: int, stop: int) -> float:
+            x_slab = data_slab(start, stop)
+            residual = _scratch("residual", (stop - start, d_last))
             np.matmul(kr[start:stop], last_t, out=residual)
             np.subtract(x_slab, residual, out=residual)
-            flat = residual.ravel()
-            total += float(np.dot(flat, flat))
             if partial is not None:
                 np.matmul(last_t, x_slab.T, out=partial[:, start:stop])
+            flat = residual.ravel()
+            return float(np.dot(flat, flat))
+
+        total = 0.0
+        for term in _slab_map(slab_sum, _row_slabs(num_rows, 8 * d_last)):
+            total += term
         if partial is not None:
             partial = partial.reshape((self.rank,) + self.shape[:-1])
             partial.flags.writeable = False

@@ -50,16 +50,28 @@ Every pass in the package that takes an array in pieces, here, in
 :func:`_row_slabs`, so the slab size is decided here alone.
 
 All functions are safe to call concurrently; they write to nothing but
-their results and the scratch buffers the ``_coo_*`` kernels are given.
+their results, the scratch buffers the ``_coo_*`` kernels are given and
+their own thread's scratch (see :func:`_scratch`). The dense passes over
+row slabs (the objective's in :mod:`drbcd.factorization`,
+:func:`_last_mode_partial` and :func:`_last_mode_mttkrp`) share their slabs
+out among threads through :func:`_slab_map`: the calling thread and, where
+the machine has a core to spare beside BLAS's own threads and the runs in
+progress, helper threads of one process-wide pool, started by the first
+pass that splits. Each
+slab's products are the serial loop's, and the caller combines them in
+slab order, so the bits do not depend on how the slabs were shared.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from math import inf, isfinite, prod
+from pathlib import Path
 from stat import S_ISREG
 
 import numpy as np
@@ -240,23 +252,22 @@ class SparseTensor:
 
 
 def _dense_slabs(x: SparseTensor):
-    """``(start, stop, slab)`` for the row slabs of the native view
-    ``x.dense().reshape(-1, d_last)``, taken as :func:`_row_slabs` takes
-    them, each filled from the coordinates into one reused buffer: zeros
-    first, then the slab's nonzeros. A slab is valid until the next is
-    asked for; no tensor is formed.
+    """The row slabs of the native view ``x.dense().reshape(-1, d_last)``,
+    as a function of a range: ``slab(start, stop)`` is rows ``start:stop``,
+    filled from the coordinates into the calling thread's scratch (see
+    :func:`_scratch`), zeros first, then the slab's nonzeros. A slab is
+    valid until the same thread asks for the next; no tensor is formed.
     """
     d_last = x.shape[-1]
-    slabs = _row_slabs(prod(x.shape[:-1]), 8 * d_last)
-    if not slabs:
-        return
-    bounds = np.searchsorted(x.positions, [start * d_last for start, _ in slabs] + [slabs[-1][1] * d_last])
-    buffer = np.empty((slabs[0][1], d_last))  # the first slab is a longest one
-    for (start, stop), low, high in zip(slabs, bounds[:-1], bounds[1:]):
-        slab = buffer[: stop - start]
-        slab.fill(0.0)
-        slab.reshape(-1)[x.positions[low:high] - start * d_last] = x.values[low:high]
-        yield start, stop, slab
+
+    def slab(start: int, stop: int) -> np.ndarray:
+        low, high = np.searchsorted(x.positions, [start * d_last, stop * d_last])
+        out = _scratch("data", (stop - start, d_last))
+        out.fill(0.0)
+        out.reshape(-1)[x.positions[low:high] - start * d_last] = x.values[low:high]
+        return out
+
+    return slab
 
 
 def frobenius_norm(x) -> float:
@@ -330,6 +341,160 @@ def _row_slabs(rows: int, row_bytes: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
+class _ThreadScratch(threading.local):
+    """One thread's buffers for the slab bodies of the dense passes, by use."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+
+_SCRATCH = _ThreadScratch()
+
+
+def _scratch(use: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The calling thread's buffer for ``use``, as an uninitialized
+    C-contiguous array of ``shape``, grown as needed; valid until the same
+    thread asks for ``use`` again. A thread so holds one buffer per use,
+    about :data:`SLAB_BYTES` each, however many problems and passes it runs:
+    ``"residual"`` for the dense objective, ``"data"`` for
+    :func:`_dense_slabs` and ``"mode0"`` for :func:`_last_mode_mttkrp`.
+    """
+    size = prod(shape)
+    buffers = _SCRATCH.buffers
+    buffer = buffers.get(use)
+    if buffer is None or buffer.size < size:
+        buffer = buffers[use] = np.empty(size)
+    return buffer[:size].reshape(shape)
+
+
+# numpy 2 wheels bundle scipy-openblas; numpy 1 wheels bundled openblas64_.
+_BLAS_THREAD_QUERIES = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+_blas_query = ...  # the bundled OpenBLAS's thread-count getter, or None; looked up once
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with numpy, read now; ``None``
+    when there is none or it has no getter."""
+    global _blas_query
+    if _blas_query is ...:
+        import ctypes
+
+        query = None
+        for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            symbol = next((name for name in _BLAS_THREAD_QUERIES if hasattr(handle, name)), None)
+            if symbol is not None:
+                query = getattr(handle, symbol)
+                query.restype, query.argtypes = ctypes.c_int, []
+                break
+        _blas_query = query
+    return None if _blas_query is None else int(_blas_query())
+
+
+def _pass_threads() -> tuple[int, int, int | None]:
+    """``(threads, cores, blas)``: the threads a dense pass shares its slabs
+    among, the cores this process may run on and BLAS's thread count.
+
+    ``threads`` is ``cores // blas``, so that the pass's threads and BLAS's
+    together use each core once, and 1, the serial loop, when BLAS's count
+    is unknown. At numpy's default of one OpenBLAS thread per core it is 1.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = _blas_threads()
+    return (max(1, cores // blas) if blas else 1), cores, blas
+
+
+_pool = None  # (helpers, executor): the helper threads, made by the first pass that splits
+_runs_in_progress = 0  # in every thread (see :func:`_running`)
+_pool_lock = threading.Lock()  # guards the two above
+
+
+@contextmanager
+def _running():
+    """Counts the calling thread's run of :mod:`drbcd.driver` as in
+    progress for the length of the ``with`` block.
+
+    A run keeps its thread's core busy from start to end, so a pass takes
+    helpers only for the threads :func:`_pass_threads` allows beyond the
+    runs in progress: two runs at once on two cores, as the CLI's threaded
+    mode starts them at one BLAS thread, keep every pass serial.
+    """
+    global _runs_in_progress
+    with _pool_lock:
+        _runs_in_progress += 1
+    try:
+        yield
+    finally:
+        with _pool_lock:
+            _runs_in_progress -= 1
+
+
+def _submit(helpers: int, work) -> list:
+    """``helpers`` futures of ``work`` on the process-wide pool, made or
+    widened here; under a lock, so that no pass submits to a pool being
+    replaced."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < helpers:
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (helpers, ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="drbcd-slabs"))
+        return [_pool[1].submit(work) for _ in range(helpers)]
+
+
+def _slab_map(fn, ranges: list[tuple[int, int]]) -> list:
+    """``[fn(start, stop) for start, stop in ranges]``, the slabs shared
+    between the calling thread and idle helper threads.
+
+    With at least two slabs and room for at least one helper (the threads
+    :func:`_pass_threads` allows, less the calling thread or, if more, the
+    runs in progress; see :func:`_running`), each thread claims the next
+    unclaimed slab from a shared counter until none is left. The caller
+    claims too, so it never waits on a pool that other passes keep busy:
+    once the slabs run out it cancels every helper task that has not
+    started and waits only for those running. No slab is claimed after one
+    has raised, and the error is raised here. Otherwise, and wherever
+    nothing would split, this is the serial loop, in the calling thread
+    alone. ``fn`` writes its outputs only where no other slab's ``fn``
+    reads or writes.
+    """
+    helpers = 0
+    if len(ranges) > 1:
+        helpers = min(_pass_threads()[0] - max(1, _runs_in_progress), len(ranges) - 1)
+    if helpers < 1:
+        return [fn(start, stop) for start, stop in ranges]
+    results = [None] * len(ranges)
+    claims = iter(range(len(ranges)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    k = next(claims, None)
+                if k is None:
+                    return
+                results[k] = fn(*ranges[k])
+        except BaseException:
+            with lock:
+                for _ in claims:  # no slab is claimed after this one
+                    pass
+            raise
+
+    futures = _submit(helpers, work)
+    try:
+        work()
+    finally:
+        for future in futures:
+            future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.result()
+    return results
+
+
 def _last_mode_partial(x, u_last) -> np.ndarray:
     """Contract the last mode of ``x`` with ``u_last`` (d_last x r).
 
@@ -338,15 +503,19 @@ def _last_mode_partial(x, u_last) -> np.ndarray:
     Each row block ``Xr[s:e]`` of the native view ``Xr = x.reshape(-1,
     d_last)`` (see :func:`_row_slabs`) gives the columns ``s:e`` of the
     ``(r, rows)`` result, ``U_last.T @ Xr[s:e].T`` with ``U_last.T`` a
-    contiguous copy. The objective's pass in :mod:`drbcd.factorization`
-    forms ``P`` by the same products, so that the two give it the same bits.
+    contiguous copy, the blocks shared among threads by :func:`_slab_map`.
+    The objective's pass in :mod:`drbcd.factorization` forms ``P`` by the
+    same products, so that the two give it the same bits.
     """
     x = np.asarray(x, dtype=np.float64)
     xr = x.reshape(-1, x.shape[-1])
     last_t = np.ascontiguousarray(np.asarray(u_last, dtype=np.float64).T)
     p = np.empty((last_t.shape[0], xr.shape[0]))
-    for start, stop in _row_slabs(xr.shape[0], xr[:1].nbytes):
+
+    def block(start: int, stop: int) -> None:
         np.matmul(last_t, xr[start:stop].T, out=p[:, start:stop])
+
+    _slab_map(block, _row_slabs(xr.shape[0], xr[:1].nbytes))
     return p.reshape((last_t.shape[0],) + x.shape[:-1])
 
 
@@ -395,7 +564,8 @@ def _last_mode_mttkrp(x, factors) -> np.ndarray:
     Khatri-Rao product of the middle factors (see :func:`_khatri_rao_t`).
     ``Y`` is formed and contracted over slabs of the middle cells from
     :func:`_row_slabs`, each slab's part of ``Y`` about :data:`SLAB_BYTES`
-    in one reused buffer, and the slabs' terms are added in order. The
+    in its thread's scratch (see :func:`_scratch`); the slabs are shared
+    among threads by :func:`_slab_map`, and their terms added in order. The
     first product has the short mode 0 as its inner dimension, where the
     one GEMM ``K.T @ x.reshape(-1, d_last)`` it replaces summed over every
     cell of the leading modes. At 100x200x300 rank 5, one BLAS thread, it
@@ -416,14 +586,16 @@ def _last_mode_mttkrp(x, factors) -> np.ndarray:
     rank = first_t.shape[0]
     # On two modes there are no middle factors: one middle cell, weight 1.
     kr_t = _khatri_rao_t(factors[1:]) if len(factors) > 1 else np.ones((rank, 1))
-    slabs = _row_slabs(kr_t.shape[1], 8 * rank * d_last)
-    y = np.empty((rank, slabs[0][1] * d_last))  # the first slab is a longest one
+
+    def term(start: int, stop: int) -> np.ndarray:
+        y = _scratch("mode0", (rank, (stop - start) * d_last))
+        np.matmul(first_t, xm[:, start * d_last : stop * d_last], out=y)
+        y = y.reshape(rank, stop - start, d_last).transpose(0, 2, 1)
+        return _contract_rank_slices(y, kr_t[:, start:stop])
+
     out = np.zeros((rank, d_last))
-    for start, stop in slabs:
-        y_slab = y[:, : (stop - start) * d_last]
-        np.matmul(first_t, xm[:, start * d_last : stop * d_last], out=y_slab)
-        y_slab = y_slab.reshape(rank, stop - start, d_last).transpose(0, 2, 1)
-        out += _contract_rank_slices(y_slab, kr_t[:, start:stop])
+    for t in _slab_map(term, _row_slabs(kr_t.shape[1], 8 * rank * d_last)):
+        out += t
     return np.ascontiguousarray(out.T)
 
 
@@ -626,7 +798,8 @@ def write_ntf1(path, x) -> None:
     """
     if isinstance(x, SparseTensor):
         _check_finite(x.values)
-        pieces = (slab for _, _, slab in _dense_slabs(x))
+        slab = _dense_slabs(x)
+        pieces = (slab(start, stop) for start, stop in _row_slabs(prod(x.shape[:-1]), 8 * x.shape[-1]))
     else:
         x = as_tensor(x)
         pieces = (x,)

@@ -176,7 +176,8 @@ def test_lowrank_has_the_bits_of_the_whole_tensor_formula(dims, rank, seed, nois
 def slabs_of(x):
     """A surrogate's tensor as :func:`drbcd.tensors._dense_slabs` fills it,
     slab by slab, for NTF1 files and the objective's pass."""
-    rows = [slab.copy() for _, _, slab in tensors._dense_slabs(x)]
+    slab = tensors._dense_slabs(x)
+    rows = [slab(start, stop).copy() for start, stop in tensors._row_slabs(math.prod(x.shape[:-1]), 8 * x.shape[-1])]
     return np.concatenate(rows).reshape(x.shape)
 
 

@@ -617,6 +617,18 @@ def test_report_counts_runs_stopped_by_the_time_budget(tmp_path):
     assert "0 of 2 runs stopped by the time budget" in capped.report()
 
 
+@pytest.mark.parametrize("counts, line", [
+    ((2, 2, 1), "dense passes: up to 2 threads (2 cores, 1 BLAS thread), one held by each run in progress"),
+    ((1, 4, 8), "dense passes: up to 1 thread (4 cores, 8 BLAS threads), one held by each run in progress"),
+    ((1, 1, None), "dense passes: up to 1 thread (1 core, BLAS thread count unknown), one held by each run in progress"),
+])
+def test_report_gives_the_dense_passes_threads(tmp_path, monkeypatch, counts, line):
+    summary = run_experiment(desk_config(tmp_path, runs=1, max_sweeps=1))
+    assert "dense passes: " in summary.report()  # this host's counts
+    monkeypatch.setattr(experiment, "_pass_threads", lambda: counts)
+    assert line in summary.report().splitlines()
+
+
 def test_report_counts_unconverged_block_solves(tmp_path, monkeypatch):
     # Every second block solve reads unconverged; MU makes no block solves.
     import drbcd.driver as driver

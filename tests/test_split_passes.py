@@ -1,0 +1,300 @@
+"""The dense passes with their slabs shared among threads.
+
+Tier-1 runs at the default BLAS thread count, where on a host with one
+OpenBLAS thread per core no pass splits, so these tests force the split by
+patching the thread count, and check the rule that sets it in subprocesses.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from drbcd import tensors
+from drbcd.driver import SolverConfig, run
+from drbcd.factorization import NtfProblem, init_factors, run_mu
+from drbcd.schedule import RadiusSchedule
+
+from _oracles import cp_reconstruct
+
+SRC = str(Path(tensors.__file__).resolve().parents[1])
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """A fresh helper pool for the test, shut down after it, and a thread
+    switch every microsecond while it runs, so that helpers and the caller
+    interleave at fine grain."""
+    monkeypatch.setattr(tensors, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+        if tensors._pool is not None:
+            tensors._pool[1].shutdown(wait=True)
+
+
+def with_threads(monkeypatch, threads):
+    """Dense passes on ``threads`` threads from now on (1: the serial loop)."""
+    monkeypatch.setattr(tensors, "_pass_threads", lambda: (threads, threads, 1))
+
+
+def both(monkeypatch, threads, compute):
+    """``compute()`` on the serial loop, then split among ``threads`` threads."""
+    with_threads(monkeypatch, 1)
+    serial = compute()
+    assert tensors._pool is None
+    with_threads(monkeypatch, threads)
+    return serial, compute()
+
+
+# Objective rows of (7, 9, 11) are 88 bytes and the last-mode MTTKRP's
+# middle cells at rank 3 are 264: one slab each; 16 slabs, the last of 3
+# rows, and 9 slabs; 3 slabs (25, 25, 13 rows) and 2 (8 and 1 cells), fewer
+# than the helpers of 5 threads; and one row or cell a slab.
+SLAB_SIZES = [None, 352, 2200, 1]
+
+
+@pytest.mark.parametrize("shape", [(7, 9, 11), (3, 4, 5, 6), (13, 17)])
+@pytest.mark.parametrize("slab_bytes", SLAB_SIZES)
+@pytest.mark.parametrize("threads", [2, 3, 5])
+def test_split_dense_passes_keep_the_serial_bits(monkeypatch, own_pool, shape, slab_bytes, threads):
+    if slab_bytes is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(len(shape) + threads)
+    x = rng.random(shape)
+    blocks = [rng.random((d, 3)) for d in shape]
+
+    def compute():
+        problem = NtfProblem(x, 3)
+        total = problem.objective(blocks)
+        memoized = problem._partial(blocks[-1])  # the objective's partial, a memo hit
+        return (
+            total.hex(),
+            memoized.tobytes(),
+            tensors._last_mode_partial(x, blocks[-1]).tobytes(),
+            tensors._last_mode_mttkrp(x, blocks[:-1]).tobytes(),
+        )
+
+    serial, split = both(monkeypatch, threads, compute)
+    assert split == serial
+    rows = math.prod(shape[:-1])
+    if len(tensors._row_slabs(rows, 8 * shape[-1])) > 1:
+        assert tensors._pool is not None
+
+
+def sparse_exact_fit(rng, shape, rank):
+    """Sparse data of exact rank ``rank`` and its factors: at the factors
+    the nonzero formula is refused and the objective takes the dense pass
+    over slabs filled from the coordinates."""
+    factors = []
+    for d in shape:
+        f = np.zeros((d, rank))
+        for a in range(rank):
+            f[rng.choice(d, 3, replace=False), a] = 0.5 + rng.random(3)
+        factors.append(f)
+    return cp_reconstruct(factors, np.ones((rank, 1)))[..., 0], factors
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 8 * 200 * 7, 1])
+@pytest.mark.parametrize("threads", [2, 5])
+def test_split_rounding_fallback_keeps_the_serial_bits(monkeypatch, own_pool, slab_bytes, threads):
+    if slab_bytes is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(threads)
+    data, factors = sparse_exact_fit(rng, (20, 30, 200), 2)
+    problem = NtfProblem(data, 2)
+    assert problem._coo is not None and problem._coo_objective(factors) is None
+    near = [f + 1e-3 * rng.random(f.shape) for f in factors]
+    serial, split = both(monkeypatch, threads, lambda: [problem.objective(b).hex() for b in (factors, near)])
+    assert split == serial
+
+
+@pytest.mark.parametrize("threads", [2, 3, 5])
+def test_split_runs_keep_the_serial_traces(monkeypatch, own_pool, threads):
+    # Whole BCD-DR and MU runs under the sweep clock: every record, the
+    # objective and the stationarity measure included, bit for bit.
+    monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * 30 * 9)
+    rng = np.random.default_rng(threads)
+    x = rng.random((12, 25, 30))
+    start = init_factors(x.shape, 3, seed=threads).to_blocks()
+    cfg = SolverConfig(
+        schedule=RadiusSchedule(kind="power_log", beta=0.5, c_prime=1.0), max_sweeps=6, clock="sweep"
+    )
+
+    def compute():
+        outputs = []
+        for solve in (run, run_mu):
+            final, trace = solve(NtfProblem(x, 3), start, cfg)
+            outputs.append(([b.tobytes() for b in final], trace))
+        return outputs
+
+    serial, split = both(monkeypatch, threads, compute)
+    assert split == serial
+    assert tensors._pool is not None
+
+
+@pytest.mark.parametrize("threads", [3, 5])
+def test_concurrent_split_runs_keep_the_serial_traces(monkeypatch, own_pool, threads):
+    # Two runs at once, as the CLI's threaded mode starts them: their passes
+    # share the helpers the two runs leave, and wait on none that the other
+    # keeps busy.
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * 30 * 5)
+    rng = np.random.default_rng(threads)
+    x = rng.random((12, 25, 30))
+    starts = [init_factors(x.shape, 3, seed=seed).to_blocks() for seed in (1, 2)]
+    cfg = SolverConfig(
+        schedule=RadiusSchedule(kind="power_log", beta=1.0, c_prime=1.0), max_sweeps=5, clock="sweep"
+    )
+
+    def solve(args):
+        solver, start = args
+        final, trace = solver(NtfProblem(x, 3), start, cfg)
+        return [b.tobytes() for b in final], trace
+
+    cells = [(solver, start) for solver in (run, run_mu) for start in starts]
+    with_threads(monkeypatch, 1)
+    serial = [solve(cell) for cell in cells]
+    with_threads(monkeypatch, threads)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(solve, cells, timeout=300))
+    assert concurrent == serial
+    assert tensors._pool is not None
+
+
+def test_runs_in_progress_keep_their_cores(monkeypatch, own_pool):
+    # Each run in progress holds a core: with two threads allowed, a pass
+    # during two runs stays in its calling thread, and during one it splits.
+    with_threads(monkeypatch, 2)
+    ranges = [(k, k + 1) for k in range(8)]
+    ran_in = set()
+
+    def slab(start, stop):
+        ran_in.add(threading.get_ident())
+        return start
+
+    with tensors._running(), tensors._running():
+        assert tensors._slab_map(slab, ranges) == list(range(8))
+    assert tensors._pool is None and ran_in == {threading.get_ident()}
+    with tensors._running():
+        assert tensors._slab_map(slab, ranges) == list(range(8))
+    assert tensors._pool is not None and tensors._runs_in_progress == 0
+
+
+def test_a_pass_never_waits_on_a_busy_pool(monkeypatch, own_pool):
+    # The one helper is busy with another task: the caller takes every slab
+    # itself, cancels its queued task and returns without waiting.
+    with_threads(monkeypatch, 2)
+    tensors._slab_map(lambda start, stop: None, [(0, 1), (1, 2)])  # makes the pool
+    release = threading.Event()
+    (busy,) = tensors._submit(1, lambda: release.wait(30))
+    try:
+        ran_in = []
+
+        def slab(start, stop):
+            ran_in.append(threading.get_ident())
+            return start
+
+        began = time.monotonic()
+        got = tensors._slab_map(slab, [(0, 1), (1, 2), (2, 3)])
+        took = time.monotonic() - began
+    finally:
+        release.set()
+    assert busy.result(timeout=30)
+    assert got == [0, 1, 2] and ran_in == [threading.get_ident()] * 3
+    assert took < 10
+
+
+def test_an_error_in_a_slab_is_raised_by_the_caller(monkeypatch, own_pool):
+    with_threads(monkeypatch, 3)
+
+    def fail_on_4(start, stop):
+        if start == 4:
+            raise FloatingPointError("slab 4")
+        return start
+
+    with pytest.raises(FloatingPointError, match="slab 4"):
+        tensors._slab_map(fail_on_4, [(k, k + 1) for k in range(40)])
+    assert tensors._slab_map(fail_on_4, [(k, k + 1) for k in range(4)]) == [0, 1, 2, 3]
+
+
+SPARSE_RUN = r"""
+import sys, threading
+from drbcd.datagen import SynthSpec, sparse_surrogate
+from drbcd.driver import SolverConfig, run
+from drbcd.factorization import NtfProblem, init_factors, run_mu
+from drbcd.schedule import RadiusSchedule
+spec = SynthSpec(dims=(18, 100, 20), rank=3, seed=4, density=0.01, target_mean_abs=0.00067)
+problem = NtfProblem(sparse_surrogate(spec), 3)
+assert problem._coo is not None
+start = init_factors(spec.dims, 3, seed=5, box_bound=problem.box_bound).to_blocks()
+cfg = SolverConfig(schedule=RadiusSchedule(kind="power_log", beta=0.5, c_prime=3.0), max_sweeps=8)
+for solve in (run, run_mu):
+    solve(problem, start, cfg)
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_sparse_run_starts_no_thread_and_imports_no_pool():
+    # At one BLAS thread a dense pass would split on any host with two
+    # cores; the nonzero-only passes never reach the pool.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", SPARSE_RUN], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["1", "False"]
+
+
+WORKER_COUNT = r"""
+import ctypes, sys, threading
+from pathlib import Path
+import numpy as np
+from drbcd import tensors
+x = np.random.default_rng(0).random((100, 200, 300))
+u = np.random.default_rng(1).random((300, 5))
+tensors._last_mode_partial(x, u)
+print(*tensors._pass_threads(), threading.active_count(), "concurrent.futures" in sys.modules)
+# A pin made after a pass is read by the next pass.
+lib = next((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"), None)
+setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None) if lib else None
+if setter is None:
+    print("no setter")
+else:
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+    tensors._last_mode_partial(x, u)
+    print(tensors._pass_threads()[0], tensors._pool is not None)
+"""
+
+
+def test_worker_count_is_cores_over_blas_threads():
+    # A paper-shaped pass splits at one OpenBLAS thread, among one thread
+    # per core, and does not at one OpenBLAS thread per core, where it
+    # starts no thread and imports no pool, until BLAS is pinned to one.
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        pytest.skip("one CPU: no BLAS thread count leaves a core for a helper, so nothing would split")
+    outputs = {}
+    for blas in (1, cores):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas), OMP_NUM_THREADS=str(blas), PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", WORKER_COUNT], env=env, capture_output=True, text=True, check=True)
+        outputs[blas] = proc.stdout.splitlines()
+    threads, seen_cores, seen_blas, active, imported = outputs[1][0].split()
+    assert (int(threads), int(seen_cores), int(seen_blas)) == (cores, cores, 1)
+    assert 1 < int(active) <= cores and imported == "True"
+    # OpenBLAS may run fewer threads than asked for on a host with more
+    # cores than its build allows; the rule then leaves room for helpers.
+    threads, seen_cores, seen_blas, active, imported = outputs[cores][0].split()
+    assert int(threads) == max(1, cores // int(seen_blas)) and int(seen_cores) == cores
+    if int(seen_blas) == cores:
+        assert (threads, active, imported) == ("1", "1", "False")
+    if outputs[cores][1] != "no setter":
+        assert outputs[cores][1].split() == [str(cores), "True"]
