@@ -27,7 +27,6 @@ import numpy as np
 
 from .schedule import RadiusSchedule
 from .subsolver import BoxBallFeasibleSet, QuadraticBlockSubproblem, solve_block_qp
-from .tensors import _running
 
 __all__ = [
     "BlockProblem",
@@ -226,7 +225,6 @@ def run(
     )
 
 
-@_running()
 def _sweep_loop(
     problem: BlockProblem,
     blocks0: Sequence[np.ndarray],
@@ -239,9 +237,7 @@ def _sweep_loop(
     records it as ``n = 0``. Then ``sweep(blocks, n)`` does sweep ``n >= 1``
     and returns the new point and its record; the loop stamps the clock, and
     stops at the sweep, time, or stationarity budget, which it names in the
-    last record's ``stop_reason``. While it runs it counts as a run in
-    progress, whose thread's core the dense passes leave to it (see
-    :func:`drbcd.tensors._running`).
+    last record's ``stop_reason``.
     """
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks0]
     if len(blocks) != problem.num_blocks:

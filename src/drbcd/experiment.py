@@ -11,17 +11,14 @@ CSV; runs are aggregated onto common time bins
 
 The resolved configuration is echoed to the output directory; re-running
 from that file reproduces the experiment (byte-identical trace CSVs with the
-deterministic sweep clock, whether the runs are serial or threaded, at the
-same BLAS thread count: between 1 and 2 OpenBLAS threads, the objective and
-the reconstruction error were seen to move in their last bits, by up to
-4.2e-16 relative; see ROADMAP item 8).
+deterministic sweep clock, at the same BLAS thread count: between 1 and 2
+OpenBLAS threads, the objective and the reconstruction error were seen to
+move in their last bits, by up to 4.2e-16 relative; see ROADMAP item 8).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -145,7 +142,6 @@ class ExperimentConfig:
     box_bound: float | None = None
     out: str = "experiment_out"
     plot: bool = False
-    serial: bool = False
     clock: str = "wall"
     log_y: bool = False
     noise_level: float = 0.0
@@ -309,7 +305,6 @@ OPTIONS = (
     Option("out", str, "output directory"),
     Option("plot", _parse_bool, "emit convergence.svg"),
     Option("paper-scale", _parse_bool, "full-size comparison defaults (100x200x300, rank 5, 10 runs)"),
-    Option("serial", _parse_bool, "run cells sequentially"),
     Option("clock", str, "trace timestamps: wall (wall time) or sweep (deterministic sweep index)"),
     Option("log-y", _parse_bool, "log-scale error axis", ("--plot",)),
     Option("noise-level", float, "synthetic data noise level", ("--data synth",)),
@@ -472,8 +467,7 @@ class ExperimentSummary:
         threads, cores, blas = _pass_threads()
         lines.append(
             f"dense passes: up to {_count(threads, 'thread')} ({_count(cores, 'core')}, "
-            f"{_count(blas, 'BLAS thread') if blas else 'BLAS thread count unknown'}), "
-            "one held by each run in progress"
+            f"{_count(blas, 'BLAS thread') if blas else 'BLAS thread count unknown'})"
         )
         for v in self.violations:
             lines.append(
@@ -626,8 +620,8 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     after that are recorded per run and do not abort the experiment; the
     CLI maps a nonempty failure list to a nonzero exit status. Every
     block-descent trace is re-checked with :func:`verify_trace`, and each
-    broken invariant is listed in the report, without failing the run. Runs
-    execute in a thread pool unless ``cfg.serial`` is set.
+    broken invariant is listed in the report, without failing the run. The
+    cells run one after another, each algorithm's runs in order.
     """
     try:
         problem = NtfProblem(resolve_data(cfg), cfg.rank, box_bound=cfg.box_bound)
@@ -644,36 +638,25 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     if cfg.save_data:
         write_ntf1(out_dir / "data.ntf1", problem.data)
 
-    def attempt(cell):
-        algo, k = cell
-        solve = run_mu if algo.name == "mu" else run
-        try:
-            return solve(problem, starts[k], solvers[algo.label])[1], None
-        except Exception as exc:  # recorded, experiment continues
-            return None, exc
-
-    cells = [(algo, k) for algo in cfg.algos for k in starts]
-    if cfg.serial:
-        outcomes = [attempt(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=min(len(cells), os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(attempt, cells))
-
     tallies = {algo.label: AlgorithmTally(algo) for algo in cfg.algos}
     trace_paths: dict[tuple[str, int], Path] = {}
     failures: list[RunFailure] = []
     violations: list[InvariantViolation] = []
-    for (algo, k), (trace, err) in zip(cells, outcomes):
-        if err is not None:
-            failures.append(RunFailure(algo.label, k, str(err)))
-            continue
-        path = out_dir / f"{algo.label}_run{k}.csv"
-        write_trace_csv(path, k, trace)
-        trace_paths[(algo.label, k)] = path
-        tallies[algo.label].traces.append(trace)
-        if algo.name != "mu":
-            verdict = verify_trace(trace, solvers[algo.label].schedule)
-            violations += InvariantViolation.from_verdict(algo.label, k, verdict)
+    for algo in cfg.algos:
+        solve = run_mu if algo.name == "mu" else run
+        for k, start in starts.items():
+            try:
+                trace = solve(problem, start, solvers[algo.label])[1]
+            except Exception as exc:  # recorded, experiment continues
+                failures.append(RunFailure(algo.label, k, str(exc)))
+                continue
+            path = out_dir / f"{algo.label}_run{k}.csv"
+            write_trace_csv(path, k, trace)
+            trace_paths[(algo.label, k)] = path
+            tallies[algo.label].traces.append(trace)
+            if algo.name != "mu":
+                verdict = verify_trace(trace, solvers[algo.label].schedule)
+                violations += InvariantViolation.from_verdict(algo.label, k, verdict)
 
     curve = None
     aggregate_path = None

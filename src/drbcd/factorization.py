@@ -177,10 +177,8 @@ class _Memo(threading.local):
     ``linear[i]`` is block ``i``'s linear term, keyed by the bytes of every
     other block. :meth:`drop_partial` frees the partial, with every term
     formed from it, before its successor is allocated, so a thread holds
-    one partial at a time, never two. ``chunk`` is the scratch of the
-    nonzero-only passes, an ``(r, n)`` product for a chunk of ``n``
-    nonzeros. The dense passes' slab buffers are not kept here but in the
-    scratch of whichever thread runs the slab (see
+    one partial at a time, never two. The passes' slab and chunk buffers are
+    not kept here but in the scratch of whichever thread runs them (see
     :func:`drbcd.tensors._scratch`).
     """
 
@@ -189,7 +187,6 @@ class _Memo(threading.local):
         self.linear: list[tuple[tuple[bytes, ...] | None, np.ndarray | None]] = [
             (None, None)
         ] * num_blocks
-        self.chunk: np.ndarray | None = None
 
     def drop_partial(self, pivot: int) -> None:
         """Forget the partial and the terms of every block but ``pivot``.
@@ -470,8 +467,7 @@ class NtfProblem:
         key = self._linear_key(blocks, self._pivot)
         hit = self._memo.linear[self._pivot][0] == key
         linear, residual, at_nonzeros = _coo_gather(
-            *self._coo, _khatri_rao_t(others), self._chunk_scratch(),
-            num_rows=None if hit else pivot.shape[0], u=pivot,
+            *self._coo, _khatri_rao_t(others), num_rows=None if hit else pivot.shape[0], u=pivot,
         )
         if linear is not None:
             self._remember(self._pivot, key, linear)
@@ -480,15 +476,6 @@ class NtfProblem:
         unit_roundoff = np.finfo(np.float64).eps / 2
         terms = sum(self.shape) + self.num_blocks + self.rank**2
         return total if unit_roundoff * terms * scale <= 1e-12 * total else None
-
-    def _chunk_scratch(self) -> np.ndarray:
-        """This thread's scratch for the nonzero-only passes, grown as needed."""
-        memo = self._memo
-        chunks = _row_slabs(self._coo[2].shape[0], 8 * self.rank)
-        size = self.rank * (chunks[0][1] if chunks else 0)  # the first is a longest
-        if memo.chunk is None or memo.chunk.size < size:
-            memo.chunk = np.empty(size)
-        return memo.chunk
 
     def _split(self, blocks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         """The pivot's block, and the other blocks in mode order."""
@@ -531,9 +518,7 @@ class NtfProblem:
         elif self._coo is None:
             linear = _last_mode_mttkrp(self._dense, others)
         else:
-            linear = _coo_gather(
-                *self._coo, _khatri_rao_t(others), self._chunk_scratch(), num_rows=pivot.shape[0]
-            )[0]
+            linear = _coo_gather(*self._coo, _khatri_rao_t(others), num_rows=pivot.shape[0])[0]
         return self._remember(i, key, linear)
 
     @staticmethod

@@ -6,7 +6,8 @@ block descent needs the weights to be non-summable but square-summable. For
 the ``power_log`` family ``n**(-beta) / log(n + log_offset)`` both hold
 exactly when ``beta`` lies in ``[0.5, 1]``: the sum diverges for ``beta <=
 1``, and the squared log divisor keeps the square sum finite down to ``beta
-= 1/2``. ``constant`` and ``infinite`` weights are not square-summable.
+= 1/2``. The ``infinite`` kind, plain unrestricted descent, has an infinite
+radius.
 
 ``log_offset`` guards the log divisor, which would vanish at ``n = 1``
 without it. Weights are clamped at 1 so the declared ``(0, 1]`` range holds
@@ -22,7 +23,7 @@ import numpy as np
 
 __all__ = ["RadiusSchedule"]
 
-KINDS = ("power_log", "constant", "infinite")
+KINDS = ("power_log", "infinite")
 
 
 @dataclass(frozen=True)
@@ -31,19 +32,17 @@ class RadiusSchedule:
 
     kind:
         ``power_log``  w_n = min(1, n**(-beta) / log(n + log_offset))
-        ``constant``   w_n = constant_value
         ``infinite``   radius(n) = +inf for all n (plain unrestricted descent)
 
-    Only ``power_log`` meets the paper's weight hypotheses (non-summable,
-    square-summable), and it does exactly for ``beta`` in ``[0.5, 1]``;
-    ``constant`` and ``infinite`` are not square-summable.
+    ``power_log`` meets the paper's weight hypotheses (non-summable,
+    square-summable) exactly for ``beta`` in ``[0.5, 1]``; ``infinite`` is
+    not square-summable.
     """
 
     kind: str = "power_log"
     beta: float = 1.0
     c_prime: float = 1e5
     log_offset: int = 1
-    constant_value: float = 1.0
 
     def __post_init__(self):
         # An integer beta would make ``n ** (-beta)`` an integer power.
@@ -56,10 +55,6 @@ class RadiusSchedule:
             raise ValueError(f"c_prime must be positive, got {self.c_prime}")
         if self.log_offset < 1:
             raise ValueError(f"log_offset must be a positive integer, got {self.log_offset}")
-        if self.kind == "constant" and not 0.0 < self.constant_value <= 1.0:
-            raise ValueError(
-                f"constant weight must lie in (0, 1], got {self.constant_value}"
-            )
 
     def weight(self, n):
         """Weight ``w_n`` for sweep ``n >= 1``; accepts scalars or arrays."""
@@ -70,8 +65,6 @@ class RadiusSchedule:
             w = np.minimum(
                 1.0, arr ** (-self.beta) / np.log(arr + float(self.log_offset))
             )
-        elif self.kind == "constant":
-            w = np.full(arr.shape, self.constant_value)
         else:  # infinite: weights are a formality, the radius never binds
             w = np.ones(arr.shape)
         return float(w) if np.isscalar(n) else w

@@ -50,16 +50,15 @@ Every pass in the package that takes an array in pieces, here, in
 :func:`_row_slabs`, so the slab size is decided here alone.
 
 All functions are safe to call concurrently; they write to nothing but
-their results, the scratch buffers the ``_coo_*`` kernels are given and
-their own thread's scratch (see :func:`_scratch`). The dense passes over
-row slabs (the objective's in :mod:`drbcd.factorization`,
-:func:`_last_mode_partial` and :func:`_last_mode_mttkrp`) share their slabs
-out among threads through :func:`_slab_map`: the calling thread and, where
-the machine has a core to spare beside BLAS's own threads and the runs in
-progress, helper threads of one process-wide pool, started by the first
-pass that splits. Each
-slab's products are the serial loop's, and the caller combines them in
-slab order, so the bits do not depend on how the slabs were shared.
+their results and their own thread's scratch (see :func:`_scratch`). The
+dense passes over row slabs (the objective's in
+:mod:`drbcd.factorization`, :func:`_last_mode_partial` and
+:func:`_last_mode_mttkrp`) share their slabs out among threads through
+:func:`_slab_map`: the calling thread and, where the machine has a core to
+spare beside BLAS's own threads, helper threads of one process-wide pool,
+started by the first pass that splits. Each slab's products are the serial
+loop's, and the caller combines them in slab order, so the bits do not
+depend on how the slabs were shared.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from math import inf, isfinite, prod
@@ -342,7 +340,7 @@ def _row_slabs(rows: int, row_bytes: int) -> list[tuple[int, int]]:
 
 
 class _ThreadScratch(threading.local):
-    """One thread's buffers for the slab bodies of the dense passes, by use."""
+    """One thread's buffers for the slab and chunk bodies of the passes, by use."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -357,7 +355,8 @@ def _scratch(use: str, shape: tuple[int, ...]) -> np.ndarray:
     thread asks for ``use`` again. A thread so holds one buffer per use,
     about :data:`SLAB_BYTES` each, however many problems and passes it runs:
     ``"residual"`` for the dense objective, ``"data"`` for
-    :func:`_dense_slabs` and ``"mode0"`` for :func:`_last_mode_mttkrp`.
+    :func:`_dense_slabs`, ``"mode0"`` for :func:`_last_mode_mttkrp` and
+    ``"chunk"`` for :func:`_coo_gather`.
     """
     size = prod(shape)
     buffers = _SCRATCH.buffers
@@ -405,28 +404,7 @@ def _pass_threads() -> tuple[int, int, int | None]:
 
 
 _pool = None  # (helpers, executor): the helper threads, made by the first pass that splits
-_runs_in_progress = 0  # in every thread (see :func:`_running`)
-_pool_lock = threading.Lock()  # guards the two above
-
-
-@contextmanager
-def _running():
-    """Counts the calling thread's run of :mod:`drbcd.driver` as in
-    progress for the length of the ``with`` block.
-
-    A run keeps its thread's core busy from start to end, so a pass takes
-    helpers only for the threads :func:`_pass_threads` allows beyond the
-    runs in progress: two runs at once on two cores, as the CLI's threaded
-    mode starts them at one BLAS thread, keep every pass serial.
-    """
-    global _runs_in_progress
-    with _pool_lock:
-        _runs_in_progress += 1
-    try:
-        yield
-    finally:
-        with _pool_lock:
-            _runs_in_progress -= 1
+_pool_lock = threading.Lock()  # guards ``_pool``
 
 
 def _submit(helpers: int, work) -> list:
@@ -449,20 +427,19 @@ def _slab_map(fn, ranges: list[tuple[int, int]]) -> list:
     between the calling thread and idle helper threads.
 
     With at least two slabs and room for at least one helper (the threads
-    :func:`_pass_threads` allows, less the calling thread or, if more, the
-    runs in progress; see :func:`_running`), each thread claims the next
-    unclaimed slab from a shared counter until none is left. The caller
-    claims too, so it never waits on a pool that other passes keep busy:
-    once the slabs run out it cancels every helper task that has not
-    started and waits only for those running. No slab is claimed after one
-    has raised, and the error is raised here. Otherwise, and wherever
-    nothing would split, this is the serial loop, in the calling thread
-    alone. ``fn`` writes its outputs only where no other slab's ``fn``
-    reads or writes.
+    :func:`_pass_threads` allows, less the calling thread), each thread
+    claims the next unclaimed slab from a shared counter until none is
+    left. The caller claims too, so it never waits on a pool that other
+    passes keep busy: once the slabs run out it cancels every helper task
+    that has not started and waits only for those running. No slab is
+    claimed after one has raised, and the error is raised here. Otherwise,
+    and wherever nothing would split, this is the serial loop, in the
+    calling thread alone. ``fn`` writes its outputs only where no other
+    slab's ``fn`` reads or writes.
     """
     helpers = 0
     if len(ranges) > 1:
-        helpers = min(_pass_threads()[0] - max(1, _runs_in_progress), len(ranges) - 1)
+        helpers = min(_pass_threads()[0] - 1, len(ranges) - 1)
     if helpers < 1:
         return [fn(start, stop) for start, stop in ranges]
     results = [None] * len(ranges)
@@ -700,7 +677,7 @@ def _coo_partial(rows, cols, values, u, cells: int) -> np.ndarray:
 
 
 def _coo_gather(
-    rows, cols, values, kr_t, scratch, num_rows: int | None = None, u=None
+    rows, cols, values, kr_t, num_rows: int | None = None, u=None
 ) -> tuple[np.ndarray | None, float, float]:
     """The pivot's MTTKRP and the residual at the nonzeros, from one gather.
 
@@ -710,9 +687,9 @@ def _coo_gather(
     :func:`_khatri_rao_t`). Over the chunks of :func:`_coo_partial`, the
     columns of ``kr_t`` at the columns of ``A`` are gathered once, with
     ``np.take`` and ``mode="clip"`` (a no-op on indices in range), which
-    lets the gather write straight into ``scratch``, a flat buffer of at
-    least ``r`` doubles per nonzero of the longest chunk. The gather serves
-    two sums, each optional:
+    lets the gather write straight into the calling thread's ``(r, n)``
+    scratch for a chunk of ``n`` nonzeros (see :func:`_scratch`). The
+    gather serves two sums, each optional:
 
     - with ``num_rows``, the pivot's MTTKRP ``A @ kr_t.T``, ``(num_rows,
       r)`` and C-contiguous: the gathered columns scaled by the values and
@@ -730,7 +707,7 @@ def _coo_gather(
     u_t = None if u is None else np.ascontiguousarray(u.T)
     residual = model = 0.0
     for start, stop in _row_slabs(values.shape[0], 8 * rank):
-        gathered = scratch[: rank * (stop - start)].reshape(rank, stop - start)
+        gathered = _scratch("chunk", (rank, stop - start))
         np.take(kr_t, cols[start:stop], axis=1, out=gathered, mode="clip")
         if u_t is not None:
             # Summed one rank row at a time, in the order of a sum over the

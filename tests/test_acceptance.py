@@ -328,7 +328,6 @@ def test_criterion_09_paper_scale_artifact(tmp_path):
             "--seed", "0",
             "--out", str(out),
             "--plot",
-            "--serial",
         ]
     )
     assert code == 0
@@ -362,7 +361,7 @@ def test_criterion_10_determinism_from_provenance(tmp_path):
             "--data", "synth", "--shape", "8,9,7", "--rank", "2",
             "--algo", "als_dr-0.5", "--algo", "mu", "--c-prime", "1e5",
             "--runs", "2", "--max-sweeps", "6", "--seed", "3",
-            "--out", str(first), "--serial", "--clock", "sweep",
+            "--out", str(first), "--clock", "sweep",
         ]
     )
     assert code == 0

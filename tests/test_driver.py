@@ -21,11 +21,12 @@ from drbcd.schedule import RadiusSchedule
 from _toys import BilinearScalar, LinearOnBox, SeparableQuadratic
 
 
+# Radius 0.5 at sweep 1 (the clamped weight is 1), shrinking after it.
+BINDING = RadiusSchedule(kind="power_log", beta=1.0, c_prime=0.5)
+
+
 def make_cfg(**kwargs):
-    defaults = dict(
-        schedule=RadiusSchedule(kind="constant", c_prime=1.0, constant_value=0.5),
-        max_sweeps=10,
-    )
+    defaults = dict(schedule=BINDING, max_sweeps=10)
     defaults.update(kwargs)
     return SolverConfig(**defaults)
 
@@ -323,8 +324,13 @@ def near(x):
     return pytest.approx(x, rel=1e-12, abs=0.0)
 
 
+def square_sum_bound(s, num_blocks, n):
+    """``m * c'^2 * sum w^2`` over sweeps 1..n."""
+    return num_blocks * s.c_prime**2 * float(np.sum(s.weight(np.arange(1, n + 1)) ** 2))
+
+
 def test_verify_trace_detects_objective_increase():
-    s = RadiusSchedule(kind="constant", c_prime=1.0, constant_value=0.5)
+    s = BINDING
     trace = [
         record(1, 1.0, [0.1, 0.1], 0.5),
         record(2, 2.0, [0.1, 0.1], 0.5),
@@ -334,37 +340,37 @@ def test_verify_trace_detects_objective_increase():
         CheckOutcome("monotone descent", False, near(2.0 - 1.0 - 1e-9 * 2.0), 2),
         # Ties keep the first sweep's excess; a check that held has no sweep.
         CheckOutcome("radius bound", True, near(0.1 - 0.5 * (1 + 1e-12)), None),
-        CheckOutcome("square-sum bound", True, near(0.02 - 2 * 0.25 - 1e-6), None),
+        CheckOutcome("square-sum bound", True, near(0.02 - square_sum_bound(s, 2, 1) - 1e-6), None),
     )
     assert not verdict.all_ok
 
 
 def test_verify_trace_detects_radius_violation():
-    s = RadiusSchedule(kind="constant", c_prime=1.0, constant_value=0.5)
+    s = BINDING
     trace = [
         record(1, 1.0, [0.1, 0.1], 0.5),
         record(2, 0.5, [1.0, 0.1], 0.5),
     ]
     verdict = verify_trace(trace, s)
     # The step beyond the radius also carries the squared steps past
-    # m * c'^2 * sum w^2 = 2 * 1 * (0.25 + 0.25).
+    # m * c'^2 * sum w^2 = 2 * 0.25 * (1 + w_2^2).
     assert verdict.outcomes == (
         CheckOutcome("monotone descent", True, near(0.5 - 1.0 - 1e-9 * 2.0), None),
         CheckOutcome("radius bound", False, near(1.0 - 0.5 * (1 + 1e-12)), 2),
-        CheckOutcome("square-sum bound", False, near(0.02 + 1.01 - 1.0 - 1e-6), 2),
+        CheckOutcome("square-sum bound", False, near(0.02 + 1.01 - square_sum_bound(s, 2, 2) - 1e-6), 2),
     )
 
 
 def test_verify_trace_detects_square_sum_violation():
-    s = RadiusSchedule(kind="constant", c_prime=0.1, constant_value=1.0)
-    # Steps far beyond m * c'^2 * sum w^2 = 2 * 0.01 * n, inside the
+    s = RadiusSchedule(kind="power_log", beta=1.0, c_prime=0.1)
+    # Steps far beyond m * c'^2 * sum w^2 <= 2 * 0.01 * n, inside the
     # recorded radius.
     trace = [record(n, 1.0 / n, [0.5, 0.5], 0.6) for n in range(1, 4)]
     verdict = verify_trace(trace, s)
     assert verdict.outcomes == (
         CheckOutcome("monotone descent", True, near(1 / 3 - 1 / 2 - 1e-9 * 1.5), None),
         CheckOutcome("radius bound", True, near(0.5 - 0.6 * (1 + 1e-12)), None),
-        CheckOutcome("square-sum bound", False, near(3 * 0.5 - 2 * 0.01 * 3 - 1e-6), 3),
+        CheckOutcome("square-sum bound", False, near(3 * 0.5 - square_sum_bound(s, 2, 3) - 1e-6), 3),
     )
 
 

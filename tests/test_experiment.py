@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import os
 import struct
+import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 import drbcd.experiment as experiment
 from drbcd.cli import build_parser, main, parse_config, read_config_file
 from drbcd.datagen import SynthSpec, synthetic_lowrank
-from drbcd.driver import TraceRecord
-from drbcd.factorization import NtfProblem
+from drbcd.driver import TraceRecord, run
+from drbcd.factorization import NtfProblem, run_mu
 from drbcd.schedule import RadiusSchedule
 from drbcd.subsolver import MAX_RANK
 from drbcd.experiment import (
@@ -118,7 +121,7 @@ def test_parse_config_paper_scale_preset(tmp_path):
     write_ntf1(path, synthetic_lowrank(SynthSpec(dims=(4, 5, 6), rank=2, seed=1))[0])
     out = tmp_path / "exp"
     argv = ["--paper-scale", "--data", f"file:{path}", "--runs", "1", "--max-sweeps", "2",
-            "--clock", "sweep", "--serial", "--out", str(out)]
+            "--clock", "sweep", "--out", str(out)]
     assert main(argv) == 0
     keys = [l.split(" = ")[0] for l in (out / "config.txt").read_text().splitlines()[1:]]
     assert "shape" not in keys and "rank" in keys
@@ -197,7 +200,6 @@ max-sweeps = 2
 max-seconds = 60
 out = exp
 plot = false
-serial = true
 clock = sweep
 log-y = false
 noise-level = {noise}
@@ -236,7 +238,7 @@ def test_an_older_config_txt_with_defaults_in_unread_lines_still_loads(tmp_path,
     path = tmp_path / "config.txt"
     path.write_text("# resolved experiment configuration\n" + text)
     cfg, _ = parse_config(
-        ["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--serial",
+        ["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--clock", "sweep",
          "--out", "exp", *argv]
     )
     assert parse_config(["--config", str(path)])[0] == cfg
@@ -261,7 +263,7 @@ def test_parse_config_bare_als_dr_takes_beta_from_file(tmp_path):
 
 
 def test_read_config_file_round_trip(tmp_path):
-    cfg = ExperimentConfig(rank=2, shape=(4, 5, 6), runs=2, clock="sweep", serial=True)
+    cfg = ExperimentConfig(rank=2, shape=(4, 5, 6), runs=2, clock="sweep", save_data=True)
     text = "\n".join(cfg.provenance_lines()) + "\n"
     path = tmp_path / "config.txt"
     path.write_text(text)
@@ -269,7 +271,7 @@ def test_read_config_file_round_trip(tmp_path):
     assert values["rank"] == 2
     assert values["shape"] == (4, 5, 6)
     assert values["clock"] == "sweep"
-    assert values["serial"] is True
+    assert values["save-data"] is True
     assert values["algo"] == ["als_dr-0.5", "als_dr-1", "als", "mu"]
 
 
@@ -301,7 +303,6 @@ def config_fields(draw):
         max_seconds=floats,
         box_bound=st.none() | floats,
         out=text,
-        serial=st.booleans(),
         clock=st.sampled_from(["wall", "sweep"]),
         log_y=st.booleans(),
         noise_level=floats,
@@ -501,7 +502,6 @@ def desk_config(tmp_path, **kwargs):
         max_sweeps=8,
         max_seconds=30.0,
         out=str(tmp_path / "exp"),
-        serial=True,
         clock="sweep",
     )
     defaults.update(kwargs)
@@ -553,31 +553,43 @@ def test_run_experiment_deterministic_bytes(tmp_path):
     assert s1.aggregate_path.read_bytes() == s2.aggregate_path.read_bytes()
 
 
-def test_threaded_run_matches_serial_bytes(tmp_path, monkeypatch):
-    # The pool threads share one problem and its per-thread memo (and, on
-    # the sparse surrogate, its coordinate list and per-thread scratch) and
-    # each run index's read-only start;
-    # more workers than cores and a short switch interval interleave them.
+def test_threaded_run_matches_serial_bytes(tmp_path):
+    # Pool threads share one problem and its per-thread memo (and, on the
+    # sparse surrogate, its coordinate list and per-thread scratch) and each
+    # run index's read-only start; more threads than cores and a short
+    # switch interval interleave them. Their trace CSVs match the CLI's.
     algos = [AlgorithmSpec("als_dr", 0.5), AlgorithmSpec("als"), AlgorithmSpec("mu")]
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
     for data, shape in [("synth", (8, 9, 10)), ("surrogate", (10, 50, 12))]:
-        kwargs = dict(data=data, shape=shape, algos=algos, c_prime=1.0, runs=3, max_sweeps=15)
         out = tmp_path / data
-        serial = run_experiment(desk_config(tmp_path, out=str(out / "s"), **kwargs))
-        sparse = NtfProblem(experiment.resolve_data(desk_config(tmp_path, **kwargs)), 2)._coo is not None
-        assert sparse == (data == "surrogate")
+        cfg = desk_config(
+            tmp_path, data=data, shape=shape, algos=algos, c_prime=1.0, runs=3, max_sweeps=15,
+            out=str(out / "serial"),
+        )
+        serial = run_experiment(cfg)
+        assert not serial.failures
+        problem = NtfProblem(experiment.resolve_data(cfg), cfg.rank)
+        assert (problem._coo is not None) == (data == "surrogate")
+        starts = {k: experiment._start(problem, cfg, k) for k in range(1, cfg.runs + 1)}
+        (out / "threaded").mkdir()
+
+        def write(cell):
+            algo, k = cell
+            solve = run_mu if algo.name == "mu" else run
+            trace = solve(problem, starts[k], experiment._solver_config(cfg, algo))[1]
+            path = out / "threaded" / f"{algo.label}_run{k}.csv"
+            experiment.write_trace_csv(path, k, trace)
+            return (algo.label, k), path
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_experiment(
-                desk_config(tmp_path, out=str(out / "t"), serial=False, **kwargs)
-            )
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = dict(pool.map(write, [(algo, k) for algo in algos for k in starts], timeout=300))
         finally:
             sys.setswitchinterval(interval)
-        assert not serial.failures and not threaded.failures
-        assert sorted(threaded.trace_paths) == sorted(serial.trace_paths)
+        assert sorted(threaded) == sorted(serial.trace_paths)
         for key, path in serial.trace_paths.items():
-            assert threaded.trace_paths[key].read_bytes() == path.read_bytes(), key
+            assert threaded[key].read_bytes() == path.read_bytes(), key
 
 
 @pytest.mark.parametrize("c_prime, binds", [(1e5, False), (1.0, True)])
@@ -618,9 +630,9 @@ def test_report_counts_runs_stopped_by_the_time_budget(tmp_path):
 
 
 @pytest.mark.parametrize("counts, line", [
-    ((2, 2, 1), "dense passes: up to 2 threads (2 cores, 1 BLAS thread), one held by each run in progress"),
-    ((1, 4, 8), "dense passes: up to 1 thread (4 cores, 8 BLAS threads), one held by each run in progress"),
-    ((1, 1, None), "dense passes: up to 1 thread (1 core, BLAS thread count unknown), one held by each run in progress"),
+    ((2, 2, 1), "dense passes: up to 2 threads (2 cores, 1 BLAS thread)"),
+    ((1, 4, 8), "dense passes: up to 1 thread (4 cores, 8 BLAS threads)"),
+    ((1, 1, None), "dense passes: up to 1 thread (1 core, BLAS thread count unknown)"),
 ])
 def test_report_gives_the_dense_passes_threads(tmp_path, monkeypatch, counts, line):
     summary = run_experiment(desk_config(tmp_path, runs=1, max_sweeps=1))
@@ -670,7 +682,7 @@ def test_report_lists_broken_invariants(tmp_path, monkeypatch, capsys):
         return blocks, record
 
     argv = ["--shape", "6,7,5", "--rank", "2", "--algo", "als_dr-0.5", "--algo", "als",
-            "--algo", "mu", "--runs", "2", "--max-sweeps", "5", "--serial", "--clock", "sweep"]
+            "--algo", "mu", "--runs", "2", "--max-sweeps", "5", "--clock", "sweep"]
     assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
     assert "INVARIANT" not in capsys.readouterr().out
 
@@ -714,7 +726,7 @@ def test_report_lists_steps_beyond_the_radius(tmp_path, monkeypatch, capsys, fac
 
     monkeypatch.setattr(driver, "bcd_dr_sweep", inflates_step_at_sweep_3)
     argv = ["--shape", "6,7,5", "--rank", "2", "--algo", "als_dr-0.5", "--algo", "als",
-            "--runs", "2", "--max-sweeps", "5", "--serial", "--clock", "sweep"]
+            "--runs", "2", "--max-sweeps", "5", "--clock", "sweep"]
     assert main(argv + ["--out", str(tmp_path / "broken")]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("INVARIANT")]
     assert [l.split(" (worst excess")[0] for l in lines] == [
@@ -770,7 +782,7 @@ def test_cli_main_exit_codes(tmp_path, monkeypatch, capsys):
         [
             "--data", "synth", "--shape", "5,6,4", "--rank", "2",
             "--algo", "mu", "--runs", "1", "--max-sweeps", "3",
-            "--out", str(out), "--serial", "--clock", "sweep",
+            "--out", str(out), "--clock", "sweep",
         ]
     )
     assert code == 0
@@ -810,6 +822,42 @@ def test_cli_bad_setting_exits_2_before_writing(tmp_path, monkeypatch, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cli_refuses_the_removed_serial_switch(tmp_path, capsys, via):
+    # The cells always run one after another: the switch is unknown.
+    out = tmp_path / "exp"
+    argv = ["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--out", str(out)]
+    if via == "flag":
+        argv.append("--serial")
+    else:
+        (tmp_path / "exp.cfg").write_text("serial = true\n")
+        argv += ["--config", str(tmp_path / "exp.cfg")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "serial" in capsys.readouterr().err
+    assert not out.exists()
+
+
+CLI_RUN = r"""
+import sys, threading
+from drbcd.cli import main
+code = main(sys.argv[1:])
+print(code, threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_cli_run_takes_no_thread_at_the_default_blas_threads(tmp_path):
+    # The cells run in the calling thread, and a desk-sized pass is one slab.
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(experiment.__file__).resolve().parents[1])
+    argv = ["--rank", "3", "--runs", "2", "--max-sweeps", "3", "--clock", "sweep", "--out", str(tmp_path / "exp")]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_RUN, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split()[-3:] == ["0", "1", "False"]
+
+
 def test_cli_refuses_a_rank_above_the_exact_solves_limit(tmp_path, capsys):
     # Every exact block solve of rank 63 would fail and fall back to
     # projected gradient from its start; 62 is the limit.
@@ -831,7 +879,7 @@ def test_cli_checks_the_rank_only_where_the_data_reads_it(tmp_path, capsys, data
     # low-rank data is generated at that rank and cannot be.
     out = tmp_path / "exp"
     argv = ["--data", data, "--rank", "6", "--shape", "5,5,5", "--density", "0.5",
-            "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--serial", "--out", str(out)]
+            "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--out", str(out)]
     if data == "synth":
         argv.remove("--density")
         argv.remove("0.5")
@@ -852,7 +900,7 @@ def test_cli_reads_ntf1_file(tmp_path):
         [
             "--data", f"file:{path}", "--rank", "2", "--algo", "als",
             "--runs", "1", "--max-sweeps", "3", "--out", str(out),
-            "--serial", "--clock", "sweep",
+            "--clock", "sweep",
         ]
     )
     assert code == 0
@@ -876,7 +924,7 @@ def test_cli_refuses_an_ntf1_header_larger_than_its_file(tmp_path, capsys):
 def test_save_data_round_trips_sparse_data(tmp_path, source):
     # The problem holds sparse data as its nonzeros alone; the file it saves
     # is the input again, with a -0.0 written as +0.0.
-    argv = ["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--serial",
+    argv = ["--rank", "2", "--runs", "1", "--max-sweeps", "2", "--clock", "sweep",
             "--save-data", "--out", str(tmp_path / "exp")]
     if source == "surrogate":
         argv += ["--data", "surrogate", "--shape", "6,7,8", "--density", "0.03"]

@@ -26,11 +26,6 @@ def test_weight_power_log_formula():
     assert_allclose(s.weight(100), 0.021667, atol=5e-6)
 
 
-def test_weight_constant():
-    s = RadiusSchedule(kind="constant", constant_value=1.0)
-    assert all(s.weight(n) == 1.0 for n in (1, 7, 1000))
-
-
 def test_weight_rejects_zero_index():
     s = RadiusSchedule()
     with pytest.raises(ValueError):
@@ -54,11 +49,6 @@ def test_radius_infinite_sentinel():
         s.radius(0)
     with pytest.raises(ValueError):
         s.radius(np.array([3, 0]))
-
-
-def test_radius_constant_scaling():
-    s = RadiusSchedule(kind="constant", c_prime=1.0, constant_value=0.5)
-    assert s.radius(3) == 0.5
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0])
@@ -120,7 +110,7 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         RadiusSchedule(log_offset=0)
     with pytest.raises(ValueError):
-        RadiusSchedule(kind="constant", constant_value=0.0)
+        RadiusSchedule(kind="constant")
 
 
 def test_weight_vectorized_matches_scalar():

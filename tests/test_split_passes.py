@@ -144,9 +144,8 @@ def test_split_runs_keep_the_serial_traces(monkeypatch, own_pool, threads):
 
 @pytest.mark.parametrize("threads", [3, 5])
 def test_concurrent_split_runs_keep_the_serial_traces(monkeypatch, own_pool, threads):
-    # Two runs at once, as the CLI's threaded mode starts them: their passes
-    # share the helpers the two runs leave, and wait on none that the other
-    # keeps busy.
+    # Two runs at once, each in its own thread: their passes share one
+    # helper pool, and wait on no helper that the other keeps busy.
     from concurrent.futures import ThreadPoolExecutor
 
     monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * 30 * 5)
@@ -170,25 +169,6 @@ def test_concurrent_split_runs_keep_the_serial_traces(monkeypatch, own_pool, thr
         concurrent = list(pool.map(solve, cells, timeout=300))
     assert concurrent == serial
     assert tensors._pool is not None
-
-
-def test_runs_in_progress_keep_their_cores(monkeypatch, own_pool):
-    # Each run in progress holds a core: with two threads allowed, a pass
-    # during two runs stays in its calling thread, and during one it splits.
-    with_threads(monkeypatch, 2)
-    ranges = [(k, k + 1) for k in range(8)]
-    ran_in = set()
-
-    def slab(start, stop):
-        ran_in.add(threading.get_ident())
-        return start
-
-    with tensors._running(), tensors._running():
-        assert tensors._slab_map(slab, ranges) == list(range(8))
-    assert tensors._pool is None and ran_in == {threading.get_ident()}
-    with tensors._running():
-        assert tensors._slab_map(slab, ranges) == list(range(8))
-    assert tensors._pool is not None and tensors._runs_in_progress == 0
 
 
 def test_a_pass_never_waits_on_a_busy_pool(monkeypatch, own_pool):

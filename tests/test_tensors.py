@@ -524,7 +524,6 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
     assert nonzero.size % 5
     if nonzeros_per_chunk is not None:
         monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * rank * nonzeros_per_chunk)
-    scratch = np.empty(rank * nonzero.size)
     for pivot in range(len(shape)):
         rows, cols, values = _coo_matrix(nonzero, x.ravel(), shape, pivot)
         assert np.all(np.diff(rows) >= 0)
@@ -542,7 +541,7 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         others = factors[:pivot] + factors[pivot + 1 :]
         kr_t = tensors._khatri_rao_t(others)
         assert_array_equal(kr_t, tensors._khatri_rao_native(others).T)
-        got, residual, at_nonzeros = _coo_gather(rows, cols, values, kr_t, scratch, num_rows=shape[pivot])
+        got, residual, at_nonzeros = _coo_gather(rows, cols, values, kr_t, num_rows=shape[pivot])
         assert got.flags.c_contiguous and residual == at_nonzeros == 0.0
         assert_allclose(got, mttkrp_oracle(x, factors, pivot), rtol=1e-12, atol=1e-12)
         # The partial: the tensor contracted with the pivot's factor, rank
@@ -555,12 +554,12 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
         # One gather for the residual, the model's energy at the nonzeros and
         # the pivot's MTTKRP, which has the bits of the MTTKRP alone.
         both, residual, at_nonzeros = _coo_gather(
-            rows, cols, values, kr_t, scratch, num_rows=shape[pivot], u=factors[pivot]
+            rows, cols, values, kr_t, num_rows=shape[pivot], u=factors[pivot]
         )
         assert_allclose(residual, np.sum((x.ravel()[nonzero] - model) ** 2), rtol=1e-12)
         assert_allclose(at_nonzeros, np.sum(model**2), rtol=1e-12)
         assert both.tobytes() == got.tobytes()
-        alone, *sums = _coo_gather(rows, cols, values, kr_t, scratch, u=factors[pivot])
+        alone, *sums = _coo_gather(rows, cols, values, kr_t, u=factors[pivot])
         assert alone is None and sums == [residual, at_nonzeros]
 
 
@@ -606,9 +605,8 @@ def test_coo_kernels_keep_the_bits_of_whole_chunk_products(monkeypatch, nonzeros
         monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * rank * nonzeros_per_chunk)
     rows, cols, values = _coo_matrix(np.flatnonzero(x), x.ravel(), shape, pivot)
     kr_t = tensors._khatri_rao_t(factors[:pivot] + factors[pivot + 1 :])
-    scratch = np.empty(rank * values.size)
     partial = _coo_partial(rows, cols, values, factors[pivot], kr_t.shape[1])
-    _, residual, model = _coo_gather(rows, cols, values, kr_t, scratch, u=factors[pivot])
+    _, residual, model = _coo_gather(rows, cols, values, kr_t, u=factors[pivot])
     want = whole_chunk_kernels(rows, cols, values, factors[pivot], kr_t, kr_t.shape[1])
     assert partial.flags.c_contiguous and partial.tobytes() == want[0].tobytes()
     assert (residual, model) == want[1:]
