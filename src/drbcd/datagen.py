@@ -37,7 +37,7 @@ caller who wants to modify one takes a ``.copy()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, prod
+from math import fsum, inf, prod
 
 import numpy as np
 
@@ -66,13 +66,13 @@ class SynthSpec:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be positive integers, got {self.dims}")
-        if self.noise_level < 0.0:
-            raise ValueError(f"noise_level must be nonnegative, got {self.noise_level}")
+        if not 0.0 <= self.noise_level < inf:
+            raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         if not 0.0 < self.density <= 1.0:
             raise ValueError(f"density must lie in (0, 1], got {self.density}")
-        if self.target_mean_abs is not None and self.target_mean_abs <= 0.0:
+        if self.target_mean_abs is not None and not 0.0 < self.target_mean_abs < inf:
             raise ValueError(
-                f"target_mean_abs must be positive, got {self.target_mean_abs}"
+                f"target_mean_abs must be finite and positive, got {self.target_mean_abs}"
             )
 
 

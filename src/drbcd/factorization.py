@@ -38,17 +38,14 @@ from .tensors import (
     _coo_matrix,
     _coo_partial,
     _coo_positions,
-    _dense_slabs,
     _held_read_only,
     _khatri_rao_native,
     _khatri_rao_t,
     _last_mode_mttkrp,
-    _last_mode_partial,
     _mttkrp_from_partial,
     _read_only,
+    _row_pass,
     _row_slabs,
-    _scratch,
-    _slab_map,
 )
 
 __all__ = [
@@ -173,12 +170,13 @@ class _Memo(threading.local):
     """One thread's memo of the MTTKRP work on one problem.
 
     ``partial`` is the data contracted with the pivot's block along the
-    pivot (see :class:`NtfProblem`), keyed by the bytes of that block.
-    ``linear[i]`` is block ``i``'s linear term, keyed by the bytes of every
-    other block. :meth:`drop_partial` frees the partial, with every term
-    formed from it, before its successor is allocated, so a thread holds
-    one partial at a time, never two. The passes' slab and chunk buffers are
-    not kept here but in the scratch of whichever thread runs them (see
+    pivot (see :class:`NtfProblem`), keyed by the bytes of that block and
+    kept by :meth:`NtfProblem._memo_partial` alone. ``linear[i]`` is block
+    ``i``'s linear term, keyed by the bytes of every other block.
+    :meth:`drop_partial` frees the partial, with every term formed from it,
+    before its successor is allocated, so a thread holds one partial at a
+    time, never two. The passes' slab and chunk buffers are not kept here
+    but in the scratch of whichever thread runs them (see
     :func:`drbcd.tensors._scratch`).
     """
 
@@ -249,10 +247,10 @@ class NtfProblem:
     indices of the pivot, the longest mode (the last of equal lengths), and
     whose columns are the cells of the other modes, ordered by row; ``P``
     then has one column per cell, never more than on the dense path. Dense
-    data pivots on the last mode, and the objective is a pass over
+    data pivots on the last mode, and the objective is the pass over
     cache-sized row slabs of the data's native view ``X.reshape(-1,
-    d_last)``, shared among threads as the dense MTTKRP passes' slabs are
-    (see :mod:`drbcd.tensors`); coordinates of at least
+    d_last)`` that also forms the partial (see
+    :func:`drbcd.tensors._row_pass`); coordinates of at least
     :data:`SPARSE_SHARE` nonzeros are scattered into a private read-only tensor for it. The solves read the
     data's :attr:`shape`; :attr:`data` returns the tensor itself, or, from
     a coordinate list, a :class:`~drbcd.tensors.SparseTensor` of it, from
@@ -355,42 +353,20 @@ class NtfProblem:
     def objective(self, blocks: Sequence[np.ndarray]) -> float:
         """Squared Frobenius reconstruction error.
 
-        The residual is formed explicitly over row slabs of the data's
-        native view ``Xr = X.reshape(-1, d_last)``: slab ``[s:e]`` is
-        ``Xr[s:e] - K[s:e] @ U_last.T``, with ``K`` the Khatri-Rao product of
-        the leading blocks, formed in a buffer of about
-        :data:`drbcd.tensors.SLAB_BYTES` in the scratch of the thread that
-        takes the slab (see :func:`drbcd.tensors._scratch`) and summed with
-        ``dot``. The slabs are shared among threads by
-        :func:`drbcd.tensors._slab_map` and their sums added in slab order,
-        so the total has the serial loop's bits. The expansion ``||X||^2 -
-        2<U, B> + <U^T U, G>`` would be cheaper but cancels to about ``eps
-        ||X||^2`` near a good fit, which is as large as the slack the
-        descent checks allow.
+        On dense data, the residual is formed explicitly by one pass over
+        row slabs of the data's native view ``X.reshape(-1, d_last)`` (see
+        :func:`drbcd.tensors._row_pass`), which leaves behind, in this
+        thread's memo, the rank-major partial that the stationarity measure
+        at the same blocks needs next, unless the memo holds it already (see
+        :meth:`_memo_partial`).
 
         On sparse data (see :meth:`_coo_objective`) the residual is formed
-        at the nonzeros alone, unless rounding could move the result by more
-        than ``1e-12`` of itself; then the pass above runs on slabs filled
-        from the coordinates of :attr:`data` into a second buffer of the
-        same thread's scratch, inside the same per-slab body, with the bits
-        of the pass over the tensor and no tensor formed.
-
-        The pass leaves behind, in this thread's memo, the MTTKRP term that
-        the stationarity measure at the same blocks needs next and that the
-        pass can form from what it reads anyway: on dense data the
-        rank-major partial, slab ``[s:e]`` of it ``U_last.T @ Xr[s:e].T``,
-        from the same slabs and GEMMs as
-        :func:`drbcd.tensors._last_mode_partial`, and on sparse data the
-        pivot's term. A memo hit skips that work; on a miss the stale partial
-        is dropped before the new one is allocated.
-
-        Both products take ``U_last.T`` as one contiguous copy, not a
-        transposed view. On a 100x200x300 rank-5 tensor, one BLAS thread,
-        the residual products alone took 2.5 ms against 4.1 ms a pass, and
-        the whole pass with its partial 12.1-14.3 ms against 16.4-16.8 ms
-        with the transposed view and an ``(rows, r)`` partial (medians of
-        25 calls, three alternating runs). OpenBLAS rounds some entries
-        differently by the layout, so the two forms differ in their last
+        at the nonzeros alone, and its gather leaves the pivot's term behind,
+        unless rounding could move the result by more than ``1e-12`` of
+        itself; then the dense pass runs on slabs filled from the
+        coordinates of :attr:`data`, with the bits of the pass over the
+        tensor, no tensor formed and no partial left behind: the nonzero
+        path's partial is its own scatter, over its pivot and with other
         bits.
         """
         blocks = self._check_blocks(blocks)
@@ -398,44 +374,8 @@ class NtfProblem:
             total = self._coo_objective(blocks)
             if total is not None:
                 return total
-        kr = _khatri_rao_native(blocks[:-1])
-        last = blocks[-1]
-        num_rows, d_last = math.prod(self.shape[:-1]), self.shape[-1]
-        if self._coo is None:
-            xr = self._dense.reshape(-1, d_last)
-
-            def data_slab(start: int, stop: int) -> np.ndarray:
-                return xr[start:stop]
-        else:
-            data_slab = _dense_slabs(self.data)
-        # The nonzero path's partial is its own scatter, over its pivot and
-        # with other bits: a dense pass on sparse data leaves none behind.
-        memo = self._memo
-        key = last.tobytes() if self._coo is None else None
-        partial = None
-        if key is not None and memo.partial[0] != key:
-            memo.drop_partial(self._pivot)
-            partial = np.empty((self.rank, num_rows))
-        last_t = np.ascontiguousarray(last.T)
-
-        def slab_sum(start: int, stop: int) -> float:
-            x_slab = data_slab(start, stop)
-            residual = _scratch("residual", (stop - start, d_last))
-            np.matmul(kr[start:stop], last_t, out=residual)
-            np.subtract(x_slab, residual, out=residual)
-            if partial is not None:
-                np.matmul(last_t, x_slab.T, out=partial[:, start:stop])
-            flat = residual.ravel()
-            return float(np.dot(flat, flat))
-
-        total = 0.0
-        for term in _slab_map(slab_sum, _row_slabs(num_rows, 8 * d_last)):
-            total += term
-        if partial is not None:
-            partial = partial.reshape((self.rank,) + self.shape[:-1])
-            partial.flags.writeable = False
-            memo.partial = (key, partial)
-        return total
+            return _row_pass(self.data, blocks[-1], _khatri_rao_native(blocks[:-1]))
+        return self._memo_partial(blocks[-1], _khatri_rao_native(blocks[:-1]))
 
     def _coo_objective(self, blocks: list[np.ndarray]) -> float | None:
         """The objective from the nonzeros, or ``None`` if rounding forbids it.
@@ -537,19 +477,34 @@ class NtfProblem:
 
         Rank-major: a leading axis of length ``r``, then the other modes.
         """
+        self._memo_partial(pivot)
+        return self._memo.partial[1]
+
+    def _memo_partial(self, pivot: np.ndarray, kr: np.ndarray | None = None) -> float:
+        """Memoize the partial of ``pivot`` unless this thread's memo holds
+        it; return dense data's residual square sum at ``kr``, 0 without.
+
+        On a miss the stale partial is dropped before the new one is formed:
+        on dense data by the pass that also sums the residual (see
+        :func:`drbcd.tensors._row_pass`), on a coordinate list by a scatter
+        of the nonzeros. On a hit the dense pass forms the residual alone,
+        and is skipped without ``kr``.
+        """
         memo = self._memo
         key = pivot.tobytes()
         if memo.partial[0] == key:
-            return memo.partial[1]
+            return 0.0 if kr is None else _row_pass(self._dense, pivot, kr)
         memo.drop_partial(self._pivot)
+        shape = self.shape[: self._pivot] + self.shape[self._pivot + 1 :]
         if self._coo is None:
-            partial = _last_mode_partial(self._dense, pivot)
+            partial = np.empty((self.rank, math.prod(shape)))
+            total = _row_pass(self._dense, pivot, kr, partial)
         else:
-            shape = self.shape[: self._pivot] + self.shape[self._pivot + 1 :]
-            partial = _coo_partial(*self._coo, pivot, math.prod(shape)).reshape((self.rank,) + shape)
+            partial, total = _coo_partial(*self._coo, pivot, math.prod(shape)), 0.0
+        partial = partial.reshape((self.rank,) + shape)
         partial.flags.writeable = False
         memo.partial = (key, partial)
-        return partial
+        return total
 
     def block_feasible_box(self, i: int) -> tuple[float, float]:
         if not 0 <= i < self.num_blocks:
@@ -577,7 +532,7 @@ def init_factors(
 
     Deterministic per seed (Philox, so identical across platforms).
     """
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     if box_bound is not None and scale > box_bound:
         raise ValueError(f"scale {scale} exceeds the box bound {box_bound}")

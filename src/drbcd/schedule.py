@@ -51,7 +51,7 @@ class RadiusSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "power_log" and not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.c_prime <= 0.0:
+        if not self.c_prime > 0.0:
             raise ValueError(f"c_prime must be positive, got {self.c_prime}")
         if self.log_offset < 1:
             raise ValueError(f"log_offset must be a positive integer, got {self.log_offset}")

@@ -11,11 +11,12 @@ C-contiguous tensor ``Xr = x.reshape(-1, d_last)`` and ``x.reshape(d_0,
 partial product ``P = (Xr @ U_last).T``, held rank-major as ``(r,) + other
 dims``, against the remaining factors, so one pass over the tensor serves
 all of the modes before the last (a two-level dimension tree). ``P`` is
-formed over row blocks of ``Xr`` of about :data:`SLAB_BYTES` each, written
-into one preallocated result, so that each block stays in cache while it is
-multiplied; a pass that reads the same blocks for another purpose (the
-objective's residual in :mod:`drbcd.factorization`) can form ``P`` on the
-way, with the same bits. Each rank slice of ``P`` is contiguous and is
+formed by :func:`_row_pass` over row blocks of ``Xr`` of about
+:data:`SLAB_BYTES` each, written into one preallocated result, so that each
+block stays in cache while it is multiplied. The same pass sums the
+objective's residual for :mod:`drbcd.factorization` from the same blocks,
+so one function holds the formula of ``P``, whoever asks for it. Each rank
+slice of ``P`` is contiguous and is
 contracted by matrix-vector products (see :func:`_mttkrp_from_partial`).
 The last mode's MTTKRP contracts mode 0 first and then the middle modes
 (see :func:`_last_mode_mttkrp`).
@@ -32,9 +33,10 @@ squares taken by ``np.dot`` still do (above 10,000 entries OpenBLAS splits
 a dot product across threads).
 
 A :class:`SparseTensor` holds a tensor as the coordinates of its nonzeros.
-Every function here takes it where it takes a tensor; :func:`frobenius_norm`
-and :func:`write_ntf1` read the coordinates alone, and the rest take the
-tensor from :meth:`SparseTensor.dense`, the one place that forms it.
+Every function here takes it where it takes a tensor; :func:`frobenius_norm`,
+:func:`write_ntf1` and :func:`_row_pass` read the coordinates alone, and the
+rest take the tensor from :meth:`SparseTensor.dense`, the one place that
+forms it.
 
 The private ``_coo_*`` kernels apply the same tree to a coordinate list of
 a tensor's nonzeros and never touch its zeros. The list is the tensor as a
@@ -51,8 +53,7 @@ Every pass in the package that takes an array in pieces, here, in
 
 All functions are safe to call concurrently; they write to nothing but
 their results and their own thread's scratch (see :func:`_scratch`). The
-dense passes over row slabs (the objective's in
-:mod:`drbcd.factorization`, :func:`_last_mode_partial` and
+dense passes over row slabs (:func:`_row_pass` and
 :func:`_last_mode_mttkrp`) share their slabs out among threads through
 :func:`_slab_map`: the calling thread and, where the machine has a core to
 spare beside BLAS's own threads, helper threads of one process-wide pool,
@@ -90,7 +91,7 @@ NTF1_MAGIC = b"NTF1"
 # Every pass that takes an array in pieces takes them from :func:`_row_slabs`,
 # of about this many bytes, so a piece and the products formed from it stay in
 # a core's L2 cache: row blocks of ``x.reshape(-1, d_last)`` (the partial
-# contraction here, the objective's residual in :mod:`drbcd.factorization`),
+# contraction and the objective's residual, see :func:`_row_pass`),
 # chunks of nonzeros in the nonzero-only kernels, slabs of entries in the
 # entry checks and the nonzero search, and chunks of draws in
 # :mod:`drbcd.datagen`. Blocks of 128 KB to 1 MB measured equally fast on a
@@ -354,7 +355,7 @@ def _scratch(use: str, shape: tuple[int, ...]) -> np.ndarray:
     C-contiguous array of ``shape``, grown as needed; valid until the same
     thread asks for ``use`` again. A thread so holds one buffer per use,
     about :data:`SLAB_BYTES` each, however many problems and passes it runs:
-    ``"residual"`` for the dense objective, ``"data"`` for
+    ``"residual"`` for :func:`_row_pass`, ``"data"`` for
     :func:`_dense_slabs`, ``"mode0"`` for :func:`_last_mode_mttkrp` and
     ``"chunk"`` for :func:`_coo_gather`.
     """
@@ -403,23 +404,8 @@ def _pass_threads() -> tuple[int, int, int | None]:
     return (max(1, cores // blas) if blas else 1), cores, blas
 
 
-_pool = None  # (helpers, executor): the helper threads, made by the first pass that splits
-_pool_lock = threading.Lock()  # guards ``_pool``
-
-
-def _submit(helpers: int, work) -> list:
-    """``helpers`` futures of ``work`` on the process-wide pool, made or
-    widened here; under a lock, so that no pass submits to a pool being
-    replaced."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < helpers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (helpers, ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="drbcd-slabs"))
-        return [_pool[1].submit(work) for _ in range(helpers)]
+_pool = None  # the helper threads' executor, made by the first pass that splits
+_pool_lock = threading.Lock()  # guards the making of ``_pool``
 
 
 def _slab_map(fn, ranges: list[tuple[int, int]]) -> list:
@@ -427,19 +413,21 @@ def _slab_map(fn, ranges: list[tuple[int, int]]) -> list:
     between the calling thread and idle helper threads.
 
     With at least two slabs and room for at least one helper (the threads
-    :func:`_pass_threads` allows, less the calling thread), each thread
-    claims the next unclaimed slab from a shared counter until none is
-    left. The caller claims too, so it never waits on a pool that other
-    passes keep busy: once the slabs run out it cancels every helper task
-    that has not started and waits only for those running. No slab is
-    claimed after one has raised, and the error is raised here. Otherwise,
-    and wherever nothing would split, this is the serial loop, in the
-    calling thread alone. ``fn`` writes its outputs only where no other
-    slab's ``fn`` reads or writes.
+    :func:`_pass_threads` allows, less the calling thread), the helpers are
+    tasks on one process-wide pool of ``cores - 1`` workers, the most any
+    pass asks for; it is made by the first pass that splits and starts a
+    thread only when a task finds none idle. Each thread claims the next
+    unclaimed slab from a shared counter until none is left. The caller
+    claims too, so it never waits on a pool that other passes keep busy:
+    once the slabs run out it cancels every helper task that has not
+    started and waits only for those running. No slab is claimed after one
+    has raised, and the error is raised here. Otherwise, and wherever
+    nothing would split, this is the serial loop, in the calling thread
+    alone. ``fn`` writes its outputs only where no other slab's ``fn``
+    reads or writes.
     """
-    helpers = 0
-    if len(ranges) > 1:
-        helpers = min(_pass_threads()[0] - 1, len(ranges) - 1)
+    threads, cores, _ = _pass_threads() if len(ranges) > 1 else (1, 1, None)
+    helpers = min(threads - 1, len(ranges) - 1)
     if helpers < 1:
         return [fn(start, stop) for start, stop in ranges]
     results = [None] * len(ranges)
@@ -460,7 +448,13 @@ def _slab_map(fn, ranges: list[tuple[int, int]]) -> list:
                     pass
             raise
 
-    futures = _submit(helpers, work)
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=cores - 1, thread_name_prefix="drbcd-slabs")
+    futures = [_pool.submit(work) for _ in range(helpers)]
     try:
         work()
     finally:
@@ -472,28 +466,70 @@ def _slab_map(fn, ranges: list[tuple[int, int]]) -> list:
     return results
 
 
+def _row_pass(x, u_last, kr=None, partial=None) -> float:
+    """One pass over the row slabs of ``Xr = x.reshape(-1, d_last)``, ``x``
+    an array or a :class:`SparseTensor`, with ``u_last`` (d_last x r).
+
+    With ``kr``, the Khatri-Rao product of the leading factors, it returns
+    the residual's square sum ``||Xr - kr @ U_last.T||^2``, else 0. With
+    ``partial``, an ``(r, rows)`` array, it fills it with ``U_last.T @
+    Xr.T``, the rank-major ``P`` of :func:`_last_mode_partial`. Slab
+    ``[s:e]`` (see :func:`_row_slabs`) is a view of the array, or is filled
+    from the coordinates (see :func:`_dense_slabs`), with the same bits and
+    no tensor formed. Its residual ``Xr[s:e] - kr[s:e] @ U_last.T`` is
+    formed in the ``"residual"`` scratch of the thread that takes the slab
+    (see :func:`_scratch`) and summed with ``dot``; its columns of ``P``
+    are ``U_last.T @ Xr[s:e].T``. The slabs are shared among threads by
+    :func:`_slab_map` and their sums added in slab order, so the total has
+    the serial loop's bits. The objective of
+    :class:`drbcd.factorization.NtfProblem` is this sum, not the cheaper
+    expansion ``||X||^2 - 2<U, B> + <U^T U, G>``, which cancels to about
+    ``eps ||X||^2`` near a good fit, as large as the descent checks' slack.
+
+    Every product takes ``U_last.T`` as one contiguous copy. On a
+    100x200x300 rank-5 tensor, one BLAS thread, the residual products alone
+    took 2.5 ms against 4.1 ms a pass, and the whole pass with its partial
+    12.1-14.3 ms against 16.4-16.8 ms with the transposed view and an
+    ``(rows, r)`` partial (medians of 25 calls, three alternating runs).
+    OpenBLAS rounds some entries differently by the layout, so the two
+    forms differ in their last bits.
+    """
+    d_last = x.shape[-1]
+    filled = _dense_slabs(x) if isinstance(x, SparseTensor) else None
+    xr = None if filled else x.reshape(-1, d_last)
+    last_t = np.ascontiguousarray(np.asarray(u_last, dtype=np.float64).T)
+
+    def slab_sum(start: int, stop: int) -> float:
+        x_slab = filled(start, stop) if filled else xr[start:stop]
+        if kr is not None:
+            residual = _scratch("residual", (stop - start, d_last))
+            np.matmul(kr[start:stop], last_t, out=residual)
+            np.subtract(x_slab, residual, out=residual)
+        if partial is not None:
+            np.matmul(last_t, x_slab.T, out=partial[:, start:stop])
+        if kr is None:
+            return 0.0
+        flat = residual.ravel()
+        return float(np.dot(flat, flat))
+
+    total = 0.0
+    for term in _slab_map(slab_sum, _row_slabs(prod(x.shape[:-1]), 8 * d_last)):
+        total += term
+    return total
+
+
 def _last_mode_partial(x, u_last) -> np.ndarray:
     """Contract the last mode of ``x`` with ``u_last`` (d_last x r).
 
     Returns ``P`` of shape ``(r,) + x.shape[:-1]``, rank-major, with
-    ``P[j, i_1, ..., i_{m-1}] = sum_t X[i_1, ..., i_{m-1}, t] U_last[t, j]``.
-    Each row block ``Xr[s:e]`` of the native view ``Xr = x.reshape(-1,
-    d_last)`` (see :func:`_row_slabs`) gives the columns ``s:e`` of the
-    ``(r, rows)`` result, ``U_last.T @ Xr[s:e].T`` with ``U_last.T`` a
-    contiguous copy, the blocks shared among threads by :func:`_slab_map`.
-    The objective's pass in :mod:`drbcd.factorization` forms ``P`` by the
-    same products, so that the two give it the same bits.
+    ``P[j, i_1, ..., i_{m-1}] = sum_t X[i_1, ..., i_{m-1}, t] U_last[t, j]``,
+    formed by :func:`_row_pass`.
     """
     x = np.asarray(x, dtype=np.float64)
-    xr = x.reshape(-1, x.shape[-1])
-    last_t = np.ascontiguousarray(np.asarray(u_last, dtype=np.float64).T)
-    p = np.empty((last_t.shape[0], xr.shape[0]))
-
-    def block(start: int, stop: int) -> None:
-        np.matmul(last_t, xr[start:stop].T, out=p[:, start:stop])
-
-    _slab_map(block, _row_slabs(xr.shape[0], xr[:1].nbytes))
-    return p.reshape((last_t.shape[0],) + x.shape[:-1])
+    u_last = np.asarray(u_last, dtype=np.float64)
+    p = np.empty((u_last.shape[1], prod(x.shape[:-1])))
+    _row_pass(x, u_last, partial=p)
+    return p.reshape((u_last.shape[1],) + x.shape[:-1])
 
 
 def _mttkrp_from_partial(partial, factors, mode: int) -> np.ndarray:

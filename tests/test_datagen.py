@@ -89,6 +89,13 @@ def test_spec_validation():
         SynthSpec(dims=(), rank=1)
     with pytest.raises(ValueError, match="noise"):
         SynthSpec(dims=(3, 4), rank=2, noise_level=-1.0)
+    # Non-finite values are refused by name, not left to the tensor's entry
+    # check, whose message names no setting.
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"noise_level must be finite and nonnegative, got {value}"):
+            SynthSpec(dims=(3, 4), rank=2, noise_level=value)
+        with pytest.raises(ValueError, match=f"target_mean_abs must be finite and positive, got {value}"):
+            SynthSpec(dims=(3, 4), rank=2, density=0.5, target_mean_abs=value)
 
 
 def test_rank_is_checked_only_where_it_is_read():

@@ -803,9 +803,11 @@ def test_cli_main_exit_codes(tmp_path, monkeypatch, capsys):
         ["--rank", "9", "--shape", "4,5,6"],
         ["--data", "surrogate", "--shape", "5,6,4", "--density", "0"],
         ["--data", "file:missing.ntf1"],
+        ["--c-prime", "nan"],
+        ["--init-scale", "nan"],
     ],
     ids=["beta", "max_sweeps", "max_seconds", "log_offset", "init_scale", "box_bound",
-         "rank", "density", "file"],
+         "rank", "density", "file", "c_prime_nan", "init_scale_nan"],
 )
 def test_cli_bad_setting_exits_2_before_writing(tmp_path, monkeypatch, capsys, argv):
     # Each setting passes parse_config but cannot run: it fails once, before

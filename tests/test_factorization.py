@@ -469,7 +469,7 @@ def test_on_two_modes_the_other_blocks_term_goes_with_its_partial(monkeypatch, s
     stale = weakref.ref(partial if partial.base is None else partial.base)
     assert np.shares_memory(linear, partial)
     del linear, partial
-    name = "_coo_partial" if sparse else "_last_mode_partial"
+    name = "_coo_partial" if sparse else "_row_pass"
     form = getattr(factorization, name)
 
     def checked(*args):
@@ -1083,6 +1083,12 @@ def test_init_factors_deterministic_and_in_range():
 def test_init_factors_scale_above_box_rejected():
     with pytest.raises(ValueError, match="box"):
         init_factors((3, 3), rank=1, seed=0, scale=2.0, box_bound=1.0)
+
+
+@pytest.mark.parametrize("box_bound", [None, 1.0])
+def test_init_factors_nan_scale_rejected(box_bound):
+    with pytest.raises(ValueError, match="scale must be positive, got nan"):
+        init_factors((3, 3), rank=1, seed=0, scale=math.nan, box_bound=box_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,9 @@ def test_invalid_parameters_rejected():
         RadiusSchedule(beta=1.5)
     with pytest.raises(ValueError):
         RadiusSchedule(c_prime=0.0)
+    # A comparison with NaN is false, so "refuse if c_prime <= 0" let it in.
+    with pytest.raises(ValueError, match="c_prime must be positive, got nan"):
+        RadiusSchedule(c_prime=math.nan)
     with pytest.raises(ValueError):
         RadiusSchedule(log_offset=0)
     with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ def own_pool(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         if tensors._pool is not None:
-            tensors._pool[1].shutdown(wait=True)
+            tensors._pool.shutdown(wait=True)
 
 
 def with_threads(monkeypatch, threads):
@@ -177,7 +177,7 @@ def test_a_pass_never_waits_on_a_busy_pool(monkeypatch, own_pool):
     with_threads(monkeypatch, 2)
     tensors._slab_map(lambda start, stop: None, [(0, 1), (1, 2)])  # makes the pool
     release = threading.Event()
-    (busy,) = tensors._submit(1, lambda: release.wait(30))
+    busy = tensors._pool.submit(lambda: release.wait(30))
     try:
         ran_in = []
 
