@@ -31,7 +31,9 @@ generated the data, an exact fit.)
 It first prints, for every case and seed, a digest of the data tensor each
 side built (SHA-256 of its shape and float64 bytes, taken from the dense
 tensor also where the generator returned the coordinates of its nonzeros,
-so that the two forms compare), whether the two match, and the most bytes
+so that the two forms compare), whether the two match, each side's median
+set-up time over 5 untraced builds of the generator and ``NtfProblem``
+together (the work ``bench/run.py``'s ``setup_s`` times), and the most bytes
 numpy held at once while the generator ran, what it returned included (its
 build peak, from ``tracemalloc``); next to them,
 the digest of the tensor each side's ``NtfProblem`` returns as its
@@ -70,13 +72,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Run inside each tree; prints {"data": {case name: digest}, "build": {case
-# name: build peak}, "problem": {case name: [digest, bytes held, set-up peak,
-# norm peak]},
+# Run inside each tree; prints {"data": {case name: digest}, "setup": {case
+# name: median set-up seconds}, "build": {case name: build peak}, "problem":
+# {case name: [digest, bytes held, set-up peak, norm peak]},
 # "solve": {case name: solve peak}, "runs": {run name: [record, ...]}}, a
 # record being every field the trace CSV writes (see `compare`).
 WORKER = r"""
-import hashlib, json, sys, tracemalloc
+import hashlib, json, statistics, sys, time, tracemalloc
 import numpy as np
 sys.path.insert(0, "src")
 from drbcd import datagen, driver, factorization, schedule, tensors
@@ -89,6 +91,7 @@ CASES = (
 )
 MU_SWEEPS = 10
 INIT_SEED = 1000
+SETUP_BUILDS = 5
 
 def records(trace):
     # Named one by one: an older tree's records may hold fields that a newer one dropped.
@@ -117,7 +120,7 @@ def held_bytes(problem):
                 buffers[id(owner)] = owner.nbytes
     return sum(buffers.values())
 
-out = {"data": {}, "build": {}, "problem": {}, "solve": {}, "runs": {}}
+out = {"data": {}, "setup": {}, "build": {}, "problem": {}, "solve": {}, "runs": {}}
 # A generator's first call imports modules, and so does a first block solve
 # (numpy.ma, through np.unique); keep them out of the first case's peaks.
 datagen.sparse_surrogate(datagen.SynthSpec(dims=(2, 2), rank=1, density=0.5, target_mean_abs=1.0))
@@ -130,12 +133,20 @@ factorization.run_mu(warm, warm_init, driver.SolverConfig(
 del warm, warm_init
 for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
     for seed in seeds:
-        tracemalloc.start()
         if data == "synth":
-            x = datagen.synthetic_lowrank(datagen.SynthSpec(dims=dims, rank=rank, seed=seed))[0]
+            spec = datagen.SynthSpec(dims=dims, rank=rank, seed=seed)
+            build = lambda: datagen.synthetic_lowrank(spec)[0]
         else:
-            x = datagen.sparse_surrogate(datagen.SynthSpec(
-                dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067))
+            spec = datagen.SynthSpec(dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067)
+            build = lambda: datagen.sparse_surrogate(spec)
+        times = []
+        for _ in range(SETUP_BUILDS):
+            began = time.perf_counter()
+            factorization.NtfProblem(build(), rank)
+            times.append(time.perf_counter() - began)
+        out["setup"][f"{name} seed {seed}"] = statistics.median(times)
+        tracemalloc.start()
+        x = build()
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         out["data"][f"{name} seed {seed}"] = digest(dense(x))
@@ -242,7 +253,7 @@ def main(argv=None) -> int:
     data = compare_data(parent["data"], change["data"])
     problems = compare_data(*({k: v[0] for k, v in side["problem"].items()} for side in (parent, change)))
     print(f"{'data':34s} {'parent digest':>16s} {'change digest':>16s}  same  "
-          f"{'build peak (parent, change)':>27s}  "
+          f"{'set-up ms (parent, change)':>26s}  {'build peak (parent, change)':>27s}  "
           f"{'problem digests (parent, change)':>33s}  same  {'bytes held (parent, change)':>27s}  "
           f"{'set-up peak (parent, change)':>28s}  {'norm peak (parent, change)':>26s}  "
           f"{'solve peak (parent, change)':>27s}")
@@ -251,12 +262,16 @@ def main(argv=None) -> int:
         digests = f"{problem_before or 'n/a'} {problem_after or 'n/a'}"
         build, solve = (" ".join(str(side[key].get(name, "n/a")) for side in (parent, change))
                         for key in ("build", "solve"))
+        setup = " ".join(
+            f"{1e3 * side['setup'][name]:.1f}" if name in side.get("setup", {}) else "n/a"
+            for side in (parent, change)
+        )
         held, peak, norm = (
             " ".join(str(side["problem"].get(name, (None,) + ("n/a",) * 3)[column]) for side in (parent, change))
             for column in (1, 2, 3)
         )
         print(f"{name:34s} {before or 'n/a':>16s} {after or 'n/a':>16s}  {'yes' if same else 'no':4s}  "
-              f"{build:>27s}  "
+              f"{setup:>26s}  {build:>27s}  "
               f"{digests:>33s}  {'yes' if problem_same else 'no':4s}  {held:>27s}  {peak:>28s}  "
               f"{norm:>26s}  {solve:>27s}")
     matched = all(same for _, _, same in data.values())

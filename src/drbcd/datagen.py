@@ -15,8 +15,10 @@ Two families:
 
 The low-rank generator writes its tensor once, into one buffer, the
 result, and holds no other tensor-sized array: it multiplies the first
-loading matrix by the Khatri-Rao product of the others, and adds its noise
-in chunks. The surrogate forms no tensor at all: it searches its pattern's
+loading matrix by the Khatri-Rao product of the others, block of rows by
+block of rows, the blocks shared among the dense passes' threads (see
+:func:`synthetic_lowrank`), and adds its noise in chunks, in the calling
+thread. The surrogate forms no tensor at all: it searches its pattern's
 draws chunk by chunk for the nonzeros, draws their magnitudes, one per
 nonzero, from a second stream and returns the coordinates, a
 :class:`drbcd.tensors.SparseTensor` (see :func:`sparse_surrogate`).
@@ -42,7 +44,15 @@ from math import fsum, inf, prod
 import numpy as np
 
 from .factorization import FactorModel
-from .tensors import SparseTensor, _khatri_rao_native, _read_only, _row_slabs, frobenius_norm
+from .tensors import (
+    SparseTensor,
+    _khatri_rao_native,
+    _product_blocks,
+    _read_only,
+    _row_slabs,
+    _slab_map,
+    frobenius_norm,
+)
 
 __all__ = ["SynthSpec", "synthetic_lowrank", "sparse_surrogate"]
 
@@ -86,7 +96,14 @@ def synthetic_lowrank(spec: SynthSpec) -> tuple[np.ndarray, FactorModel]:
 
     The tensor is ``U0 @ K.T``, reshaped, with ``K`` the Khatri-Rao product
     of the other loading matrices: the plain CP sum of rank-1 outer
-    products, formed in one GEMM.
+    products. Where it is large enough, the product is formed in row blocks
+    of ``U0``, one GEMM each, shared among the dense passes' threads by
+    :func:`drbcd.tensors._slab_map`; the blocks are sized by
+    :func:`drbcd.tensors._product_blocks` so that each has the whole
+    product's bits. Else it is one GEMM. The noise is drawn in the calling
+    thread: ``standard_normal`` takes a varying number of draws per entry,
+    so a chunk's place in the stream is known only once the chunks before
+    it are drawn.
     """
     if not 1 <= spec.rank <= min(spec.dims):
         raise ValueError(
@@ -97,7 +114,14 @@ def synthetic_lowrank(spec: SynthSpec) -> tuple[np.ndarray, FactorModel]:
     # The chain starts from a row of ones, so that a one-mode tensor is
     # U0's row sums; times that row, U1 keeps its bits.
     chain = [np.ones((1, spec.rank))] + factors[1:]
-    x = (factors[0] @ _khatri_rao_native(chain).T).reshape(spec.dims)
+    k_t = _khatri_rao_native(chain).T
+    x = np.empty((spec.dims[0], k_t.shape[1]))
+
+    def fill(start: int, stop: int) -> None:
+        np.matmul(factors[0][start:stop], k_t, out=x[start:stop])
+
+    _slab_map(fill, _product_blocks(*x.shape))
+    x = x.reshape(spec.dims)
     if spec.noise_level > 0.0:
         sigma = spec.noise_level * frobenius_norm(x) / np.sqrt(x.size)
         flat = x.reshape(-1)

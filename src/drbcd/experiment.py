@@ -466,8 +466,9 @@ class ExperimentSummary:
                 )
         threads, cores, blas = _pass_threads()
         lines.append(
-            f"dense passes: up to {_count(threads, 'thread')} ({_count(cores, 'core')}, "
-            f"{_count(blas, 'BLAS thread') if blas else 'BLAS thread count unknown'})"
+            f"dense passes and set-up: up to {_count(threads, 'thread')} ({_count(cores, 'core')}, "
+            f"{_count(blas, 'BLAS thread') if blas else 'BLAS thread count unknown'}, "
+            f"{_blas_build() or 'BLAS build unknown'})"
         )
         for v in self.violations:
             lines.append(
@@ -477,6 +478,17 @@ class ExperimentSummary:
         for f in self.failures:
             lines.append(f"FAILED {f.algorithm} run {f.run_index}: {f.message}")
         return "\n".join(lines)
+
+
+def _blas_build() -> str | None:
+    """The name and version of the BLAS numpy was built with, such as
+    ``scipy-openblas 0.3.31.188.0``, or ``None`` where numpy does not say
+    (``np.show_config(mode="dicts")`` came with numpy 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:
+        return None
+    return " ".join(str(blas[key]) for key in ("name", "version") if blas.get(key)) or None
 
 
 def _count(n: int, noun: str) -> str:

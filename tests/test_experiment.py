@@ -629,16 +629,37 @@ def test_report_counts_runs_stopped_by_the_time_budget(tmp_path):
     assert "0 of 2 runs stopped by the time budget" in capped.report()
 
 
-@pytest.mark.parametrize("counts, line", [
-    ((2, 2, 1), "dense passes: up to 2 threads (2 cores, 1 BLAS thread)"),
-    ((1, 4, 8), "dense passes: up to 1 thread (4 cores, 8 BLAS threads)"),
-    ((1, 1, None), "dense passes: up to 1 thread (1 core, BLAS thread count unknown)"),
+@pytest.mark.parametrize("counts, build, line", [
+    ((2, 2, 1), "scipy-openblas 0.3.31.188.0",
+     "dense passes and set-up: up to 2 threads (2 cores, 1 BLAS thread, scipy-openblas 0.3.31.188.0)"),
+    ((1, 4, 8), "openblas 0.3.27",
+     "dense passes and set-up: up to 1 thread (4 cores, 8 BLAS threads, openblas 0.3.27)"),
+    ((1, 1, None), None,
+     "dense passes and set-up: up to 1 thread (1 core, BLAS thread count unknown, BLAS build unknown)"),
 ])
-def test_report_gives_the_dense_passes_threads(tmp_path, monkeypatch, counts, line):
+def test_report_gives_the_dense_passes_threads(tmp_path, monkeypatch, counts, build, line):
     summary = run_experiment(desk_config(tmp_path, runs=1, max_sweeps=1))
-    assert "dense passes: " in summary.report()  # this host's counts
+    here = next(l for l in summary.report().splitlines() if l.startswith("dense passes and set-up: "))
+    assert experiment._blas_build() is None or here.endswith(f", {experiment._blas_build()})")
     monkeypatch.setattr(experiment, "_pass_threads", lambda: counts)
+    monkeypatch.setattr(experiment, "_blas_build", lambda: build)
     assert line in summary.report().splitlines()
+
+
+def test_blas_build_is_what_numpy_was_built_with(monkeypatch):
+    deps = {"Build Dependencies": {"blas": {"name": "scipy-openblas", "version": "0.3.31.188.0"}}}
+    monkeypatch.setattr(np, "show_config", lambda mode=None: deps)
+    assert experiment._blas_build() == "scipy-openblas 0.3.31.188.0"
+    deps["Build Dependencies"]["blas"] = {"name": "accelerate"}
+    assert experiment._blas_build() == "accelerate"
+    deps["Build Dependencies"] = {}
+    assert experiment._blas_build() is None
+
+    def before_1_26():  # takes no mode
+        return None
+
+    monkeypatch.setattr(np, "show_config", before_1_26)
+    assert experiment._blas_build() is None
 
 
 def test_report_counts_unconverged_block_solves(tmp_path, monkeypatch):

@@ -1,22 +1,27 @@
-"""The dense passes with their slabs shared among threads.
+"""The dense passes and the set-up passes over a dense tensor (the
+low-rank generator's product and the entry check) with their slabs shared
+among threads.
 
 Tier-1 runs at the default BLAS thread count, where on a host with one
 OpenBLAS thread per core no pass splits, so these tests force the split by
 patching the thread count, and check the rule that sets it in subprocesses.
 """
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drbcd import tensors
+from drbcd import datagen, tensors
+from drbcd.datagen import SynthSpec, synthetic_lowrank
 from drbcd.driver import SolverConfig, run
 from drbcd.factorization import NtfProblem, init_factors, run_mu
 from drbcd.schedule import RadiusSchedule
@@ -208,12 +213,110 @@ def test_an_error_in_a_slab_is_raised_by_the_caller(monkeypatch, own_pool):
     assert tensors._slab_map(fail_on_4, [(k, k + 1) for k in range(4)]) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("threads", [2, 3, 5])
+def test_split_generator_keeps_the_whole_products_bits(monkeypatch, own_pool, threads):
+    # At paper scale every block of 2, 3 or 5 holds at least 2**20 entries.
+    specs = [SynthSpec(dims=(100, 200, 300), rank=rank, seed=rank) for rank in range(1, 6)]
+
+    def compute():
+        return [hashlib.sha256(synthetic_lowrank(spec)[0]).hexdigest() for spec in specs]
+
+    serial, split = both(monkeypatch, threads, compute)
+    assert split == serial
+    assert len(tensors._product_blocks(100, 200 * 300)) == threads
+    assert tensors._pool is not None
+
+
+@pytest.mark.parametrize("rows, cols, blocks", [
+    (4, 2**19, 2),       # 2 rows and 2**20 entries a block: splits
+    (4, 2**19 - 1, 1),   # one entry short of that
+    (5, 2**19 - 1, 1),   # the smaller block of 2 and 3 rows is short
+    (3, 2**20, 1),       # a block of 1 row: the matrix-vector path
+    (1, 2**22, 1),
+])
+def test_product_splits_only_into_blocks_of_2_rows_and_2_to_the_20_entries(monkeypatch, rows, cols, blocks):
+    with_threads(monkeypatch, 2)
+    ranges = tensors._product_blocks(rows, cols)
+    assert len(ranges) == blocks
+    assert ranges[0][0] == 0 and ranges[-1][1] == rows
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+def test_generator_just_under_the_split_is_one_product(monkeypatch, own_pool):
+    # 4 x 512 x 1023 rows of 523,776 entries: two blocks of 2 rows would
+    # hold 1,047,552 entries each, just under 2**20.
+    with_threads(monkeypatch, 2)
+    seen = []
+    slab_map = tensors._slab_map
+    monkeypatch.setattr(datagen, "_slab_map", lambda fn, ranges: seen.append(ranges) or slab_map(fn, ranges))
+    x = synthetic_lowrank(SynthSpec(dims=(4, 512, 1023), rank=2, seed=3))[0]
+    assert seen == [[(0, 4)]] and tensors._pool is None
+    rng = np.random.Generator(np.random.Philox(key=3))
+    factors = [rng.random((d, 2)) for d in (4, 512, 1023)]
+    whole = factors[0] @ tensors._khatri_rao_native([np.ones((1, 2))] + factors[1:]).T
+    assert x.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 8 * 7, 800, 8])
+@pytest.mark.parametrize("threads", [2, 3, 5])
+def test_split_entry_check_keeps_the_serial_bits(monkeypatch, own_pool, slab_bytes, threads):
+    if slab_bytes is not None:
+        monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(threads)
+    flat = rng.standard_normal(70_001) * 10.0 ** rng.integers(-5, 5, 70_001)
+
+    def compute():
+        return [value.hex() for value in tensors._checked_range(flat)]
+
+    serial, split = both(monkeypatch, threads, compute)
+    assert split == serial
+    assert tensors._pool is not None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("threads", [1, 2, 5])
+def test_split_entry_check_refuses_a_non_finite_entry_in_any_slab(monkeypatch, own_pool, bad, where, threads):
+    monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * 100)
+    with_threads(monkeypatch, threads)
+    x = np.random.default_rng(0).random((10, 20, 30))  # 60 slabs of 100 entries
+    x.flat[{"first": 3, "middle": 3017, "last": 5999}[where]] = bad
+    with pytest.raises(ValueError, match="tensor entries must be finite"):
+        tensors._checked_range(x.ravel())
+    with pytest.raises(ValueError, match="tensor entries must be finite"):
+        tensors.as_tensor(x)
+    with pytest.raises(ValueError, match="tensor entries must be finite"):
+        NtfProblem(x, 2)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+def test_entry_check_of_huge_entries_warns_only_where_its_square_sum_is_used(monkeypatch, own_pool, threads):
+    # The square sum of entries of 1e200 overflows. ``as_tensor`` ignores
+    # it on every thread; ``NtfProblem`` reads it and warns, as it does serially.
+    monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * 100)
+    with_threads(monkeypatch, threads)
+    x = np.full((10, 20, 30), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tensors.as_tensor(x) is x
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        assert NtfProblem(x, 2)._norm_sq == np.inf
+    if threads > 1:
+        assert tensors._pool is not None
+
+
 SPARSE_RUN = r"""
 import sys, threading
-from drbcd.datagen import SynthSpec, sparse_surrogate
+from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from drbcd.driver import SolverConfig, run
 from drbcd.factorization import NtfProblem, init_factors, run_mu
 from drbcd.schedule import RadiusSchedule
+# Set-up at surrogate_bound's scale: 45k nonzeros, whose check is one slab;
+# and a dense build below the generator's split.
+bound = NtfProblem(sparse_surrogate(SynthSpec(dims=(90, 500, 100), rank=5, seed=1, density=0.01,
+                                              target_mean_abs=0.00067)), 5)
+assert bound._coo is not None and bound._coo[2].nbytes <= 512 << 10
+NtfProblem(synthetic_lowrank(SynthSpec(dims=(20, 25, 30), rank=3, seed=2))[0], 3)
 spec = SynthSpec(dims=(18, 100, 20), rank=3, seed=4, density=0.01, target_mean_abs=0.00067)
 problem = NtfProblem(sparse_surrogate(spec), 3)
 assert problem._coo is not None
@@ -227,7 +330,8 @@ print(threading.active_count(), "concurrent.futures" in sys.modules)
 
 def test_a_sparse_run_starts_no_thread_and_imports_no_pool():
     # At one BLAS thread a dense pass would split on any host with two
-    # cores; the nonzero-only passes never reach the pool.
+    # cores; the nonzero-only passes never reach the pool, and neither do
+    # a sparse set-up whose list is one slab or a small dense build.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", SPARSE_RUN], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["1", "False"]
@@ -238,7 +342,10 @@ import ctypes, sys, threading
 from pathlib import Path
 import numpy as np
 from drbcd import tensors
-x = np.random.default_rng(0).random((100, 200, 300))
+from drbcd.datagen import SynthSpec, synthetic_lowrank
+from drbcd.factorization import NtfProblem
+x = synthetic_lowrank(SynthSpec(dims=(100, 200, 300), rank=5))[0]
+NtfProblem(x, 5)
 u = np.random.default_rng(1).random((300, 5))
 tensors._last_mode_partial(x, u)
 print(*tensors._pass_threads(), threading.active_count(), "concurrent.futures" in sys.modules)
@@ -256,9 +363,9 @@ else:
 
 
 def test_worker_count_is_cores_over_blas_threads():
-    # A paper-shaped pass splits at one OpenBLAS thread, among one thread
-    # per core, and does not at one OpenBLAS thread per core, where it
-    # starts no thread and imports no pool, until BLAS is pinned to one.
+    # A paper-shaped build and pass split at one OpenBLAS thread, among one
+    # thread per core, and do not at one OpenBLAS thread per core, where
+    # they start no thread and import no pool, until BLAS is pinned to one.
     cores = len(os.sched_getaffinity(0))
     if cores < 2:
         pytest.skip("one CPU: no BLAS thread count leaves a core for a helper, so nothing would split")

@@ -167,26 +167,28 @@ def test_worker_digest_tells_shape_and_bits_apart(trajectories):
 
 
 def test_data_table_shows_each_problems_data_and_bytes_beside_the_inputs(trajectories, monkeypatch, capsys):
-    # Same inputs on both sides, generated with a peak of 12 bytes beside
+    # Same inputs on both sides, set up in a median 18.1 ms where the
+    # parent's took 28.3 ms and generated with a peak of 12 bytes beside
     # the tensor where the parent's took 30; the change's problem holds a
     # list of 24 bytes where the parent held a copy of 96, built with a peak
     # of 40 bytes where the parent's took 100, and returns the same tensor;
     # its norm peaked at 16 bytes where the parent's took 90; its runs
     # peaked at 70 bytes where the parent's took 160.
     sides = {
-        "parent": {"data": {"c seed 1": "aa"}, "build": {"c seed 1": 30},
+        "parent": {"data": {"c seed 1": "aa"}, "setup": {"c seed 1": 0.0283}, "build": {"c seed 1": 30},
                    "problem": {"c seed 1": ["aa", 96, 100, 90]}, "solve": {"c seed 1": 160}, "runs": {}},
-        "change": {"data": {"c seed 1": "aa"}, "build": {"c seed 1": 12},
+        "change": {"data": {"c seed 1": "aa"}, "setup": {"c seed 1": 0.0181}, "build": {"c seed 1": 12},
                    "problem": {"c seed 1": ["aa", 24, 40, 16]}, "solve": {"c seed 1": 70}, "runs": {}},
     }
     monkeypatch.setattr(trajectories, "run_tree", lambda tree: sides[tree.name])
     assert trajectories.main(["--parent", "parent", "--change", "change"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].index("same  build peak (parent, change)") < lines[0].index("problem digests")
+    assert lines[0].index("same  set-up ms (parent, change)") < lines[0].index("build peak (parent, change)")
+    assert lines[0].index("build peak (parent, change)") < lines[0].index("problem digests")
     assert lines[0].index("set-up peak (parent, change)") < lines[0].index("norm peak")
     assert lines[0].index("norm peak (parent, change)") < lines[0].index("solve peak")
     assert lines[0].endswith("solve peak (parent, change)")
-    assert lines[1].split() == ["c", "seed", "1", "aa", "aa", "yes", "30", "12", "aa", "aa", "yes",
+    assert lines[1].split() == ["c", "seed", "1", "aa", "aa", "yes", "28.3", "18.1", "30", "12", "aa", "aa", "yes",
                                 "96", "24", "100", "40", "90", "16", "160", "70"]
     assert lines[2:4] == ["inputs matched on every case", "problems' data matched on every case"]
 
@@ -239,6 +241,7 @@ def test_worker_digests_each_problems_data_as_a_tensor_and_times_its_norm(trajec
     for name in ("synth seed 1", "surrogate seed 1"):
         digest, held, setup_peak, norm_peak = out["problem"][name]
         assert digest == out["data"][name]
+        assert 0 < out["setup"][name] < 10
     held, norm_peak = out["problem"]["surrogate seed 1"][1:4:2]
     assert 0 < norm_peak <= held + 4096 < 0.1 * 8 * 18 * 100 * 20
 
