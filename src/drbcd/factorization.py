@@ -167,34 +167,22 @@ def default_box_bound(top: float, num_blocks: int) -> float:
 
 
 class _Memo(threading.local):
-    """One thread's memo of the MTTKRP work on one problem.
+    """One thread's memo of the passes over the data on one problem.
 
     ``partial`` is the data contracted with the pivot's block along the
     pivot (see :class:`NtfProblem`), keyed by the bytes of that block and
-    kept by :meth:`NtfProblem._memo_partial` alone. ``linear[i]`` is block
-    ``i``'s linear term, keyed by the bytes of every other block.
-    :meth:`drop_partial` frees the partial, with every term formed from it,
-    before its successor is allocated, so a thread holds one partial at a
-    time, never two. The passes' slab and chunk buffers are not kept here
-    but in the scratch of whichever thread runs them (see
-    :func:`drbcd.tensors._scratch`).
+    kept by :meth:`NtfProblem._memo_partial` alone, which frees it before
+    its successor is allocated, so a thread holds one partial at a time,
+    never two. ``term`` is the pivot's own linear term, keyed by the bytes
+    of every other block. Every other block's term is a contraction of the
+    partial, formed on each call and not kept. The passes' slab and chunk
+    buffers are not kept here but in the scratch of whichever thread runs
+    them (see :func:`drbcd.tensors._scratch`).
     """
 
-    def __init__(self, num_blocks: int):
+    def __init__(self):
         self.partial: tuple[bytes | None, np.ndarray | None] = (None, None)
-        self.linear: list[tuple[tuple[bytes, ...] | None, np.ndarray | None]] = [
-            (None, None)
-        ] * num_blocks
-
-    def drop_partial(self, pivot: int) -> None:
-        """Forget the partial and the terms of every block but ``pivot``.
-
-        Those terms are formed from a partial, and their keys name its
-        pivot block, not the successor's; on a two-mode tensor such a term
-        is a view of its partial and would keep it alive.
-        """
-        self.partial = (None, None)
-        self.linear = [(None, None) if i != pivot else entry for i, entry in enumerate(self.linear)]
+        self.term: tuple[tuple[bytes, ...] | None, np.ndarray | None] = (None, None)
 
 
 class NtfProblem:
@@ -202,24 +190,25 @@ class NtfProblem:
 
     Conforms to the driver's block-problem protocol.
 
-    One problem may be shared by threads. Each thread memoizes every
-    block's last linear term, keyed by exact copies of the blocks it was
-    computed from, so a sweep reuses the terms the previous stationarity
-    measure computed. A result is the same, bit for bit, on a hit and on a
-    miss: a miss computes exactly what a hit returns.
-
-    The MTTKRPs follow a two-level dimension tree around one pivot mode.
-    Each thread memoizes the partial ``P``, the data contracted with the
-    pivot's block along the pivot, and holds one at a time: the stale ``P``,
-    with the terms formed from it, is freed before a new pivot block's is
-    allocated. Every other mode's
-    term contracts ``P`` with the remaining blocks (see
-    :mod:`drbcd.tensors`), and the pivot's own term is one pass over the
-    data. The objective's pass leaves behind the term the stationarity
-    measure at the same blocks needs next (see :meth:`objective`). A sweep,
-    its objective and its stationarity measure so pass over dense data
-    twice, and over the nonzeros of sparse data three times, instead of
-    seven times.
+    One problem may be shared by threads. The MTTKRPs follow a two-level
+    dimension tree around one pivot mode, and each thread memoizes the two
+    results that take a pass over the data: the partial ``P``, the data
+    contracted with the pivot's block along the pivot, keyed by an exact
+    copy of that block, and the pivot's own term, keyed by exact copies of
+    every other block. A thread holds one ``P`` at a time: the stale one is
+    freed before a new pivot block's is allocated. Every other mode's term
+    contracts ``P`` with the remaining blocks on each call (see
+    :mod:`drbcd.tensors`) and is not kept. A result is the same, bit for
+    bit, on a hit and on a miss: a miss computes exactly what a hit
+    returns. The objective's pass leaves behind what the stationarity
+    measure at the same blocks needs next (see :meth:`objective`): ``P`` on
+    dense data, the pivot's term on sparse data. A sweep, its objective and
+    its stationarity measure so pass over dense data twice (the pivot's
+    term and the objective's pass, which forms ``P``), and over the
+    nonzeros of sparse data three times (the scatter that forms ``P``, the
+    pivot's term and the objective's gather), or twice when the pivot is
+    the first mode, whose solve finds the term that the previous objective
+    left; without the memo they would take seven.
 
     ``data`` is a tensor, as an array or anything ``np.asarray`` takes, or
     a :class:`drbcd.tensors.SparseTensor`, the coordinates of its nonzeros,
@@ -291,7 +280,7 @@ class NtfProblem:
         )
         if not self.box_bound > 0.0:
             raise ValueError(f"box bound must be positive, got {self.box_bound}")
-        self._memo = _Memo(self.num_blocks)
+        self._memo = _Memo()
 
     @property
     def data(self) -> np.ndarray | SparseTensor:
@@ -375,15 +364,15 @@ class NtfProblem:
             if total is not None:
                 return total
             return _row_pass(self.data, blocks[-1], _khatri_rao_native(blocks[:-1]))
-        return self._memo_partial(blocks[-1], _khatri_rao_native(blocks[:-1]))
+        return self._memo_partial(blocks[-1], _khatri_rao_native(blocks[:-1]))[1]
 
     def _coo_objective(self, blocks: list[np.ndarray]) -> float | None:
         """The objective from the nonzeros, or ``None`` if rounding forbids it.
 
         The residual at the nonzeros is explicit, from the pivot block's rows
         and the rows of the other blocks' Khatri-Rao product at the cells;
-        the same gather gives the pivot's MTTKRP term, memoized here unless
-        it is a hit (see :meth:`_linear`). The zeros' share is the model's
+        the same gather gives the pivot's MTTKRP term, memoized here (see
+        :meth:`_linear`). The zeros' share is the model's
         energy ``||M||^2``, the sum of the Hadamard product of the block
         Grams, less the model's energy at the nonzeros.
 
@@ -404,13 +393,10 @@ class NtfProblem:
         grams = [b.T @ b for b in blocks]
         energy = float(np.prod(grams, axis=0).sum())
         pivot, others = self._split(blocks)
-        key = self._linear_key(blocks, self._pivot)
-        hit = self._memo.linear[self._pivot][0] == key
         linear, residual, at_nonzeros = _coo_gather(
-            *self._coo, _khatri_rao_t(others), num_rows=None if hit else pivot.shape[0], u=pivot,
+            *self._coo, _khatri_rao_t(others), pivot.shape[0], u=pivot
         )
-        if linear is not None:
-            self._remember(self._pivot, key, linear)
+        self._remember(tuple(b.tobytes() for b in others), linear)
         total = residual + (energy - at_nonzeros)
         scale = float(np.sqrt(np.prod([np.diag(g) for g in grams], axis=0)).sum()) ** 2
         unit_roundoff = np.finfo(np.float64).eps / 2
@@ -443,58 +429,52 @@ class NtfProblem:
         )
 
     def _linear(self, blocks: list[np.ndarray], i: int) -> np.ndarray:
-        """MTTKRP of the data with every block but ``i``; read-only, memoized.
+        """MTTKRP of the data with every block but ``i``; read-only.
 
         A two-level dimension tree: every mode but the pivot contracts the
         memoized partial of the pivot's block with the other blocks, and the
-        pivot's own term is one pass over the data.
+        pivot's own term, memoized, is one pass over the data.
         """
-        key = self._linear_key(blocks, i)
-        if self._memo.linear[i][0] == key:
-            return self._memo.linear[i][1]
         pivot, others = self._split(blocks)
         if i != self._pivot:
-            linear = _mttkrp_from_partial(self._partial(pivot), others, i - (i > self._pivot))
-        elif self._coo is None:
+            linear = _mttkrp_from_partial(self._memo_partial(pivot)[0], others, i - (i > self._pivot))
+            linear.flags.writeable = False
+            return linear
+        key = tuple(b.tobytes() for b in others)
+        if self._memo.term[0] == key:
+            return self._memo.term[1]
+        if self._coo is None:
             linear = _last_mode_mttkrp(self._dense, others)
         else:
-            linear = _coo_gather(*self._coo, _khatri_rao_t(others), num_rows=pivot.shape[0])[0]
-        return self._remember(i, key, linear)
+            linear = _coo_gather(*self._coo, _khatri_rao_t(others), pivot.shape[0])[0]
+        return self._remember(key, linear)
 
-    @staticmethod
-    def _linear_key(blocks: list[np.ndarray], i: int) -> tuple[bytes, ...]:
-        """The memo key of block ``i``'s linear term: the bytes of every other block."""
-        return tuple(b.tobytes() for j, b in enumerate(blocks) if j != i)
-
-    def _remember(self, i: int, key: tuple[bytes, ...], linear: np.ndarray) -> np.ndarray:
-        """Memoize ``linear`` as block ``i``'s term at ``key``, read-only."""
+    def _remember(self, key: tuple[bytes, ...], linear: np.ndarray) -> np.ndarray:
+        """Memoize ``linear``, read-only, as the pivot's term at ``key``, the
+        bytes of every other block."""
         linear.flags.writeable = False
-        self._memo.linear[i] = (key, linear)
+        self._memo.term = (key, linear)
         return linear
 
-    def _partial(self, pivot: np.ndarray) -> np.ndarray:
-        """The data contracted with the pivot's block along the pivot; read-only, memoized.
+    def _memo_partial(
+        self, pivot: np.ndarray, kr: np.ndarray | None = None
+    ) -> tuple[np.ndarray, float]:
+        """The data contracted with the pivot's block along the pivot,
+        read-only and memoized in this thread, and dense data's residual
+        square sum at ``kr`` (0 without).
 
-        Rank-major: a leading axis of length ``r``, then the other modes.
-        """
-        self._memo_partial(pivot)
-        return self._memo.partial[1]
-
-    def _memo_partial(self, pivot: np.ndarray, kr: np.ndarray | None = None) -> float:
-        """Memoize the partial of ``pivot`` unless this thread's memo holds
-        it; return dense data's residual square sum at ``kr``, 0 without.
-
-        On a miss the stale partial is dropped before the new one is formed:
-        on dense data by the pass that also sums the residual (see
-        :func:`drbcd.tensors._row_pass`), on a coordinate list by a scatter
-        of the nonzeros. On a hit the dense pass forms the residual alone,
-        and is skipped without ``kr``.
+        The partial is rank-major: a leading axis of length ``r``, then the
+        other modes. On a miss the stale partial is dropped before the new
+        one is formed: on dense data by the pass that also sums the residual
+        (see :func:`drbcd.tensors._row_pass`), on a coordinate list by a
+        scatter of the nonzeros. On a hit the dense pass forms the residual
+        alone, and is skipped without ``kr``.
         """
         memo = self._memo
         key = pivot.tobytes()
         if memo.partial[0] == key:
-            return 0.0 if kr is None else _row_pass(self._dense, pivot, kr)
-        memo.drop_partial(self._pivot)
+            return memo.partial[1], (0.0 if kr is None else _row_pass(self._dense, pivot, kr))
+        memo.partial = (None, None)
         shape = self.shape[: self._pivot] + self.shape[self._pivot + 1 :]
         if self._coo is None:
             partial = np.empty((self.rank, math.prod(shape)))
@@ -504,7 +484,7 @@ class NtfProblem:
         partial = partial.reshape((self.rank,) + shape)
         partial.flags.writeable = False
         memo.partial = (key, partial)
-        return total
+        return partial, total
 
     def block_feasible_box(self, i: int) -> tuple[float, float]:
         if not 0 <= i < self.num_blocks:

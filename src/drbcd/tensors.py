@@ -258,11 +258,20 @@ class SparseTensor:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """:meth:`dense`, converted to ``dtype``; refuses ``copy=False``,
-        since there is no tensor to share without forming one."""
+        since there is no tensor to share without forming one.
+
+        Read-only, as :meth:`dense` is, unless ``copy`` is true: numpy 2
+        passes ``copy=True`` for ``np.array(x)`` and trusts the result to be
+        the caller's own, so the fresh tensor is handed over writeable.
+        """
         if copy is False:
             raise ValueError("a SparseTensor holds no tensor to share; it converts to one only by forming it")
         out = self.dense()
-        return out if dtype is None else out.astype(dtype, copy=False)
+        if dtype is not None:
+            out = out.astype(dtype, copy=False)
+        if copy:
+            out.flags.writeable = True
+        return out
 
 
 def _dense_slabs(x: SparseTensor):
@@ -757,9 +766,7 @@ def _coo_partial(rows, cols, values, u, cells: int) -> np.ndarray:
     return out
 
 
-def _coo_gather(
-    rows, cols, values, kr_t, num_rows: int | None = None, u=None
-) -> tuple[np.ndarray | None, float, float]:
+def _coo_gather(rows, cols, values, kr_t, num_rows: int, u=None) -> tuple[np.ndarray, float, float]:
     """The pivot's MTTKRP and the residual at the nonzeros, from one gather.
 
     ``rows``, ``cols`` and ``values`` list the nonzeros of the matricization
@@ -770,21 +777,20 @@ def _coo_gather(
     ``np.take`` and ``mode="clip"`` (a no-op on indices in range), which
     lets the gather write straight into the calling thread's ``(r, n)``
     scratch for a chunk of ``n`` nonzeros (see :func:`_scratch`). The
-    gather serves two sums, each optional:
+    gather serves, in this order:
 
-    - with ``num_rows``, the pivot's MTTKRP ``A @ kr_t.T``, ``(num_rows,
-      r)`` and C-contiguous: the gathered columns scaled by the values and
-      summed over each run of equal ``rows`` with one ``np.add.reduceat``;
     - with the pivot's factor ``u``, the model ``u @ kr_t`` at the
       nonzeros, whose entry in row ``i`` and column ``c`` is the dot product
       of ``u[i]`` and ``kr_t[:, c]``, giving ``sum (x - m)^2`` and ``sum
-      m^2`` over the nonzeros ``x`` and their model entries ``m``.
+      m^2`` over the nonzeros ``x`` and their model entries ``m``;
+    - the pivot's MTTKRP ``A @ kr_t.T``, ``(num_rows, r)`` and
+      C-contiguous: the gathered columns scaled by the values and summed
+      over each run of equal ``rows`` with one ``np.add.reduceat``.
 
-    Returns ``(mttkrp, residual, model)``, with ``None`` for a MTTKRP not
-    asked for and zeros for sums not asked for.
+    Returns ``(mttkrp, residual, model)``, with zero sums without ``u``.
     """
     rank = kr_t.shape[0]
-    out_t = None if num_rows is None else np.zeros((rank, num_rows))
+    out_t = np.zeros((rank, num_rows))
     u_t = None if u is None else np.ascontiguousarray(u.T)
     residual = model = 0.0
     for start, stop in _row_slabs(values.shape[0], 8 * rank):
@@ -802,12 +808,11 @@ def _coo_gather(
             model += float(np.dot(m, m))
             np.subtract(values[start:stop], m, out=m)
             residual += float(np.dot(m, m))
-        if out_t is not None:
-            gathered *= values[start:stop]
-            first, bounds = _runs(rows[start:stop])
-            runs = np.flatnonzero(np.diff(bounds))
-            out_t[:, first + runs] += np.add.reduceat(gathered, bounds[runs], axis=1)
-    return (None if out_t is None else np.ascontiguousarray(out_t.T)), residual, model
+        gathered *= values[start:stop]
+        first, bounds = _runs(rows[start:stop])
+        runs = np.flatnonzero(np.diff(bounds))
+        out_t[:, first + runs] += np.add.reduceat(gathered, bounds[runs], axis=1)
+    return np.ascontiguousarray(out_t.T), residual, model
 
 
 def mttkrp(x, factors, mode: int) -> np.ndarray:

@@ -11,7 +11,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from drbcd import factorization, tensors
 from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
-from drbcd.driver import SolverConfig, run, stationarity_measure, verify_trace
+from drbcd.driver import (
+    SolverConfig,
+    _trace_record,
+    bcd_dr_sweep,
+    run,
+    stationarity_measure,
+    verify_trace,
+)
 from drbcd.factorization import FactorModel, NtfProblem, init_factors, mu_sweep, run_mu
 from drbcd.schedule import RadiusSchedule
 
@@ -410,10 +417,11 @@ def test_dense_objective_keeps_the_bits_of_the_contiguous_operand_formulas(shape
     ("dense objective", (120, 100, 130)),
     ("dense partial", (120, 100, 130)),
     ("sparse partial", (120, 100, 130)),
-    # On two modes the memoized term of the other block is a view of the
-    # partial, so it must go with it. A short last mode keeps the memo keys,
-    # copies of the pivot's block, small beside a partial; a sparse pivot
-    # is the longest mode, so its keys are not (see the next test).
+    # On two modes the other block's term is a view of the partial; the
+    # memo does not keep it, so it cannot hold the stale partial. A short
+    # last mode keeps the memo key, a copy of the pivot's block, small
+    # beside a partial; a sparse pivot is the longest mode, so its key is
+    # not (see the next test).
     ("dense objective", (12000, 13)),
     ("dense partial", (12000, 13)),
 ])
@@ -464,6 +472,8 @@ def test_on_two_modes_the_other_blocks_term_goes_with_its_partial(monkeypatch, s
     problem = NtfProblem(data, rank)
     assert (problem._coo is not None) == sparse and problem._pivot == 1
     blocks = [rng.random((d, rank)) for d in shape]
+    # The other block's term is a view of the partial; the memo keeps only
+    # the partial, so once the caller drops the term, nothing else holds it.
     linear = problem.block_subproblem(blocks, 0).linear
     partial = problem._memo.partial[1]
     stale = weakref.ref(partial if partial.base is None else partial.base)
@@ -478,6 +488,68 @@ def test_on_two_modes_the_other_blocks_term_goes_with_its_partial(monkeypatch, s
 
     monkeypatch.setattr(factorization, name, checked)
     problem.block_subproblem(blocks[:-1] + [blocks[-1] + 1.0], 0)
+
+
+# The passes over the data that a warm sweep makes, with its objective and
+# stationarity measure, by the kernel that makes them: dense data forms the
+# pivot's term and, in the objective's pass, the partial; a coordinate list
+# scatters the partial and gathers the pivot's term and the objective,
+# unless the pivot is the first mode, whose solve finds the term that the
+# previous objective left.
+PASS_CASES = {
+    "dense": ((10, 12, 14), 2, {"_row_pass": 1, "_last_mode_mttkrp": 1}),
+    "sparse, middle pivot": ((9, 40, 8), 1, {"_coo_gather": 2, "_coo_partial": 1}),
+    "sparse, first pivot": ((40, 9, 8), 0, {"_coo_gather": 1, "_coo_partial": 1}),
+}
+PASS_KERNELS = ("_row_pass", "_last_mode_mttkrp", "_coo_gather", "_coo_partial")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", PASS_CASES)
+def test_a_warm_sweep_makes_the_memos_passes_over_the_data(monkeypatch, case, threads):
+    shape, pivot, expected = PASS_CASES[case]
+    rng = np.random.default_rng(34)
+    rank = 3
+    data = rng.random(shape) if case == "dense" else sparse_data(rng, shape, math.prod(shape) // 50)
+    problem = NtfProblem(data, rank)
+    assert (problem._coo is None) == (case == "dense") and problem._pivot == pivot
+    calls = dict.fromkeys(PASS_KERNELS, 0)
+
+    def counted(name):
+        kernel = getattr(factorization, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return count
+
+    for name in PASS_KERNELS:
+        monkeypatch.setattr(factorization, name, counted(name))
+    monkeypatch.setattr(tensors, "_pool", None)
+    if threads > 1:
+        # Slabs of two data rows, so that the dense passes split.
+        monkeypatch.setattr(tensors, "SLAB_BYTES", 256)
+        monkeypatch.setattr(tensors, "_pass_threads", lambda: (threads, threads, 1))
+    want = {name: expected.get(name, 0) for name in PASS_KERNELS}
+    cfg = SolverConfig()
+    try:
+        blocks, _ = bcd_dr_sweep(problem, [rng.random((d, rank)) for d in shape], 1, cfg)
+        for n in range(2, 5):
+            calls.update(dict.fromkeys(PASS_KERNELS, 0))
+            blocks, _ = bcd_dr_sweep(problem, blocks, n, cfg)
+            assert calls == want, f"BCD-DR sweep {n}"
+        for n in range(5, 8):
+            calls.update(dict.fromkeys(PASS_KERNELS, 0))
+            moved = mu_sweep(problem, blocks)
+            assert all(m.tobytes() != b.tobytes() for m, b in zip(moved, blocks))
+            blocks = moved
+            _trace_record(problem, blocks, n, [0.0] * len(shape), math.inf)
+            assert calls == want, f"MU sweep {n}"
+    finally:
+        if tensors._pool is not None:
+            tensors._pool.shutdown(wait=True)
+    assert (tensors._pool is not None) == (threads > 1 and case == "dense")
 
 
 def test_problem_keeps_its_own_copy_of_the_data():
@@ -963,7 +1035,7 @@ def test_dense_residual_on_sparse_data_leaves_no_partial_behind():
     )
     # Block terms at other blocks round the partial's last bits away, so
     # the partial itself is compared too.
-    assert problem._partial(factors[2]).tobytes() == fresh._partial(factors[2]).tobytes()
+    assert problem._memo_partial(factors[2])[0].tobytes() == fresh._memo_partial(factors[2])[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_split_dense_passes_keep_the_serial_bits(monkeypatch, own_pool, shape, s
     def compute():
         problem = NtfProblem(x, 3)
         total = problem.objective(blocks)
-        memoized = problem._partial(blocks[-1])  # the objective's partial, a memo hit
+        memoized = problem._memo_partial(blocks[-1])[0]  # the objective's partial, a memo hit
         return (
             total.hex(),
             memoized.tobytes(),
