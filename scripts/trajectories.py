@@ -22,6 +22,10 @@ deterministic ``clock="sweep"``:
   one;
 - ``desk``: 20x25x30 rank-3 synthetic tensors, 3 seeds x 200 sweeps,
   ``c' = 1e5``, ``beta = 0.5``;
+- ``matrix``: 300x400 rank-5 synthetic matrices, 2 seeds x 30 sweeps,
+  ``c' = 1e5``, ``beta = 1``, and ``sparse matrix``: 300x2000 rank-5
+  sparse surrogates, 2 seeds x 25 sweeps, ``c' = 3``, ``beta = 0.5``: two
+  modes, where the other block's term is the partial itself, uncontracted;
 - ``mu``: 10 multiplicative-update sweeps from the start of each case above.
 
 Each run starts from ``init_factors`` with seed ``1000 + seed``. (With the
@@ -88,6 +92,8 @@ CASES = (
     ("surrogate", "surrogate", (90, 500, 100), 5, 0.5, 3.0, 25, (1, 2)),
     ("surrogate 500x90x100", "surrogate", (500, 90, 100), 5, 0.5, 3.0, 25, (1, 2)),
     ("desk", "synth", (20, 25, 30), 3, 0.5, 1e5, 200, (1, 2, 3)),
+    ("matrix", "synth", (300, 400), 5, 1.0, 1e5, 30, (1, 2)),
+    ("sparse matrix", "surrogate", (300, 2000), 5, 0.5, 3.0, 25, (1, 2)),
 )
 MU_SWEEPS = 10
 INIT_SEED = 1000

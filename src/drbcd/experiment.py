@@ -158,9 +158,9 @@ class ExperimentConfig:
         self.shape = tuple(int(d) for d in self.shape)
         if self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank}")
-        if self.rank > MAX_RANK:
-            # The exact block solve refuses a wider block, so every run
-            # would fail at its first solve.
+        if self.rank > MAX_RANK and any(a.name != "mu" for a in self.algos):
+            # The exact block solve refuses a wider block, so every ALS run
+            # would fail at its first solve; MU solves no block QP.
             raise ValueError(
                 f"rank must be at most {MAX_RANK}, the exact block solve's limit, got {self.rank}"
             )

@@ -33,10 +33,10 @@ squares taken by ``np.dot`` still do (above 10,000 entries OpenBLAS splits
 a dot product across threads).
 
 A :class:`SparseTensor` holds a tensor as the coordinates of its nonzeros.
-Every function here takes it where it takes a tensor; :func:`frobenius_norm`,
-:func:`write_ntf1` and :func:`_row_pass` read the coordinates alone, and the
-rest take the tensor from :meth:`SparseTensor.dense`, the one place that
-forms it.
+Every function here takes it where it takes a tensor; :func:`frobenius_norm`
+reads its values alone, :func:`write_ntf1` and :func:`_row_pass` take their
+row slabs from :func:`_dense_slabs`, and the rest take the tensor from
+:meth:`SparseTensor.dense`, the one place that forms it.
 
 The private ``_coo_*`` kernels apply the same tree to a coordinate list of
 a tensor's nonzeros and never touch its zeros. The list is the tensor as a
@@ -61,9 +61,9 @@ dense passes over row slabs (:func:`_row_pass` and
 share their pieces out among threads through :func:`_slab_map`: the
 calling thread and, where the machine has a core to spare beside BLAS's own
 threads, helper threads of one process-wide pool, started by the first
-pass that splits. Each piece's products are the serial loop's, and the
-caller combines them in order, so the bits do not depend on how the pieces
-were shared.
+pass that splits. Each piece's products are the serial loop's, under the
+caller's floating-point error settings, and the caller combines them in
+order, so the bits do not depend on how the pieces were shared.
 """
 
 from __future__ import annotations
@@ -134,19 +134,16 @@ def _checked_range(flat: np.ndarray) -> tuple[float, float, float]:
     order, so the result has the serial loop's bits; no slab is taken after
     one holding a non-finite entry has raised, and the caller raises that
     error. Each slab runs under the caller's floating-point error settings
-    (``np.errstate`` does not reach the helper threads by itself). The
-    square sum adds the slabs' dot products, so its last bits may differ
-    from those of one dot over the whole array.
+    (see :func:`_slab_map`). The square sum adds the slabs' dot products,
+    so its last bits may differ from those of one dot over the whole array.
     """
-    errors = np.geterr()
 
     def slab_range(start: int, stop: int) -> tuple[float, float, float]:
         slab = flat[start:stop]
         low, high = float(slab.min()), float(slab.max())
         if not (isfinite(low) and isfinite(high)):
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
-        with np.errstate(**errors):
-            return low, high, float(np.dot(slab, slab))
+        return low, high, float(np.dot(slab, slab))
 
     lowest, highest, norm_sq = inf, -inf, 0.0
     for low, high, sq in _slab_map(slab_range, _row_slabs(flat.shape[0], flat.itemsize)):
@@ -274,14 +271,17 @@ class SparseTensor:
         return out
 
 
-def _dense_slabs(x: SparseTensor):
-    """The row slabs of the native view ``x.dense().reshape(-1, d_last)``,
-    as a function of a range: ``slab(start, stop)`` is rows ``start:stop``,
-    filled from the coordinates into the calling thread's scratch (see
-    :func:`_scratch`), zeros first, then the slab's nonzeros. A slab is
-    valid until the same thread asks for the next; no tensor is formed.
+def _dense_slabs(x):
+    """``slab(start, stop)``: rows ``start:stop`` of ``x.reshape(-1, d_last)``,
+    ``x`` an array or a :class:`SparseTensor`; the one place where a pass
+    branches on the form. Of an array a slab is a view; of coordinates it is
+    filled into the calling thread's scratch (see :func:`_scratch`), zeros
+    first, then its nonzeros, valid until that thread's next; no tensor is formed.
     """
     d_last = x.shape[-1]
+    if not isinstance(x, SparseTensor):
+        xr = x.reshape(prod(x.shape[:-1]), d_last)
+        return lambda start, stop: xr[start:stop]
 
     def slab(start: int, stop: int) -> np.ndarray:
         low, high = np.searchsorted(x.positions, [start * d_last, stop * d_last])
@@ -477,8 +477,9 @@ def _slab_map(fn, ranges: list[tuple[int, int]]) -> list:
     started and waits only for those running. No slab is claimed after one
     has raised, and the error is raised here. Otherwise, and wherever
     nothing would split, this is the serial loop, in the calling thread
-    alone. ``fn`` writes its outputs only where no other slab's ``fn``
-    reads or writes.
+    alone. Every slab runs under the caller's floating-point error settings,
+    which each helper enters around its claims. ``fn`` writes its outputs
+    only where no other slab's ``fn`` reads or writes.
     """
     threads, cores, _ = _pass_threads() if len(ranges) > 1 else (1, 1, None)
     helpers = min(threads - 1, len(ranges) - 1)
@@ -487,15 +488,17 @@ def _slab_map(fn, ranges: list[tuple[int, int]]) -> list:
     results = [None] * len(ranges)
     claims = iter(range(len(ranges)))
     lock = threading.Lock()
+    errors = np.geterr()
 
     def work() -> None:
         try:
-            while True:
-                with lock:
-                    k = next(claims, None)
-                if k is None:
-                    return
-                results[k] = fn(*ranges[k])
+            with np.errstate(**errors):
+                while True:
+                    with lock:
+                        k = next(claims, None)
+                    if k is None:
+                        return
+                    results[k] = fn(*ranges[k])
         except BaseException:
             with lock:
                 for _ in claims:  # no slab is claimed after this one
@@ -528,14 +531,13 @@ def _row_pass(x, u_last, kr=None, partial=None) -> float:
     the residual's square sum ``||Xr - kr @ U_last.T||^2``, else 0. With
     ``partial``, an ``(r, rows)`` array, it fills it with ``U_last.T @
     Xr.T``, the rank-major ``P`` of :func:`_last_mode_partial`. Slab
-    ``[s:e]`` (see :func:`_row_slabs`) is a view of the array, or is filled
-    from the coordinates (see :func:`_dense_slabs`), with the same bits and
-    no tensor formed. Its residual ``Xr[s:e] - kr[s:e] @ U_last.T`` is
-    formed in the ``"residual"`` scratch of the thread that takes the slab
-    (see :func:`_scratch`) and summed with ``dot``; its columns of ``P``
-    are ``U_last.T @ Xr[s:e].T``. The slabs are shared among threads by
-    :func:`_slab_map` and their sums added in slab order, so the total has
-    the serial loop's bits. The objective of
+    ``[s:e]`` (see :func:`_row_slabs`) comes from :func:`_dense_slabs`,
+    with the same bits from either form. Its residual ``Xr[s:e] - kr[s:e]
+    @ U_last.T`` is formed in the ``"residual"`` scratch of the thread that
+    takes the slab (see :func:`_scratch`) and summed with ``dot``; its
+    columns of ``P`` are ``U_last.T @ Xr[s:e].T``. The slabs are shared
+    among threads by :func:`_slab_map` and their sums added in slab order,
+    so the total has the serial loop's bits. The objective of
     :class:`drbcd.factorization.NtfProblem` is this sum, not the cheaper
     expansion ``||X||^2 - 2<U, B> + <U^T U, G>``, which cancels to about
     ``eps ||X||^2`` near a good fit, as large as the descent checks' slack.
@@ -549,12 +551,11 @@ def _row_pass(x, u_last, kr=None, partial=None) -> float:
     forms differ in their last bits.
     """
     d_last = x.shape[-1]
-    filled = _dense_slabs(x) if isinstance(x, SparseTensor) else None
-    xr = None if filled else x.reshape(-1, d_last)
+    slab = _dense_slabs(x)
     last_t = np.ascontiguousarray(np.asarray(u_last, dtype=np.float64).T)
 
     def slab_sum(start: int, stop: int) -> float:
-        x_slab = filled(start, stop) if filled else xr[start:stop]
+        x_slab = slab(start, stop)
         if kr is not None:
             residual = _scratch("residual", (stop - start, d_last))
             np.matmul(kr[start:stop], last_t, out=residual)
@@ -853,25 +854,23 @@ def write_ntf1(path, x) -> None:
     """Write ``x`` in the NTF1 binary format.
 
     Layout: magic ``NTF1``, uint32-LE mode count, one uint64-LE dimension per
-    mode, then the float64-LE entries in row-major order. The entries of an
-    array are written from its own buffer, without a copy (on a
-    little-endian host); those of a :class:`SparseTensor` slab by slab from
-    its coordinates (see :func:`_dense_slabs`), with the bytes of its
+    mode, then the float64-LE entries in row-major order, written row slab
+    by row slab (see :func:`_dense_slabs`): an array's from its own buffer,
+    without a copy (on a little-endian host), a :class:`SparseTensor`'s
+    from its coordinates, with the bytes of its
     :meth:`~SparseTensor.dense` tensor and no tensor formed.
     """
     if isinstance(x, SparseTensor):
         _check_finite(x.values)
-        slab = _dense_slabs(x)
-        pieces = (slab(start, stop) for start, stop in _row_slabs(prod(x.shape[:-1]), 8 * x.shape[-1]))
     else:
         x = as_tensor(x)
-        pieces = (x,)
+    slab = _dense_slabs(x)
     with open(path, "wb") as fh:
         fh.write(NTF1_MAGIC)
         fh.write(struct.pack("<I", x.ndim))
         fh.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-        for piece in pieces:
-            fh.write(piece.astype("<f8", copy=False))
+        for start, stop in _row_slabs(prod(x.shape[:-1]), 8 * x.shape[-1]):
+            fh.write(slab(start, stop).astype("<f8", copy=False))
 
 
 def read_ntf1(path) -> np.ndarray:

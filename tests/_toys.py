@@ -85,3 +85,17 @@ class LinearOnBox:
 
     def full_gradient(self, blocks):
         return [self.slope.copy()]
+
+
+class NonFiniteAway(SeparableQuadratic):
+    """A separable quadratic whose objective reads ``value`` (NaN or an
+    infinity) wherever the first block's first entry exceeds ``edge``."""
+
+    def __init__(self, targets, value, edge, box=(0.0, 10.0)):
+        super().__init__(targets, box)
+        self.value, self.edge = value, edge
+
+    def objective(self, blocks):
+        if float(np.asarray(blocks[0])[0, 0]) > self.edge:
+            return self.value
+        return super().objective(blocks)

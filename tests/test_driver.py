@@ -18,7 +18,7 @@ from drbcd.driver import (
 from drbcd.factorization import run_mu
 from drbcd.schedule import RadiusSchedule
 
-from _toys import BilinearScalar, LinearOnBox, SeparableQuadratic
+from _toys import BilinearScalar, LinearOnBox, NonFiniteAway, SeparableQuadratic
 
 
 # Radius 0.5 at sweep 1 (the clamped weight is 1), shrinking after it.
@@ -259,6 +259,30 @@ def test_run_rejects_infeasible_start():
         run(problem, scalar_blocks(5.0), make_cfg())
     with pytest.raises(ValueError, match="feasible"):
         run_mu(problem, scalar_blocks(-0.5), make_cfg())
+
+
+def test_solver_config_refuses_an_unknown_clock():
+    with pytest.raises(ValueError, match="^clock must be 'wall' or 'sweep', got 'cpu'$"):
+        make_cfg(clock="cpu")
+
+
+@pytest.mark.parametrize("runner", [run, run_mu])
+def test_run_refuses_a_start_with_the_wrong_block_count(runner):
+    problem = SeparableQuadratic(targets=[1.0, 2.0])
+    with pytest.raises(ValueError, match="^expected 2 blocks, got 1$"):
+        runner(problem, scalar_blocks(0.5), make_cfg())
+
+
+@pytest.mark.parametrize("runner", [run, run_mu])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_run_raises_where_the_objective_leaves_the_finite_numbers(runner, value):
+    # Non-finite at the start; then finite at the start, and non-finite
+    # once sweep 1 has moved the first block from 0.5 towards its target 1.
+    problem = NonFiniteAway(targets=[1.0, 2.0], value=value, edge=0.75)
+    with pytest.raises(FloatingPointError, match=f"^objective at the initial point is {value}$"):
+        runner(problem, scalar_blocks(0.8, 0.5), make_cfg())
+    with pytest.raises(FloatingPointError, match=f"^objective became {value} at sweep 1$"):
+        runner(problem, scalar_blocks(0.5, 0.5), make_cfg())
 
 
 def test_run_refuses_a_block_wider_than_the_exact_solve_takes():

@@ -100,6 +100,43 @@ def test_parse_config_flag_overrides_file(tmp_path):
     assert any("rank" in n for n in notes)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("rank 2", "expected 'key = value', got 'rank 2'"),
+    ("runs = many", "runs: invalid literal for int() with base 10: 'many'"),
+])
+def test_cli_refuses_a_config_line_it_cannot_read(tmp_path, capsys, line, message):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"algo = als\n{line}\n")
+    out = tmp_path / "exp"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg_file), "--rank", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [f"drbcd: error: {cfg_file}:2: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--rank", "0"], "rank must be a positive integer, got 0"),
+    (["--rank", "2", "--runs", "0"], "runs must be at least 1, got 0"),
+    (["--rank", "2", "--data", "tensor.npy"], "data must be 'synth', 'surrogate', or 'file:PATH', got 'tensor.npy'"),
+    (["--rank", "2", "--clock", "cpu"], "clock must be 'wall' or 'sweep', got 'cpu'"),
+    (["--rank", "2", "--bins", "0"], "bins must be at least 1, got 0"),
+])
+def test_cli_refuses_a_setting_out_of_its_range(tmp_path, capsys, argv, message):
+    out = tmp_path / "exp"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [f"drbcd: error: {message}"]
+    assert not out.exists()
+
+
+def test_config_needs_an_algorithm():
+    # The CLI always has one: no --algo runs the default list.
+    with pytest.raises(ValueError, match="^at least one algorithm is required$"):
+        ExperimentConfig(rank=2, algos=[])
+
+
 def test_parse_config_rejects_unknown_key(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("rank = 2\nbogus = 1\n")
@@ -410,6 +447,18 @@ def test_aggregate_refuses_an_empty_trace():
         aggregate_runs(traces, 1)
 
 
+@pytest.mark.parametrize("centers, std, message", [
+    ([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], "^bin centers must be strictly increasing$"),
+    ([0.0, 1.0, 2.0], [0.0, -1e-9, 0.0], "^negative std in aggregate for als$"),
+])
+def test_aggregate_curve_refuses_bins_out_of_order_and_negative_spread(centers, std, message):
+    with pytest.raises(ValueError, match=message):
+        experiment.AggregateCurve(
+            bin_centers=np.array(centers), mean={"als": np.ones(3)}, std={"als": np.array(std)},
+            n_runs={"als": np.ones(3, dtype=int)},
+        )
+
+
 def random_traces(rng):
     """Traces of one to three algorithms, one to twelve runs each, on the
     sweep clock or on wall-clock times with ties; a run may start late."""
@@ -476,6 +525,21 @@ def test_svg_empty_curve_rejected(tmp_path):
         emit_svg_plot(empty, path)
     assert not path.exists()
     del curve
+
+
+@pytest.mark.parametrize("mean, log_y, message", [
+    ([math.nan, math.nan], False, "^aggregate curve has no finite values to plot$"),
+    ([0.0, 0.0], True, "^log scale requested but no positive values present$"),
+])
+def test_svg_refuses_a_curve_it_cannot_scale(tmp_path, mean, log_y, message):
+    curve = experiment.AggregateCurve(
+        bin_centers=np.array([0.5, 1.0]), mean={"als": np.array(mean)}, std={"als": np.zeros(2)},
+        n_runs={"als": np.ones(2, dtype=int)},
+    )
+    path = tmp_path / "nope.svg"
+    with pytest.raises(ValueError, match=message):
+        emit_svg_plot(curve, path, log_y=log_y)
+    assert not path.exists()
 
 
 def test_svg_deterministic_bytes(tmp_path):
@@ -795,6 +859,8 @@ def test_run_experiment_records_failures(tmp_path, monkeypatch):
     summary = run_experiment(cfg)
     assert len(summary.failures) == cfg.runs
     assert "synthetic failure" in summary.failures[0].message
+    failed = [l for l in summary.report().splitlines() if l.startswith("FAILED")]
+    assert failed == ["FAILED als run 1: synthetic failure", "FAILED als run 2: synthetic failure"]
 
 
 def test_cli_main_exit_codes(tmp_path, monkeypatch, capsys):
@@ -893,6 +959,16 @@ def test_cli_refuses_a_rank_above_the_exact_solves_limit(tmp_path, capsys):
     assert not out.exists()
     cfg, _ = parse_config(["--data", "synth", "--shape", "64,64,64", "--rank", "62", "--out", str(out)])
     assert cfg.rank == 62
+
+
+def test_cli_runs_mu_alone_above_the_exact_solves_limit(tmp_path, capsys):
+    # MU solves no block QP, so the exact solve's limit does not bind it.
+    out = tmp_path / "exp"
+    argv = ["--data", "synth", "--shape", "64,65,66", "--rank", "63", "--algo", "mu",
+            "--runs", "1", "--max-sweeps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert "error" not in capsys.readouterr().err
+    assert (out / "mu_run1.csv").exists()
 
 
 @pytest.mark.parametrize("data, code", [("surrogate", 0), ("synth", 2)])

@@ -213,6 +213,21 @@ def test_an_error_in_a_slab_is_raised_by_the_caller(monkeypatch, own_pool):
     assert tensors._slab_map(fail_on_4, [(k, k + 1) for k in range(4)]) == [0, 1, 2, 3]
 
 
+def test_every_slab_of_a_split_pass_runs_under_the_callers_error_settings(monkeypatch, own_pool):
+    # Slow slabs, so that the helper takes its share of them; each reads the
+    # floating-point settings it runs under, as the serial loop's would.
+    with_threads(monkeypatch, 2)
+
+    def setting(start, stop):
+        time.sleep(0.002)
+        return np.geterr()["over"], threading.current_thread().name
+
+    with np.errstate(over="raise"):
+        got = tensors._slab_map(setting, [(k, k + 1) for k in range(20)])
+    assert [over for over, _ in got] == ["raise"] * 20
+    assert any(name.startswith("drbcd-slabs") for _, name in got)
+
+
 @pytest.mark.parametrize("threads", [2, 3, 5])
 def test_split_generator_keeps_the_whole_products_bits(monkeypatch, own_pool, threads):
     # At paper scale every block of 2, 3 or 5 holds at least 2**20 entries.
