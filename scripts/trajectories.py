@@ -65,15 +65,23 @@ points to the inputs. For a change that moves paths, it also prints each
 side's final objective and the lowest stationarity measure its run reached
 (the running minimum at its last sweep), so that a reader sees which side
 ends lower.
+
+Last, it prints the size of each side's ``src/drbcd`` two ways: all its
+lines, and its code lines, those that are not blank, not a comment alone,
+and not inside a module, class or function docstring (see
+:func:`source_size`).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 # Run inside each tree; prints {"data": {case name: digest}, "setup": {case
@@ -200,6 +208,33 @@ def run_tree(tree: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def source_size(tree: Path) -> tuple[int, int]:
+    """``(lines, code lines)`` of the ``.py`` files under ``tree/src/drbcd``.
+
+    A code line holds a token other than a comment, outside every module,
+    class and function docstring; a line that a multi-line string or
+    bracket spans counts once for each line it covers.
+    """
+    lines = code = 0
+    for path in sorted((tree / "src" / "drbcd").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines += len(text.splitlines())
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+                first = node.body[0]
+                if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                        and isinstance(first.value.value, str):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+        spanned = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER):
+                spanned.update(range(tok.start[0], tok.end[0] + 1))
+        code += len(spanned - docstrings)
+    return lines, code
+
+
 def data_of(run: str) -> str:
     """The case whose data a run factorizes: ``mu on X`` factorizes ``X``'s."""
     return run.removeprefix("mu on ")
@@ -299,6 +334,10 @@ def main(argv=None) -> int:
               f"{c['stationarity']:12.2e}  {first:>17s}  {yes['identical']:13s}  {yes['classes_match']:13s}  "
               f"{'yes' if c['sweeps'][0] == c['sweeps'][1] else 'no':12s}  {yes['stops_match']:11s}  "
               f"{'yes' if data[data_of(name)][2] else 'no':9s}  {final:>34s}  {lowest:>34s}")
+    print()
+    (lines_before, code_before), (lines_after, code_after) = (source_size(t) for t in (args.parent, args.change))
+    print(f"src/drbcd lines (parent, change): {lines_before} {lines_after}; "
+          f"code lines (parent, change): {code_before} {code_after}")
     return 0
 
 

@@ -153,9 +153,10 @@ def sparse_surrogate(spec: SynthSpec) -> SparseTensor:
     whose :meth:`~drbcd.tensors.SparseTensor.dense` is the tensor described,
     bit for bit, and no tensor-sized array is formed: the positions of the
     nonzeros (see :func:`_draws_below`), then one draw of the second stream
-    for all of them. An entry whose magnitude is an exact zero is not
-    listed. :class:`~drbcd.factorization.NtfProblem` decides whether the
-    data stays a list or becomes a tensor (``SPARSE_SHARE``).
+    for all of them. A magnitude of exactly 0 (probability 2**-53 a draw)
+    stays listed; :class:`~drbcd.factorization.NtfProblem` drops listed
+    zeros, and decides whether the data stays a list or becomes a tensor
+    (``SPARSE_SHARE``).
     """
     if spec.target_mean_abs is None:
         raise ValueError("sparse_surrogate requires target_mean_abs")
@@ -164,19 +165,13 @@ def sparse_surrogate(spec: SynthSpec) -> SparseTensor:
     magnitudes = np.random.Generator(np.random.Philox(key=spec.seed).jumped())
     positions = _draws_below(pattern, size, spec.density)
     values = magnitudes.random(positions.shape[0])
-    values *= spec.target_mean_abs / _checked_mean(fsum(values) / size)
-    listed = values != 0.0
-    if not listed.all():
-        positions, values = positions[listed], values[listed]
-    return SparseTensor(spec.dims, _read_only(positions), _read_only(values))
-
-
-def _checked_mean(mean: float) -> float:
+    mean = fsum(values) / size
     if mean == 0.0:
         raise ValueError(
             "surrogate came out identically zero; increase density or dims"
         )
-    return mean
+    values *= spec.target_mean_abs / mean
+    return SparseTensor(spec.dims, _read_only(positions), _read_only(values))
 
 
 def _pattern_chunks(size: int) -> list[tuple[int, int]]:

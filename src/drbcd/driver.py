@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol, Sequence
+from typing import Callable, ClassVar, Protocol, Sequence
 
 import numpy as np
 
@@ -95,13 +95,14 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run-level knobs: schedule, budgets, the sub-solver's tolerance.
+    """Run-level knobs: schedule, budgets, the stationarity stop and the clock.
 
     ``clock='wall'`` stamps records with accumulated wall time;
     ``clock='sweep'`` stamps the sweep index instead, making whole traces
     reproducible byte for byte. The sweep loop itself is deterministic.
-    ``qp_max_iters`` is not read: every block solve takes one certifying
-    step, and the field stays because the benchmark's ``bench/kernels.py``
+    ``qp_tol`` (1e-8) and ``qp_max_iters`` (500) are class constants that
+    no run sets; ``qp_max_iters`` is not read, since every block solve
+    takes one certifying step, and stays because ``bench/kernels.py``
     passes it to :func:`~drbcd.subsolver.solve_block_qp`.
     """
 
@@ -109,9 +110,9 @@ class SolverConfig:
     max_sweeps: int = 100
     max_seconds: float = math.inf
     stationarity_stop: float | None = None
-    qp_tol: float = 1e-8
-    qp_max_iters: int = 500
     clock: str = "wall"
+    qp_tol: ClassVar[float] = 1e-8
+    qp_max_iters: ClassVar[int] = 500
 
     def __post_init__(self):
         if self.max_sweeps < 1:
@@ -158,10 +159,8 @@ def bcd_dr_sweep(
     Blocks are updated in ascending order; each update starts from the
     previous block value (always feasible) and stays within the sweep
     radius. ``elapsed_seconds`` in the returned record is 0; :func:`run`
-    stamps the clock.
+    stamps the clock. The schedule's radius refuses an ``n`` below 1.
     """
-    if n < 1:
-        raise ValueError("sweep index n must be >= 1")
     radius = cfg.schedule.radius(n)
     current = [np.asarray(b, dtype=np.float64) for b in blocks]
     step_norms = []

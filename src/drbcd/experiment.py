@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
-from .driver import SolverConfig, TraceRecord, TraceVerification, run, verify_trace
+from .driver import SolverConfig, TraceRecord, run, verify_trace
 from .factorization import NtfProblem, init_factors, run_mu
 from .schedule import RadiusSchedule
 from .subsolver import MAX_RANK
@@ -360,16 +360,6 @@ class InvariantViolation:
     sweep: int
     excess: float
 
-    @classmethod
-    def from_verdict(
-        cls, algorithm: str, run_index: int, verdict: TraceVerification
-    ) -> list["InvariantViolation"]:
-        return [
-            cls(algorithm, run_index, outcome.check, outcome.sweep, outcome.worst)
-            for outcome in verdict.outcomes
-            if not outcome.ok
-        ]
-
 
 @dataclass
 class AlgorithmTally:
@@ -639,8 +629,9 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
         problem = NtfProblem(resolve_data(cfg), cfg.rank, box_bound=cfg.box_bound)
         solvers = {algo.label: _solver_config(cfg, algo) for algo in cfg.algos}
         starts = {k: _start(problem, cfg, k) for k in range(1, cfg.runs + 1)}
-    except (ValueError, OSError) as exc:
-        raise SettingError(str(exc)) from exc
+    except (ValueError, OSError, MemoryError) as exc:
+        # A MemoryError raised by Python itself, not numpy, has no message.
+        raise SettingError(str(exc) or type(exc).__name__) from exc
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -668,7 +659,11 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
             tallies[algo.label].traces.append(trace)
             if algo.name != "mu":
                 verdict = verify_trace(trace, solvers[algo.label].schedule)
-                violations += InvariantViolation.from_verdict(algo.label, k, verdict)
+                violations += [
+                    InvariantViolation(algo.label, k, outcome.check, outcome.sweep, outcome.worst)
+                    for outcome in verdict.outcomes
+                    if not outcome.ok
+                ]
 
     curve = None
     aggregate_path = None

@@ -50,7 +50,7 @@ def emit_svg_plot(curve: AggregateCurve, path, log_y: bool = False) -> None:
         finite_vals.append(m[np.isfinite(m)])
         finite_vals.append((m + s)[np.isfinite(m)])
         finite_vals.append((m - s)[np.isfinite(m)])
-    allv = np.concatenate(finite_vals) if finite_vals else np.array([0.0, 1.0])
+    allv = np.concatenate(finite_vals)
     if allv.size == 0:
         raise ValueError("aggregate curve has no finite values to plot")
 

@@ -629,14 +629,16 @@ def _last_mode_mttkrp(x, factors) -> np.ndarray:
     contiguous copy, is the tensor contracted with the first factor, rank
     by rank; each rank slice ``Y[j]``, viewed as ``(middle cells,
     d_last)``, is then contracted with row ``j`` of the transposed
-    Khatri-Rao product of the middle factors (see :func:`_khatri_rao_t`).
-    ``Y`` is formed and contracted over slabs of the middle cells from
-    :func:`_row_slabs`, each slab's part of ``Y`` about :data:`SLAB_BYTES`
-    in its thread's scratch (see :func:`_scratch`); the slabs are shared
-    among threads by :func:`_slab_map`, and their terms added in order. The
-    first product has the short mode 0 as its inner dimension, where the
-    one GEMM ``K.T @ x.reshape(-1, d_last)`` it replaces summed over every
-    cell of the leading modes. At 100x200x300 rank 5, one BLAS thread, it
+    Khatri-Rao product of the middle factors (see :func:`_khatri_rao_t`)
+    after a row of ones, which keeps their bits and makes two modes one
+    middle cell of weight 1. ``Y`` is formed and contracted over slabs of
+    the middle cells from :func:`_row_slabs`, each slab's part of ``Y``
+    about :data:`SLAB_BYTES` in its thread's scratch (see
+    :func:`_scratch`); the slabs are shared among threads by
+    :func:`_slab_map`, and their terms added in order. The first product
+    has the short mode 0 as its inner dimension, where the one GEMM ``K.T
+    @ x.reshape(-1, d_last)`` it replaces summed over every cell of the
+    leading modes. At 100x200x300 rank 5, one BLAS thread, it
     took 5.9-6.6 ms against 7.8-7.9 ms (medians of 25 calls, three
     alternating runs). Unlike that GEMM's, its bits were the same on one
     and on two OpenBLAS threads at 90x500x100.
@@ -652,8 +654,7 @@ def _last_mode_mttkrp(x, factors) -> np.ndarray:
     xm = x.reshape(x.shape[0], -1)
     first_t = np.ascontiguousarray(np.asarray(factors[0], dtype=np.float64).T)
     rank = first_t.shape[0]
-    # On two modes there are no middle factors: one middle cell, weight 1.
-    kr_t = _khatri_rao_t(factors[1:]) if len(factors) > 1 else np.ones((rank, 1))
+    kr_t = _khatri_rao_t([np.ones((1, rank)), *factors[1:]])
 
     def term(start: int, stop: int) -> np.ndarray:
         y = _scratch("mode0", (rank, (stop - start) * d_last))
@@ -858,12 +859,14 @@ def write_ntf1(path, x) -> None:
     by row slab (see :func:`_dense_slabs`): an array's from its own buffer,
     without a copy (on a little-endian host), a :class:`SparseTensor`'s
     from its coordinates, with the bytes of its
-    :meth:`~SparseTensor.dense` tensor and no tensor formed.
+    :meth:`~SparseTensor.dense` tensor and no tensor formed. A zero-length
+    mode is refused before ``path`` is opened.
     """
     if isinstance(x, SparseTensor):
         _check_finite(x.values)
     else:
         x = as_tensor(x)
+    _check_ntf1_dims(path, x.shape)
     slab = _dense_slabs(x)
     with open(path, "wb") as fh:
         fh.write(NTF1_MAGIC)
@@ -871,6 +874,12 @@ def write_ntf1(path, x) -> None:
         fh.write(struct.pack(f"<{x.ndim}Q", *x.shape))
         for start, stop in _row_slabs(prod(x.shape[:-1]), 8 * x.shape[-1]):
             fh.write(slab(start, stop).astype("<f8", copy=False))
+
+
+def _check_ntf1_dims(path, dims) -> None:
+    """Refuse a zero-length mode, which an NTF1 file cannot hold."""
+    if 0 in dims:
+        raise ValueError(f"{path!s}: NTF1 dimensions must be positive")
 
 
 def read_ntf1(path) -> np.ndarray:
@@ -898,8 +907,7 @@ def read_ntf1(path) -> np.ndarray:
         if len(raw_dims) != 8 * m:
             raise ValueError(f"{path!s}: truncated NTF1 dimension block")
         dims = struct.unpack(f"<{m}Q", raw_dims)
-        if any(d == 0 for d in dims):
-            raise ValueError(f"{path!s}: NTF1 dimensions must be positive")
+        _check_ntf1_dims(path, dims)
         info = os.fstat(fh.fileno())
         if S_ISREG(info.st_mode) and info.st_size - fh.tell() < 8 * prod(dims):
             raise ValueError(f"{path!s}: truncated NTF1 payload")

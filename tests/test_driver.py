@@ -114,8 +114,9 @@ def test_last_record_says_why_the_run_stopped(entry, budget, reason, sweeps):
 
 def test_sweep_rejects_bad_index():
     problem = SeparableQuadratic(targets=[1.0])
-    with pytest.raises(ValueError):
-        bcd_dr_sweep(problem, scalar_blocks(0.0), 0, make_cfg())
+    for schedule in (BINDING, RadiusSchedule(kind="infinite")):
+        with pytest.raises(ValueError, match="sweep index n must be >= 1"):
+            bcd_dr_sweep(problem, scalar_blocks(0.0), 0, make_cfg(schedule=schedule))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -1016,6 +1017,48 @@ def test_cli_refuses_an_ntf1_header_larger_than_its_file(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("drbcd: error: ")
     assert "truncated NTF1 payload" in lines[0]
+    assert not out.exists()
+
+
+def test_cli_refuses_a_pipe_whose_header_cannot_be_allocated(tmp_path, capsys):
+    # A pipe has no size to check its header against: a header claiming
+    # 10^6 x 10^6 x 10^3 entries (7.1 PiB, above any address space) fails
+    # at the allocation, and that is one error line and exit 2.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    header = b"NTF1" + struct.pack("<I3Q", 3, 10**6, 10**6, 10**3)
+    writer = threading.Thread(target=fifo.write_bytes, args=(header,), daemon=True)
+    writer.start()
+    out = tmp_path / "exp"
+    try:
+        assert main(["--data", f"file:{fifo}", "--rank", "2", "--out", str(out)]) == 2
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("drbcd: error: ")
+    assert "7.11 PiB" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [("Unable to allocate 14.6 TiB for an array", "Unable to allocate 14.6 TiB for an array"),
+     ("", "MemoryError")],
+)
+def test_cli_refuses_data_too_large_to_generate(tmp_path, capsys, monkeypatch, message, line):
+    # numpy names the allocation it could not make; Python's own
+    # MemoryError, as from a list that outgrows memory, has no message.
+    def boom(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiment, "synthetic_lowrank", boom)
+    out = tmp_path / "exp"
+    argv = ["--data", "synth", "--shape", "1000000,1000000,1000000", "--rank", "2",
+            "--runs", "1", "--max-sweeps", "1", "--out", str(out)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"drbcd: error: {line}"]
     assert not out.exists()
 
 

@@ -753,6 +753,39 @@ def test_ntf1_refuses_a_header_larger_than_its_file(tmp_path):
         read_ntf1(path)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"NTF1\x03\x00", "truncated NTF1 header"),
+        (b"NTF1" + struct.pack("<I", 0), "NTF1 mode count must be positive"),
+        (b"NTF1" + struct.pack("<I2Q", 3, 2, 2), "truncated NTF1 dimension block"),
+        (b"NTF1" + struct.pack("<I3Q", 3, 2, 0, 2), "NTF1 dimensions must be positive"),
+    ],
+)
+def test_ntf1_refuses_a_malformed_header(tmp_path, raw, message):
+    path = tmp_path / "x.ntf1"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message):
+        read_ntf1(path)
+
+
+@pytest.mark.parametrize(
+    "x", [np.zeros((0, 3)), SparseTensor((2, 0, 3), np.array([], dtype=int), np.array([]))]
+)
+def test_ntf1_write_refuses_a_zero_length_mode_before_opening_the_file(tmp_path, x):
+    # What the reader would refuse is not written: no file is created, and
+    # an existing one keeps its bytes.
+    with pytest.raises(ValueError, match="NTF1 dimensions must be positive"):
+        write_ntf1(tmp_path / "new.ntf1", x)
+    assert not (tmp_path / "new.ntf1").exists()
+    path = tmp_path / "old.ntf1"
+    write_ntf1(path, np.ones((2, 3)))
+    raw = path.read_bytes()
+    with pytest.raises(ValueError, match="NTF1 dimensions must be positive"):
+        write_ntf1(path, x)
+    assert path.read_bytes() == raw
+
+
 @pytest.mark.parametrize("cut, message", [(8, "truncated NTF1 payload"), (-1, "trailing bytes")])
 def test_ntf1_checks_a_pipe_once_its_bytes_run_out(tmp_path, cut, message):
     # A pipe has no size to compare the header with: its payload is read and

@@ -272,3 +272,38 @@ def test_run_table_reports_a_deliberate_change(trajectories, monkeypatch, capsys
     assert rows["c seed 1"] == ["2/2", "8.88e-16", "7.89e-16", "0.00e+00", "2", "no", "yes", "yes", "yes"]
     assert rows["mu on c seed 1"] == ["2/2", "0.00e+00", "0.00e+00", "0.00e+00", "none", "yes", "yes", "yes", "yes"]
     assert rows["d seed 1"] == ["2/1", "0.00e+00", "0.00e+00", "0.00e+00", "none", "no", "no", "no", "no"]
+
+
+def test_source_size_counts_every_line_and_the_code_lines(trajectories, tmp_path, monkeypatch, capsys):
+    # Blank lines, comments alone and docstrings are not code; a string
+    # that is not a docstring, and a bracket over two lines, count per line.
+    change = tmp_path / "change" / "src" / "drbcd"
+    change.mkdir(parents=True)
+    (change / "__init__.py").write_text('"""Package docstring."""\n')
+    (change / "a.py").write_text(
+        '"""Module docstring,\n'
+        'on two lines."""\n'
+        "\n"
+        "# a comment alone\n"
+        "import math  # a comment after code\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        '    x = """not a docstring,\n'
+        '    on two lines"""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        "        return (1 +\n"
+        "                2)\n"
+    )
+    assert trajectories.source_size(tmp_path / "change") == (18, 7)
+    assert trajectories.source_size(tmp_path / "parent") == (0, 0)
+    side = {"data": {}, "problem": {}, "build": {}, "solve": {}, "runs": {}}
+    monkeypatch.setattr(trajectories, "run_tree", lambda tree: side)
+    main = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    assert trajectories.main(main) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "src/drbcd lines (parent, change): 0 18; code lines (parent, change): 0 7"
