@@ -19,8 +19,9 @@ loading matrix by the Khatri-Rao product of the others, block of rows by
 block of rows, the blocks shared among the dense passes' threads (see
 :func:`synthetic_lowrank`), and adds its noise in chunks, in the calling
 thread. The surrogate forms no tensor at all: it searches its pattern's
-draws chunk by chunk for the nonzeros, draws their magnitudes, one per
-nonzero, from a second stream and returns the coordinates, a
+draws chunk by chunk for the nonzeros, in one block of entries per pass
+thread, draws their magnitudes, one per nonzero, from a second stream in
+the calling thread and returns the coordinates, a
 :class:`drbcd.tensors.SparseTensor` (see :func:`sparse_surrogate`).
 Chunks are ranges of entries from :func:`drbcd.tensors._row_slabs`.
 Chunking keeps the stream: ``random`` and ``standard_normal`` consume the
@@ -28,7 +29,8 @@ generator's output entry by entry, in C order, so draws of ``n`` and then
 ``m`` entries are the first ``n + m`` entries of one draw of ``n + m``, bit
 for bit. A tensor is therefore the same for every chunk size, and the same
 as one whole-tensor draw; so is a surrogate, whose ``dense()`` tensor has
-those bits.
+those bits, and whose pattern blocks each start their own generator where
+the one stream would be (see :func:`_draws_below`).
 
 The low-rank tensor, and each of the surrogate's two lists, is returned
 read-only, together with the array that owns its memory, so that
@@ -50,6 +52,7 @@ from .tensors import (
     _product_blocks,
     _read_only,
     _row_slabs,
+    _scratch,
     _slab_map,
     frobenius_norm,
 )
@@ -152,8 +155,9 @@ def sparse_surrogate(spec: SynthSpec) -> SparseTensor:
     The result is a :class:`~drbcd.tensors.SparseTensor` at every density,
     whose :meth:`~drbcd.tensors.SparseTensor.dense` is the tensor described,
     bit for bit, and no tensor-sized array is formed: the positions of the
-    nonzeros (see :func:`_draws_below`), then one draw of the second stream
-    for all of them. A magnitude of exactly 0 (probability 2**-53 a draw)
+    nonzeros, drawn in blocks shared among the pass threads (see
+    :func:`_draws_below`), then one draw of the second stream for all of
+    them. A magnitude of exactly 0 (probability 2**-53 a draw)
     stays listed; :class:`~drbcd.factorization.NtfProblem` drops listed
     zeros, and decides whether the data stays a list or becomes a tensor
     (``SPARSE_SHARE``).
@@ -161,9 +165,8 @@ def sparse_surrogate(spec: SynthSpec) -> SparseTensor:
     if spec.target_mean_abs is None:
         raise ValueError("sparse_surrogate requires target_mean_abs")
     size = prod(spec.dims)
-    pattern = np.random.Generator(np.random.Philox(key=spec.seed))
     magnitudes = np.random.Generator(np.random.Philox(key=spec.seed).jumped())
-    positions = _draws_below(pattern, size, spec.density)
+    positions = _draws_below(spec.seed, size, spec.density)
     values = magnitudes.random(positions.shape[0])
     mean = fsum(values) / size
     if mean == 0.0:
@@ -174,29 +177,37 @@ def sparse_surrogate(spec: SynthSpec) -> SparseTensor:
     return SparseTensor(spec.dims, _read_only(positions), _read_only(values))
 
 
-def _pattern_chunks(size: int) -> list[tuple[int, int]]:
-    """The chunks that the surrogate draws its pattern in: ranges of entries
-    whose float64 draws fill an eighth of a slab, 64 KB.
-
-    That stays below glibc's default 128 KB mmap threshold. A larger buffer
-    is mapped, and freeing it raises that threshold, which keeps later
-    temporaries on the heap: with chunks of a whole slab,
-    ``surrogate_bound``'s ``peak_rss_mb`` read 0.25-0.48 MB above that of
-    a generator that filled the whole tensor, and 0.12 MB below it with
-    these. The draws took the same time with either chunk.
-    """
-    return _row_slabs(size, 64)
-
-
-def _draws_below(generator: np.random.Generator, size: int, density: float) -> np.ndarray:
+def _draws_below(seed: int, size: int, density: float) -> np.ndarray:
     """The positions, ascending, of the draws below ``density`` among the
-    generator's next ``size``, drawn chunk by chunk into one buffer."""
-    chunks = _pattern_chunks(size)
-    draws = np.empty(chunks[0][1])  # the first chunk is a longest one
-    found = []
-    for start, stop in chunks:
-        part = draws[: stop - start]
-        generator.random(out=part)
-        found.append(np.flatnonzero(part < density) + start)
-    del draws, part
-    return np.concatenate(found)
+    first ``size`` of ``Generator(Philox(key=seed))``.
+
+    The entries are split into one block per thread of the dense passes:
+    :func:`drbcd.tensors._product_blocks` of ``size // 4`` rows of 4
+    entries, the last block ending at ``size``, so that every block starts
+    on a multiple of 4. Philox gives four 64-bit outputs a counter step and
+    ``random`` takes one a draw, so a block starting at entry ``start``
+    draws from its own ``Philox(key=seed, counter=start // 4)``, the one
+    stream advanced by ``start // 4`` steps, with its bits. The blocks are
+    shared among threads by :func:`drbcd.tensors._slab_map`; each draws its
+    entries chunk by chunk (see :func:`drbcd.tensors._row_slabs`) into its
+    thread's ``"chunk"`` scratch (see :func:`drbcd.tensors._scratch`), and
+    the caller joins every block's pieces once. At 90x500x100 on 2 cores, one BLAS thread, the
+    draws took 14.2-15.5 ms, against 26.6-27.2 ms in one block and
+    17.5-19.9 ms split into chunks of 64 KB, whose Python work, under the
+    GIL, weighs more (medians of 15 calls, three rounds). A generator for
+    every chunk of 8,192 entries, in place of one a block, was hardly
+    faster than one block.
+    """
+
+    def block(start: int, stop: int) -> list[np.ndarray]:
+        generator = np.random.Generator(np.random.Philox(key=seed, counter=start // 4))
+        found = []
+        for low, high in _row_slabs(stop - start, 8):
+            part = _scratch("chunk", (high - low,))
+            generator.random(out=part)
+            found.append(np.flatnonzero(part < density) + (start + low))
+        return found
+
+    blocks = [(4 * low, 4 * high) for low, high in _product_blocks(size // 4, 4)]
+    blocks[-1] = (blocks[-1][0], size)
+    return np.concatenate([piece for found in _slab_map(block, blocks) for piece in found])

@@ -9,8 +9,9 @@ written, so a bad setting fails once, up front. Each run writes a trace
 CSV; runs are aggregated onto common time bins
 (last-observation-carried-forward) into mean/std curves per algorithm.
 
-The resolved configuration is echoed to the output directory; re-running
-from that file reproduces the experiment (byte-identical trace CSVs with the
+The resolved configuration is echoed to the output directory, with numpy's
+version and the BLAS build as comment lines; re-running from that file
+reproduces the experiment (byte-identical trace CSVs with the
 deterministic sweep clock, at the same BLAS thread count: between 1 and 2
 OpenBLAS threads, the objective and the reconstruction error were seen to
 move in their last bits, by up to 4.2e-16 relative; see ROADMAP item 8).
@@ -635,9 +636,10 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(
-        "\n".join(cfg.provenance_lines(notes)) + "\n", encoding="ascii"
-    )
+    lines = cfg.provenance_lines(notes)
+    # What ran the experiment, as comments, which ``--config`` skips.
+    lines[1:1] = [f"# numpy {np.__version__}", f"# BLAS {_blas_build() or 'build unknown'}"]
+    (out_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     if cfg.save_data:
         write_ntf1(out_dir / "data.ntf1", problem.data)
 

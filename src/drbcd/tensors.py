@@ -49,19 +49,20 @@ each row, and the residual and the model's energy at the nonzeros. They
 take the nonzeros in chunks whose products fill about :data:`SLAB_BYTES`.
 Every pass in the package that takes an array in pieces, here, in
 :mod:`drbcd.factorization` and in :mod:`drbcd.datagen`, takes them from
-:func:`_row_slabs`, or, for the low-rank generator's product, from
+:func:`_row_slabs`, or, for the generators' blocks, from
 :func:`_product_blocks`, so the piece sizes are decided here alone.
 
 All functions are safe to call concurrently; they write to nothing but
 their results and their own thread's scratch (see :func:`_scratch`). The
 dense passes over row slabs (:func:`_row_pass` and
-:func:`_last_mode_mttkrp`) and the two set-up passes over a dense tensor
-(the entry check :func:`_checked_range`, and the product of
-:func:`drbcd.datagen.synthetic_lowrank` over its :func:`_product_blocks`)
-share their pieces out among threads through :func:`_slab_map`: the
-calling thread and, where the machine has a core to spare beside BLAS's own
-threads, helper threads of one process-wide pool, started by the first
-pass that splits. Each piece's products are the serial loop's, under the
+:func:`_last_mode_mttkrp`) and the three set-up passes (the entry check
+:func:`_checked_range`, the product of
+:func:`drbcd.datagen.synthetic_lowrank` and the pattern draws of
+:func:`drbcd.datagen.sparse_surrogate`, both over their
+:func:`_product_blocks`) share their pieces out among threads through
+:func:`_slab_map`: the calling thread and, where the machine has a core to
+spare beside BLAS's own threads, helper threads of one process-wide pool,
+started by the first pass that splits. Each piece's products are the serial loop's, under the
 caller's floating-point error settings, and the caller combines them in
 order, so the bits do not depend on how the pieces were shared.
 """
@@ -381,7 +382,8 @@ def _scratch(use: str, shape: tuple[int, ...]) -> np.ndarray:
     about :data:`SLAB_BYTES` each, however many problems and passes it runs:
     ``"residual"`` for :func:`_row_pass`, ``"data"`` for
     :func:`_dense_slabs`, ``"mode0"`` for :func:`_last_mode_mttkrp` and
-    ``"chunk"`` for :func:`_coo_gather`.
+    ``"chunk"`` for :func:`_coo_gather` and for the surrogate's pattern
+    draws (:func:`drbcd.datagen._draws_below`).
     """
     size = prod(shape)
     buffers = _SCRATCH.buffers
@@ -428,8 +430,8 @@ def _pass_threads() -> tuple[int, int, int | None]:
     return (max(1, cores // blas) if blas else 1), cores, blas
 
 
-# The fewest entries a block of the low-rank generator's product holds when
-# the product splits (see :func:`_product_blocks`).
+# The fewest entries a block of the low-rank generator's product, or of the
+# surrogate's pattern, holds when it splits (see :func:`_product_blocks`).
 PRODUCT_BLOCK_ENTRIES = 1 << 20
 
 
@@ -450,6 +452,10 @@ def _product_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
     300x200x100, 40x300x300, 50x400x600, 7x1000x1000, 4x512x1024 and
     4000x1000), ranks 1-8, in 2, 3 or 5 blocks wherever the rule let them
     split.
+
+    The surrogate's pattern takes the same blocks of ``size // 4`` rows of
+    4 draws (see :func:`drbcd.datagen._draws_below`), where any split keeps
+    the bits.
     """
     threads = _pass_threads()[0]
     least = rows // threads

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -135,8 +136,9 @@ def reference_surrogate(spec):
     return x.reshape(spec.dims)
 
 
-# Entries per slab of float64 draws: the low-rank family adds its noise in
-# chunks of SLAB; the surrogate draws its pattern in eighths of that, CHUNK.
+# Entries per slab of float64 draws: the low-rank family adds its noise, and
+# the surrogate draws its pattern, in chunks of SLAB; the shapes also cover
+# an eighth of that, CHUNK.
 SLAB = SLAB_BYTES // 8
 CHUNK = SLAB // 8
 
@@ -195,7 +197,7 @@ def slabs_of(x):
 def test_surrogate_has_the_bits_of_the_whole_tensor_formula(monkeypatch, dims, density, form, slab_bytes):
     # The coordinate lists against the formula's nonzeros, then the two
     # ways a tensor is formed from them: whole, and in row slabs; with the
-    # package's slabs, then with pattern chunks of 37 draws.
+    # package's slabs, then with pattern chunks of 296 draws.
     if slab_bytes is not None:
         monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
     spec = SynthSpec(dims=dims, rank=2, seed=12, density=density, target_mean_abs=0.25)
@@ -233,14 +235,27 @@ PEAK_DIMS = (100, 100, 100)
 
 
 def test_surrogate_is_built_in_its_own_buffer():
-    # The coordinate list and one 64 KB chunk of the pattern's draws, and no
-    # tensor; the peak is about a fortieth of the 8 MB tensor. Filling the
-    # tensor took 1.05x it, a tensor-sized mask 1.125x, the whole-tensor
-    # formula about 3x.
+    # The coordinate list and one chunk's test of the pattern's draws, 64
+    # KB, and no tensor; the draws themselves go into the thread's chunk
+    # scratch, which the untraced warm-up build allocated. The peak is about
+    # a fortieth of the 8 MB tensor. Filling the tensor took 1.05x it, a
+    # tensor-sized mask 1.125x, the whole-tensor formula about 3x.
     spec = SynthSpec(dims=PEAK_DIMS, rank=5, seed=13, density=0.01, target_mean_abs=0.00067)
     x, peak = traced_peak(lambda: sparse_surrogate(spec))
     assert isinstance(x, SparseTensor) and x.nbytes == 16 * x.values.size
     assert peak <= x.nbytes + SLAB_BYTES // 8
+    # A thread whose scratch is still empty allocates one chunk's, a slab.
+    built = []
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=lambda: built.append(sparse_surrogate(spec)))
+        thread.start()
+        thread.join()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built[0].positions.tobytes() == x.positions.tobytes()
+    assert peak <= x.nbytes + SLAB_BYTES + SLAB_BYTES // 8
 
 
 def test_sparse_problem_is_built_from_the_surrogate_without_a_tensor():

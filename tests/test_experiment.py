@@ -313,6 +313,17 @@ def test_read_config_file_round_trip(tmp_path):
     assert values["algo"] == ["als_dr-0.5", "als_dr-1", "als", "mu"]
 
 
+def test_config_txt_records_numpy_and_the_blas_build_where_config_skips_them(tmp_path):
+    out = tmp_path / "exp"
+    argv = ["--data", "surrogate", "--shape", "6,7,8", "--rank", "2", "--algo", "mu",
+            "--runs", "1", "--max-sweeps", "2", "--clock", "sweep", "--out", str(out)]
+    assert main(argv) == 0
+    lines = (out / "config.txt").read_text(encoding="ascii").splitlines()
+    blas = experiment._blas_build() or "build unknown"
+    assert lines[:3] == ["# resolved experiment configuration", f"# numpy {np.__version__}", f"# BLAS {blas}"]
+    assert parse_config(["--config", str(out / "config.txt")])[0] == parse_config(argv)[0]
+
+
 @st.composite
 def config_fields(draw):
     """The data kind, the algorithms and the plot switch, then every field

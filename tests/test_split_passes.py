@@ -1,6 +1,6 @@
-"""The dense passes and the set-up passes over a dense tensor (the
-low-rank generator's product and the entry check) with their slabs shared
-among threads.
+"""The dense passes and the set-up passes (the low-rank generator's
+product, the entry check and the surrogate's pattern draws) with their
+slabs shared among threads.
 
 Tier-1 runs at the default BLAS thread count, where on a host with one
 OpenBLAS thread per core no pass splits, so these tests force the split by
@@ -272,6 +272,88 @@ def test_generator_just_under_the_split_is_one_product(monkeypatch, own_pool):
     assert x.tobytes() == whole.tobytes()
 
 
+# 1,001 and 3 entries (not multiples of 4), 960 and 24 (multiples); with
+# blocks of at least 8 entries and chunks of 24 draws, the first two split
+# among every thread count, each block in several chunks, the 24 among 2
+# and 3 threads, and the 3 entries are one block.
+SURROGATE_DIMS = [(7, 11, 13), (8, 10, 12), (3,), (4, 6)]
+
+
+@pytest.mark.parametrize("threads", [2, 3, 5])
+def test_split_surrogate_keeps_the_serial_bits(monkeypatch, own_pool, threads):
+    monkeypatch.setattr(tensors, "PRODUCT_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * 24)
+    specs = [
+        SynthSpec(dims=dims, rank=1, seed=seed, density=density, target_mean_abs=0.25)
+        for seed, dims in enumerate(SURROGATE_DIMS)
+        for density in (0.01, 0.3, 1.0)
+    ]
+
+    def compute():
+        out = []
+        for spec in specs:
+            try:
+                x = datagen.sparse_surrogate(spec)
+            except ValueError as exc:  # a pattern with no nonzero, on both sides
+                out.append(str(exc))
+                continue
+            out.append((x.positions.tobytes(), x.values.tobytes()))
+        return out
+
+    serial, split = both(monkeypatch, threads, compute)
+    assert split == serial
+    assert sum(isinstance(x, tuple) for x in serial) >= 9
+    assert tensors._pool is not None
+
+
+def surrogate_blocks(monkeypatch, size):
+    """The blocks that the surrogate's pattern of ``size`` entries is drawn in."""
+    seen = []
+    slab_map = tensors._slab_map
+    monkeypatch.setattr(datagen, "_slab_map", lambda fn, ranges: seen.append(ranges) or slab_map(fn, ranges))
+    datagen.sparse_surrogate(SynthSpec(dims=(size,), rank=1, seed=6, density=0.01, target_mean_abs=0.25))
+    (blocks,) = seen
+    return blocks
+
+
+@pytest.mark.parametrize("threads", [2, 3, 5])
+@pytest.mark.parametrize("over", [False, True])
+def test_surrogate_splits_only_into_blocks_of_2_to_the_20_entries(monkeypatch, own_pool, threads, over):
+    # threads * 2**18 rows of 4 entries give every block 2**20 entries; one
+    # row fewer leaves a block 4 entries short. Both sizes are 3 past a
+    # multiple of 4, which the last block takes.
+    rows = threads * 2**18 - (not over)
+    size = 4 * rows + 3
+    with_threads(monkeypatch, threads)
+    blocks = surrogate_blocks(monkeypatch, size)
+    assert len(blocks) == (threads if over else 1)
+    assert blocks[0][0] == 0 and blocks[-1][1] == size
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    assert all(start % 4 == 0 for start, _ in blocks)
+    if over:
+        assert min(stop - start for start, stop in blocks) >= tensors.PRODUCT_BLOCK_ENTRIES
+
+
+class CountedPhiloxRaises(np.random.Philox):
+    """A Philox that raises when made with a nonzero counter: in the
+    surrogate's pattern, every block but the first."""
+
+    def __init__(self, *args, counter=None, **kwargs):
+        if counter:
+            raise RuntimeError("block past the start")
+        super().__init__(*args, counter=counter, **kwargs)
+
+
+@pytest.mark.parametrize("threads", [2, 5])
+def test_an_error_in_a_surrogate_block_is_raised_by_the_caller(monkeypatch, own_pool, threads):
+    monkeypatch.setattr(tensors, "PRODUCT_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(np.random, "Philox", CountedPhiloxRaises)
+    with_threads(monkeypatch, threads)
+    with pytest.raises(RuntimeError, match="block past the start"):
+        datagen._draws_below(7, 200, 0.3)
+    assert tensors._pool is not None
+
+
 @pytest.mark.parametrize("slab_bytes", [None, 8 * 7, 800, 8])
 @pytest.mark.parametrize("threads", [2, 3, 5])
 def test_split_entry_check_keeps_the_serial_bits(monkeypatch, own_pool, slab_bytes, threads):
@@ -322,14 +404,16 @@ def test_entry_check_of_huge_entries_warns_only_where_its_square_sum_is_used(mon
 
 SPARSE_RUN = r"""
 import sys, threading
+import numpy as np
+from drbcd import tensors
 from drbcd.datagen import SynthSpec, sparse_surrogate, synthetic_lowrank
 from drbcd.driver import SolverConfig, run
 from drbcd.factorization import NtfProblem, init_factors, run_mu
 from drbcd.schedule import RadiusSchedule
-# Set-up at surrogate_bound's scale: 45k nonzeros, whose check is one slab;
+# Set-up at surrogate_bound's scale: the check of 45k nonzeros, one slab;
 # and a dense build below the generator's split.
-bound = NtfProblem(sparse_surrogate(SynthSpec(dims=(90, 500, 100), rank=5, seed=1, density=0.01,
-                                              target_mean_abs=0.00067)), 5)
+listed = tensors.SparseTensor((90, 500, 100), np.arange(0, 4_500_000, 100), np.full(45_000, 0.067))
+bound = NtfProblem(listed, 5)
 assert bound._coo is not None and bound._coo[2].nbytes <= 512 << 10
 NtfProblem(synthetic_lowrank(SynthSpec(dims=(20, 25, 30), rank=3, seed=2))[0], 3)
 spec = SynthSpec(dims=(18, 100, 20), rank=3, seed=4, density=0.01, target_mean_abs=0.00067)
@@ -340,16 +424,28 @@ cfg = SolverConfig(schedule=RadiusSchedule(kind="power_log", beta=0.5, c_prime=3
 for solve in (run, run_mu):
     solve(problem, start, cfg)
 print(threading.active_count(), "concurrent.futures" in sys.modules)
+# surrogate_bound's own build draws its pattern in one block per thread.
+sparse_surrogate(SynthSpec(dims=(90, 500, 100), rank=5, seed=1, density=0.01, target_mean_abs=0.00067))
+print(tensors._pass_threads()[0], threading.active_count() > 1, tensors._pool is not None)
 """
 
 
 def test_a_sparse_run_starts_no_thread_and_imports_no_pool():
     # At one BLAS thread a dense pass would split on any host with two
     # cores; the nonzero-only passes never reach the pool, and neither do
-    # a sparse set-up whose list is one slab or a small dense build.
+    # a sparse set-up whose list is one slab or a small dense build. The
+    # surrogate's pattern at surrogate_bound's scale then splits into one
+    # block per core wherever each block of its 4.5M entries then holds
+    # 2**20: on 2 to 4 cores.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", SPARSE_RUN], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["1", "False"]
+    solves, build = proc.stdout.splitlines()
+    assert solves.split() == ["1", "False"]
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        pytest.skip("one CPU: the pattern's blocks have no core for a helper, so the build does not split")
+    split = str(cores <= 4)
+    assert build.split() == [str(cores), split, split]
 
 
 WORKER_COUNT = r"""
