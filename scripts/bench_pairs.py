@@ -34,16 +34,18 @@ a claim on it is not met.
 Every pair, the held-out one too, runs the parent tree a third time as its
 A/A control, called the copy: the same code, run beside the parent under
 the same host load. The three runs of pair ``k`` go parent, change, copy
-for even ``k`` and copy, change, parent for odd ``k``, so that each of the
-three orders of two sides comes first equally often. For every end-to-end
-metric the summary records, under ``aa``, the copy's quartiles, the median
-of the per-pair gaps copy minus parent, and their ``spread``: the larger
-absolute value of their lower and upper quartiles, so that in at least a
-quarter of the pairs an identical tree differed from the parent by that
-much. A metric that has no value in some copy run gets ``aa`` as
-``{"missing": n}``, and a claim on it is not met; its verdict still
-compares parent and change alone. Unclaimed metrics keep their verdicts;
-the A/A numbers say how far the host moves them with no change at all.
+turned by ``k % 3`` places (change, copy, parent for ``k % 3 == 1``; copy,
+parent, change for 2), so that each side takes each place in the triple in
+3 or 4 of the ten pairs, and an effect of a run's place falls on every side
+alike. For every end-to-end metric the summary records, under ``aa``, the
+copy's quartiles, the median of the per-pair gaps copy minus parent, and
+their ``spread``: the larger absolute value of their lower and upper
+quartiles, so that in at least a quarter of the pairs an identical tree
+differed from the parent by that much. A metric that has no value in some
+copy run gets ``aa`` as ``{"missing": n}``, and a claim on it is not met;
+its verdict still compares parent and change alone. Unclaimed metrics keep
+their verdicts; the A/A numbers say how far the host moves them with no
+change at all.
 
 A ``--claim`` must name an end-to-end metric of ``BENCHMARK.json``. The
 exit status is 1 when the claim is not met or any of the ten pairs'
@@ -164,7 +166,7 @@ def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, clai
     pairs = []
     sides = ("parent", "change", "copy")
     for k, seed in enumerate(seeds):
-        order = sides if k % 2 == 0 else sides[::-1]
+        order = sides[k % 3:] + sides[:k % 3]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run_side(trees[side], workload, seed, seconds)

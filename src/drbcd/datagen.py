@@ -19,9 +19,9 @@ loading matrix by the Khatri-Rao product of the others, block of rows by
 block of rows, the blocks shared among the dense passes' threads (see
 :func:`synthetic_lowrank`), and adds its noise in chunks, in the calling
 thread. The surrogate forms no tensor at all: it searches its pattern's
-draws chunk by chunk for the nonzeros, in one block of entries per pass
-thread, draws their magnitudes, one per nonzero, from a second stream in
-the calling thread and returns the coordinates, a
+draws chunk by chunk for the nonzeros, in blocks of entries shared among
+the pass threads, draws their magnitudes, one per nonzero, from a second
+stream in the calling thread and returns the coordinates, a
 :class:`drbcd.tensors.SparseTensor` (see :func:`sparse_surrogate`).
 Chunks are ranges of entries from :func:`drbcd.tensors._row_slabs`.
 Chunking keeps the stream: ``random`` and ``standard_normal`` consume the
@@ -181,17 +181,20 @@ def _draws_below(seed: int, size: int, density: float) -> np.ndarray:
     """The positions, ascending, of the draws below ``density`` among the
     first ``size`` of ``Generator(Philox(key=seed))``.
 
-    The entries are split into one block per thread of the dense passes:
-    :func:`drbcd.tensors._product_blocks` of ``size // 4`` rows of 4
-    entries, the last block ending at ``size``, so that every block starts
-    on a multiple of 4. Philox gives four 64-bit outputs a counter step and
-    ``random`` takes one a draw, so a block starting at entry ``start``
-    draws from its own ``Philox(key=seed, counter=start // 4)``, the one
-    stream advanced by ``start // 4`` steps, with its bits. The blocks are
-    shared among threads by :func:`drbcd.tensors._slab_map`; each draws its
-    entries chunk by chunk (see :func:`drbcd.tensors._row_slabs`) into its
-    thread's ``"chunk"`` scratch (see :func:`drbcd.tensors._scratch`), and
-    the caller joins every block's pieces once. At 90x500x100 on 2 cores, one BLAS thread, the
+    The entries are split into the blocks that
+    :func:`drbcd.tensors._product_blocks` gives ``size // 4`` rows of 4
+    entries, at most one per thread of the dense passes and each of at
+    least 2**20 entries, the last block ending at ``size``, so that every
+    block starts on a multiple of 4. Philox gives four 64-bit outputs a
+    counter step and ``random`` takes one a draw, so a block starting at
+    entry ``start`` draws from its own
+    ``Philox(key=seed, counter=start // 4)``, the one stream advanced by
+    ``start // 4`` steps, with its bits.
+    The blocks are shared among threads by :func:`drbcd.tensors._slab_map`;
+    each draws its entries chunk by chunk (see
+    :func:`drbcd.tensors._row_slabs`) into its thread's ``"chunk"`` scratch
+    (see :func:`drbcd.tensors._scratch`), and the caller joins every
+    block's pieces once. At 90x500x100 on 2 cores, one BLAS thread, the
     draws took 14.2-15.5 ms, against 26.6-27.2 ms in one block and
     17.5-19.9 ms split into chunks of 64 KB, whose Python work, under the
     GIL, weighs more (medians of 15 calls, three rounds). A generator for

@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Protocol, Sequence
 import numpy as np
 
 from .schedule import RadiusSchedule
-from .subsolver import BoxBallFeasibleSet, QuadraticBlockSubproblem, solve_block_qp
+from .subsolver import CERTIFICATE_TOL, BoxBallFeasibleSet, QuadraticBlockSubproblem, solve_block_qp
 
 __all__ = [
     "BlockProblem",
@@ -85,7 +85,8 @@ class TraceRecord:
     elapsed_seconds: float
     # Block solves of this sweep that the exact solve and its certificate
     # did not settle: pivoting failed, the certifying step's residual was
-    # above the tolerance, or the solve fell back to the start.
+    # above the tolerance, or the solve fell back to the center, the
+    # block's previous value.
     unconverged_solves: int = 0
     # Why the run stopped, on its last record only: "max_sweeps",
     # "max_seconds" or "stationarity" (the sweep budget, the time budget, or
@@ -100,10 +101,12 @@ class SolverConfig:
     ``clock='wall'`` stamps records with accumulated wall time;
     ``clock='sweep'`` stamps the sweep index instead, making whole traces
     reproducible byte for byte. The sweep loop itself is deterministic.
-    ``qp_tol`` (1e-8) and ``qp_max_iters`` (500) are class constants that
-    no run sets; ``qp_max_iters`` is not read, since every block solve
-    takes one certifying step, and stays because ``bench/kernels.py``
-    passes it to :func:`~drbcd.subsolver.solve_block_qp`.
+    ``qp_tol`` (:data:`~drbcd.subsolver.CERTIFICATE_TOL`, 1e-8) and
+    ``qp_max_iters`` (500) are class constants that no run sets and the
+    package does not read: every block solve takes the certificate's
+    tolerance and one certifying step. Both stay because
+    ``bench/kernels.py`` passes them to
+    :func:`~drbcd.subsolver.solve_block_qp`.
     """
 
     schedule: RadiusSchedule = field(default_factory=RadiusSchedule)
@@ -111,7 +114,7 @@ class SolverConfig:
     max_seconds: float = math.inf
     stationarity_stop: float | None = None
     clock: str = "wall"
-    qp_tol: ClassVar[float] = 1e-8
+    qp_tol: ClassVar[float] = CERTIFICATE_TOL
     qp_max_iters: ClassVar[int] = 500
 
     def __post_init__(self):
@@ -157,9 +160,9 @@ def bcd_dr_sweep(
     """One full pass over all blocks at sweep index ``n >= 1``.
 
     Blocks are updated in ascending order; each update starts from the
-    previous block value (always feasible) and stays within the sweep
-    radius. ``elapsed_seconds`` in the returned record is 0; :func:`run`
-    stamps the clock. The schedule's radius refuses an ``n`` below 1.
+    previous block value, the center of its ball, and stays within the
+    sweep radius. ``elapsed_seconds`` in the returned record is 0;
+    :func:`run` stamps the clock. The schedule's radius refuses an ``n`` below 1.
     """
     radius = cfg.schedule.radius(n)
     current = [np.asarray(b, dtype=np.float64) for b in blocks]
@@ -172,7 +175,7 @@ def bcd_dr_sweep(
             lower=lower, upper=upper, center=current[i], radius=radius
         )
         try:
-            result = solve_block_qp(sub, feasible, start=current[i], tol=cfg.qp_tol)
+            result = solve_block_qp(sub, feasible)
         except (ValueError, FloatingPointError) as exc:
             raise type(exc)(f"block {i} at sweep {n}: {exc}") from exc
         step_norms.append(float(np.linalg.norm(result.point - current[i])))

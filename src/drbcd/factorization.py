@@ -371,10 +371,10 @@ class NtfProblem:
 
         The residual at the nonzeros is explicit, from the pivot block's rows
         and the rows of the other blocks' Khatri-Rao product at the cells;
-        the same gather gives the pivot's MTTKRP term, memoized here (see
-        :meth:`_linear`). The zeros' share is the model's
-        energy ``||M||^2``, the sum of the Hadamard product of the block
-        Grams, less the model's energy at the nonzeros.
+        the same gather gives the pivot's MTTKRP term, which
+        :meth:`_remember` memoizes for :meth:`_linear`. The zeros' share is
+        the model's energy ``||M||^2``, the sum of the Hadamard product of
+        the block Grams, less the model's energy at the nonzeros.
 
         Each Gram entry ``G_k[a, b]`` is a dot product of length ``d_k``, so
         it errs by at most ``d_k u n_k[a] n_k[b]`` to first order, with
@@ -494,11 +494,7 @@ class NtfProblem:
     def full_gradient(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Gradient of the squared error with respect to every block."""
         blocks = self._check_blocks(blocks)
-        grads = []
-        for i in range(self.num_blocks):
-            sub = self.block_subproblem(blocks, i)
-            grads.append(2.0 * (blocks[i] @ sub.gram - sub.linear))
-        return grads
+        return [self.block_subproblem(blocks, i).gradient(blocks[i]) for i in range(self.num_blocks)]
 
 
 def init_factors(

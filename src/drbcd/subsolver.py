@@ -12,16 +12,17 @@ once, and Newton steps on the secular equation of the trust-region step
 optimal at a multiplier complementary to the ball. One projected-gradient
 step with a ``1/L`` step, where ``L`` is a hair above the gradient's
 Lipschitz constant ``2 lambda_max(G)`` from one eigenvalue solve, then
-certifies the exact point: its fixed-point residual must fall below the
-tolerance. When pivoting fails, that one step is taken from the start
-instead, and the solve reports that it did not converge.
+certifies the exact point: its fixed-point residual must fall below
+:data:`CERTIFICATE_TOL`. Every solve starts at the ball's center, the
+block's previous value. When pivoting fails, that one step is taken from
+the center instead, and the solve reports that it did not converge.
 
 The step projects exactly onto the intersection: a clamp or a radial shrink
 when one constraint alone decides it, else the clamped ray from the center
 that meets the sphere, found in at most one closed-form re-solve per entry.
 
-The returned block never has a larger sub-problem objective than the starting
-point, which is what the outer sweep's monotone-descent guarantee rests on.
+The returned block never has a larger sub-problem objective than the center,
+which is what the outer sweep's monotone-descent guarantee rests on.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 GRAM_SYMMETRY_TOL = 1e-12
+# Relative fixed-point residual below which the certifying step accepts the
+# exact point (see :func:`solve_block_qp`).
+CERTIFICATE_TOL = 1e-8
 # The largest rank (a block's column count) that the exact solve takes: its
 # free patterns are bit masks in an int64. A wider block is refused.
 MAX_RANK = 62
@@ -235,7 +239,7 @@ def lipschitz_estimate(q: QuadraticBlockSubproblem) -> float:
 
 
 # Caps on the exact solve: pivoting rounds in all, past which the solve
-# reports failure and the certifying step is taken from the start instead,
+# reports failure and the certifying step is taken from the center instead,
 # and Newton steps on one secular equation.
 _ROUNDS = 200
 _NEWTON_STEPS = 60
@@ -458,15 +462,15 @@ class _ExactBlockSolve:
         # progress where rounding keeps the two from agreeing on the root.
         return mu if bracket[0] < mu < bracket[1] else middle
 
-    def solve(self, warm: np.ndarray) -> np.ndarray:
-        """The minimizer, with the faces warm-started from ``warm``'s support."""
+    def solve(self) -> np.ndarray:
+        """The minimizer, with the faces started from the center's support."""
         c, radius = self.center, self.radius
         d, r = c.shape
         if self.lower == self.upper:
             return c.copy()
         self.set_faces(
             slice(None),
-            np.where(warm <= self.lower, -1, np.where(warm >= self.upper, 1, 0)).astype(np.int8),
+            np.where(c <= self.lower, -1, np.where(c >= self.upper, 1, 0)).astype(np.int8),
         )
         # Strong convexity of q + mu ||U - C||^2 keeps its minimizer over the
         # box within ||grad q(C)|| / (2 mu) of C: inside the ball at hi.
@@ -521,36 +525,36 @@ class _ExactBlockSolve:
 def solve_block_qp(
     q: QuadraticBlockSubproblem,
     feasible: BoxBallFeasibleSet,
-    start: np.ndarray,
-    tol: float = 1e-8,
+    start: np.ndarray | None = None,
+    tol: float = CERTIFICATE_TOL,
     max_iters: int = 500,
 ) -> BlockSolveResult:
     """Exact minimization of ``q`` over box ∩ ball, certified by one projected-gradient step.
 
-    The exact minimizer (see :class:`_ExactBlockSolve`), or the start when
+    The solve starts at ``feasible.center``, the block's previous value:
+    in the box, at distance 0 from the center, and its own projection. The
+    exact minimizer (see :class:`_ExactBlockSolve`), or the center when
     pivoting fails, takes one projected-gradient step ``P(U - grad/L)``
     through :func:`project_box_ball`, with ``L`` from
     :func:`lipschitz_estimate`, and the stepped point is returned with the
     step's fixed-point residual ``||U - P(U - grad/L)||_F``; ``iterations``
     is always 1. ``converged`` is true only when the exact solve succeeded
     and that residual is at most ``tol * (1 + ||P(U - grad/L)||_F)``. The
-    result never has a larger objective than ``start`` (the previous block
-    value), which keeps every outer sweep monotone: when the stepped point
-    is worse, the start is returned with the start's own fixed-point
-    residual, and ``converged`` is true only when the exact solve succeeded
-    and that residual passes the test (a tie at the optimum, up to
-    rounding). A start that is the center bit for bit, as the driver passes
-    it, is feasible and its own projection, so it is taken as it is.
+    result never has a larger objective than the center, which keeps every
+    outer sweep monotone: when the stepped point is worse, the center is
+    returned with its own fixed-point residual, and ``converged`` is true
+    only when the exact solve succeeded and that residual passes the test
+    (a tie at the optimum, up to rounding).
 
     The exact solve takes blocks of at most :data:`MAX_RANK` (62) columns;
-    a wider block raises ``ValueError``. ``max_iters`` is not read: it
-    stays because the benchmark's ``bench/kernels.py`` passes it.
+    a wider block raises ``ValueError``. ``start``, ``tol`` and
+    ``max_iters`` stay because the benchmark's ``bench/kernels.py`` passes
+    them: a ``start`` other than the center in value raises ``ValueError``,
+    and ``max_iters`` is not read.
     """
-    start = np.asarray(start, dtype=np.float64)
-    if start.shape != feasible.center.shape:
-        raise ValueError(
-            f"start shape {start.shape} does not match center {feasible.center.shape}"
-        )
+    center = feasible.center
+    if start is not None and not np.array_equal(start, center):
+        raise ValueError("start must be the center of the feasible set, where every block solve starts")
     if q.gram.shape[0] > MAX_RANK:
         raise ValueError(
             f"block has {q.gram.shape[0]} columns; the exact block solve takes at most {MAX_RANK}"
@@ -559,20 +563,11 @@ def solve_block_qp(
     def _project(y: np.ndarray) -> np.ndarray:
         return project_box_ball(y, feasible).point
 
-    if np.array_equal(start.view(np.uint64), feasible.center.view(np.uint64)):
-        # The center, as the driver passes it: in the box and at distance 0,
-        # so its projection is itself.
-        u0 = feasible.center
-    else:
-        if not feasible.contains(start, tol=1e-8 * (1.0 + float(np.abs(start).max(initial=0.0)))):
-            raise ValueError("start point is infeasible for the box/ball constraints")
-        # Keep the start exactly feasible (contains() allows a whisper of slack).
-        u0 = _project(start)
     step = 1.0 / lipschitz_estimate(q)
     try:
-        u, exact = _ExactBlockSolve(q, feasible).solve(u0), True
+        u, exact = _ExactBlockSolve(q, feasible).solve(), True
     except _PivotingFailed:
-        u, exact = u0, False
+        u, exact = center, False
     grad = q.gradient(u)
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient at the certifying step")
@@ -582,12 +577,12 @@ def solve_block_qp(
     residual = _norm(u - stepped)
     converged = exact and residual <= tol * (1.0 + _norm(stepped))
 
-    # Descent contract: never return a point worse than the start. The
-    # residual is then the start's, so it describes the point returned, and
-    # the solve converged only when that residual certifies the start: an
-    # exact point that ties with an optimal start up to rounding.
-    if q.objective(stepped) > q.objective(u0):
-        stepped = u0.copy()
-        residual = _norm(u0 - _project(u0 - step * q.gradient(u0)))
-        converged = exact and residual <= tol * (1.0 + _norm(u0))
+    # Descent contract: never return a point worse than the center. The
+    # residual is then the center's, so it describes the point returned,
+    # and the solve converged only when that residual certifies the center:
+    # an exact point that ties with an optimal center up to rounding.
+    if q.objective(stepped) > q.objective(center):
+        stepped = center.copy()
+        residual = _norm(center - _project(center - step * q.gradient(center)))
+        converged = exact and residual <= tol * (1.0 + _norm(center))
     return BlockSolveResult(stepped, residual, 1, converged)

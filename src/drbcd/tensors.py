@@ -437,10 +437,12 @@ PRODUCT_BLOCK_ENTRIES = 1 << 20
 
 def _product_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
     """The row blocks of the low-rank generator's ``(rows, cols)`` product:
-    one per thread of :func:`_pass_threads`, of ``rows * k //
-    threads`` to ``rows * (k + 1) // threads``, when every block then holds
-    at least 2 rows and :data:`PRODUCT_BLOCK_ENTRIES` entries; else the one
-    block ``(0, rows)``, the whole product.
+    ``n`` blocks, of ``rows * k // n`` to ``rows * (k + 1) // n``, where
+    ``n`` is the threads of :func:`_pass_threads` or, if fewer, the most
+    blocks that each hold at least 2 rows and
+    :data:`PRODUCT_BLOCK_ENTRIES` entries; else, when ``n`` is below 2,
+    the one block ``(0, rows)``, the whole product. A product too small for
+    two such blocks does not ask for the thread count.
 
     Each block is multiplied on its own, so a block takes the GEMM kernel
     that its size selects. Blocks of one row take OpenBLAS's matrix-vector
@@ -457,11 +459,11 @@ def _product_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
     4 draws (see :func:`drbcd.datagen._draws_below`), where any split keeps
     the bits.
     """
-    threads = _pass_threads()[0]
-    least = rows // threads
-    if threads < 2 or least < 2 or least * cols < PRODUCT_BLOCK_ENTRIES:
+    most = rows // max(2, -(-PRODUCT_BLOCK_ENTRIES // cols))
+    n = min(_pass_threads()[0], most) if most >= 2 else 1
+    if n < 2:
         return [(0, rows)]
-    return [(rows * k // threads, rows * (k + 1) // threads) for k in range(threads)]
+    return [(rows * k // n, rows * (k + 1) // n) for k in range(n)]
 
 
 _pool = None  # the helper threads' executor, made by the first pass that splits

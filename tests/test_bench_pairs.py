@@ -140,7 +140,8 @@ def aa_runs(module, monkeypatch, parent, copy_noise, change_worse=False, copy_mi
         if seed not in seeds:
             seeds.append(seed)
         sides = ("parent", "change", "copy")
-        order = sides if (len(seeds) - 1) % 2 == 0 else sides[::-1]
+        k = len(seeds) - 1
+        order = sides[k % 3:] + sides[:k % 3]
         side = order[sum(s == seed for _, s in runs)]
         assert tree == (ROOT if side == "change" else parent)
         runs.append((side, seed))
@@ -186,10 +187,15 @@ def test_aa_control_must_be_cleared_by_a_claim(
     assert entry["claim_met"] is (code == 0)
     assert record["summary"]["ok_frac"]["aa"] == {
         "copy": {"q1": 1.0, "median": 1.0, "q3": 1.0}, "median_gap": 0.0, "spread": 0.0}
-    # Eleven pairs of three runs, each side first and last equally often in
-    # the ten; the held-out pair runs a copy too.
+    # Eleven pairs of three runs, the order turned by one place a pair, so
+    # that in the ten each side takes each place 3 or 4 times; the held-out
+    # pair runs a copy too.
     assert len(runs) == 3 * (bench_pairs.PAIRS + 1)
-    assert runs[:6] == [("parent", 101), ("change", 101), ("copy", 101),
-                        ("copy", 102), ("change", 102), ("parent", 102)]
-    assert runs[-3:] == [("parent", 999), ("change", 999), ("copy", 999)]
+    assert runs[:9] == [("parent", 101), ("change", 101), ("copy", 101),
+                        ("change", 102), ("copy", 102), ("parent", 102),
+                        ("copy", 103), ("parent", 103), ("change", 103)]
+    places = [[side for side, _ in runs[3 * k:3 * k + 3]] for k in range(bench_pairs.PAIRS)]
+    for side in ("parent", "change", "copy"):
+        assert sorted(sum(order.index(side) == place for order in places) for place in range(3)) == [3, 3, 4]
+    assert runs[-3:] == [("change", 999), ("copy", 999), ("parent", 999)]
     assert record["held_out"]["sweeps_per_s"]["aa"]["spread"] == copy_noise

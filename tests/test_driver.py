@@ -67,10 +67,10 @@ def test_sweep_leaves_minimizer_fixed():
 
 def test_sweep_counts_unconverged_block_solves(monkeypatch):
     # With the exact solve forced to fail, both solves of the first sweep
-    # take their one step from the start and count as unconverged.
+    # take their one step from the center and count as unconverged.
     import drbcd.subsolver as subsolver
 
-    def fail(self, warm):
+    def fail(self):
         raise subsolver._PivotingFailed("forced")
 
     monkeypatch.setattr(subsolver._ExactBlockSolve, "solve", fail)

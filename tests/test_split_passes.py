@@ -242,19 +242,38 @@ def test_split_generator_keeps_the_whole_products_bits(monkeypatch, own_pool, th
     assert tensors._pool is not None
 
 
-@pytest.mark.parametrize("rows, cols, blocks", [
-    (4, 2**19, 2),       # 2 rows and 2**20 entries a block: splits
-    (4, 2**19 - 1, 1),   # one entry short of that
-    (5, 2**19 - 1, 1),   # the smaller block of 2 and 3 rows is short
-    (3, 2**20, 1),       # a block of 1 row: the matrix-vector path
-    (1, 2**22, 1),
+@pytest.mark.parametrize("threads, rows, cols, blocks", [
+    (2, 4, 2**19, 2),       # 2 rows and 2**20 entries a block: splits
+    (2, 4, 2**19 - 1, 1),   # one entry short of that
+    (2, 5, 2**19 - 1, 1),   # the smaller block of 2 and 3 rows is short
+    (2, 3, 2**20, 1),       # a block of 1 row: the matrix-vector path
+    (2, 1, 2**22, 1),
+    # More threads than blocks that hold the rule: paper_fit's product, 5
+    # blocks of 20 rows, and surrogate_bound's pattern of 1,125,000 rows of
+    # 4, 4 blocks, at one BLAS thread on 5 to 8 cores.
+    *((threads, 100, 200 * 300, 5) for threads in range(5, 9)),
+    *((threads, 90 * 500 * 100 // 4, 4, 4) for threads in range(5, 9)),
 ])
-def test_product_splits_only_into_blocks_of_2_rows_and_2_to_the_20_entries(monkeypatch, rows, cols, blocks):
-    with_threads(monkeypatch, 2)
+def test_product_splits_only_into_blocks_of_2_rows_and_2_to_the_20_entries(monkeypatch, threads, rows, cols, blocks):
+    with_threads(monkeypatch, threads)
     ranges = tensors._product_blocks(rows, cols)
     assert len(ranges) == blocks
     assert ranges[0][0] == 0 and ranges[-1][1] == rows
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    if blocks > 1:
+        least = min(stop - start for start, stop in ranges)
+        assert least >= 2 and least * cols >= tensors.PRODUCT_BLOCK_ENTRIES
+
+
+def test_a_product_too_small_to_split_does_not_ask_for_the_thread_count(monkeypatch):
+    def no_query():
+        raise AssertionError("the thread count was read")
+
+    monkeypatch.setattr(tensors, "_pass_threads", no_query)
+    assert tensors._product_blocks(3, 2**20) == [(0, 3)]
+    assert tensors._product_blocks(4, 2**19 - 1) == [(0, 4)]
+    x = synthetic_lowrank(SynthSpec(dims=(20, 25, 30), rank=3, seed=2))[0]
+    assert x.shape == (20, 25, 30)
 
 
 def test_generator_just_under_the_split_is_one_product(monkeypatch, own_pool):
@@ -319,18 +338,19 @@ def surrogate_blocks(monkeypatch, size):
 @pytest.mark.parametrize("threads", [2, 3, 5])
 @pytest.mark.parametrize("over", [False, True])
 def test_surrogate_splits_only_into_blocks_of_2_to_the_20_entries(monkeypatch, own_pool, threads, over):
-    # threads * 2**18 rows of 4 entries give every block 2**20 entries; one
-    # row fewer leaves a block 4 entries short. Both sizes are 3 past a
+    # threads * 2**18 rows of 4 entries give each of ``threads`` blocks
+    # 2**20 entries; one row fewer leaves room for one block fewer, which is
+    # one block, the whole pattern, on 2 threads. Both sizes are 3 past a
     # multiple of 4, which the last block takes.
     rows = threads * 2**18 - (not over)
     size = 4 * rows + 3
     with_threads(monkeypatch, threads)
     blocks = surrogate_blocks(monkeypatch, size)
-    assert len(blocks) == (threads if over else 1)
+    assert len(blocks) == (threads if over else threads - 1 if threads > 2 else 1)
     assert blocks[0][0] == 0 and blocks[-1][1] == size
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert all(start % 4 == 0 for start, _ in blocks)
-    if over:
+    if len(blocks) > 1:
         assert min(stop - start for start, stop in blocks) >= tensors.PRODUCT_BLOCK_ENTRIES
 
 
@@ -424,7 +444,7 @@ cfg = SolverConfig(schedule=RadiusSchedule(kind="power_log", beta=0.5, c_prime=3
 for solve in (run, run_mu):
     solve(problem, start, cfg)
 print(threading.active_count(), "concurrent.futures" in sys.modules)
-# surrogate_bound's own build draws its pattern in one block per thread.
+# surrogate_bound's own build splits its pattern's draws.
 sparse_surrogate(SynthSpec(dims=(90, 500, 100), rank=5, seed=1, density=0.01, target_mean_abs=0.00067))
 print(tensors._pass_threads()[0], threading.active_count() > 1, tensors._pool is not None)
 """
@@ -434,9 +454,9 @@ def test_a_sparse_run_starts_no_thread_and_imports_no_pool():
     # At one BLAS thread a dense pass would split on any host with two
     # cores; the nonzero-only passes never reach the pool, and neither do
     # a sparse set-up whose list is one slab or a small dense build. The
-    # surrogate's pattern at surrogate_bound's scale then splits into one
-    # block per core wherever each block of its 4.5M entries then holds
-    # 2**20: on 2 to 4 cores.
+    # surrogate's pattern at surrogate_bound's scale then splits, into as
+    # many blocks as there are cores, up to the 4 that its 4.5M entries
+    # fill with 2**20 each.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", SPARSE_RUN], env=env, capture_output=True, text=True, check=True)
     solves, build = proc.stdout.splitlines()
@@ -444,8 +464,7 @@ def test_a_sparse_run_starts_no_thread_and_imports_no_pool():
     cores = len(os.sched_getaffinity(0))
     if cores < 2:
         pytest.skip("one CPU: the pattern's blocks have no core for a helper, so the build does not split")
-    split = str(cores <= 4)
-    assert build.split() == [str(cores), split, split]
+    assert build.split() == [str(cores), "True", "True"]
 
 
 WORKER_COUNT = r"""

@@ -285,10 +285,12 @@ def test_exactly_symmetric_gram_is_kept_and_a_nearly_symmetric_one_averaged():
 
 @pytest.mark.parametrize("radius", [0.3, math.inf])
 def test_solve_from_the_center_skips_the_start_checks(monkeypatch, radius):
-    # The driver starts every solve at the center: in the box, at distance
-    # 0, and its own projection, bit for bit. The solve then neither tests
-    # nor projects the start, and still certifies its point with at least
-    # one projection when the radius is finite. Entries on both faces.
+    # Every solve starts at the center: in the box, at distance 0, and its
+    # own projection, bit for bit. The solve neither tests nor projects a
+    # start, and still certifies its point with a projection. A start equal
+    # to the center in value, with other bits (a negative zero), gives the
+    # result of no start and of the center, bit for bit. Entries on both
+    # faces.
     rng = np.random.default_rng(8)
     q = random_psd_problem(rng, 6, 3)
     center = rng.random((6, 3))
@@ -296,10 +298,8 @@ def test_solve_from_the_center_skips_the_start_checks(monkeypatch, radius):
     fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=center, radius=radius)
     assert project_box_ball(fs.center, fs).point.tobytes() == fs.center.tobytes()
     assert np.clip(fs.center, 0.0, 1.0).tobytes() == fs.center.tobytes()
-    # The same values with other bits (a negative zero) take the checks.
     other = fs.center.copy()
     other[0, 0] = -0.0
-    checked = solve_block_qp(q, fs, start=other)
 
     projections = []
 
@@ -308,17 +308,33 @@ def test_solve_from_the_center_skips_the_start_checks(monkeypatch, radius):
         return project_box_ball(p, feasible)
 
     def no_test(self, p, tol=1e-9):
-        raise AssertionError("the center's feasibility was tested")
+        raise AssertionError("a start's feasibility was tested")
 
     monkeypatch.setattr("drbcd.subsolver.project_box_ball", count)
     monkeypatch.setattr(BoxBallFeasibleSet, "contains", no_test)
-    fast = solve_block_qp(q, fs, start=fs.center.copy())
-    np.testing.assert_array_equal(fast.point, checked.point)
-    assert (fast.residual, fast.iterations, fast.converged) == (
-        checked.residual, checked.iterations, checked.converged
-    )
-    assert len(projections) >= (1 if math.isfinite(radius) else 0)
-    assert all(p is not fs.center for p in projections)
+    results = []
+    for start in (None, fs.center.copy(), other):
+        projections.clear()
+        results.append(solve_block_qp(q, fs, start=start))
+        assert projections
+        assert all(p is not fs.center and p is not start for p in projections)
+    first = results[0]
+    for res in results[1:]:
+        assert res.point.tobytes() == first.point.tobytes()
+        assert (res.residual, res.iterations, res.converged) == (
+            first.residual, first.iterations, first.converged
+        )
+
+
+def test_solver_refuses_a_start_other_than_the_center():
+    # A feasible start other than the center, an infeasible one and one of
+    # another shape: each is refused with the one error naming the center.
+    q = QuadraticBlockSubproblem(gram=np.eye(1), linear=np.zeros((1, 1)))
+    fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=np.zeros((1, 1)), radius=0.5)
+    assert fs.contains(np.array([[0.25]]), tol=0.0)
+    for start in ([[0.25]], [[0.9]], [[0.0, 0.0]]):
+        with pytest.raises(ValueError, match="start must be the center of the feasible set"):
+            solve_block_qp(q, fs, start=np.array(start))
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +400,6 @@ def test_solver_infinite_radius_reduces_to_box_least_squares():
         assert q.objective(res.point) <= f_grid + 1e-6 * (1.0 + abs(f_grid))
 
 
-def test_solver_rejects_infeasible_start():
-    q = QuadraticBlockSubproblem(gram=np.eye(1), linear=np.zeros((1, 1)))
-    fs = BoxBallFeasibleSet(lower=0.0, upper=1.0, center=np.zeros((1, 1)), radius=0.5)
-    with pytest.raises(ValueError, match="infeasible"):
-        solve_block_qp(q, fs, start=np.array([[0.9]]))
-
-
 def test_feasible_set_requires_center_in_box():
     with pytest.raises(ValueError, match="center"):
         BoxBallFeasibleSet(lower=0.0, upper=1.0, center=np.array([[2.0]]), radius=0.5)
@@ -418,7 +427,7 @@ def fail_exact_solves(monkeypatch):
     """Make every exact solve fail as pivoting that meets its round cap does."""
     import drbcd.subsolver as subsolver
 
-    def fail(self, warm):
+    def fail(self):
         raise subsolver._PivotingFailed("forced")
 
     monkeypatch.setattr(subsolver._ExactBlockSolve, "solve", fail)
@@ -426,8 +435,9 @@ def fail_exact_solves(monkeypatch):
 
 def test_solver_fallback_to_start_is_reported(monkeypatch):
     # With the exact solve failing, a step far above 1/L overshoots to a box
-    # face, ending worse than the start: the start comes back, reported as
-    # not converged and with the start's own fixed-point residual.
+    # face, ending worse than the start, the center: the start comes back,
+    # reported as not converged and with the start's own fixed-point
+    # residual.
     import drbcd.subsolver as subsolver
 
     fail_exact_solves(monkeypatch)
@@ -465,9 +475,9 @@ def test_solver_fallback_after_convergence_is_not_converged():
 
 
 def test_failed_pivoting_takes_one_projected_gradient_step_from_the_start(monkeypatch):
-    # The one step is taken from the start, bit for bit as the certificate
-    # takes it, and descends; the solve still reports that it did not
-    # converge, so the sweep counts it.
+    # The one step is taken from the start, the center, bit for bit as the
+    # certificate takes it, and descends; the solve still reports that it
+    # did not converge, so the sweep counts it.
     rng = np.random.default_rng(8)
     q = random_psd_problem(rng, 3, 2)
     center = rng.random((3, 2)) * 0.5
