@@ -20,6 +20,10 @@ deterministic ``clock="sweep"``:
 - ``surrogate 500x90x100``: the same surrogates with the longest mode first,
   so that the sparse passes pivot on the first mode instead of the middle
   one;
+- ``dense surrogate``: the ``surrogate`` case's surrogates handed over as
+  their ``.dense()`` tensors, so that ``NtfProblem`` finds the nonzeros
+  itself; both forms build the same problem, so its runs equal the
+  ``surrogate`` case's, bit for bit;
 - ``desk``: 20x25x30 rank-3 synthetic tensors, 3 seeds x 200 sweeps,
   ``c' = 1e5``, ``beta = 0.5``;
 - ``matrix``: 300x400 rank-5 synthetic matrices, 2 seeds x 30 sweeps,
@@ -48,7 +52,9 @@ holds, the most bytes numpy held at once while ``NtfProblem(x)`` was built
 numpy held at once while ``tensors.frobenius_norm(problem.data)`` ran, the
 reading of ``data`` included (its norm peak), and the most
 bytes numpy held at once over the case's BCD-DR and MU runs together,
-beyond what the problem held before them (their solve peak), so that a
+beyond what the problem held before them (their solve peak, taken after
+``gc.collect()`` with the garbage collector disabled for the runs, so that
+it does not move with when a collection happens to run), so that a
 change in how a problem holds its data, or in what building it or solving
 on it costs, shows beside its inputs. For every run it then prints the
 sweeps each side did, the largest relative deviation of the objective, the
@@ -90,7 +96,7 @@ from pathlib import Path
 # "solve": {case name: solve peak}, "runs": {run name: [record, ...]}}, a
 # record being every field the trace CSV writes (see `compare`).
 WORKER = r"""
-import hashlib, json, statistics, sys, time, tracemalloc
+import gc, hashlib, json, statistics, sys, time, tracemalloc
 import numpy as np
 sys.path.insert(0, "src")
 from drbcd import datagen, driver, factorization, schedule, tensors
@@ -99,6 +105,7 @@ CASES = (
     ("paper", "synth", (100, 200, 300), 5, 1.0, 1e5, 30, (1, 2)),
     ("surrogate", "surrogate", (90, 500, 100), 5, 0.5, 3.0, 25, (1, 2)),
     ("surrogate 500x90x100", "surrogate", (500, 90, 100), 5, 0.5, 3.0, 25, (1, 2)),
+    ("dense surrogate", "dense surrogate", (90, 500, 100), 5, 0.5, 3.0, 25, (1, 2)),
     ("desk", "synth", (20, 25, 30), 3, 0.5, 1e5, 200, (1, 2, 3)),
     ("matrix", "synth", (300, 400), 5, 1.0, 1e5, 30, (1, 2)),
     ("sparse matrix", "surrogate", (300, 2000), 5, 0.5, 3.0, 25, (1, 2)),
@@ -153,6 +160,8 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
         else:
             spec = datagen.SynthSpec(dims=dims, rank=rank, seed=seed, density=0.01, target_mean_abs=0.00067)
             build = lambda: datagen.sparse_surrogate(spec)
+            if data == "dense surrogate":
+                build = lambda: datagen.sparse_surrogate(spec).dense()
         times = []
         for _ in range(SETUP_BUILDS):
             began = time.perf_counter()
@@ -188,11 +197,16 @@ for name, data, dims, rank, beta, c_prime, sweeps, seeds in CASES:
         mu_cfg = driver.SolverConfig(
             schedule=schedule.RadiusSchedule(kind="infinite"), max_sweeps=MU_SWEEPS, clock="sweep"
         )
+        # Garbage that set-up left is collected first, and none during the
+        # runs, so that the peak does not move with when a collection runs.
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         out["runs"][f"{name} seed {seed}"] = records(driver.run(problem, init, cfg)[1])
         out["runs"][f"mu on {name} seed {seed}"] = records(factorization.run_mu(problem, init, mu_cfg)[1])
         out["solve"][f"{name} seed {seed}"] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+        gc.enable()
         del x, problem
 print(json.dumps(out))
 """

@@ -12,9 +12,14 @@ CSV; runs are aggregated onto common time bins
 The resolved configuration is echoed to the output directory, with numpy's
 version and the BLAS build as comment lines; re-running from that file
 reproduces the experiment (byte-identical trace CSVs with the
-deterministic sweep clock, at the same BLAS thread count: between 1 and 2
-OpenBLAS threads, the objective and the reconstruction error were seen to
-move in their last bits, by up to 4.2e-16 relative; see ROADMAP item 8).
+deterministic sweep clock). The cells run with the bundled OpenBLAS held
+at one thread, its count restored after them, so that the dense passes
+split among the cores and the traces do not depend on the caller's BLAS
+thread count; a build without the thread-count setter runs them at the
+count it finds, and the report says which. Between 1 and 2 OpenBLAS
+threads, the objective and the reconstruction error were seen to move in
+their last bits, by up to 4.7e-16 relative (4.2e-16 for ``mu``), and the
+step norms and point classes not at all; see ROADMAP item 8.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .driver import SolverConfig, TraceRecord, run, verify_trace
 from .factorization import NtfProblem, init_factors, run_mu
 from .schedule import RadiusSchedule
 from .subsolver import MAX_RANK
-from .tensors import SparseTensor, _pass_threads, read_ntf1, write_ntf1
+from .tensors import SparseTensor, _one_blas_thread, _pass_threads, read_ntf1, write_ntf1
 
 __all__ = [
     "AlgorithmSpec",
@@ -417,6 +422,10 @@ class ExperimentSummary:
     # Every broken invariant of the block-descent runs' traces; reported,
     # not a failure.
     violations: list[InvariantViolation]
+    # ``_pass_threads()`` in set-up and in the cells, and whether BLAS was
+    # held at one thread for the cells.
+    threads: tuple[tuple[int, int, int | None], tuple[int, int, int | None]]
+    blas_held: bool
 
     def report(self) -> str:
         lines = []
@@ -455,11 +464,12 @@ class ExperimentSummary:
                     f"comparison: {label} mean final error {dr_final:.6g} is "
                     f"{verdict} plain als ({als_final:.6g}){unbound}"
                 )
-        threads, cores, blas = _pass_threads()
+        (setup, cores, setup_blas), (cells, _, blas) = self.threads
+        held = "held for them" if self.blas_held else "as found (this BLAS has no thread-count setter)"
         lines.append(
-            f"dense passes and set-up: up to {_count(threads, 'thread')} ({_count(cores, 'core')}, "
-            f"{_count(blas, 'BLAS thread') if blas else 'BLAS thread count unknown'}, "
-            f"{_blas_build() or 'BLAS build unknown'})"
+            f"dense passes: up to {_count(cells, 'thread')} in the cells, at {_blas_count(blas)} {held}, "
+            f"and up to {setup} in set-up, at {_blas_count(setup_blas)} "
+            f"({_count(cores, 'core')}, {_blas_build() or 'BLAS build unknown'})"
         )
         for v in self.violations:
             lines.append(
@@ -484,6 +494,10 @@ def _blas_build() -> str | None:
 
 def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" + ("" if n == 1 else "s")
+
+
+def _blas_count(blas: int | None) -> str:
+    return _count(blas, "BLAS thread") if blas else "an unknown BLAS thread count"
 
 
 class SettingError(ValueError):
@@ -543,7 +557,7 @@ def _start(problem: NtfProblem, cfg: ExperimentConfig, run_index: int) -> list[n
         box_bound=problem.box_bound,
     ).to_blocks()
     for block in blocks:
-        block.flags.writeable = False
+        block.setflags(write=False)
     return blocks
 
 
@@ -624,7 +638,8 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     CLI maps a nonempty failure list to a nonzero exit status. Every
     block-descent trace is re-checked with :func:`verify_trace`, and each
     broken invariant is listed in the report, without failing the run. The
-    cells run one after another, each algorithm's runs in order.
+    cells run one after another, each algorithm's runs in order, with BLAS
+    held at one thread (see :func:`drbcd.tensors._one_blas_thread`).
     """
     try:
         problem = NtfProblem(resolve_data(cfg), cfg.rank, box_bound=cfg.box_bound)
@@ -633,6 +648,7 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     except (ValueError, OSError, MemoryError) as exc:
         # A MemoryError raised by Python itself, not numpy, has no message.
         raise SettingError(str(exc) or type(exc).__name__) from exc
+    setup_threads = _pass_threads()
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -647,25 +663,27 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
     trace_paths: dict[tuple[str, int], Path] = {}
     failures: list[RunFailure] = []
     violations: list[InvariantViolation] = []
-    for algo in cfg.algos:
-        solve = run_mu if algo.name == "mu" else run
-        for k, start in starts.items():
-            try:
-                trace = solve(problem, start, solvers[algo.label])[1]
-            except Exception as exc:  # recorded, experiment continues
-                failures.append(RunFailure(algo.label, k, str(exc)))
-                continue
-            path = out_dir / f"{algo.label}_run{k}.csv"
-            write_trace_csv(path, k, trace)
-            trace_paths[(algo.label, k)] = path
-            tallies[algo.label].traces.append(trace)
-            if algo.name != "mu":
-                verdict = verify_trace(trace, solvers[algo.label].schedule)
-                violations += [
-                    InvariantViolation(algo.label, k, outcome.check, outcome.sweep, outcome.worst)
-                    for outcome in verdict.outcomes
-                    if not outcome.ok
-                ]
+    with _one_blas_thread() as blas_held:
+        cell_threads = _pass_threads()
+        for algo in cfg.algos:
+            solve = run_mu if algo.name == "mu" else run
+            for k, start in starts.items():
+                try:
+                    trace = solve(problem, start, solvers[algo.label])[1]
+                except Exception as exc:  # recorded, experiment continues
+                    failures.append(RunFailure(algo.label, k, str(exc)))
+                    continue
+                path = out_dir / f"{algo.label}_run{k}.csv"
+                write_trace_csv(path, k, trace)
+                trace_paths[(algo.label, k)] = path
+                tallies[algo.label].traces.append(trace)
+                if algo.name != "mu":
+                    verdict = verify_trace(trace, solvers[algo.label].schedule)
+                    violations += [
+                        InvariantViolation(algo.label, k, outcome.check, outcome.sweep, outcome.worst)
+                        for outcome in verdict.outcomes
+                        if not outcome.ok
+                    ]
 
     curve = None
     aggregate_path = None
@@ -690,4 +708,6 @@ def run_experiment(cfg: ExperimentConfig, notes: Sequence[str] = ()) -> Experime
         tallies=tallies,
         failures=failures,
         violations=violations,
+        threads=(setup_threads, cell_threads),
+        blas_held=blas_held,
     )

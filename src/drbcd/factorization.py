@@ -100,40 +100,41 @@ def _sample_step(size: int) -> int:
     return max(1, size >> 14)
 
 
-def _nonzero_list(
-    data: np.ndarray, pivot: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The nonzeros of ``data`` as one read-only coordinate list, or ``None``.
+def _nonzeros(x: np.ndarray) -> SparseTensor | None:
+    """The nonzeros of the tensor ``x`` as coordinates, or ``None`` where the
+    sample finds them too many to list.
 
-    The list is ``(rows, cols, values)`` of the matricization at ``pivot``,
-    ordered by ``rows`` (see :func:`drbcd.tensors._coo_matrix`). ``None``
-    means the nonzeros are at least :data:`SPARSE_SHARE` of the entries. A
-    fixed strided sample of about 16k entries is counted first, so that
-    dense data pays no full pass; only data whose sample has fewer than
-    twice that share of nonzeros is searched in full, and then the exact
-    share decides.
+    A fixed strided sample of about 16k entries is counted first, so that
+    dense data pays no full pass: ``None`` when at least twice
+    :data:`SPARSE_SHARE` of it is nonzero. Otherwise the whole tensor is
+    searched, slab by slab, so that no tensor-sized mask is formed
+    (``flatnonzero`` takes about a quarter of the time on a boolean mask
+    that it takes on float64 data). NaN counts as nonzero and ``-0.0`` as
+    zero. Both arrays are handed over read-only, so the
+    :class:`~drbcd.tensors.SparseTensor` shares them.
     """
-    flat = data.ravel()
+    flat = x.ravel()
     sample = flat[:: _sample_step(flat.size)]
     if np.count_nonzero(sample) >= 2.0 * SPARSE_SHARE * sample.size:
         return None
-    # Over slabs of the data, so that no tensor-sized mask is formed:
-    # ``flatnonzero`` takes about a quarter of the time on a boolean mask
-    # that it takes on float64 data.
-    nonzero = np.concatenate(
+    positions = np.concatenate(
         [np.flatnonzero(flat[s:e] != 0.0) + s for s, e in _row_slabs(flat.size, flat.itemsize)]
     )
-    return _listed(nonzero, flat, data.shape, pivot)
+    return SparseTensor(x.shape, _read_only(positions), _read_only(flat[positions]))
 
 
 def _coordinate_list(
     data: SparseTensor, pivot: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """:func:`_nonzero_list` of ``data.dense()``, from the coordinates alone.
+    """The nonzeros of ``data`` as one read-only coordinate list, or ``None``.
 
-    The listed zeros, ``-0.0`` among them, are dropped; the sample and the
-    exact share are counted on the positions of the rest, so the same data
-    is listed, or not, and its list has the same bits.
+    The list is ``(rows, cols, values)`` of the matricization at ``pivot``,
+    ordered by ``rows`` (see :func:`drbcd.tensors._coo_matrix`). The listed
+    zeros, ``-0.0`` among them, are dropped first. ``None`` means the rest
+    are at least :data:`SPARSE_SHARE` of the entries, or at least twice that
+    share of :func:`_nonzeros`' sample, which is counted on the positions;
+    so a tensor and its coordinates are listed, or not, alike, and their
+    lists have the same bits.
     """
     positions, values = data.positions, data.values
     nonzero = values != 0.0
@@ -141,20 +142,12 @@ def _coordinate_list(
         positions, values = positions[nonzero], values[nonzero]
     size = math.prod(data.shape)
     step = _sample_step(size)
-    if np.count_nonzero(positions % step == 0) >= 2.0 * SPARSE_SHARE * -(-size // step):
+    sampled = np.count_nonzero(positions % step == 0)
+    if sampled >= 2.0 * SPARSE_SHARE * -(-size // step) or positions.size >= SPARSE_SHARE * size:
         return None
-    return _listed(positions, values, data.shape, pivot)
-
-
-def _listed(positions, values, shape, pivot: int):
-    """The read-only list of the nonzeros at ``positions``, or ``None`` when
-    they are at least :data:`SPARSE_SHARE` of the entries; ``values`` as
-    :func:`drbcd.tensors._coo_matrix` takes them."""
-    if positions.size >= SPARSE_SHARE * math.prod(shape):
-        return None
-    coo = _coo_matrix(positions, values, shape, pivot)
+    coo = _coo_matrix(positions, values, data.shape, pivot)
     for a in coo:
-        a.flags.writeable = False
+        a.setflags(write=False)
     return coo
 
 
@@ -224,18 +217,19 @@ class NtfProblem:
     writeable again, since the memo would then go stale. When the nonzeros
     are fewer than :data:`SPARSE_SHARE` of the entries, the problem holds
     one read-only coordinate list of them instead, 24 bytes a nonzero,
-    formed from the caller's array or coordinates without a tensor-sized
-    array (one stable sort of the coordinates' rows), so that the caller may
-    free its data once the problem is built; the MTTKRPs and the objective
-    then visit the nonzeros alone (the
-    coordinate-format MTTKRP and factored-tensor norm of Bader & Kolda
-    2007, "Efficient MATLAB computations with sparse and factored
-    tensors", on the dimension tree of Kaya & Uçar 2018, "Parallel
-    CANDECOMP/PARAFAC decomposition of sparse tensors using dimension
-    trees"). The list holds the data as a sparse matrix whose rows are the
-    indices of the pivot, the longest mode (the last of equal lengths), and
-    whose columns are the cells of the other modes, ordered by row; ``P``
-    then has one column per cell, never more than on the dense path. Dense
+    formed by :func:`_coordinate_list` from the caller's coordinates, or
+    from those that :func:`_nonzeros` finds in the caller's array, without a
+    tensor-sized array (one stable sort of the coordinates' rows), so that
+    the caller may free its data once the problem is built; the MTTKRPs and
+    the objective then visit the nonzeros alone (the coordinate-format
+    MTTKRP and factored-tensor norm of Bader & Kolda 2007, "Efficient
+    MATLAB computations with sparse and factored tensors", on the
+    dimension tree of Kaya & Uçar 2018, "Parallel CANDECOMP/PARAFAC
+    decomposition of sparse tensors using dimension trees"). The list
+    holds the data as a sparse matrix whose rows are the indices of the
+    pivot, the longest mode (the last of equal lengths), and whose columns
+    are the cells of the other modes, ordered by row; ``P`` then has one
+    column per cell, never more than on the dense path. Dense
     data pivots on the last mode, and the objective is the pass over
     cache-sized row slabs of the data's native view ``X.reshape(-1,
     d_last)`` that also forms the partial (see
@@ -262,7 +256,8 @@ class NtfProblem:
         # The longest mode (the last of equal lengths) is the sparse pivot:
         # its partial then has the fewest cells.
         longest = len(shape) - 1 - int(np.argmax(shape[::-1]))
-        self._coo = _coordinate_list(coords, longest) if coords else _nonzero_list(x, longest)
+        listed = coords or _nonzeros(x)
+        self._coo = None if listed is None else _coordinate_list(listed, longest)
         self._pivot = len(shape) - 1 if self._coo is None else longest
         self._dense = self._owner = None
         if self._coo is None:
@@ -438,7 +433,7 @@ class NtfProblem:
         pivot, others = self._split(blocks)
         if i != self._pivot:
             linear = _mttkrp_from_partial(self._memo_partial(pivot)[0], others, i - (i > self._pivot))
-            linear.flags.writeable = False
+            linear.setflags(write=False)
             return linear
         key = tuple(b.tobytes() for b in others)
         if self._memo.term[0] == key:
@@ -452,7 +447,7 @@ class NtfProblem:
     def _remember(self, key: tuple[bytes, ...], linear: np.ndarray) -> np.ndarray:
         """Memoize ``linear``, read-only, as the pivot's term at ``key``, the
         bytes of every other block."""
-        linear.flags.writeable = False
+        linear.setflags(write=False)
         self._memo.term = (key, linear)
         return linear
 
@@ -482,7 +477,7 @@ class NtfProblem:
         else:
             partial, total = _coo_partial(*self._coo, pivot, math.prod(shape)), 0.0
         partial = partial.reshape((self.rank,) + shape)
-        partial.flags.writeable = False
+        partial.setflags(write=False)
         memo.partial = (key, partial)
         return partial, total
 

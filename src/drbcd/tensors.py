@@ -52,7 +52,8 @@ Every pass in the package that takes an array in pieces, here, in
 :func:`_row_slabs`, or, for the generators' blocks, from
 :func:`_product_blocks`, so the piece sizes are decided here alone.
 
-All functions are safe to call concurrently; they write to nothing but
+All functions but :func:`_one_blas_thread`, which sets BLAS's thread count
+for the process, are safe to call concurrently; they write to nothing but
 their results and their own thread's scratch (see :func:`_scratch`). The
 dense passes over row slabs (:func:`_row_pass` and
 :func:`_last_mode_mttkrp`) and the three set-up passes (the entry check
@@ -72,6 +73,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from math import inf, isfinite, prod
@@ -161,8 +163,8 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     copying it.
     """
     if x.base is not None:
-        x.base.flags.writeable = False
-    x.flags.writeable = False
+        x.base.setflags(write=False)
+    x.setflags(write=False)
     return x
 
 
@@ -187,7 +189,7 @@ def _held_read_only(x: np.ndarray, data) -> tuple[np.ndarray, np.ndarray]:
     )
     if not (converted or shared):
         x = owner = x.copy()
-    x.flags.writeable = False
+    x.setflags(write=False)
     return x, owner
 
 
@@ -394,27 +396,60 @@ def _scratch(use: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # numpy 2 wheels bundle scipy-openblas; numpy 1 wheels bundled openblas64_.
-_BLAS_THREAD_QUERIES = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
-_blas_query = ...  # the bundled OpenBLAS's thread-count getter, or None; looked up once
+# Each entry names a build's thread-count getter and its setter.
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+_blas_calls = ...  # the bundled OpenBLAS's (getter, setter), either None where missing; looked up once
+
+
+def _blas_thread_calls() -> tuple:
+    """The thread-count getter and setter of the OpenBLAS bundled with numpy,
+    each ``None`` where there is none."""
+    global _blas_calls
+    if _blas_calls is ...:
+        import ctypes
+
+        _blas_calls = (None, None)
+        for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            names = next((pair for pair in _BLAS_THREAD_CALLS if hasattr(handle, pair[0])), None)
+            if names is not None:
+                query, setter = getattr(handle, names[0]), getattr(handle, names[1], None)
+                query.restype, query.argtypes = ctypes.c_int, []
+                if setter is not None:
+                    setter.restype, setter.argtypes = None, [ctypes.c_int]
+                _blas_calls = (query, setter)
+                break
+    return _blas_calls
 
 
 def _blas_threads() -> int | None:
     """The thread count of the OpenBLAS bundled with numpy, read now; ``None``
     when there is none or it has no getter."""
-    global _blas_query
-    if _blas_query is ...:
-        import ctypes
+    query = _blas_thread_calls()[0]
+    return None if query is None else int(query())
 
-        query = None
-        for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
-            handle = ctypes.CDLL(str(lib))
-            symbol = next((name for name in _BLAS_THREAD_QUERIES if hasattr(handle, name)), None)
-            if symbol is not None:
-                query = getattr(handle, symbol)
-                query.restype, query.argtypes = ctypes.c_int, []
-                break
-        _blas_query = query
-    return None if _blas_query is None else int(_blas_query())
+
+@contextmanager
+def _one_blas_thread():
+    """Holds the bundled OpenBLAS at one thread for the body, so that the
+    dense passes split (see :func:`_pass_threads`), and restores its count
+    after, also when the body raises. Yields whether it held it: a build
+    without the setter, or without the getter to restore from, is left as
+    it is. The count is the process's, so bodies that overlap in two
+    threads may leave it at one."""
+    query, setter = _blas_thread_calls()
+    if query is None or setter is None:
+        yield False
+        return
+    before = int(query())
+    setter(1)
+    try:
+        yield True
+    finally:
+        setter(before)
 
 
 def _pass_threads() -> tuple[int, int, int | None]:
@@ -680,12 +715,12 @@ def _coo_matrix(positions, values, shape, pivot: int):
     """Entries of a tensor as a coordinate list of its matricization at ``pivot``.
 
     ``positions`` holds the row-major flat positions of the entries to list,
-    ascending, in a tensor of ``shape``; ``values`` holds the entry at each
-    position, or is the flattened tensor itself (the two agree when every
-    entry is listed). The matrix's rows are the indices of mode ``pivot``;
-    its columns are the cells of the other modes, a cell being one
-    combination of their indices, numbered row-major (as the rows of
-    :func:`_khatri_rao_native` of their factors are). Returns ``(rows,
+    ascending, in a tensor of ``shape``, and ``values`` the entry at each
+    position, as a :class:`SparseTensor` holds them. The matrix's rows are
+    the indices of mode ``pivot``; its columns are the cells of the other
+    modes, a cell being one combination of their indices, numbered
+    row-major (as the rows of :func:`_khatri_rao_native` of their factors
+    are). Returns ``(rows,
     cols, values)`` ordered by ``rows``, stably, which is the order
     :func:`_coo_gather` needs. The rows are sorted as the smallest unsigned
     type that holds them, for which numpy's stable sort is a radix sort,
@@ -700,8 +735,6 @@ def _coo_matrix(positions, values, shape, pivot: int):
     key = key.astype(np.min_scalar_type(length - 1))
     order = np.argsort(key, kind="stable")
     index = positions[order]
-    if values.shape[0] != positions.shape[0]:  # the flattened tensor
-        order = index
     values = values[order]
     del order
     cols = index // (length * inner)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import drbcd.experiment as experiment
+from drbcd import tensors
 from drbcd.cli import build_parser, main, parse_config, read_config_file
 from drbcd.datagen import SynthSpec, synthetic_lowrank
 from drbcd.driver import TraceRecord, run
@@ -705,21 +706,70 @@ def test_report_counts_runs_stopped_by_the_time_budget(tmp_path):
     assert "0 of 2 runs stopped by the time budget" in capped.report()
 
 
-@pytest.mark.parametrize("counts, build, line", [
-    ((2, 2, 1), "scipy-openblas 0.3.31.188.0",
-     "dense passes and set-up: up to 2 threads (2 cores, 1 BLAS thread, scipy-openblas 0.3.31.188.0)"),
-    ((1, 4, 8), "openblas 0.3.27",
-     "dense passes and set-up: up to 1 thread (4 cores, 8 BLAS threads, openblas 0.3.27)"),
-    ((1, 1, None), None,
-     "dense passes and set-up: up to 1 thread (1 core, BLAS thread count unknown, BLAS build unknown)"),
+@pytest.mark.parametrize("threads, held, build, line", [
+    (((1, 2, 2), (2, 2, 1)), True, "scipy-openblas 0.3.31.188.0",
+     "dense passes: up to 2 threads in the cells, at 1 BLAS thread held for them, and up to 1 in set-up, "
+     "at 2 BLAS threads (2 cores, scipy-openblas 0.3.31.188.0)"),
+    (((1, 4, 8), (1, 4, 8)), False, "openblas 0.3.27",
+     "dense passes: up to 1 thread in the cells, at 8 BLAS threads as found (this BLAS has no thread-count "
+     "setter), and up to 1 in set-up, at 8 BLAS threads (4 cores, openblas 0.3.27)"),
+    (((1, 1, None), (1, 1, None)), False, None,
+     "dense passes: up to 1 thread in the cells, at an unknown BLAS thread count as found (this BLAS has no "
+     "thread-count setter), and up to 1 in set-up, at an unknown BLAS thread count (1 core, BLAS build unknown)"),
 ])
-def test_report_gives_the_dense_passes_threads(tmp_path, monkeypatch, counts, build, line):
+def test_report_gives_the_dense_passes_threads(tmp_path, monkeypatch, threads, held, build, line):
     summary = run_experiment(desk_config(tmp_path, runs=1, max_sweeps=1))
-    here = next(l for l in summary.report().splitlines() if l.startswith("dense passes and set-up: "))
+    here = next(l for l in summary.report().splitlines() if l.startswith("dense passes: "))
     assert experiment._blas_build() is None or here.endswith(f", {experiment._blas_build()})")
-    monkeypatch.setattr(experiment, "_pass_threads", lambda: counts)
     monkeypatch.setattr(experiment, "_blas_build", lambda: build)
-    assert line in summary.report().splitlines()
+    assert line in dataclasses.replace(summary, threads=threads, blas_held=held).report().splitlines()
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The bundled OpenBLAS at two threads for the test, its count restored after."""
+    query, setter = tensors._blas_thread_calls()
+    if query is None or setter is None:
+        pytest.skip("this BLAS has no thread-count getter or setter, so the cells run at the count they find")
+    before = query()
+    setter(2)
+    if query() != 2:
+        setter(before)
+        pytest.skip("OpenBLAS runs one thread here at any setting, so a pin to one cannot be seen")
+    yield
+    setter(before)
+
+
+def test_cells_run_at_one_blas_thread_and_restore_the_count(tmp_path, monkeypatch, blas_at_two_threads):
+    seen = []
+
+    def counted(solve):
+        return lambda *args: seen.append(tensors._blas_threads()) or solve(*args)
+
+    monkeypatch.setattr(experiment, "run", counted(run))
+    monkeypatch.setattr(experiment, "run_mu", counted(run_mu))
+    summary = run_experiment(desk_config(tmp_path, algos=[AlgorithmSpec("als"), AlgorithmSpec("mu")]))
+    assert seen == [1] * 4 and tensors._blas_threads() == 2
+    assert summary.blas_held and summary.threads[1][2] == 1 and summary.threads[0][2] == 2
+    assert "at 1 BLAS thread held for them" in summary.report()
+
+    def interrupted(*args):
+        seen.append(tensors._blas_threads())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiment, "run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(desk_config(tmp_path / "raised"))
+    assert seen[-1] == 1 and tensors._blas_threads() == 2
+
+
+def test_cells_run_at_the_count_they_find_without_a_setter(tmp_path, monkeypatch, blas_at_two_threads):
+    monkeypatch.setattr(tensors, "_blas_calls", (tensors._blas_thread_calls()[0], None))
+    seen = []
+    monkeypatch.setattr(experiment, "run", lambda *args: seen.append(tensors._blas_threads()) or run(*args))
+    summary = run_experiment(desk_config(tmp_path))
+    assert seen == [2, 2] and not summary.blas_held
+    assert "at 2 BLAS threads as found (this BLAS has no thread-count setter)" in summary.report()
 
 
 def test_blas_build_is_what_numpy_was_built_with(monkeypatch):

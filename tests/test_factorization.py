@@ -692,17 +692,23 @@ def reference_nonzero_list(data, pivot):
 @pytest.mark.parametrize("slab_bytes", [8, 56, 512, None])
 @pytest.mark.parametrize("shape", [(20, 30, 25), (30, 20, 25), (5, 6, 7, 8)])
 def test_nonzero_list_matches_the_whole_tensor_search(monkeypatch, slab_bytes, shape):
-    # The mask is formed slab by slab, and the list ordered from the sorted
-    # positions; NaN counts as nonzero and -0.0 as zero, as with one mask.
+    # The mask is formed slab by slab, the coordinates handed over without
+    # a copy, and the list ordered from the sorted positions; NaN counts as
+    # nonzero and -0.0 as zero, as with one mask.
     rng = np.random.default_rng(43)
     data = sparse_data(rng, shape, math.prod(shape) // 100)
     data.flat[[3, 11]] = [np.nan, -0.0]
     if slab_bytes is not None:
         monkeypatch.setattr(tensors, "SLAB_BYTES", slab_bytes)
+    handed = []
+    monkeypatch.setattr(factorization, "SparseTensor", lambda *args: handed.append(args) or tensors.SparseTensor(*args))
+    coords = factorization._nonzeros(data)
+    assert coords.positions is handed[0][1] and coords.values is handed[0][2]
+    assert coords.values.tobytes() == data.ravel()[np.flatnonzero(data)].tobytes()
     for pivot in range(len(shape)):
-        got = factorization._nonzero_list(data, pivot)
+        got = factorization._coordinate_list(coords, pivot)
         for a, b in zip(got, reference_nonzero_list(data, pivot)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
 
 
 def assert_same_problem(a, b, seed):

@@ -537,7 +537,7 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
     if nonzeros_per_chunk is not None:
         monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * rank * nonzeros_per_chunk)
     for pivot in range(len(shape)):
-        rows, cols, values = _coo_matrix(nonzero, x.ravel(), shape, pivot)
+        rows, cols, values = _coo_matrix(nonzero, x.ravel()[nonzero], shape, pivot)
         assert np.all(np.diff(rows) >= 0)
         assert_array_equal(coo_tensor(rows, cols, values, shape, pivot), x)
         # The list's own inverse: each entry's flat position, in the list's
@@ -574,17 +574,18 @@ def test_coo_kernels_match_oracles(monkeypatch, shape, nonzeros_per_chunk):
 
 
 @pytest.mark.parametrize("shape", [(7, 6), (7, 5, 6), (3, 4, 7, 5)])
-def test_coo_matrix_takes_values_at_the_positions_or_the_flat_tensor(shape):
+def test_coo_matrix_lists_every_position_it_is_given(shape):
+    # Zeros too, when every position is listed.
     rng = np.random.default_rng(39)
     x = rng.random(shape) * (rng.random(shape) < 0.3)
-    nonzero = np.flatnonzero(x)
     every = np.arange(x.size)
     for pivot in range(len(shape)):
-        for positions in (nonzero, every):
-            aligned = _coo_matrix(positions, x.ravel()[positions], shape, pivot)
-            flat = _coo_matrix(positions, x.ravel(), shape, pivot)
-            for a, b in zip(aligned, flat):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        rows, cols, values = _coo_matrix(every, x.ravel()[every], shape, pivot)
+        assert rows.size == x.size and np.all(np.diff(rows) >= 0)
+        assert_array_equal(coo_tensor(rows, cols, values, shape, pivot), x)
+        positions = _coo_positions(rows, cols, shape, pivot)
+        assert_array_equal(np.sort(positions), every)
+        assert x.ravel()[positions].tobytes() == values.tobytes()
 
 
 def whole_chunk_kernels(rows, cols, values, u, kr_t, cells):
@@ -613,7 +614,8 @@ def test_coo_kernels_keep_the_bits_of_whole_chunk_products(monkeypatch, nonzeros
     factors = [rng.standard_normal((d, rank)) for d in shape]
     if nonzeros_per_chunk is not None:
         monkeypatch.setattr(tensors, "SLAB_BYTES", 8 * rank * nonzeros_per_chunk)
-    rows, cols, values = _coo_matrix(np.flatnonzero(x), x.ravel(), shape, pivot)
+    nonzero = np.flatnonzero(x)
+    rows, cols, values = _coo_matrix(nonzero, x.ravel()[nonzero], shape, pivot)
     kr_t = tensors._khatri_rao_t(factors[:pivot] + factors[pivot + 1 :])
     partial = _coo_partial(rows, cols, values, factors[pivot], kr_t.shape[1])
     _, residual, model = _coo_gather(rows, cols, values, kr_t, shape[pivot], u=factors[pivot])

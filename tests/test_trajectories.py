@@ -223,27 +223,65 @@ def test_worker_digests_a_tensor_and_its_coordinates_alike(trajectories):
     assert digest(dense(coords)) != digest(dense(x))
 
 
+def worker_on(trajectories, cases: str, prelude: str = "") -> dict:
+    """The worker's output on ``cases`` in place of its own, with ``prelude``
+    run first."""
+    worker = trajectories.WORKER
+    worker = worker[: worker.index("CASES = (")] + cases + worker[worker.index("MU_SWEEPS") :]
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + worker], cwd=ROOT, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_worker_digests_each_problems_data_as_a_tensor_and_times_its_norm(trajectories):
     # The worker itself, on small cases: a problem's ``data`` digests as the
     # tensor the generator described, also where it is the coordinates of
     # a list, and its norm peaks at about the list's bytes there (a few KB
     # of objects beside them), far below the tensor's.
-    worker = trajectories.WORKER
-    start = worker.index("CASES = (")
-    cases = """CASES = (
+    out = worker_on(trajectories, """CASES = (
     ("synth", "synth", (6, 7, 8), 2, 1.0, 1e5, 2, (1,)),
     ("surrogate", "surrogate", (18, 100, 20), 2, 0.5, 3.0, 2, (1,)),
 )
-"""
-    worker = worker[:start] + cases + worker[worker.index("MU_SWEEPS") :]
-    proc = subprocess.run([sys.executable, "-c", worker], cwd=ROOT, capture_output=True, text=True, check=True)
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+""")
     for name in ("synth seed 1", "surrogate seed 1"):
         digest, held, setup_peak, norm_peak = out["problem"][name]
         assert digest == out["data"][name]
         assert 0 < out["setup"][name] < 10
     held, norm_peak = out["problem"]["surrogate seed 1"][1:4:2]
     assert 0 < norm_peak <= held + 4096 < 0.1 * 8 * 18 * 100 * 20
+
+
+def test_worker_builds_a_surrogate_and_its_dense_tensor_into_one_problem(trajectories):
+    out = worker_on(trajectories, """CASES = (
+    ("surrogate", "surrogate", (18, 100, 20), 2, 0.5, 3.0, 3, (1,)),
+    ("dense surrogate", "dense surrogate", (18, 100, 20), 2, 0.5, 3.0, 3, (1,)),
+)
+""")
+    # The dense case hands over the tensor itself.
+    assert out["build"]["dense surrogate seed 1"] >= 8 * 18 * 100 * 20 > out["build"]["surrogate seed 1"]
+    assert out["data"]["dense surrogate seed 1"] == out["data"]["surrogate seed 1"]
+    # The problems' data digests and the bytes they hold.
+    assert out["problem"]["dense surrogate seed 1"][:2] == out["problem"]["surrogate seed 1"][:2]
+    for run in ("{} seed 1", "mu on {} seed 1"):
+        assert out["runs"][run.format("dense surrogate")] == out["runs"][run.format("surrogate")]
+
+
+def test_worker_solve_peak_does_not_move_with_the_collectors_thresholds(trajectories):
+    # A collection at every allocation, or almost never. The garbage
+    # collector is held still over the runs, so either leaves the same
+    # peak. Not to the byte: CPython's type attribute cache keeps some of
+    # the attribute names that numpy's C code makes afresh on each call
+    # (in ``np.any`` and ``np.trace``, for one), and how many depends on
+    # their addresses, which moved the peak of this case by up to 1.3%
+    # (42.9 to 43.5 KB) from one process to the next. Left running, the
+    # collector moved it by about 30% (36.8 KB against 48.4 KB).
+    cases = 'CASES = (("desk", "synth", (6, 7, 8), 2, 0.5, 1e5, 20, (1,)),)\n'
+    peaks = [
+        worker_on(trajectories, cases, f"import gc\ngc.set_threshold({threshold})\n")["solve"]["desk seed 1"]
+        for threshold in ("1, 1, 1", "100000")
+    ]
+    assert abs(peaks[0] - peaks[1]) <= 0.05 * max(peaks)
 
 
 def test_run_table_reports_a_deliberate_change(trajectories, monkeypatch, capsys):
